@@ -38,9 +38,9 @@ from .modules import (
     hom_dim,
     parse_module,
 )
-from .quiver import BoundQuiver, ParseError, QuiverError, VoltageQuiver, format_quiver
+from .quiver import ParseError, QuiverError, VoltageQuiver, format_quiver
 from .repetitive import repetitive_truncation, selfinjective_orbit
-from .reports import Report, jsonable
+from .reports import jsonable
 from .suites import SuiteError, run_suite
 
 USAGE_EXIT = 2
@@ -112,6 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     cov_sub = p.add_subparsers(dest="cover_command", required=True)
     pv = cov_sub.add_parser("verify", help="check the covering identities on a graded input")
     pv.add_argument("input")
+    pv.set_defaults(name="cover-axioms")
     _common(pv)
 
     p = sub.add_parser("suite", help="run a named verification suite")
@@ -126,6 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
                        ("kg0", ())):
         pf = fun_sub.add_parser(verb)
         pf.add_argument("input")
+        if verb == "kg0":
+            pf.set_defaults(name="kg0")
         for a in args:
             dest = {"--from": "src", "--to": "dst"}.get(a)
             if dest:
@@ -236,20 +239,6 @@ def _fun_length(args) -> int:
     return 0
 
 
-def _fun_kg0(args) -> int:
-    name, digest, q = _load(args)
-    from .functors import kg_level0_report
-    kg = kg_level0_report(q, dim_cap=args.dim_cap, count_cap=args.count_cap,
-                          seed=args.seed)
-    field = q.field.spec() if isinstance(q, BoundQuiver) else q.base.field.spec()
-    report = Report(suite="kg0", field=field, seed=args.seed)
-    report.add_input(name, digest)
-    report.verdicts.update(kg.verdicts)
-    report.absorb_records(kg.records)
-    _emit(args, report.to_dict(), report.to_text().rstrip("\n"))
-    return 0 if report.passed else CHECK_FAIL_EXIT
-
-
 def _rep(args) -> int:
     _name, _digest, q = _load(args)
     if isinstance(q, VoltageQuiver):
@@ -266,22 +255,6 @@ def _rep(args) -> int:
     else:
         sys.stdout.write(text)
     return 0
-
-
-def _cover_verify(args) -> int:
-    name, digest, q = _load(args)
-    if not isinstance(q, VoltageQuiver):
-        raise FixtureError("cover verify needs a graded (voltage) input")
-    from .covering import verify_covering_axioms
-    vr = verify_covering_axioms(q, max_radius=args.window or 64)
-    report = Report(suite="cover-axioms", field=q.base.field.spec(), seed=args.seed)
-    report.add_input(name, digest)
-    report.absorb(vr)
-    if args.json:
-        sys.stdout.write(report.to_json())
-    else:
-        sys.stdout.write(report.to_text())
-    return 0 if report.passed else CHECK_FAIL_EXIT
 
 
 def _suite(args) -> int:
@@ -332,10 +305,10 @@ def main(argv=None) -> int:
     }
     try:
         if args.command == "cover":
-            return _cover_verify(args)
+            return _suite(args)
         if args.command == "fun":
             fun_handlers = {"eval": _fun_eval, "hom": _fun_hom, "simple": _fun_simple,
-                            "phi": _fun_phi, "kg0": _fun_kg0}
+                            "phi": _fun_phi, "kg0": _suite}
             return fun_handlers[args.fun_command](args)
         return handlers[args.command](args)
     except (FixtureError, ParseError, OSError) as e:

@@ -9,7 +9,7 @@ pushed-down modules decompose into finitely many twisted components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .linalg import Matrix, solve
 from .modules import (
@@ -28,6 +28,7 @@ from .quiver import (
     lift_window,
     path_basis,
 )
+from .reports import VerifyReport
 
 
 class CoveringError(ValueError):
@@ -351,32 +352,6 @@ def reassemble(components: dict[int, LayeredModMap]) -> ModMap | None:
 
 # ---------------------------------------------------------------------------
 # verification reports
-
-
-@dataclass
-class CheckRecord:
-    check: str
-    expected: object
-    actual: object
-    ok: bool
-
-
-@dataclass
-class VerifyReport:
-    name: str
-    records: list[CheckRecord] = dc_field(default_factory=list)
-
-    def add(self, check: str, expected, actual) -> bool:
-        ok = expected == actual
-        self.records.append(CheckRecord(check, expected, actual, ok))
-        return ok
-
-    def assert_true(self, check: str, value: bool, detail=None):
-        self.records.append(CheckRecord(check, True, detail if detail is not None else bool(value), bool(value)))
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.records)
 
 
 def verify_covering_axioms(vq: VoltageQuiver, max_radius: int = 64) -> VerifyReport:

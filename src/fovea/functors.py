@@ -9,7 +9,7 @@ the latter to the former by pushing the presentation down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from .linalg import Matrix, Subspace, kernel_basis, rank, solve, vstack
 from .modules import (
@@ -24,12 +24,10 @@ from .modules import (
     right_almost_split,
 )
 from .covering import (
-    CheckRecord,
     LayeredModMap,
     LayeredModule,
-    VerifyReport,
     common_window,
-        lift_morphism,
+    lift_morphism,
     push_down,
     push_down_map,
 )
@@ -44,6 +42,7 @@ from .quiver import (
     path_basis,
     sub_quiver,
 )
+from .reports import VerifyReport
 
 
 class FunctorError(ValueError):
@@ -72,10 +71,6 @@ class FpFunctor:
     def target(self):
         return self.pres.target
 
-    def is_zero_presented(self) -> bool:
-        tgt = self.pres.target
-        return tgt.is_zero()
-
     def twist(self, k: int) -> "FpFunctor":
         if self.side != COVER:
             raise FunctorError("twist only acts on the covering side")
@@ -85,18 +80,22 @@ class FpFunctor:
         return f"FpFunctor({self.side}, pres {self.pres.source!r} -> {self.pres.target!r})"
 
 
+def _zero_presentation(carrier):
+    """The presentation 0 -> 0 of the zero functor on either side."""
+    if isinstance(carrier, VoltageQuiver):
+        w = Window(0, 0)
+        zero = LayeredModule.make(carrier, w, {}, {})
+        return LayeredModMap(zero, zero, w, ModMap.zero(zero.align(w), zero.align(w)))
+    zero = Module.zero(carrier)
+    return ModMap.zero(zero, zero)
+
+
 def fp_functor(carrier, pres) -> FpFunctor:
     """Wrap a presentation morphism, collapsing degenerate shapes."""
-    if isinstance(pres, LayeredModMap):
-        if pres.target.is_zero():
-            zero = LayeredModule.make(carrier, Window(0, 0), {}, {})
-            w = Window(0, 0)
-            pres = LayeredModMap(zero, zero, w, ModMap.zero(zero.align(w), zero.align(w)))
-        return FpFunctor(COVER, carrier, pres)
+    side = COVER if isinstance(pres, LayeredModMap) else ALGEBRA
     if pres.target.is_zero():
-        zero = Module.zero(carrier)
-        pres = ModMap.zero(zero, zero)
-    return FpFunctor(ALGEBRA, carrier, pres)
+        pres = _zero_presentation(carrier)
+    return FpFunctor(side, carrier, pres)
 
 
 def hom_functor(carrier, target) -> FpFunctor:
@@ -111,12 +110,8 @@ def hom_functor(carrier, target) -> FpFunctor:
 
 
 def zero_functor(carrier) -> FpFunctor:
-    if isinstance(carrier, VoltageQuiver):
-        zero = LayeredModule.make(carrier, Window(0, 0), {}, {})
-        w = Window(0, 0)
-        return FpFunctor(COVER, carrier, LayeredModMap(zero, zero, w, ModMap.zero(zero.align(w), zero.align(w))))
-    zero = Module.zero(carrier)
-    return FpFunctor(ALGEBRA, carrier, ModMap.zero(zero, zero))
+    side = COVER if isinstance(carrier, VoltageQuiver) else ALGEBRA
+    return FpFunctor(side, carrier, _zero_presentation(carrier))
 
 
 def _present_on_window(t: FpFunctor, w: Window) -> ModMap:
@@ -612,25 +607,6 @@ def extend_functor(s: FpFunctor, ambient: BoundQuiver, subset,
 # the level-0 report
 
 
-@dataclass
-class KGReport:
-    name: str
-    verdicts: dict[str, str] = dc_field(default_factory=dict)
-    records: list[CheckRecord] = dc_field(default_factory=list)
-
-    def add(self, check: str, expected, actual) -> bool:
-        ok = expected == actual
-        self.records.append(CheckRecord(check, expected, actual, ok))
-        return ok
-
-    def assert_true(self, check: str, value: bool, detail=None):
-        self.records.append(CheckRecord(check, True, detail if detail is not None else bool(value), bool(value)))
-
-    @property
-    def ok(self) -> bool:
-        return all(r.ok for r in self.records)
-
-
 UNDECIDABLE = "undecidable at desk scale"
 LEVEL_ZERO = "KG = 0 (finite representation type)"
 
@@ -644,7 +620,7 @@ def kg_level0_verdict(bq: BoundQuiver, dim_cap: int = 12, count_cap: int = 24,
 def kg_level0_report(subject, dim_cap: int = 12, count_cap: int = 24,
                      battery: list[FpFunctor] | None = None,
                      battery_modules: list[LayeredModule] | None = None,
-                     seed: int = 0) -> KGReport:
+                     seed: int = 0) -> VerifyReport:
     """Level-0 statements checked numerically.
 
     For a plain algebra this reports the finite-type verdict from the
@@ -653,7 +629,7 @@ def kg_level0_report(subject, dim_cap: int = 12, count_cap: int = 24,
     twist invariance of lengths, and that nonzero twists move evaluation
     profiles.
     """
-    report = KGReport("kg0")
+    report = VerifyReport("kg0")
     if isinstance(subject, BoundQuiver):
         report.verdicts["algebra"] = kg_level0_verdict(subject, dim_cap, count_cap, seed)
         report.assert_true("kg0.verdict-computed", True, report.verdicts["algebra"])

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from .linalg import (
-        Matrix,
+    Matrix,
     Subspace,
     block_diag,
     hstack,
@@ -395,12 +395,6 @@ def socle_submodule(m: Module) -> tuple[Module, ModMap]:
     return submodule(m, cols)
 
 
-def top_quotient(m: Module) -> tuple[Module, ModMap]:
-    rad, incl = radical_submodule(m)
-    rows = {v: [list(r) for r in incl.comps[v].transpose().entries] for v in m.bq.vertices}
-    return quotient_module(m, rows)
-
-
 def socle_quotient(m: Module) -> tuple[Module, ModMap]:
     soc, incl = socle_submodule(m)
     rows = {v: [list(r) for r in incl.comps[v].transpose().entries] for v in m.bq.vertices}
@@ -775,12 +769,6 @@ def is_indecomposable(m: Module) -> bool:
     """True iff End(M) is local."""
     if m.is_zero():
         raise ModuleError("the zero module is neither decomposable nor indecomposable")
-    end = hom_space(m, m)
-    if end.dim == 1:
-        return True
-    rad = end_radical(m, end)
-    if end.dim - rad.dim == 1:
-        return True
     return decompose(m).is_indecomposable
 
 

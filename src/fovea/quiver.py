@@ -38,14 +38,6 @@ class PathExplosionError(QuiverError):
     pass
 
 
-def _path_source(bq: "BoundQuiver", path: tuple[str, ...], fallback=None):
-    return bq.arrow_map[path[0]].source if path else fallback
-
-
-def _path_target(bq: "BoundQuiver", path: tuple[str, ...], fallback=None):
-    return bq.arrow_map[path[-1]].target if path else fallback
-
-
 class BoundQuiver:
     """A finite quiver with relations and a nilpotency bound.
 
@@ -135,9 +127,6 @@ class VoltageQuiver:
             if len(degs) != 1:
                 raise QuiverError("relation is not homogeneous in total degree")
         self.field = base.field
-
-    def path_degree(self, path) -> int:
-        return sum(self.degree[a] for a in path)
 
     def __eq__(self, other):
         return isinstance(other, VoltageQuiver) and self.base == other.base and self.degree == other.degree
@@ -319,6 +308,41 @@ def format_quiver(q) -> str:
 # path spaces
 
 
+def _paths_by_pair(bq: BoundQuiver, max_len: int, path_cap: int):
+    """All paths of length <= max_len per ordered vertex pair.
+
+    Each list is sorted by (length, arrow index sequence) and comes with a
+    path -> position index.  Raises PathExplosionError once more than
+    path_cap paths, stationary ones included, have been walked.
+    """
+    paths: dict[tuple[str, str], list[tuple[str, ...]]] = {
+        (x, y): [] for x in bq.vertices for y in bq.vertices
+    }
+    total = 0
+    for x in bq.vertices:
+        frontier = [((), x)]
+        paths[(x, x)].append(())
+        total += 1
+        for _ in range(max_len):
+            nxt = []
+            for path, end in frontier:
+                for a in bq.out_arrows[end]:
+                    p = path + (a.name,)
+                    paths[(x, a.target)].append(p)
+                    nxt.append((p, a.target))
+                    total += 1
+                    if total > path_cap:
+                        raise PathExplosionError(
+                            f"more than {path_cap} paths of length <= {max_len}; "
+                            "the bound is probably too large for this quiver")
+            frontier = nxt
+    arrow_index = {a.name: i for i, a in enumerate(bq.arrows)}
+    for plist in paths.values():
+        plist.sort(key=lambda p: (len(p), tuple(arrow_index[a] for a in p)))
+    index = {key: {p: i for i, p in enumerate(plist)} for key, plist in paths.items()}
+    return paths, index
+
+
 class PathBasis:
     """Bases of all hom spaces of the category presented by a BoundQuiver.
 
@@ -331,34 +355,8 @@ class PathBasis:
         self.bq = bq
         f = bq.field
         m = bq.nilbound
-        paths: dict[tuple[str, str], list[tuple[str, ...]]] = {
-            (x, y): [] for x in bq.vertices for y in bq.vertices
-        }
-        total = 0
-        for x in bq.vertices:
-            frontier = [((), x)]
-            if m > 0:
-                paths[(x, x)].append(())
-                total += 1
-            for _ in range(m - 1):
-                nxt = []
-                for path, end in frontier:
-                    for a in bq.out_arrows[end]:
-                        p = path + (a.name,)
-                        paths[(x, a.target)].append(p)
-                        nxt.append((p, a.target))
-                        total += 1
-                        if total > path_cap:
-                            raise PathExplosionError(
-                                f"more than {path_cap} paths below the nilpotency bound; "
-                                "the bound is probably too large for this quiver")
-                frontier = nxt
-        # sort deterministically by (length, arrow index sequence)
-        arrow_index = {a.name: i for i, a in enumerate(bq.arrows)}
-        for key in paths:
-            paths[key].sort(key=lambda p: (len(p), tuple(arrow_index[a] for a in p)))
+        paths, self.path_index = _paths_by_pair(bq, m - 1, path_cap)
         self.paths = paths
-        self.path_index = {key: {p: i for i, p in enumerate(plist)} for key, plist in paths.items()}
 
         # span of the shifted relations, projected onto paths of length < m
         ideal_vectors: dict[tuple[str, str], list[list]] = {key: [] for key in paths}
@@ -404,9 +402,6 @@ class PathBasis:
             return tuple(f.zero for _ in range(self.dim(x, y)))
         vec = [f.zero] * len(plist)
         vec[self.path_index[(x, y)][path]] = f.one
-        return self.quots[(x, y)].apply(vec)
-
-    def reduce_vector(self, x: str, y: str, vec) -> tuple:
         return self.quots[(x, y)].apply(vec)
 
     def compose(self, x: str, y: str, z: str, a_coords, b_coords) -> tuple:
@@ -465,29 +460,7 @@ def check_admissible(bq: BoundQuiver, path_cap: int = 200_000) -> AdmissibleRepo
                 violations.append(f"relation term {'*'.join(p)} has length < 2")
     m = bq.nilbound
     cap_len = m + max_term
-
-    arrow_index = {a.name: i for i, a in enumerate(bq.arrows)}
-    paths: dict[tuple[str, str], list[tuple[str, ...]]] = {
-        (x, y): [] for x in bq.vertices for y in bq.vertices
-    }
-    total = 0
-    for x in bq.vertices:
-        frontier = [((), x)]
-        paths[(x, x)].append(())
-        for _ in range(cap_len):
-            nxt = []
-            for path, end in frontier:
-                for a in bq.out_arrows[end]:
-                    p = path + (a.name,)
-                    paths[(x, a.target)].append(p)
-                    nxt.append((p, a.target))
-                    total += 1
-                    if total > path_cap:
-                        raise PathExplosionError("path cap exceeded during admissibility check")
-            frontier = nxt
-    for key in paths:
-        paths[key].sort(key=lambda p: (len(p), tuple(arrow_index[a] for a in p)))
-    index = {key: {p: i for i, p in enumerate(plist)} for key, plist in paths.items()}
+    paths, index = _paths_by_pair(bq, cap_len, path_cap)
 
     spans: dict[tuple[str, str], list[list]] = {key: [] for key in paths}
     for rel in bq.relations:
@@ -533,11 +506,6 @@ def layer_vertex(v: str, n: int) -> str:
 
 def layer_arrow(a: str, n: int) -> str:
     return f"{a}@{n}"
-
-
-def split_layer(name: str) -> tuple[str, int]:
-    base, _, n = name.rpartition("@")
-    return base, int(n)
 
 
 _LIFT_CACHE: dict = {}
@@ -642,15 +610,6 @@ def rename_vertices(bq: BoundQuiver, mapping: dict[str, str]) -> BoundQuiver:
     vertices = [nm(v) for v in bq.vertices]
     arrows = [(a.name, nm(a.source), nm(a.target)) for a in bq.arrows]
     return BoundQuiver(vertices, arrows, bq.relations, bq.field, bq.nilbound)
-
-
-def rename_arrows(bq: BoundQuiver, mapping: dict[str, str]) -> BoundQuiver:
-    def nm(a):
-        return mapping.get(a, a)
-
-    arrows = [(nm(a.name), a.source, a.target) for a in bq.arrows]
-    relations = [tuple((c, tuple(nm(x) for x in p)) for c, p in rel) for rel in bq.relations]
-    return BoundQuiver(bq.vertices, arrows, relations, bq.field, bq.nilbound)
 
 
 # ---------------------------------------------------------------------------

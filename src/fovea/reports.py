@@ -13,7 +13,6 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from . import __version__
-from .covering import CheckRecord, VerifyReport
 from .modules import Module
 
 
@@ -34,6 +33,35 @@ def jsonable(value):
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
     return repr(value)
+
+
+@dataclass
+class CheckRecord:
+    check: str
+    expected: object
+    actual: object
+    ok: bool
+
+
+@dataclass
+class VerifyReport:
+    """The outcome of one library check: records plus named verdicts."""
+
+    name: str
+    records: list[CheckRecord] = dc_field(default_factory=list)
+    verdicts: dict[str, str] = dc_field(default_factory=dict)
+
+    def add(self, check: str, expected, actual) -> bool:
+        ok = expected == actual
+        self.records.append(CheckRecord(check, expected, actual, ok))
+        return ok
+
+    def assert_true(self, check: str, value: bool, detail=None):
+        self.records.append(CheckRecord(check, True, detail if detail is not None else bool(value), bool(value)))
+
+    @property
+    def ok(self) -> bool:
+        return all(r.ok for r in self.records)
 
 
 @dataclass
@@ -58,11 +86,8 @@ class Report:
         })
 
     def absorb(self, verify: VerifyReport, prefix: str = ""):
+        self.verdicts.update(verify.verdicts)
         for rec in verify.records:
-            self.add_check(prefix + rec.check, rec.expected, rec.actual, rec.ok)
-
-    def absorb_records(self, records: list[CheckRecord], prefix: str = ""):
-        for rec in records:
             self.add_check(prefix + rec.check, rec.expected, rec.actual, rec.ok)
 
     @property

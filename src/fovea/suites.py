@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from .covering import (
     LayeredModule,
-        push_down,
-        verify_covering_axioms,
+    push_down,
+    verify_covering_axioms,
     verify_pushdown,
 )
 from .naming import load_quiver
@@ -18,12 +18,12 @@ from .functors import (
     common_window,
     default_battery,
     evaluate_dim,
-        kg_level0_report,
+    kg_level0_report,
     phi,
     phi_epi_cover,
     phi_hom_identity,
     psi_evaluate,
-        window_indecomposables,
+    window_indecomposables,
 )
 from .modules import (
     enumerate_indecomposables,
@@ -41,7 +41,7 @@ from .quiver import (
     lift_window,
     normalize_presentation,
     path_basis,
-        rename_vertices,
+    rename_vertices,
 )
 from .repetitive import (
     is_selfinjective,
@@ -171,9 +171,7 @@ def _suite_phi_identities(report: Report, q):
 
 
 def _suite_kg0(report: Report, q, dim_cap, count_cap, seed: int = 0):
-    kg = kg_level0_report(q, dim_cap=dim_cap, count_cap=count_cap, seed=seed)
-    report.verdicts.update(kg.verdicts)
-    report.absorb_records(kg.records)
+    report.absorb(kg_level0_report(q, dim_cap=dim_cap, count_cap=count_cap, seed=seed))
 
 
 def _suite_repetitive(report: Report, q):

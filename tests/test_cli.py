@@ -91,6 +91,10 @@ def test_cover_verify(capsys):
     assert payload["pass"] is True
     ids = {c["id"] for c in payload["checks"]}
     assert "covering.dim-sum-left[v,v]" in ids
+    # `cover verify` is an alias of `suite cover-axioms`
+    assert run(capsys, "suite", "cover-axioms", "line-k2.vq", "--json")[:2] == (code, out)
+    code, _, err = run(capsys, "cover", "verify", "a2.bq")
+    assert code == 2 and "suite cover-axioms needs a graded (voltage) input" in err
 
 
 def test_suite_exit_codes(capsys):
@@ -160,6 +164,10 @@ def test_fun_hom_simple_phi_aliases(capsys):
     assert code == 0 and sum(json.loads(out)["profile"].values()) == 3
     code, _, _ = run(capsys, "fun", "kg0", "a3.bq")
     assert code == 0
+    # `fun kg0` is an alias of `suite kg0`; its verdicts reach the report
+    code, out, _ = run(capsys, "fun", "kg0", "kronecker.bq")
+    assert run(capsys, "suite", "kg0", "kronecker.bq")[:2] == (code, out)
+    assert "verdict algebra: undecidable at desk scale" in out
 
 
 def test_options_before_the_input_path(capsys):

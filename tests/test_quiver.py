@@ -242,6 +242,8 @@ def test_path_explosion_guard():
     from fovea.quiver import PathExplosionError
     with pytest.raises(PathExplosionError):
         path_basis(bq, path_cap=20)
+    with pytest.raises(PathExplosionError):
+        check_admissible(bq, path_cap=20)
 
 
 def test_relation_with_unknown_arrow_is_rejected():
