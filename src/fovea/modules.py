@@ -831,19 +831,22 @@ def irr_space(x: Module, n: Module, ind_list: list[Module],
     return IrrSpace(rad.dim - rad2.dim, [rad.maps[i] for i in reps])
 
 
-def _projectives_of(basis: PathBasis) -> dict[str, Module]:
-    cache = getattr(basis, "_projective_cache", None)
-    if cache is None:
-        cache = {v: projective(basis.bq, v, basis) for v in basis.bq.vertices}
-        basis._projective_cache = cache
-    return cache
-
-
 def _is_projective_vertex(n: Module, basis: PathBasis) -> str | None:
-    for v, p in _projectives_of(basis).items():
-        if p.dims == n.dims and is_isomorphic_indec(n, p):
-            return v
-    return None
+    """The vertex x with N isomorphic to P_x, or None.
+
+    That holds iff N has top S_x and the dimension vector of P_x, since the
+    projective cover P_x -> N is onto.  The arrow images span the radical
+    because relation terms are never stationary.
+    """
+    vertices = n.bq.vertices
+    dims_of_p = {x: {z: basis.dim(z, x) for z in vertices} for x in vertices}
+    if n.dims not in dims_of_p.values():
+        return None
+    rad, _ = radical_submodule(n)
+    if n.total_dim - rad.total_dim != 1:
+        return None
+    x = next(v for v in vertices if n.dims[v] > rad.dims[v])
+    return x if n.dims == dims_of_p[x] else None
 
 
 def right_almost_split(n: Module, ind_list: list[Module],

@@ -10,6 +10,7 @@ of that lift are again BoundQuivers.
 
 from __future__ import annotations
 
+import weakref
 from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
 
@@ -117,7 +118,11 @@ class BoundQuiver:
 
 
 class VoltageQuiver:
-    """A bound quiver with integer arrow degrees and homogeneous relations."""
+    """A bound quiver with integer arrow degrees and homogeneous relations.
+
+    It owns the memos of its window lifts (weak) and window enumerations;
+    they take no part in equality or hashing.
+    """
 
     def __init__(self, base: BoundQuiver, degree: dict[str, int]):
         self.base = base
@@ -127,6 +132,8 @@ class VoltageQuiver:
             if len(degs) != 1:
                 raise QuiverError("relation is not homogeneous in total degree")
         self.field = base.field
+        self._lifts = weakref.WeakValueDictionary()
+        self._indecomposables: dict = {}
 
     def __eq__(self, other):
         return isinstance(other, VoltageQuiver) and self.base == other.base and self.degree == other.degree
@@ -159,7 +166,7 @@ class Window:
 # file format
 
 
-_COEFF_CHARS = set("0123456789/-+")
+_COEFF_CHARS = frozenset("0123456789/-+")
 
 
 def _looks_like_coeff(tok: str) -> bool:
@@ -176,6 +183,7 @@ def parse_quiver(text: str):
     nilbound = None
     vertices: list[str] = []
     arrows: list[tuple] = []
+    arrow_lines: dict[str, int] = {}
     degrees: dict[str, int] = {}
     saw_degree = False
     relation_lines: list[tuple[int, str]] = []
@@ -196,15 +204,22 @@ def parse_quiver(text: str):
                 nilbound = int(rest)
             except ValueError:
                 raise ParseError(lineno, f"bad nilbound {rest!r}")
+            if nilbound < 1:
+                raise ParseError(lineno, "nilbound must be at least 1")
         elif head == "vertex":
             if not rest:
                 raise ParseError(lineno, "vertex line without names")
-            vertices.extend(rest.split())
+            for v in rest.split():
+                if v in vertices:
+                    raise ParseError(lineno, f"duplicate vertex {v!r}")
+                vertices.append(v)
         elif head == "arrow":
             if ":" not in rest:
                 raise ParseError(lineno, "arrow line needs 'name: src -> tgt'")
             name, _, spec = rest.partition(":")
             name = name.strip()
+            if name in arrow_lines:
+                raise ParseError(lineno, f"duplicate arrow {name!r}")
             parts = spec.split()
             if "->" not in parts:
                 raise ParseError(lineno, "arrow line needs '->'")
@@ -221,6 +236,7 @@ def parse_quiver(text: str):
                     raise ParseError(lineno, f"bad degree {parts[4]!r}")
                 saw_degree = True
             arrows.append((name, src, tgt))
+            arrow_lines[name] = lineno
         elif head == "relation":
             relation_lines.append((lineno, rest))
         else:
@@ -232,10 +248,9 @@ def parse_quiver(text: str):
         raise ParseError(0, "missing nilbound line")
     vset = set(vertices)
     for name, src, tgt in arrows:
-        if src not in vset:
-            raise ParseError(0, f"arrow {name}: unknown vertex {src!r}")
-        if tgt not in vset:
-            raise ParseError(0, f"arrow {name}: unknown vertex {tgt!r}")
+        for v in (src, tgt):
+            if v not in vset:
+                raise ParseError(arrow_lines[name], f"arrow {name}: unknown vertex {v!r}")
 
     relations = []
     for lineno, rest in relation_lines:
@@ -270,6 +285,12 @@ def parse_quiver(text: str):
             sign = 1
             i += 1
         relations.append(tuple(terms))
+        try:  # alone, so that an error names this relation's line
+            alone = BoundQuiver(vertices, arrows, relations[-1:], field, nilbound)
+            if saw_degree:
+                VoltageQuiver(alone, degrees)
+        except QuiverError as e:
+            raise ParseError(lineno, str(e))
 
     try:
         bq = BoundQuiver(vertices, arrows, relations, field, nilbound)
@@ -508,12 +529,9 @@ def layer_arrow(a: str, n: int) -> str:
     return f"{a}@{n}"
 
 
-_LIFT_CACHE: dict = {}
-
-
 def lift_window(vq: VoltageQuiver, window: Window) -> BoundQuiver:
     """The finite convex piece of the graded lift over the given layers."""
-    cached = _LIFT_CACHE.get((vq, window))
+    cached = vq._lifts.get(window)
     if cached is not None:
         return cached
     bq = vq.base
@@ -544,9 +562,7 @@ def lift_window(vq: VoltageQuiver, window: Window) -> BoundQuiver:
             if fits:
                 relations.append(tuple(lifted_terms))
     out = BoundQuiver(vertices, arrows, relations, bq.field, bq.nilbound)
-    if len(_LIFT_CACHE) > 512:
-        _LIFT_CACHE.clear()
-    _LIFT_CACHE[(vq, window)] = out
+    vq._lifts[window] = out
     return out
 
 

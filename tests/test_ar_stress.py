@@ -5,7 +5,9 @@ from fovea.modules import (
     _is_projective_vertex,
     enumerate_indecomposables,
     irr_space,
+    is_isomorphic_indec,
     map_factor,
+    projective,
     right_almost_split,
 )
 from fovea.quiver import parse_quiver, path_basis
@@ -18,6 +20,9 @@ A2 = parse_quiver("field gf 32749\nnilbound 2\nvertex 1 2\narrow a: 1 -> 2\n")
 NAKAYAMA = parse_quiver(
     "field gf 32749\nnilbound 2\nvertex 1 2\narrow a: 1 -> 2\narrow b: 2 -> 1\n"
     "relation a*b\nrelation b*a\n")
+# two indecomposables share the dimension vector of P1; only one is P1
+LOOP_TAIL = parse_quiver(
+    "field gf 32749\nnilbound 3\nvertex 1 2\narrow a: 2 -> 1\narrow c: 2 -> 2\n")
 
 
 def test_d4_has_twelve_indecomposables():
@@ -72,3 +77,19 @@ def test_nakayama_two_cycle_module_category():
     biggest = max(enum.modules, key=lambda m: m.total_dim)
     cert = functor_length(hom_functor(NAKAYAMA, biggest), enum)
     assert cert.length == 3 and len(cert.profile) == 3
+
+
+def test_projectivity_is_read_off_the_module():
+    # oracle: search the projectives for one isomorphic to the module
+    for bq in (D4, selfinjective_orbit(A2, 1), NAKAYAMA, LOOP_TAIL):
+        pb = path_basis(bq)
+        projectives = {v: projective(bq, v, pb) for v in bq.vertices}
+        enum = enumerate_indecomposables(bq, dim_cap=12, count_cap=24)
+        assert enum.complete
+        found = 0
+        for n in enum.modules:
+            expected = next((v for v, p in projectives.items()
+                             if is_isomorphic_indec(n, p)), None)
+            assert _is_projective_vertex(n, pb) == expected
+            found += expected is not None
+        assert found == len(bq.vertices)

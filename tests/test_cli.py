@@ -97,13 +97,17 @@ def test_cover_verify(capsys):
     assert code == 2 and "suite cover-axioms needs a graded (voltage) input" in err
 
 
-def test_suite_exit_codes(capsys):
+def test_suite_exit_codes(capsys, tmp_path):
     code, _, _ = run(capsys, "suite", "kg0", "a2.bq")
     assert code == 0
     code, _, err = run(capsys, "suite", "nope", "a2.bq")
     assert code == 2 and "unknown suite" in err
     code, _, err = run(capsys, "hom", "missing-file.bq", "--from", "P2", "--to", "S2")
     assert code == 2
+    bad = tmp_path / "bad.bq"
+    bad.write_text("field gf 32749\nnilbound 2\nvertex 1 2\narrow a: 1 -> 3\n")
+    code, _, err = run(capsys, "suite", "kg0", str(bad))
+    assert code == 2 and err == "fovea: line 4: arrow a: unknown vertex '3'\n"
 
 
 def test_mod_round_trip(capsys, tmp_path):

@@ -345,6 +345,17 @@ def test_kg_report_verdicts():
     assert rep.verdicts["cover"].startswith("KG = 0")
 
 
+def test_kg_report_on_the_loop_cover():
+    # the trivial grading of a*a*a = 0: every battery functor lives in
+    # layer 0, and its twists still move its length profile
+    loop = parse_quiver(
+        "field gf 32749\nnilbound 3\nvertex v\narrow a: v -> v deg 0\nrelation a*a*a\n")
+    rep = kg_level0_report(loop)
+    assert rep.ok, [r.check for r in rep.records if not r.ok]
+    assert rep.verdicts["cover"].startswith("KG = 0")
+    assert any(r.check == "kg0.twist-moves-profile[4,k=1]" for r in rep.records)
+
+
 def test_functor_map_coset_equality():
     res = fp_hom(hom_functor(A2, P2), hom_functor(A2, P2))
     assert res.dim == 1

@@ -65,6 +65,24 @@ def test_parse_error_line_numbers():
     with pytest.raises(ParseError) as err:
         parse_quiver("field gf 32749\nnilbound 2\nvertex v\narrow broken\n")
     assert "line 4" in str(err.value)
+    # semantic errors name the line that causes them, not line 0
+    cases = [
+        ("field gf 32749\nnilbound 2\nvertex 1 2\narrow a: 1 -> 3\n", 4),
+        ("field gf 32749\nnilbound 2\narrow a: 1 -> 3\nvertex 1 2\n", 3),
+        ("field gf 32749\nnilbound 0\nvertex v\n", 2),
+        ("field gf 32749\nnilbound 2\nvertex v\nvertex w v\n", 4),
+        ("field gf 32749\nnilbound 2\nvertex v\narrow a: v -> v\narrow a: v -> v\n", 5),
+        ("field gf 32749\nnilbound 3\nvertex v\narrow a: v -> v\n\nrelation a*b\n", 6),
+        ("field gf 32749\nnilbound 3\nvertex 1 2\narrow a: 1 -> 2\narrow b: 1 -> 2\n"
+         "relation a*a\n", 6),
+        ("field gf 32749\nnilbound 3\nvertex v\narrow a: v -> v deg 1\n"
+         "arrow b: v -> v\nrelation a*a\nrelation a*a + b*b\n", 7),
+    ]
+    for text, line in cases:
+        with pytest.raises(ParseError) as err:
+            parse_quiver(text)
+        assert err.value.lineno == line, (text, str(err.value))
+        assert str(err.value).startswith(f"line {line}: ")
 
 
 def test_parse_error_dangling_vertex():
@@ -165,6 +183,17 @@ def test_lift_window_0_1_drops_the_relation():
     assert w.vertices == ("v@0", "v@1")
     assert [a.name for a in w.arrows] == ["a@0"]
     assert not w.relations
+
+
+def test_lift_window_is_memoised_on_its_quiver():
+    vq = parse_quiver(LINE_K2)
+    first = lift_window(vq, Window(0, 2))
+    assert lift_window(vq, Window(0, 2)) is first
+    assert lift_window(vq, Window(0, 1)) is not first
+    # the memos take no part in equality or hashing
+    other = parse_quiver(LINE_K2)
+    assert other == vq and hash(other) == hash(vq)
+    assert lift_window(other, Window(0, 2)) == first
 
 
 def test_lift_window_0_2_keeps_one_relation():
