@@ -285,8 +285,11 @@ def _grow_layered_simple_presentation(vq: VoltageQuiver, n: LayeredModule,
         w = Window(n.window.lo - r, n.window.hi + r)
         bq = lift_window(vq, w)
         pb = path_basis(bq)
-        enum = enumerate_indecomposables(bq, dim_cap=64, count_cap=128, basis=pb,
-                                         verify=False)
+        enum = vq._enumerations.get(w)
+        if enum is None:
+            enum = enumerate_indecomposables(bq, dim_cap=64, count_cap=128, basis=pb,
+                                             verify=False)
+            vq._enumerations[w] = enum
         g = right_almost_split(n.align(w), enum.modules, basis=pb, check=False)
         src = LayeredModule(vq, w, g.source).trim()
         cur = (src.window, src.module, {v: g.comps[v] for v in bq.vertices if not g.comps[v].is_zero()})

@@ -21,6 +21,7 @@ from .linalg import (
     kernel_basis,
     poly_trim,
     candidate_factors,
+    rank,
     row_space,
     solve,
     vstack,
@@ -369,16 +370,19 @@ def map_factor(f: ModMap) -> Factorization:
     return Factorization(kernel, kernel_incl, image, image_incl, image_epi, coker, coker_proj)
 
 
+def _out_block(m: Module, v: str) -> Matrix | None:
+    """The out-arrow matrices at v side by side; their columns span rad M at v."""
+    parts = [m.mats[a.name] for a in m.bq.out_arrows[v] if m.dims[a.target] > 0]
+    return hstack(parts) if parts and m.dims[v] > 0 else None
+
+
 def radical_submodule(m: Module) -> tuple[Module, ModMap]:
     """The submodule generated by all arrow images."""
     f = m.bq.field
     cols = {}
     for v in m.bq.vertices:
-        parts = [m.mats[a.name] for a in m.bq.out_arrows[v] if m.dims[a.target] > 0]
-        if parts and m.dims[v] > 0:
-            cols[v] = column_space_basis(hstack(parts))
-        else:
-            cols[v] = Matrix.zeros(f, m.dims[v], 0)
+        block = _out_block(m, v)
+        cols[v] = Matrix.zeros(f, m.dims[v], 0) if block is None else column_space_basis(block)
     return submodule(m, cols)
 
 
@@ -836,16 +840,21 @@ def _is_projective_vertex(n: Module, basis: PathBasis) -> str | None:
 
     That holds iff N has top S_x and the dimension vector of P_x, since the
     projective cover P_x -> N is onto.  The arrow images span the radical
-    because relation terms are never stationary.
+    because relation terms are never stationary, so the top at v has
+    dimension dims[v] minus the rank of the out-arrow block, and no
+    submodule needs to be built.
     """
     vertices = n.bq.vertices
     dims_of_p = {x: {z: basis.dim(z, x) for z in vertices} for x in vertices}
     if n.dims not in dims_of_p.values():
         return None
-    rad, _ = radical_submodule(n)
-    if n.total_dim - rad.total_dim != 1:
+    top = {}
+    for v in vertices:
+        block = _out_block(n, v)
+        top[v] = n.dims[v] - (0 if block is None else rank(block))
+    if sum(top.values()) != 1:
         return None
-    x = next(v for v in vertices if n.dims[v] > rad.dims[v])
+    x = next(v for v in vertices if top[v])
     return x if n.dims == dims_of_p[x] else None
 
 
@@ -982,6 +991,11 @@ def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int
     op_basis = path_basis(op)
     notes: list[str] = []
     found: list[Module] = []
+    # while complete, every module in seen is found or a direct sum of
+    # modules isomorphic to found ones, so a repeat adds nothing; a
+    # candidate joins seen only after its pieces, since an indecomposable
+    # candidate is its own piece
+    seen: set[Module] = set()
     duals: dict[int, Module] = {}
     cache = PairCache()
     op_cache = PairCache()
@@ -990,7 +1004,7 @@ def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int
     def add(candidate: Module) -> list[Module]:
         nonlocal complete
         new = []
-        if candidate.is_zero() or not complete:
+        if candidate.is_zero() or not complete or candidate in seen:
             return new
         if candidate.total_dim > 4 * dim_cap:
             # decomposing runaway middle terms would dominate the runtime
@@ -1008,15 +1022,17 @@ def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int
                 complete = False
                 notes.append(f"dimension cap {dim_cap} hit")
                 continue
-            if any(is_isomorphic_indec(piece, m) for m in found):
+            if piece in seen or any(is_isomorphic_indec(piece, m) for m in found):
                 continue
             if len(found) >= count_cap:
                 complete = False
                 notes.append(f"count cap {count_cap} hit")
                 continue
             found.append(piece)
+            seen.add(piece)
             duals[id(piece)] = dual_module(piece, op)
             new.append(piece)
+        seen.add(candidate)
         return new
 
     queue: list[Module] = []

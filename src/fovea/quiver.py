@@ -120,8 +120,9 @@ class BoundQuiver:
 class VoltageQuiver:
     """A bound quiver with integer arrow degrees and homogeneous relations.
 
-    It owns the memos of its window lifts (weak) and window enumerations;
-    they take no part in equality or hashing.
+    It owns the memos of its window lifts (weak), its trimmed window
+    enumerations and the full-closure enumerations behind almost split
+    presentations; they take no part in equality or hashing.
     """
 
     def __init__(self, base: BoundQuiver, degree: dict[str, int]):
@@ -134,6 +135,7 @@ class VoltageQuiver:
         self.field = base.field
         self._lifts = weakref.WeakValueDictionary()
         self._indecomposables: dict = {}
+        self._enumerations: dict = {}
 
     def __eq__(self, other):
         return isinstance(other, VoltageQuiver) and self.base == other.base and self.degree == other.degree

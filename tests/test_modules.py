@@ -260,6 +260,14 @@ def test_enumerate_loop():
 def test_enumerate_kronecker_hits_caps():
     enum = enumerate_indecomposables(KRONECKER, dim_cap=2, count_cap=24)
     assert not enum.complete
+    # the notes and the list at a cap are part of the answer: a repeated
+    # candidate must be skipped without adding or losing either
+    assert enum.notes == ["dimension cap 2 hit"]
+    assert enum.labels() == ["X0[0,1]", "X1[1,0]"]
+    enum = enumerate_indecomposables(KRONECKER, dim_cap=6, count_cap=5)
+    assert not enum.complete
+    assert enum.notes == ["count cap 5 hit"]
+    assert enum.labels() == ["X0[0,1]", "X1[1,0]", "X2[1,2]", "X3[2,1]", "X4[3,2]"]
 
 
 @pytest.mark.parametrize("n,count", [(2, 3), (3, 6), (4, 10)])
