@@ -13,10 +13,13 @@ from dataclasses import dataclass
 
 from .linalg import Matrix, solve
 from .modules import (
+    Enumeration,
     ModMap,
     Module,
+    enumerate_indecomposables,
     hom_space,
     is_indecomposable,
+    is_isomorphic,
     is_isomorphic_indec,
 )
 from .quiver import (
@@ -181,6 +184,23 @@ def layered_hom(x: LayeredModule, y: LayeredModule) -> list[LayeredModMap]:
 def layered_hom_dim(x: LayeredModule, y: LayeredModule) -> int:
     w = common_window(x, y)
     return hom_space(x.align(w), y.align(w)).dim
+
+
+def window_enumeration(vq: VoltageQuiver, window: Window) -> Enumeration:
+    """The indecomposables over a window of the lift, memoised on vq.
+
+    Windows are interval shaped, so the light closure reaches every
+    indecomposable; stabilization across growing windows is the
+    completeness oracle, and a capped window is an error, not a guess.
+    """
+    enum = vq._enumerations.get(window)
+    if enum is None:
+        enum = enumerate_indecomposables(lift_window(vq, window), dim_cap=64, count_cap=128,
+                                         closure="light")
+        if not enum.complete:
+            raise CoveringError("window enumeration hit a cap; raise the caps")
+        vq._enumerations[window] = enum
+    return enum
 
 
 def layered_simple(vq: VoltageQuiver, v: str, n: int) -> LayeredModule:
@@ -403,8 +423,7 @@ def verify_covering_axioms(vq: VoltageQuiver, max_radius: int = 64) -> VerifyRep
 
 def verify_pushdown(vq: VoltageQuiver, x: LayeredModule, y: LayeredModule,
                     density_target: Module | None = None,
-                    shift_radius: int = 8,
-                    enum_caps: tuple[int, int] = (24, 40)) -> VerifyReport:
+                    shift_radius: int = 8) -> VerifyReport:
     """Covering identities for one pair of finite-support lifted modules."""
     report = VerifyReport("pushdown")
     fx, fy = push_down(x), push_down(y)
@@ -433,24 +452,18 @@ def verify_pushdown(vq: VoltageQuiver, x: LayeredModule, y: LayeredModule,
                                f"witness shift {found}" if found is not None else False)
 
     if density_target is not None:
-        found = _density_search(vq, density_target, shift_radius, enum_caps)
+        found = _density_search(vq, density_target, shift_radius)
         report.assert_true("pushdown.density-spot-check", found,
                            "a finite-support lift was found" if found else False)
     return report
 
 
-def _density_search(vq: VoltageQuiver, target: Module, radius: int,
-                    enum_caps: tuple[int, int]) -> bool:
-    from .modules import enumerate_indecomposables, is_isomorphic
-
+def _density_search(vq: VoltageQuiver, target: Module, radius: int) -> bool:
     r = max(vq.base.nilbound, 1)
     while r <= radius:
         w = Window(-r, r)
-        bq = lift_window(vq, w)
-        enum = enumerate_indecomposables(bq, dim_cap=enum_caps[0], count_cap=enum_caps[1])
-        for m in enum.modules:
-            lm = LayeredModule(vq, w, m).trim()
-            pd = push_down(lm)
+        for m in window_enumeration(vq, w).modules:
+            pd = push_down(LayeredModule(vq, w, m).trim())
             if pd.dims == target.dims and is_isomorphic(pd, target):
                 return True
         r *= 2

@@ -30,6 +30,7 @@ from .covering import (
     lift_morphism,
     push_down,
     push_down_map,
+    window_enumeration,
 )
 from .quiver import (
     BoundQuiver,
@@ -38,7 +39,6 @@ from .quiver import (
     Window,
     is_convex,
     layer_vertex,
-    lift_window,
     path_basis,
     sub_quiver,
 )
@@ -283,19 +283,12 @@ def _grow_layered_simple_presentation(vq: VoltageQuiver, n: LayeredModule,
     r = max(vq.base.nilbound, 1)
     while r <= max_radius:
         w = Window(n.window.lo - r, n.window.hi + r)
-        bq = lift_window(vq, w)
-        pb = path_basis(bq)
-        enum = vq._enumerations.get(w)
-        if enum is None:
-            enum = enumerate_indecomposables(bq, dim_cap=64, count_cap=128, basis=pb,
-                                             verify=False)
-            vq._enumerations[w] = enum
-        g = right_almost_split(n.align(w), enum.modules, basis=pb, check=False)
+        enum = window_enumeration(vq, w)
+        g = right_almost_split(n.align(w), enum.modules, basis=path_basis(enum.bq), check=False)
         src = LayeredModule(vq, w, g.source).trim()
-        cur = (src.window, src.module, {v: g.comps[v] for v in bq.vertices if not g.comps[v].is_zero()})
-        if prev is not None and prev[0] == cur[0] and prev[1] == cur[1]:
+        if src == prev:
             return LayeredModMap(src, n, w, ModMap(src.align(w), n.align(w), g.comps, check=False))
-        prev = cur
+        prev = src
         r *= 2
     raise FunctorError("almost split presentation did not stabilize")
 
@@ -334,20 +327,8 @@ def _layered_label(vq: VoltageQuiver, lm: LayeredModule) -> str:
 
 
 def window_indecomposables(vq: VoltageQuiver, window: Window) -> list[LayeredModule]:
-    """The indecomposables over a window of the lift, memoised on vq."""
-    cached = vq._indecomposables.get(window)
-    if cached is not None:
-        return cached
-    bq = lift_window(vq, window)
-    # stabilization across growing windows is the completeness oracle here,
-    # so the heavy closure steps and the factorization check are skipped
-    enum = enumerate_indecomposables(bq, dim_cap=64, count_cap=128,
-                                     verify=False, closure="light")
-    if not enum.complete:
-        raise FunctorError("window enumeration hit a cap; raise the caps")
-    out = [LayeredModule(vq, window, m).trim() for m in enum.modules]
-    vq._indecomposables[window] = out
-    return out
+    """The indecomposables over a window of the lift, trimmed to their support."""
+    return [LayeredModule(vq, window, m).trim() for m in window_enumeration(vq, window).modules]
 
 
 def functor_length_cover(t: FpFunctor, max_radius: int = 32) -> LengthCertificate:

@@ -120,9 +120,8 @@ class BoundQuiver:
 class VoltageQuiver:
     """A bound quiver with integer arrow degrees and homogeneous relations.
 
-    It owns the memos of its window lifts (weak), its trimmed window
-    enumerations and the full-closure enumerations behind almost split
-    presentations; they take no part in equality or hashing.
+    It owns the memos of its window lifts (weak) and of its window
+    enumerations; they take no part in equality or hashing.
     """
 
     def __init__(self, base: BoundQuiver, degree: dict[str, int]):
@@ -134,7 +133,6 @@ class VoltageQuiver:
                 raise QuiverError("relation is not homogeneous in total degree")
         self.field = base.field
         self._lifts = weakref.WeakValueDictionary()
-        self._indecomposables: dict = {}
         self._enumerations: dict = {}
 
     def __eq__(self, other):

@@ -77,18 +77,15 @@ class Report:
     def add_input(self, name: str, sha256: str):
         self.inputs.append({"path": name, "sha256": sha256})
 
-    def add_check(self, check_id: str, expected, actual, ok: bool):
-        self.checks.append({
-            "id": check_id,
-            "expected": jsonable(expected),
-            "actual": jsonable(actual),
-            "pass": bool(ok),
-        })
-
     def absorb(self, verify: VerifyReport, prefix: str = ""):
         self.verdicts.update(verify.verdicts)
         for rec in verify.records:
-            self.add_check(prefix + rec.check, rec.expected, rec.actual, rec.ok)
+            self.checks.append({
+                "id": prefix + rec.check,
+                "expected": jsonable(rec.expected),
+                "actual": jsonable(rec.actual),
+                "pass": bool(rec.ok),
+            })
 
     @property
     def passed(self) -> bool:

@@ -49,7 +49,7 @@ from .repetitive import (
     repetitive_voltage,
     selfinjective_orbit,
 )
-from .reports import Report
+from .reports import Report, VerifyReport
 
 SUITES = ("cover-axioms", "pushdown", "phi-identities", "kg0", "repetitive")
 
@@ -123,23 +123,24 @@ def _suite_pushdown(report: Report, q, window, seed: int = 0):
     # the pushed-down twist classes exhaust the indecomposables of the base
     base_enum = enumerate_indecomposables(vq.base, seed=seed)
     if base_enum.complete:
+        vr = VerifyReport("pushdown")
         classes = _twist_classes(vq)
         pushed = [push_down(c) for c in classes]
         for k, p in enumerate(pushed):
-            report.add_check(f"pushdown.class-indecomposable[{k}]", True,
-                             is_indecomposable(p), is_indecomposable(p))
+            vr.add(f"pushdown.class-indecomposable[{k}]", True, is_indecomposable(p))
         matched = set()
         for p in pushed:
             for idx, m in enumerate(base_enum.modules):
                 if idx not in matched and p.dims == m.dims and is_isomorphic_indec(p, m):
                     matched.add(idx)
                     break
-        report.add_check("pushdown.classes-exhaust-base", len(base_enum.modules),
-                         len(matched), len(matched) == len(base_enum.modules))
+        vr.add("pushdown.classes-exhaust-base", len(base_enum.modules), len(matched))
+        report.absorb(vr)
 
 
 def _suite_phi_identities(report: Report, q):
     vq = _require_voltage(q, "phi-identities")
+    vr = VerifyReport("phi-identities")
     battery, tests = default_battery(vq)
     for i, t in enumerate(battery):
         hull = common_window(t.pres.source, t.pres.target)
@@ -148,11 +149,10 @@ def _suite_phi_identities(report: Report, q):
             lo = hull.lo - x.window.hi
             hi = hull.hi - x.window.lo
             rhs = sum(evaluate_dim(t, x.twist(k)) for k in range(lo, hi + 1))
-            report.add_check(f"comparison.pull-back-sum[{i},{j}]", lhs, rhs, lhs == rhs)
+            vr.add(f"comparison.pull-back-sum[{i},{j}]", lhs, rhs)
     for i, t1 in enumerate(battery[:4]):
         for j, t2 in enumerate(battery[:4]):
-            vr = phi_hom_identity(t1, t2)
-            report.absorb(vr, prefix=f"hom[{i},{j}].")
+            report.absorb(phi_hom_identity(t1, t2), prefix=f"hom[{i},{j}].")
     mods = []
     for t in battery:
         target = t.pres.target
@@ -167,7 +167,8 @@ def _suite_phi_identities(report: Report, q):
                 res = phi_epi_cover(x, y, alpha, tests)
                 report.absorb(res.report, prefix=f"epi[{count}].")
                 count += 1
-    report.add_check("comparison.epi-batch-size", True, count > 0, count > 0)
+    vr.add("comparison.epi-batch-size", True, count > 0)
+    report.absorb(vr)
 
 
 def _suite_kg0(report: Report, q, dim_cap, count_cap, seed: int = 0):
@@ -178,48 +179,41 @@ def _suite_repetitive(report: Report, q):
     if isinstance(q, VoltageQuiver):
         raise SuiteError("suite repetitive needs a finite-dimensional algebra input")
     bq: BoundQuiver = q
+    vr = VerifyReport("repetitive")
     base_dim = path_basis(bq).total_dim
     trunc0 = repetitive_truncation(bq, 0)
     trunc1 = repetitive_truncation(bq, 1)
     trunc2 = repetitive_truncation(bq, 2)
-    report.add_check("repetitive.dim-n0", base_dim, trunc0.total_dim,
-                     trunc0.total_dim == base_dim)
-    report.add_check("repetitive.dim-n1", 5 * base_dim, trunc1.total_dim,
-                     trunc1.total_dim == 5 * base_dim)
-    report.add_check("repetitive.dim-n2", 9 * base_dim, trunc2.total_dim,
-                     trunc2.total_dim == 9 * base_dim)
+    vr.add("repetitive.dim-n0", base_dim, trunc0.total_dim)
+    vr.add("repetitive.dim-n1", 5 * base_dim, trunc1.total_dim)
+    vr.add("repetitive.dim-n2", 9 * base_dim, trunc2.total_dim)
 
     exported1 = trunc1.export()
-    adm = check_admissible(exported1)
-    report.add_check("repetitive.export-admissible", True, adm.ok, adm.ok)
+    vr.add("repetitive.export-admissible", True, check_admissible(exported1).ok)
 
     exported2 = trunc2.export()
     inner = [v for v in exported2.vertices if v.endswith(("@-1", "@0", "@1"))]
-    convex = is_convex(exported2, inner)
-    report.add_check("repetitive.truncation-convex", True, convex, convex)
+    vr.add("repetitive.truncation-convex", True, is_convex(exported2, inner))
     pb1 = path_basis(exported1)
     pb2 = path_basis(exported2)
     agree = all(pb1.dim(x, y) == pb2.dim(x, y) for x in inner for y in inner)
-    report.add_check("repetitive.truncation-hom-dims-agree", True, agree, agree)
+    vr.add("repetitive.truncation-hom-dims-agree", True, agree)
 
     norm = format_quiver(normalize_presentation(bq))
     renamed = rename_vertices(trunc0.export(), {f"{v}@0": v for v in bq.vertices})
-    report.add_check("repetitive.n0-byte-exact", True,
-                     format_quiver(renamed) == norm, format_quiver(renamed) == norm)
+    vr.add("repetitive.n0-byte-exact", True, format_quiver(renamed) == norm)
 
     rv = repetitive_voltage(bq)
     for n in (1, 2):
         wdim = path_basis(lift_window(rv, Window(-n, n))).total_dim
         tdim = repetitive_truncation(bq, n).total_dim
-        report.add_check(f"repetitive.window-matches-truncation[n={n}]", tdim, wdim, wdim == tdim)
+        vr.add(f"repetitive.window-matches-truncation[n={n}]", tdim, wdim)
     w0 = lift_window(rv, Window(0, 0))
     w0_renamed = rename_vertices(w0, {f"{v}@0": v for v in bq.vertices})
     w0_norm = format_quiver(normalize_presentation(w0_renamed))
-    report.add_check("repetitive.window0-is-base", True,
-                     w0_norm == norm, w0_norm == norm)
+    vr.add("repetitive.window0-is-base", True, w0_norm == norm)
 
     orbit = selfinjective_orbit(bq, 1)
-    odim = path_basis(orbit).total_dim
-    report.add_check("repetitive.orbit-dim", 2 * base_dim, odim, odim == 2 * base_dim)
-    selfinj = is_selfinjective(orbit)
-    report.add_check("repetitive.orbit-selfinjective", True, selfinj, selfinj)
+    vr.add("repetitive.orbit-dim", 2 * base_dim, path_basis(orbit).total_dim)
+    vr.add("repetitive.orbit-selfinjective", True, is_selfinjective(orbit))
+    report.absorb(vr)

@@ -1,5 +1,6 @@
 import pytest
 
+import fovea.covering
 from fovea.covering import (
     CoveringError,
     LayeredModule,
@@ -15,10 +16,21 @@ from fovea.covering import (
     twist_shift_range,
     verify_covering_axioms,
     verify_pushdown,
+    window_enumeration,
 )
 from fovea.linalg import Matrix
-from fovea.modules import ModMap, hom_dim, hom_space, is_indecomposable, map_factor
-from fovea.quiver import Window, parse_quiver, path_basis
+from fovea.modules import (
+    Enumeration,
+    ModMap,
+    enumerate_indecomposables,
+    hom_dim,
+    hom_space,
+    is_indecomposable,
+    is_isomorphic_indec,
+    map_factor,
+)
+from fovea.naming import load_quiver
+from fovea.quiver import Window, lift_window, parse_quiver, path_basis
 
 LINE_K2 = parse_quiver(
     "field gf 32749\nnilbound 2\nvertex v\narrow a: v -> v deg 1\nrelation a*a\n")
@@ -27,6 +39,8 @@ NAKAYAMA2 = parse_quiver(
     "arrow a: 1 -> 2 deg 0\narrow b: 2 -> 1 deg 1\nrelation a*b\nrelation b*a\n")
 TRIVIAL = parse_quiver(
     "field gf 32749\nnilbound 2\nvertex 1 2\narrow a: 1 -> 2 deg 0\n")
+LOOP_COVER_TEXT = "field gf 32749\nnilbound 3\nvertex v\narrow a: v -> v deg 0\nrelation a*a*a\n"
+LOOP_COVER = parse_quiver(LOOP_COVER_TEXT)
 
 S0 = layered_simple(LINE_K2, "v", 0)
 M0 = layered_injective(LINE_K2, "v", 0)
@@ -217,3 +231,33 @@ def test_pushdown_indecomposable_and_twist_iso():
 def test_nakayama_orbit_algebra_is_selfinjective():
     from fovea.repetitive import is_selfinjective
     assert is_selfinjective(orbit_algebra(NAKAYAMA2))
+
+
+@pytest.mark.parametrize("name", ["line-k2.vq", "nakayama2.vq", "trivial-a2.vq", "loop-cover"])
+@pytest.mark.parametrize("window", [Window(-1, 1), Window(-2, 2)], ids=["w1", "w2"])
+def test_light_closure_finds_every_window_class(name, window):
+    """The premise of window_enumeration: on a window the light closure
+    finds exactly the isomorphism classes of the verified full closure."""
+    vq = LOOP_COVER if name == "loop-cover" else load_quiver(name)[2]
+    bq = lift_window(vq, window)
+    light = enumerate_indecomposables(bq, dim_cap=64, count_cap=128, closure="light")
+    full = enumerate_indecomposables(bq, dim_cap=64, count_cap=128, closure="full")
+    assert light.complete and full.complete
+    assert len(light.modules) == len(full.modules)
+    for x, y in zip(light.modules, full.modules):
+        assert x.dims == y.dims and is_isomorphic_indec(x, y)
+
+
+def test_window_enumeration_is_memoised_and_refuses_a_capped_window(monkeypatch):
+    vq = parse_quiver(LOOP_COVER_TEXT)
+    enum = window_enumeration(vq, Window(-1, 1))
+    assert window_enumeration(vq, Window(-1, 1)) is enum and enum.complete
+
+    def capped(bq, *args, **kwargs):
+        return Enumeration(bq, [], False, ["count cap 128 hit"])
+
+    monkeypatch.setattr(fovea.covering, "enumerate_indecomposables", capped)
+    assert window_enumeration(vq, Window(-1, 1)) is enum
+    with pytest.raises(CoveringError, match="hit a cap"):
+        window_enumeration(vq, Window(-2, 2))
+    assert Window(-2, 2) not in vq._enumerations

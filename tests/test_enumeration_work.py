@@ -1,18 +1,21 @@
 """Operation-count gates on the enumeration layer.
 
 These count work instead of timing it, so they give the same answer on
-every run: an enumeration decomposes each candidate once, and a quiver
-enumerates each almost split window once.
+every run: an enumeration decomposes each candidate once, and no call
+enumerates a quiver twice, whatever the closure.
 """
+
+import sys
 
 import pytest
 
-import fovea.functors
+import fovea.covering
 import fovea.modules
 from fovea.functors import default_battery
 from fovea.modules import enumerate_indecomposables
 from fovea.naming import load_quiver
 from fovea.quiver import Window, lift_window, parse_quiver
+from fovea.suites import run_suite
 
 D4 = parse_quiver(
     "field gf 32749\nnilbound 2\nvertex 0 1 2 3\n"
@@ -45,15 +48,25 @@ def test_enumeration_decomposes_each_candidate_once(monkeypatch, make_bq):
 
 
 def test_battery_enumerates_each_window_once(monkeypatch):
-    _, _, vq = load_quiver("trivial-a2.vq")
     calls = []
-    enumerate_ = fovea.functors.enumerate_indecomposables
+    enumerate_ = fovea.modules.enumerate_indecomposables
 
     def recording(bq, *args, **kwargs):
-        calls.append((bq, kwargs.get("closure", "full")))
+        calls.append(bq)
         return enumerate_(bq, *args, **kwargs)
 
-    monkeypatch.setattr(fovea.functors, "enumerate_indecomposables", recording)
-    default_battery(vq)
-    assert calls
-    assert len(set(calls)) == len(calls)
+    # every fovea binding of the function, so that no closure escapes the count
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fovea") and getattr(module, "enumerate_indecomposables", None) is enumerate_:
+            monkeypatch.setattr(module, "enumerate_indecomposables", recording)
+    assert fovea.covering.enumerate_indecomposables is recording
+    runs = {
+        "battery trivial-a2.vq": lambda: default_battery(load_quiver("trivial-a2.vq")[2]),
+        "pushdown nakayama2.vq": lambda: run_suite("pushdown", "nakayama2.vq"),
+        "kg0 nakayama2.vq": lambda: run_suite("kg0", "nakayama2.vq"),
+    }
+    for label, run in runs.items():
+        calls.clear()
+        run()
+        assert calls, label
+        assert len(set(calls)) == len(calls), label
