@@ -982,11 +982,11 @@ def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int
     and kernels/cokernels of (candidate) almost split maps, and images of
     radical maps between listed modules; stabilizing within the caps and
     passing the factorization check of every almost split map marks the
-    list complete.  closure="light" keeps only the radical/socle steps,
-    which already reach everything on the interval shaped categories that
-    window computations run over, and skips the factorization check:
-    there stabilization within the caps marks the list complete, and
-    stabilization across growing windows is the completeness oracle.
+    list complete.  closure="light" keeps only the radical/socle steps and
+    skips the factorization check, so stabilizing within the caps marks
+    the list complete; that is sound only over a Nakayama algebra (no
+    vertex with two arrows in or two arrows out), whose indecomposables
+    are quotients of projectives.
     """
     basis = basis or path_basis(bq)
     op = opposite_quiver(bq)

@@ -41,6 +41,9 @@ TRIVIAL = parse_quiver(
     "field gf 32749\nnilbound 2\nvertex 1 2\narrow a: 1 -> 2 deg 0\n")
 LOOP_COVER_TEXT = "field gf 32749\nnilbound 3\nvertex v\narrow a: v -> v deg 0\nrelation a*a*a\n"
 LOOP_COVER = parse_quiver(LOOP_COVER_TEXT)
+D4_COVER = parse_quiver(
+    "field gf 32749\nnilbound 2\nvertex 0 1 2 3\n"
+    "arrow a: 1 -> 0 deg 0\narrow b: 2 -> 0 deg 0\narrow c: 3 -> 0 deg 1\n")
 
 S0 = layered_simple(LINE_K2, "v", 0)
 M0 = layered_injective(LINE_K2, "v", 0)
@@ -258,6 +261,35 @@ def test_window_enumeration_is_memoised_and_refuses_a_capped_window(monkeypatch)
 
     monkeypatch.setattr(fovea.covering, "enumerate_indecomposables", capped)
     assert window_enumeration(vq, Window(-1, 1)) is enum
-    with pytest.raises(CoveringError, match="hit a cap"):
+    with pytest.raises(CoveringError, match="count cap 128 hit"):
         window_enumeration(vq, Window(-2, 2))
     assert Window(-2, 2) not in vq._enumerations
+
+
+def test_branching_window_takes_the_full_closure():
+    """Over a branching lift the light closure misses indecomposables (the
+    D4 modules of dimension 3 and (2;1,1,1)), so window_enumeration must
+    list what the verified full closure lists."""
+    w = Window(-1, 1)
+    bq = lift_window(D4_COVER, w)
+    light = enumerate_indecomposables(bq, dim_cap=64, count_cap=128, closure="light")
+    full = enumerate_indecomposables(bq, dim_cap=64, count_cap=128, closure="full")
+    enum = window_enumeration(D4_COVER, w)
+    assert full.complete and enum.complete
+    assert len(light.modules) < len(full.modules) == len(enum.modules)
+    for x, y in zip(enum.modules, full.modules):
+        assert x.dims == y.dims and is_isomorphic_indec(x, y)
+    assert any(m.total_dim == 5 for m in enum.modules)
+
+
+def test_density_search_on_a_capped_window_reports_not_found(monkeypatch):
+    vq = parse_quiver(LOOP_COVER_TEXT)
+    x = layered_simple(vq, "v", 0)
+
+    def capped(bq, *args, **kwargs):
+        return Enumeration(bq, [], False, ["count cap 128 hit"])
+
+    monkeypatch.setattr(fovea.covering, "enumerate_indecomposables", capped)
+    report = verify_pushdown(vq, x, x, density_target=push_down(x))
+    density = [r for r in report.records if r.check == "pushdown.density-spot-check"]
+    assert [r.ok for r in density] == [False]
