@@ -240,6 +240,14 @@ def _fun_length(args) -> int:
 
 
 def _rep(args) -> int:
+    usage = None
+    if args.rep_command == "build" and args.n < 0:
+        usage = "truncation radius must be nonnegative"
+    elif args.rep_command == "orbit" and args.k < 1:
+        usage = "orbit exponent must be at least 1"
+    if usage:
+        sys.stderr.write(f"fovea: {usage}\n")
+        return USAGE_EXIT
     _name, _digest, q = _load(args)
     if isinstance(q, VoltageQuiver):
         raise FixtureError("repetitive constructions need an algebra input")

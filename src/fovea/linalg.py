@@ -65,6 +65,8 @@ class Field:
     def coerce(self, v):
         if self.p is None:
             return Fraction(v)
+        if type(v) is int:
+            return v % self.p
         if isinstance(v, Fraction):
             if v.denominator % self.p == 0:
                 raise LinAlgError(f"denominator of {v} vanishes mod {self.p}")

@@ -693,31 +693,52 @@ def structure_category(bq: BoundQuiver, basis: PathBasis | None = None) -> Struc
 
 
 def radical_filtration(cat: StructureCategory):
-    """(rad, rad^2, nilpotency degree) of the radical of the category."""
+    """(rad, rad^2, nilpotency degree) of the radical of the category.
+
+    Products run only along chains x -> y -> z of nonzero radical blocks,
+    since a power of the radical vanishes wherever the radical does.  Every
+    key is kept; a block with no nonzero product shares the one zero
+    subspace of its ambient dimension (subspaces are immutable).
+    """
     f = cat.field
     objs = cat.objects
-    rad = {(x, y): cat.radical(x, y) for x in objs for y in objs}
+    zeros: dict[int, Subspace] = {}
 
-    def compose_spaces(left: dict, right: dict) -> dict:
+    def block(n: int, vecs) -> Subspace:
+        if vecs:
+            return Subspace.span(f, n, vecs)
+        if n not in zeros:
+            zeros[n] = Subspace.span(f, n, ())
+        return zeros[n]
+
+    rad = {}
+    for x in objs:
+        for y in objs:
+            n = cat.dim(x, y)
+            radical_dim = n - 1 if x == y else n  # End(x) drops its identity
+            rad[(x, y)] = cat.radical(x, y) if radical_dim else block(n, ())
+    nonzero = {x: [y for y in objs if rad[(x, y)].dim] for x in objs}
+
+    def times_rad(left: dict) -> dict:
         out = {}
         for x in objs:
-            for z in objs:
-                vecs = []
-                for y in objs:
-                    for u in left[(x, y)].rows.entries:
-                        for v in right[(y, z)].rows.entries:
+            vecs: dict = {}
+            for y in nonzero[x]:
+                for u in left[(x, y)].rows.entries:
+                    for z in nonzero[y]:
+                        for v in rad[(y, z)].rows.entries:
                             w = cat.compose(x, y, z, u, v)
                             if any(w):
-                                vecs.append(w)
-                out[(x, z)] = Subspace.span(f, cat.dim(x, z), vecs)
+                                vecs.setdefault(z, []).append(w)
+            for z in objs:
+                out[(x, z)] = block(cat.dim(x, z), vecs.get(z))
         return out
 
-    rad2 = compose_spaces(rad, rad)
-    power = rad
-    nildeg = 0
+    rad2 = power = times_rad(rad)
+    nildeg = 1 if any(nonzero.values()) else 0
     while any(s.dim for s in power.values()):
         nildeg += 1
-        power = compose_spaces(power, rad)
+        power = times_rad(power)
         if nildeg > cat.total_dim + 1:
             raise QuiverError("radical does not look nilpotent")
     return rad, rad2, nildeg

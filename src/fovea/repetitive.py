@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+from .linalg import Matrix, kernel_basis
 from .modules import injective, is_isomorphic_indec, projective
 from .quiver import (
     BoundQuiver,
@@ -24,6 +25,7 @@ from .quiver import (
     arrow_elements,
     extract_presentation,
     lift_window,
+    opposite_quiver,
     path_basis,
     radical_filtration,
     structure_category,
@@ -121,9 +123,9 @@ def repetitive_voltage(bq: BoundQuiver) -> VoltageQuiver:
     makes that choice global); relations are the canonical kernel of path
     evaluation inside a truncation wide enough to hold every relation.
     """
-    base_cat = structure_category(bq)
-    _, _, nildeg_a = radical_filtration(base_cat)
-    trunc = RepetitiveTruncation(bq, max(2 * nildeg_a + 2, 2))
+    basis = path_basis(bq)
+    _, _, nildeg_a = radical_filtration(structure_category(bq, basis))
+    trunc = RepetitiveTruncation(bq, max(2 * nildeg_a + 2, 2), basis)
     cat = trunc.category
     rad, rad2, nildeg = radical_filtration(cat)
     nilbound = nildeg + 1
@@ -165,7 +167,6 @@ def repetitive_voltage(bq: BoundQuiver) -> VoltageQuiver:
                     paths.setdefault((tgt, layer + d), []).append((p, new_val))
                     nxt.append((p, tgt, layer + d, new_val))
             frontier = nxt
-        from .linalg import Matrix, kernel_basis
         for (j, layer), plist in sorted(paths.items()):
             dim = cat.dim((0, i), (layer, j))
             ev = Matrix(bq.field, [list(val) for _p, val in plist]).transpose() if dim else \
@@ -183,7 +184,11 @@ def selfinjective_orbit(bq: BoundQuiver, k: int = 1) -> BoundQuiver:
     """Quotient of the repetitive category by the k-fold shift subgroup."""
     if k < 1:
         raise QuiverError("orbit exponent must be at least 1")
-    rv = repetitive_voltage(bq)
+    return _orbit_quotient(repetitive_voltage(bq), k)
+
+
+def _orbit_quotient(rv: VoltageQuiver, k: int) -> BoundQuiver:
+    """The orbit algebra of a repetitive voltage quiver under the k-fold shift."""
     base = rv.base
     if k == 1:
         return BoundQuiver(base.vertices, [tuple(a) for a in base.arrows],
@@ -216,8 +221,9 @@ def selfinjective_orbit(bq: BoundQuiver, k: int = 1) -> BoundQuiver:
 def is_selfinjective(bq: BoundQuiver, basis: PathBasis | None = None) -> bool:
     """Each indecomposable projective is injective (and conversely)."""
     basis = basis or path_basis(bq)
+    op_basis = path_basis(opposite_quiver(bq))
     projs = {v: projective(bq, v, basis) for v in bq.vertices}
-    injs = {v: injective(bq, v) for v in bq.vertices}
+    injs = {v: injective(bq, v, op_basis) for v in bq.vertices}
     remaining = list(bq.vertices)
     for v, p in projs.items():
         match = None

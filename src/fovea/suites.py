@@ -44,10 +44,10 @@ from .quiver import (
     rename_vertices,
 )
 from .repetitive import (
+    _orbit_quotient,
     is_selfinjective,
     repetitive_truncation,
     repetitive_voltage,
-    selfinjective_orbit,
 )
 from .reports import Report, VerifyReport
 
@@ -193,9 +193,9 @@ def _suite_repetitive(report: Report, q):
 
     exported2 = trunc2.export()
     inner = [v for v in exported2.vertices if v.endswith(("@-1", "@0", "@1"))]
-    vr.add("repetitive.truncation-convex", True, is_convex(exported2, inner))
     pb1 = path_basis(exported1)
     pb2 = path_basis(exported2)
+    vr.add("repetitive.truncation-convex", True, is_convex(exported2, inner, pb2))
     agree = all(pb1.dim(x, y) == pb2.dim(x, y) for x in inner for y in inner)
     vr.add("repetitive.truncation-hom-dims-agree", True, agree)
 
@@ -204,16 +204,16 @@ def _suite_repetitive(report: Report, q):
     vr.add("repetitive.n0-byte-exact", True, format_quiver(renamed) == norm)
 
     rv = repetitive_voltage(bq)
-    for n in (1, 2):
+    for n, trunc in ((1, trunc1), (2, trunc2)):
         wdim = path_basis(lift_window(rv, Window(-n, n))).total_dim
-        tdim = repetitive_truncation(bq, n).total_dim
-        vr.add(f"repetitive.window-matches-truncation[n={n}]", tdim, wdim)
+        vr.add(f"repetitive.window-matches-truncation[n={n}]", trunc.total_dim, wdim)
     w0 = lift_window(rv, Window(0, 0))
     w0_renamed = rename_vertices(w0, {f"{v}@0": v for v in bq.vertices})
     w0_norm = format_quiver(normalize_presentation(w0_renamed))
     vr.add("repetitive.window0-is-base", True, w0_norm == norm)
 
-    orbit = selfinjective_orbit(bq, 1)
-    vr.add("repetitive.orbit-dim", 2 * base_dim, path_basis(orbit).total_dim)
-    vr.add("repetitive.orbit-selfinjective", True, is_selfinjective(orbit))
+    orbit = _orbit_quotient(rv, 1)
+    orbit_basis = path_basis(orbit)
+    vr.add("repetitive.orbit-dim", 2 * base_dim, orbit_basis.total_dim)
+    vr.add("repetitive.orbit-selfinjective", True, is_selfinjective(orbit, orbit_basis))
     report.absorb(vr)

@@ -84,6 +84,15 @@ def test_rep_build_and_orbit(capsys, tmp_path):
     assert path_basis(orbit).total_dim == 6
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("rep", "build", "a2.bq", "--n", "-1"), "truncation radius must be nonnegative"),
+    (("rep", "orbit", "a2.bq", "--k", "0"), "orbit exponent must be at least 1"),
+], ids=["build-negative-radius", "orbit-zero-exponent"])
+def test_rep_rejects_bad_parameters_as_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err == f"fovea: {message}\n"
+
+
 def test_cover_verify(capsys):
     code, out, _ = run(capsys, "cover", "verify", "line-k2.vq", "--json")
     assert code == 0

@@ -1,8 +1,10 @@
-"""Operation-count gates on the enumeration layer.
+"""Operation-count gates on the enumeration and repetitive layers.
 
 These count work instead of timing it, so they give the same answer on
-every run: an enumeration decomposes each candidate once, and no call
-enumerates a quiver twice, whatever the closure.
+every run: an enumeration decomposes each candidate once; no call
+enumerates a quiver twice, whatever the closure; the repetitive suite
+builds its repetitive category once; and the radical filtration spans
+only the blocks where a product can land.
 """
 
 import sys
@@ -11,11 +13,16 @@ import pytest
 
 import fovea.covering
 import fovea.modules
+import fovea.repetitive
+import fovea.suites
 from fovea.functors import default_battery
+from fovea.linalg import Subspace
 from fovea.modules import enumerate_indecomposables
 from fovea.naming import load_quiver
-from fovea.quiver import Window, lift_window, parse_quiver
+from fovea.quiver import Window, lift_window, parse_quiver, radical_filtration
+from fovea.repetitive import RepetitiveTruncation
 from fovea.suites import run_suite
+from test_repetitive import dense_radical_filtration
 
 D4 = parse_quiver(
     "field gf 32749\nnilbound 2\nvertex 0 1 2 3\n"
@@ -70,3 +77,39 @@ def test_battery_enumerates_each_window_once(monkeypatch):
         run()
         assert calls, label
         assert len(set(calls)) == len(calls), label
+
+
+def test_repetitive_suite_builds_the_repetitive_category_once(monkeypatch):
+    calls = []
+    repetitive_voltage = fovea.repetitive.repetitive_voltage
+
+    def recording(bq, *args, **kwargs):
+        calls.append(bq)
+        return repetitive_voltage(bq, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fovea") and getattr(module, "repetitive_voltage", None) is repetitive_voltage:
+            monkeypatch.setattr(module, "repetitive_voltage", recording)
+    assert fovea.suites.repetitive_voltage is recording
+    assert run_suite("repetitive", "a3.bq").passed
+    assert len(calls) == 1
+
+
+def test_radical_filtration_spans_only_nonzero_blocks(monkeypatch):
+    cat = RepetitiveTruncation(load_quiver("a3.bq")[2], 3).category
+    spans = []
+    span = Subspace.span
+
+    def recording(field, ambient, vectors):
+        spans.append(ambient)
+        return span(field, ambient, vectors)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Subspace, "span", staticmethod(recording))
+        radical_filtration(cat)
+    # every nonzero block of rad, rad^2, ..., rad^nildeg is spanned once, and
+    # each ambient dimension needs at most one zero subspace on top
+    _, _, _, powers = dense_radical_filtration(cat)
+    nonzero = sum(1 for power in powers for s in power.values() if s.dim)
+    bound = nonzero + len(set(cat.dims.values()))
+    assert 0 < len(spans) <= bound

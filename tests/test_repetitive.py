@@ -1,6 +1,9 @@
 import pytest
 
+from fovea.linalg import Subspace
+from fovea.naming import fixture_names, load_quiver
 from fovea.quiver import (
+    BoundQuiver,
     QuiverError,
     VoltageQuiver,
     Window,
@@ -11,9 +14,12 @@ from fovea.quiver import (
     normalize_presentation,
     parse_quiver,
     path_basis,
+    radical_filtration,
     rename_vertices,
+    structure_category,
 )
 from fovea.repetitive import (
+    RepetitiveTruncation,
     is_selfinjective,
     repetitive_truncation,
     repetitive_voltage,
@@ -202,3 +208,70 @@ def test_all_suites_pass_on_the_trivial_cover():
     from fovea.suites import run_suite
     for name in ("cover-axioms", "pushdown", "phi-identities", "kg0"):
         assert run_suite(name, "trivial-a2.vq").passed
+
+
+def dense_radical_filtration(cat):
+    """The dense triple loop that radical_filtration replaced, as a reference.
+
+    Composes over every triple of objects, zero blocks included, and takes
+    rad^2 in a pass of its own.  Returns (rad, rad^2, nilpotency degree,
+    [rad, rad^2, ..., rad^nildeg]).
+    """
+    f = cat.field
+    objs = cat.objects
+    rad = {(x, y): cat.radical(x, y) for x in objs for y in objs}
+
+    def compose_spaces(left, right):
+        out = {}
+        for x in objs:
+            for z in objs:
+                vecs = []
+                for y in objs:
+                    for u in left[(x, y)].rows.entries:
+                        for v in right[(y, z)].rows.entries:
+                            w = cat.compose(x, y, z, u, v)
+                            if any(w):
+                                vecs.append(w)
+                out[(x, z)] = Subspace.span(f, cat.dim(x, z), vecs)
+        return out
+
+    rad2 = compose_spaces(rad, rad)
+    power, powers = rad, []
+    while any(s.dim for s in power.values()):
+        powers.append(power)
+        power = compose_spaces(power, rad)
+    return rad, rad2, len(powers), powers
+
+
+def _blocks(spaces):
+    return {key: (s.ambient, [list(row) for row in s.rows.entries])
+            for key, s in spaces.items()}
+
+
+def _algebra_fixtures():
+    out = []
+    for name in fixture_names():
+        q = load_quiver(name)[2]
+        if isinstance(q, BoundQuiver):
+            out.append(pytest.param(q, id=name))
+    return out
+
+
+def _assert_matches_dense(cat):
+    rad, rad2, nildeg = radical_filtration(cat)
+    ref_rad, ref_rad2, ref_nildeg, _ = dense_radical_filtration(cat)
+    assert _blocks(rad) == _blocks(ref_rad)
+    assert _blocks(rad2) == _blocks(ref_rad2)
+    assert nildeg == ref_nildeg
+
+
+@pytest.mark.parametrize("bq", _algebra_fixtures())
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_radical_filtration_matches_the_dense_reference(bq, n):
+    _assert_matches_dense(repetitive_truncation(bq, n).category)
+
+
+def test_radical_filtration_matches_the_dense_reference_on_the_voltage_truncation():
+    a3 = load_quiver("a3.bq")[2]
+    _, _, nildeg_a, _ = dense_radical_filtration(structure_category(a3))
+    _assert_matches_dense(RepetitiveTruncation(a3, max(2 * nildeg_a + 2, 2)).category)
