@@ -18,9 +18,11 @@ from .modules import (
     Module,
     enumerate_indecomposables,
     hom_space,
+    injective,
     is_indecomposable,
     is_isomorphic,
     is_isomorphic_indec,
+    projective,
 )
 from .quiver import (
     BoundQuiver,
@@ -187,7 +189,7 @@ def layered_hom_dim(x: LayeredModule, y: LayeredModule) -> int:
 
 
 def window_enumeration(vq: VoltageQuiver, window: Window) -> Enumeration:
-    """The indecomposables over a window of the lift, memoised on vq.
+    """The indecomposables over a window of the lift.
 
     Where no vertex of the window has two arrows in or two arrows out, the
     window algebra is Nakayama: its indecomposables are quotients of
@@ -195,43 +197,70 @@ def window_enumeration(vq: VoltageQuiver, window: Window) -> Enumeration:
     the verified full closure.  An incomplete enumeration is an error, not
     a guess.
     """
-    enum = vq._enumerations.get(window)
-    if enum is None:
-        bq = lift_window(vq, window)
-        nakayama = all(len(bq.in_arrows[v]) <= 1 and len(bq.out_arrows[v]) <= 1
-                       for v in bq.vertices)
-        enum = enumerate_indecomposables(bq, dim_cap=64, count_cap=128,
-                                         closure="light" if nakayama else "full")
-        if not enum.complete:
-            raise CoveringError("window enumeration is incomplete: " + "; ".join(enum.notes))
-        vq._enumerations[window] = enum
+    bq = lift_window(vq, window)
+    nakayama = all(len(bq.in_arrows[v]) <= 1 and len(bq.out_arrows[v]) <= 1
+                   for v in bq.vertices)
+    enum = enumerate_indecomposables(bq, dim_cap=64, count_cap=128,
+                                     closure="light" if nakayama else "full")
+    if not enum.complete:
+        raise CoveringError("window enumeration is incomplete: " + "; ".join(enum.notes))
     return enum
+
+
+def orbit_enumeration(vq: VoltageQuiver) -> list[LayeredModule]:
+    """The indecomposables of the lift up to shift, memoised on vq.
+
+    Each is trimmed and shifted to lowest layer 0.  Windows [0, w] grow by
+    nilbound until two in a row give the same classes (a window's classes
+    contain a narrower one's, so equal counts mean equal sets).  The shift
+    acts freely, so distinct orbits push down to non-isomorphic modules
+    (Gabriel; Dowbor-Skowronski); a failure of that is an error.
+    """
+    if vq._orbits is None:
+        step = max(vq.base.nilbound, 1)
+        w, prev = step, None
+        while True:
+            reps: list[LayeredModule] = []
+            for m in window_enumeration(vq, Window(0, w)).modules:
+                lm = LayeredModule(vq, Window(0, w), m).trim()
+                lm = lm.twist(-lm.window.lo)
+                if not any(r.window == lm.window and is_isomorphic_indec(r.module, lm.module)
+                           for r in reps):
+                    reps.append(lm)
+            if prev is not None and len(prev) == len(reps):
+                break
+            w, prev = w + step, reps
+        pushed = [push_down(r) for r in reps]
+        if any(is_isomorphic_indec(x, y) for i, x in enumerate(pushed) for y in pushed[:i]):
+            raise CoveringError("distinct orbits push down to isomorphic modules")
+        vq._orbits = reps
+    return vq._orbits
 
 
 def layered_simple(vq: VoltageQuiver, v: str, n: int) -> LayeredModule:
     return LayeredModule.make(vq, Window(n, n), {(v, n): 1}, {})
 
 
-def _stable_standard(vq: VoltageQuiver, v: str, n: int, kind: str,
-                     max_radius: int = 32) -> LayeredModule:
-    """Projective or injective at a lifted vertex, grown until stable."""
-    from .modules import injective as inj_mod, projective as proj_mod
+_MAX_STANDARD_RADIUS = 32
 
+
+def _stable_standard(vq: VoltageQuiver, v: str, n: int, kind: str) -> LayeredModule:
+    """Projective or injective at a lifted vertex, grown until stable."""
     prev = None
     r = max(vq.base.nilbound, 1)
-    while r <= max_radius:
+    while r <= _MAX_STANDARD_RADIUS:
         w = Window(n - r, n + r)
         bq = lift_window(vq, w)
         if kind == "projective":
-            mod = proj_mod(bq, layer_vertex(v, n), path_basis(bq))
+            mod = projective(bq, layer_vertex(v, n), path_basis(bq))
         else:
-            mod = inj_mod(bq, layer_vertex(v, n))
+            mod = injective(bq, layer_vertex(v, n))
         lm = LayeredModule(vq, w, mod).trim()
         if prev is not None and prev == lm:
             return lm
         prev = lm
         r *= 2
-    raise CoveringError(f"{kind} at {v}@{n} did not stabilize within radius {max_radius}")
+    raise CoveringError(f"{kind} at {v}@{n} did not stabilize within radius {_MAX_STANDARD_RADIUS}")
 
 
 def layered_projective(vq: VoltageQuiver, v: str, n: int) -> LayeredModule:
@@ -457,25 +486,18 @@ def verify_pushdown(vq: VoltageQuiver, x: LayeredModule, y: LayeredModule,
                                f"witness shift {found}" if found is not None else False)
 
     if density_target is not None:
-        found = _density_search(vq, density_target, shift_radius)
+        found = _density_search(vq, density_target)
         report.assert_true("pushdown.density-spot-check", found,
                            "a finite-support lift was found" if found else False)
     return report
 
 
-def _density_search(vq: VoltageQuiver, target: Module, radius: int) -> bool:
-    r = max(vq.base.nilbound, 1)
-    while r <= radius:
-        w = Window(-r, r)
-        try:
-            enum = window_enumeration(vq, w)
-        except CoveringError:
-            # a witness needs no complete list, so a capped window ends
-            # the search as "not found" instead of failing the suite
-            return False
-        for m in enum.modules:
-            pd = push_down(LayeredModule(vq, w, m).trim())
-            if pd.dims == target.dims and is_isomorphic(pd, target):
-                return True
-        r *= 2
-    return False
+def _density_search(vq: VoltageQuiver, target: Module) -> bool:
+    try:
+        reps = orbit_enumeration(vq)
+    except CoveringError:
+        # a witness needs no complete list, so an orbit list that cannot be
+        # built ends the search as "not found" instead of failing the suite
+        return False
+    return any(pd.dims == target.dims and is_isomorphic(pd, target)
+               for pd in map(push_down, reps))

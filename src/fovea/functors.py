@@ -21,16 +21,19 @@ from .modules import (
     enumerate_indecomposables,
     hom_space,
     is_isomorphic_indec,
+    projective,
     right_almost_split,
 )
 from .covering import (
     LayeredModMap,
     LayeredModule,
     common_window,
+    layered_injective,
+    layered_simple,
     lift_morphism,
+    orbit_enumeration,
     push_down,
     push_down_map,
-    window_enumeration,
 )
 from .quiver import (
     BoundQuiver,
@@ -39,6 +42,7 @@ from .quiver import (
     Window,
     is_convex,
     layer_vertex,
+    lift_window,
     path_basis,
     sub_quiver,
 )
@@ -276,25 +280,27 @@ def simple_functor(bq: BoundQuiver, n: Module, enum: Enumeration,
     return t
 
 
-def _grow_layered_simple_presentation(vq: VoltageQuiver, n: LayeredModule,
-                                      max_radius: int = 32) -> LayeredModMap:
-    """Right minimal almost split into a lifted module, grown until stable."""
-    prev = None
-    r = max(vq.base.nilbound, 1)
-    while r <= max_radius:
-        w = Window(n.window.lo - r, n.window.hi + r)
-        enum = window_enumeration(vq, w)
-        g = right_almost_split(n.align(w), enum.modules, basis=path_basis(enum.bq), check=False)
-        src = LayeredModule(vq, w, g.source).trim()
-        if src == prev:
-            return LayeredModMap(src, n, w, ModMap(src.align(w), n.align(w), g.comps, check=False))
-        prev = src
-        r *= 2
-    raise FunctorError("almost split presentation did not stabilize")
+def _widened(vq: VoltageQuiver, w: Window) -> Window:
+    """The window holding every indecomposable whose support meets w."""
+    reach = max(r.window.hi for r in orbit_enumeration(vq))
+    return Window(w.lo - reach, w.hi + reach)
+
+
+def _layered_simple_presentation(vq: VoltageQuiver, n: LayeredModule) -> LayeredModMap:
+    """Right minimal almost split into a lifted module.
+
+    Its source and the terms of rad^2 meet N, so N's window widened by the
+    orbit reach holds them all.
+    """
+    w = _widened(vq, n.window)
+    mods = [x.align(w) for x in window_indecomposables(vq, w)]
+    g = right_almost_split(n.align(w), mods, basis=path_basis(lift_window(vq, w)), check=False)
+    src = LayeredModule(vq, w, g.source).trim()
+    return LayeredModMap(src, n, w, ModMap(src.align(w), n.align(w), g.comps, check=False))
 
 
 def simple_functor_cover(vq: VoltageQuiver, n: LayeredModule) -> FpFunctor:
-    return FpFunctor(COVER, vq, _grow_layered_simple_presentation(vq, n))
+    return FpFunctor(COVER, vq, _layered_simple_presentation(vq, n))
 
 
 @dataclass
@@ -327,36 +333,28 @@ def _layered_label(vq: VoltageQuiver, lm: LayeredModule) -> str:
 
 
 def window_indecomposables(vq: VoltageQuiver, window: Window) -> list[LayeredModule]:
-    """The indecomposables over a window of the lift, trimmed to their support."""
-    return [LayeredModule(vq, window, m).trim() for m in window_enumeration(vq, window).modules]
+    """The indecomposables over a window of the lift: the shifts of the
+    orbit representatives that fit in it, trimmed to their support."""
+    return [r.twist(k) for r in orbit_enumeration(vq)
+            for k in range(window.lo, window.hi - r.window.hi + 1)]
 
 
-def functor_length_cover(t: FpFunctor, max_radius: int = 32) -> LengthCertificate:
-    """Length of a covering-side functor by stabilized window evaluation.
+def functor_length_cover(t: FpFunctor) -> LengthCertificate:
+    """Length of a covering-side functor by evaluation over a window.
 
-    Windows are symmetric around layer zero so that the battery shares
-    enumerations across functors and twists.
+    The functor vanishes at every X whose support misses the presentation's
+    target, so the target's window widened by the orbit reach holds the
+    whole profile.
     """
     if t.side != COVER:
         raise FunctorError("functor_length_cover needs a covering-side functor")
     vq = t.carrier
-    hull = common_window(t.pres.source, t.pres.target)
-    reach = max(abs(hull.lo), abs(hull.hi))
-    step = max(vq.base.nilbound, 1)
-    prev = None
-    r = reach + step
-    while r <= reach + max_radius:
-        w = Window(-r, r)
-        profile = {}
-        for lm in window_indecomposables(vq, w):
-            d = evaluate_dim(t, lm)
-            if d:
-                profile[_layered_label(vq, lm)] = d
-        if prev is not None and prev == profile:
-            return LengthCertificate(sorted(profile), profile, sum(profile.values()))
-        prev = profile
-        r += step
-    raise FunctorError("length profile did not stabilize")
+    profile = {}
+    for lm in window_indecomposables(vq, _widened(vq, t.pres.target.window)):
+        d = evaluate_dim(t, lm)
+        if d:
+            profile[_layered_label(vq, lm)] = d
+    return LengthCertificate(sorted(profile), profile, sum(profile.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +523,6 @@ class Coinduction:
         self.bq = bq
         self.sub = sub_quiver(bq, subset)
         self.basis = basis or path_basis(bq)
-        from .modules import projective
         self._proj = {z: projective(bq, z, self.basis) for z in bq.vertices}
         self._res_proj = {z: restrict_module(self._proj[z], self.sub) for z in bq.vertices}
         self._res_proj_arrow = {}
@@ -629,8 +626,6 @@ def kg_level0_report(subject, dim_cap: int = 12, count_cap: int = 24,
 
 def default_battery(vq: VoltageQuiver) -> tuple[list[FpFunctor], list[LayeredModule]]:
     """A small standard battery of functors and test modules at layer 0."""
-    from .covering import layered_injective, layered_simple
-
     mods: list[LayeredModule] = []
     for v in vq.base.vertices:
         mods.append(layered_simple(vq, v, 0))

@@ -211,8 +211,7 @@ class ModMap:
         return cls(source, target, comps, check=check)
 
     def rank(self) -> int:
-        from .linalg import rank as _rank
-        return sum(_rank(m) for m in self.comps.values())
+        return sum(rank(m) for m in self.comps.values())
 
     def __eq__(self, other):
         return (isinstance(other, ModMap) and self.source == other.source

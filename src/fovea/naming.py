@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .covering import LayeredModule, layered_injective, layered_projective, layered_simple
 from .functors import FpFunctor, hom_functor, simple_functor, simple_functor_cover
-from .modules import Module, parse_module, projective, simple, injective
+from .modules import Module, enumerate_indecomposables, parse_module, projective, simple, injective
 from .quiver import BoundQuiver, PathBasis, VoltageQuiver, parse_quiver, path_basis
 
 
@@ -128,7 +128,6 @@ def resolve_functor(carrier, spec: str, enum=None) -> FpFunctor:
             return hom_functor(carrier, target)
         if kind == "S":
             if enum is None:
-                from .modules import enumerate_indecomposables
                 enum = enumerate_indecomposables(carrier)
             return simple_functor(carrier, target, enum)
     raise FixtureError(f"unknown functor spec {spec!r}")

@@ -120,8 +120,8 @@ class BoundQuiver:
 class VoltageQuiver:
     """A bound quiver with integer arrow degrees and homogeneous relations.
 
-    It owns the memos of its window lifts (weak) and of its window
-    enumerations; they take no part in equality or hashing.
+    It owns the memos of its window lifts (weak) and of its orbit list of
+    indecomposables up to shift; they take no part in equality or hashing.
     """
 
     def __init__(self, base: BoundQuiver, degree: dict[str, int]):
@@ -133,7 +133,7 @@ class VoltageQuiver:
                 raise QuiverError("relation is not homogeneous in total degree")
         self.field = base.field
         self._lifts = weakref.WeakValueDictionary()
-        self._enumerations: dict = {}
+        self._orbits = None
 
     def __eq__(self, other):
         return isinstance(other, VoltageQuiver) and self.base == other.base and self.degree == other.degree

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .linalg import Matrix, kernel_basis
-from .modules import injective, is_isomorphic_indec, projective
+from .modules import enumerate_indecomposables, injective, is_isomorphic_indec, projective
 from .quiver import (
     BoundQuiver,
     PathBasis,
@@ -253,8 +253,6 @@ def support_finiteness_probe(vq: VoltageQuiver, radius: int = 8,
     consecutive stable extents give a "stabilized" verdict, caps or growth
     give "not stabilized".  Never a proof, only evidence.
     """
-    from .modules import enumerate_indecomposables
-
     v0 = vq.base.vertices[0]
     probe_vertex = f"{v0}@0"
     extents = []

@@ -8,7 +8,7 @@ stable strings so CI diffs stay readable.
 from __future__ import annotations
 
 from .covering import (
-    LayeredModule,
+    orbit_enumeration,
     push_down,
     verify_covering_axioms,
     verify_pushdown,
@@ -23,7 +23,6 @@ from .functors import (
     phi_epi_cover,
     phi_hom_identity,
     psi_evaluate,
-    window_indecomposables,
 )
 from .modules import (
     enumerate_indecomposables,
@@ -63,6 +62,8 @@ def run_suite(name: str, input_spec: str, field_override: str | None = None,
               dim_cap: int = 12, count_cap: int = 24) -> Report:
     if name not in SUITES:
         raise SuiteError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    if window is not None and window < 0:
+        raise SuiteError("window must be nonnegative")
     display, digest, q = load_quiver(input_spec, field_override)
     report = Report(suite=name, field=q.field.spec() if isinstance(q, BoundQuiver)
                     else q.base.field.spec(), seed=seed)
@@ -92,19 +93,6 @@ def _suite_cover_axioms(report: Report, q, window):
     report.absorb(vr)
 
 
-def _twist_classes(vq: VoltageQuiver, radius: int = 3) -> list[LayeredModule]:
-    """Window indecomposables up to the shift action, anchored at layer 0."""
-    mods = window_indecomposables(vq, Window(-radius, radius))
-    reps: list[LayeredModule] = []
-    for m in mods:
-        if m.window.lo + radius >= 2 * radius:
-            continue  # touching the window edge; its class appears anchored too
-        anchored = m.twist(-m.window.lo)
-        if anchored not in reps:
-            reps.append(anchored)
-    return reps
-
-
 def _suite_pushdown(report: Report, q, window, seed: int = 0):
     vq = _require_voltage(q, "pushdown")
     battery, _tests = default_battery(vq)
@@ -124,8 +112,7 @@ def _suite_pushdown(report: Report, q, window, seed: int = 0):
     base_enum = enumerate_indecomposables(vq.base, seed=seed)
     if base_enum.complete:
         vr = VerifyReport("pushdown")
-        classes = _twist_classes(vq)
-        pushed = [push_down(c) for c in classes]
+        pushed = [push_down(c) for c in orbit_enumeration(vq)]
         for k, p in enumerate(pushed):
             vr.add(f"pushdown.class-indecomposable[{k}]", True, is_indecomposable(p))
         matched = set()

@@ -93,6 +93,15 @@ def test_rep_rejects_bad_parameters_as_usage_errors(capsys, argv, message):
     assert code == 2 and out == "" and err == f"fovea: {message}\n"
 
 
+@pytest.mark.parametrize("suite", ["pushdown", "cover-axioms"])
+def test_suite_rejects_a_negative_window_as_a_usage_error(capsys, suite):
+    code, out, err = run(capsys, "suite", suite, "line-k2.vq", "--window", "-1")
+    assert code == 2 and out == "" and err == "fovea: window must be nonnegative\n"
+    # --window 0 means the default
+    assert run(capsys, "suite", suite, "line-k2.vq", "--window", "0") == \
+        run(capsys, "suite", suite, "line-k2.vq")
+
+
 def test_cover_verify(capsys):
     code, out, _ = run(capsys, "cover", "verify", "line-k2.vq", "--json")
     assert code == 0

@@ -10,6 +10,7 @@ from fovea.covering import (
     layered_simple,
     lift_morphism,
     orbit_algebra,
+    orbit_enumeration,
     push_down,
     push_down_map,
     reassemble,
@@ -29,8 +30,11 @@ from fovea.modules import (
     is_isomorphic_indec,
     map_factor,
 )
+from fovea.functors import window_indecomposables
 from fovea.naming import load_quiver
-from fovea.quiver import Window, lift_window, parse_quiver, path_basis
+from fovea.quiver import Window, format_quiver, lift_window, parse_quiver, path_basis
+from fovea.repetitive import repetitive_voltage
+from fovea.suites import run_suite
 
 LINE_K2 = parse_quiver(
     "field gf 32749\nnilbound 2\nvertex v\narrow a: v -> v deg 1\nrelation a*a\n")
@@ -41,9 +45,9 @@ TRIVIAL = parse_quiver(
     "field gf 32749\nnilbound 2\nvertex 1 2\narrow a: 1 -> 2 deg 0\n")
 LOOP_COVER_TEXT = "field gf 32749\nnilbound 3\nvertex v\narrow a: v -> v deg 0\nrelation a*a*a\n"
 LOOP_COVER = parse_quiver(LOOP_COVER_TEXT)
-D4_COVER = parse_quiver(
-    "field gf 32749\nnilbound 2\nvertex 0 1 2 3\n"
-    "arrow a: 1 -> 0 deg 0\narrow b: 2 -> 0 deg 0\narrow c: 3 -> 0 deg 1\n")
+D4_COVER_TEXT = ("field gf 32749\nnilbound 2\nvertex 0 1 2 3\n"
+                 "arrow a: 1 -> 0 deg 0\narrow b: 2 -> 0 deg 0\narrow c: 3 -> 0 deg 1\n")
+D4_COVER = parse_quiver(D4_COVER_TEXT)
 
 S0 = layered_simple(LINE_K2, "v", 0)
 M0 = layered_injective(LINE_K2, "v", 0)
@@ -253,17 +257,18 @@ def test_light_closure_finds_every_window_class(name, window):
 
 def test_window_enumeration_is_memoised_and_refuses_a_capped_window(monkeypatch):
     vq = parse_quiver(LOOP_COVER_TEXT)
-    enum = window_enumeration(vq, Window(-1, 1))
-    assert window_enumeration(vq, Window(-1, 1)) is enum and enum.complete
+    orbits = orbit_enumeration(vq)
+    assert orbit_enumeration(vq) is orbits and orbits
 
     def capped(bq, *args, **kwargs):
         return Enumeration(bq, [], False, ["count cap 128 hit"])
 
     monkeypatch.setattr(fovea.covering, "enumerate_indecomposables", capped)
-    assert window_enumeration(vq, Window(-1, 1)) is enum
+    assert orbit_enumeration(vq) is orbits
+    fresh = parse_quiver(LOOP_COVER_TEXT)
     with pytest.raises(CoveringError, match="count cap 128 hit"):
-        window_enumeration(vq, Window(-2, 2))
-    assert Window(-2, 2) not in vq._enumerations
+        orbit_enumeration(fresh)
+    assert fresh._orbits is None
 
 
 def test_branching_window_takes_the_full_closure():
@@ -293,3 +298,59 @@ def test_density_search_on_a_capped_window_reports_not_found(monkeypatch):
     report = verify_pushdown(vq, x, x, density_target=push_down(x))
     density = [r for r in report.records if r.check == "pushdown.density-spot-check"]
     assert [r.ok for r in density] == [False]
+
+
+def _graded(name):
+    texts = {"loop-cover": LOOP_COVER_TEXT, "d4": D4_COVER_TEXT}
+    return parse_quiver(texts[name]) if name in texts else load_quiver(name)[2]
+
+
+def _assert_one_to_one(xs, ys):
+    assert len(xs) == len(ys)
+    unmatched = list(ys)
+    for x in xs:
+        unmatched.remove(next(y for y in unmatched if is_isomorphic_indec(x, y)))
+
+
+@pytest.mark.parametrize("name, window", [
+    (name, w) for name in ("line-k2.vq", "nakayama2.vq", "trivial-a2.vq", "loop-cover")
+    for w in (Window(-1, 1), Window(-2, 2))] + [("d4", Window(-1, 1))],
+    ids=lambda v: f"w{v.hi}" if isinstance(v, Window) else v)
+def test_window_lists_are_shifts_of_the_orbit_list(name, window):
+    """The direct per-window enumeration is the reference for the list read
+    off the orbit representatives."""
+    vq = _graded(name)
+    _assert_one_to_one([x.align(window) for x in window_indecomposables(vq, window)],
+                       window_enumeration(vq, window).modules)
+
+
+@pytest.mark.parametrize("name", ["line-k2.vq", "nakayama2.vq", "trivial-a2.vq",
+                                  "loop-cover", "d4"])
+def test_orbit_push_downs_biject_with_the_base_enumeration(name):
+    vq = _graded(name)
+    base = enumerate_indecomposables(vq.base)
+    assert base.complete
+    _assert_one_to_one([push_down(r) for r in orbit_enumeration(vq)], base.modules)
+
+
+@pytest.mark.parametrize("suite", ["kg0", "pushdown", "phi-identities"])
+def test_suites_pass_on_the_repetitive_cover_of_a3(suite, tmp_path):
+    """Its orbit algebra is the trivial extension T(A3), with 12
+    indecomposables; a window [-r, r] of the lift holds more than the
+    enumeration's count cap, the list up to shift does not."""
+    path = tmp_path / "repetitive-a3.vq"
+    path.write_text(format_quiver(repetitive_voltage(load_quiver("a3.bq")[2])))
+    assert run_suite(suite, str(path)).passed
+
+
+def test_kg0_passes_on_the_d4_cover(tmp_path):
+    path = tmp_path / "d4.vq"
+    path.write_text(D4_COVER_TEXT)
+    assert run_suite("kg0", str(path)).passed
+
+
+@pytest.mark.parametrize("name", ["line-k2.vq", "nakayama2.vq", "trivial-a2.vq"])
+def test_pushdown_passes_with_a_narrow_shift_search(name):
+    """--window 1 bounds the shift search only; the density check reads the
+    orbit list whatever the window."""
+    assert run_suite("pushdown", name, window=1).passed

@@ -77,6 +77,8 @@ def test_battery_enumerates_each_window_once(monkeypatch):
         run()
         assert calls, label
         assert len(set(calls)) == len(calls), label
+        # the base and the windows of one orbit list
+        assert len(calls) <= 3, label
 
 
 def test_repetitive_suite_builds_the_repetitive_category_once(monkeypatch):
