@@ -33,6 +33,7 @@ from .functors import (
 from .linalg import LinAlgError
 from .modules import (
     ModuleError,
+    ModuleParseError,
     enumerate_indecomposables,
     format_module,
     hom_dim,
@@ -319,7 +320,7 @@ def main(argv=None) -> int:
                             "phi": _fun_phi, "kg0": _suite}
             return fun_handlers[args.fun_command](args)
         return handlers[args.command](args)
-    except (FixtureError, ParseError, OSError) as e:
+    except (FixtureError, ParseError, ModuleParseError, OSError) as e:
         sys.stderr.write(f"fovea: {e}\n")
         return USAGE_EXIT
     except (QuiverError, ModuleError, LinAlgError, ValueError) as e:

@@ -4,6 +4,13 @@ Scalars are `fractions.Fraction` (rationals) or plain ints reduced mod p.
 Matrices are immutable, and every reduction routine returns a unique
 canonical form, so two equal subspaces always produce literally equal
 bases.  Nothing in here is floating point.
+
+The hot loops (`rref`, `poly_mul`, `poly_divmod`) branch once on the
+field and do the arithmetic inline, `(x - c*y) % p` over GF(p) and
+`x - c*y` over Q, instead of calling the `Field` methods per entry.  The
+GF(p) branches return the residues the `Field` methods would (`poly_mul`
+reduces once, after summing), so they compute the same canonical forms
+entry for entry.
 """
 
 from __future__ import annotations
@@ -100,11 +107,16 @@ class Field:
         return rng.randrange(self.p)
 
     def parse(self, token: str):
+        """An integer or a fraction num/den; LinAlgError if it is neither."""
         token = token.strip()
-        if "/" in token:
-            num, den = token.split("/", 1)
-            return self.coerce(Fraction(int(num), int(den)))
-        return self.coerce(int(token))
+        num, slash, den = token.partition("/")
+        try:
+            value = Fraction(int(num), int(den)) if slash else int(num)
+        except ValueError:
+            raise LinAlgError(f"not a number: {token!r}") from None
+        except ZeroDivisionError:
+            raise LinAlgError(f"zero denominator in {token!r}") from None
+        return self.coerce(value)
 
     def format(self, x) -> str:
         if self.p is None:
@@ -320,6 +332,7 @@ class RREF:
 def rref(m: Matrix) -> RREF:
     """Unique reduced row echelon form (Gauss-Jordan, exact)."""
     f = m.field
+    p = f.p
     rows = [list(r) for r in m.entries]
     nrows, ncols = m.rows, m.cols
     pivots = []
@@ -335,12 +348,20 @@ def rref(m: Matrix) -> RREF:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = f.inv(rows[r][c])
-        rows[r] = [f.mul(inv, x) for x in rows[r]]
+        if p is None:
+            inv = 1 / rows[r][c]
+            top = rows[r] = [inv * x for x in rows[r]]
+        else:
+            inv = pow(rows[r][c], -1, p)
+            top = rows[r] = [inv * x % p for x in rows[r]]
         for i in range(nrows):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
+            row = rows[i]
+            factor = row[c]
+            if factor and i != r:
+                if p is None:
+                    rows[i] = [x - factor * y for x, y in zip(row, top)]
+                else:
+                    rows[i] = [(x - factor * y) % p for x, y in zip(row, top)]
         pivots.append(c)
         r += 1
     out = Matrix._raw(f, nrows, ncols, tuple(tuple(row) for row in rows))
@@ -372,7 +393,7 @@ def kernel_basis(m: Matrix) -> Matrix:
         vecs.append(v)
     if not vecs:
         return Matrix.zeros(f, 0, m.cols)
-    return row_space(Matrix(f, vecs))
+    return row_space(Matrix._raw(f, len(vecs), m.cols, tuple(map(tuple, vecs))))
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix | None:
@@ -571,7 +592,10 @@ def poly_mul(f: Field, a, b):
         if not x:
             continue
         for j, y in enumerate(b):
-            out[i + j] = f.add(out[i + j], f.mul(x, y))
+            out[i + j] += x * y
+    if f.p is not None:
+        p = f.p
+        out = [c % p for c in out]
     return poly_trim(out)
 
 
@@ -580,18 +604,23 @@ def poly_divmod(f: Field, a, b):
     b = poly_trim(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
+    p = f.p
     q = [f.zero] * max(0, len(a) - len(b) + 1)
-    r = list(a)
+    r = a
     inv_lead = f.inv(b[-1])
     while len(r) >= len(b):
         shift = len(r) - len(b)
-        c = f.mul(r[-1], inv_lead)
+        if p is None:
+            c = r[-1] * inv_lead
+            for i, y in enumerate(b, shift):
+                r[i] = r[i] - c * y
+        else:
+            c = r[-1] * inv_lead % p
+            for i, y in enumerate(b, shift):
+                r[i] = (r[i] - c * y) % p
         q[shift] = c
-        for i, y in enumerate(b):
-            r[shift + i] = f.sub(r[shift + i], f.mul(c, y))
-        r = poly_trim(r)
-        if not r:
-            break
+        while r and not r[-1]:
+            r.pop()
     return poly_trim(q), r
 
 
@@ -671,32 +700,37 @@ def candidate_factors(f: Field, poly, rng, tries: int = 8) -> list:
     rational roots.  Completeness is not needed; callers just try each
     returned divisor as a Fitting-split candidate.
     """
+    return list(_candidate_factors(f, poly, rng, tries))
+
+
+def _candidate_factors(f: Field, poly, rng, tries: int = 8):
+    """The divisors of `candidate_factors`, in its order and with its rng
+    draws, computed only as far as the caller reads."""
     poly = poly_monic(f, poly_trim(list(poly)))
     n = poly_deg(poly)
     seen: set[tuple] = set()
-    out: list = []
 
     def emit(g):
         g = poly_monic(f, poly_trim(list(g)))
         key = tuple(g)
         if 0 < poly_deg(g) < n and key not in seen:
             seen.add(key)
-            out.append(g)
+            yield g
 
     if n <= 1:
-        return out
+        return
     d = poly_gcd(f, poly, poly_deriv(f, poly))
     if poly_deg(d) > 0:
-        emit(d)
+        yield from emit(d)
         square_free = poly_divmod(f, poly, d)[0]
-        emit(square_free)
+        yield from emit(square_free)
     else:
         square_free = poly
 
     if f.p is None:
         for root in _rational_roots(square_free):
-            emit([f.neg(f.coerce(root)), f.one])
-        return out
+            yield from emit([f.neg(f.coerce(root)), f.one])
+        return
 
     p = f.p
     x = [f.zero, f.one]
@@ -709,8 +743,8 @@ def candidate_factors(f: Field, poly, rng, tries: int = 8) -> list:
                           zip(xq + [f.zero] * (len(x) + 1), x + [f.zero] * (len(xq) + 1))])
         part = poly_gcd(f, diff, remaining) if diff else remaining
         if 0 < poly_deg(part):
-            emit(part)
-            emit(poly_divmod(f, poly, part)[0])
+            yield from emit(part)
+            yield from emit(poly_divmod(f, poly, part)[0])
             if poly_deg(part) > degree and p % 2 == 1:
                 # equal-degree splits inside `part` (Cantor-Zassenhaus)
                 for _ in range(tries):
@@ -722,10 +756,9 @@ def candidate_factors(f: Field, poly, rng, tries: int = 8) -> list:
                         continue
                     g = poly_gcd(f, h, part)
                     if 0 < poly_deg(g) < poly_deg(part):
-                        emit(g)
-                        emit(poly_divmod(f, part, g)[0])
+                        yield from emit(g)
+                        yield from emit(poly_divmod(f, part, g)[0])
             remaining = poly_divmod(f, remaining, part)[0]
             if poly_deg(remaining) >= 1:
                 xq = poly_divmod(f, xq, remaining)[1]
         degree += 1
-    return out

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .linalg import (
+    LinAlgError,
     Matrix,
     Subspace,
     block_diag,
@@ -20,7 +22,7 @@ from .linalg import (
     inverse,
     kernel_basis,
     poly_trim,
-    candidate_factors,
+    _candidate_factors,
     rank,
     row_space,
     solve,
@@ -33,6 +35,14 @@ DEFAULT_SEED = 0
 
 class ModuleError(ValueError):
     pass
+
+
+class ModuleParseError(ModuleError):
+    """A malformed module file; names the offending line."""
+
+    def __init__(self, lineno: int, message: str):
+        super().__init__(f"line {lineno}: {message}")
+        self.lineno = lineno
 
 
 class DecompositionError(ModuleError):
@@ -236,7 +246,10 @@ class HomBasis:
         self.target = target
         self.rows = rows
         self.space = Subspace(source.bq.field, rows.cols, rows)
-        self.maps = [ModMap.from_vector(source, target, r) for r in rows.entries]
+
+    @cached_property
+    def maps(self) -> list[ModMap]:
+        return [ModMap.from_vector(self.source, self.target, r) for r in self.rows.entries]
 
     @property
     def dim(self) -> int:
@@ -265,33 +278,36 @@ def hom_space(m: Module, n: Module) -> HomBasis:
     if m.bq != n.bq:
         raise ModuleError("hom between modules over different quivers")
     f = m.bq.field
+    p, zero = f.p, f.zero
     offsets = {}
     total = 0
     for v in m.bq.vertices:
         offsets[v] = total
         total += n.dims[v] * m.dims[v]
 
-    def unknown(v, i, j):
-        return offsets[v] + i * m.dims[v] + j
-
+    # unknown (v, i, j) is the entry (i, j) of the component at v
     rows = []
     for a in m.bq.arrows:
         x, y = a.source, a.target
-        ma, na = m.mats[a.name], n.mats[a.name]
+        ma, na = m.mats[a.name].entries, n.mats[a.name].entries
+        mx, my, ny = m.dims[x], m.dims[y], n.dims[y]
+        ox, oy = offsets[x], offsets[y]
         for i in range(n.dims[x]):
-            for j in range(m.dims[y]):
-                row = [f.zero] * total
-                for k in range(m.dims[x]):
-                    c = ma.entries[k][j]
+            for j in range(my):
+                row = [zero] * total
+                for k in range(mx):
+                    c = ma[k][j]
                     if c:
-                        row[unknown(x, i, k)] = f.add(row[unknown(x, i, k)], c)
-                for l in range(n.dims[y]):
-                    c = na.entries[i][l]
+                        u = ox + i * mx + k
+                        row[u] = row[u] + c if p is None else (row[u] + c) % p
+                for l in range(ny):
+                    c = na[i][l]
                     if c:
-                        row[unknown(y, l, j)] = f.sub(row[unknown(y, l, j)], c)
+                        u = oy + l * my + j
+                        row[u] = row[u] - c if p is None else (row[u] - c) % p
                 if any(row):
-                    rows.append(row)
-    system = Matrix(f, rows) if rows else Matrix.zeros(f, 0, total)
+                    rows.append(tuple(row))
+    system = Matrix._raw(f, len(rows), total, tuple(rows))
     return HomBasis(m, n, kernel_basis(system))
 
 
@@ -487,14 +503,6 @@ def injective(bq: BoundQuiver, x: str, op_basis: PathBasis | None = None) -> Mod
 # radicals of hom spaces
 
 
-def _trace_of_composite(a: ModMap, b: ModMap):
-    f = a.source.bq.field
-    t = f.zero
-    for v in a.source.bq.vertices:
-        t = f.add(t, (a.comps[v] @ b.comps[v]).trace())
-    return t
-
-
 def end_radical(m: Module, end: HomBasis | None = None) -> Subspace:
     """Radical of End(M) via the trace form of the action on M.
 
@@ -508,10 +516,32 @@ def end_radical(m: Module, end: HomBasis | None = None) -> Subspace:
             f"prime {f.p} is too small for a {m.total_dim}-dimensional module; "
             "use a larger prime field")
     end = end or hom_space(m, m)
+    return Subspace(f, end.dim, kernel_basis(_trace_form(m, end)))
+
+
+def _trace_form(m: Module, end: HomBasis) -> Matrix:
+    """Gram matrix of (a, b) -> sum over v of tr(a_v b_v) on the basis of End(M).
+
+    tr(a_v b_v) is the sum of a_v[i][j] b_v[j][i], so each entry is the dot
+    product of one basis vector with another whose vertex blocks are
+    transposed; no composite is formed, and the form is symmetric.
+    """
+    f = m.bq.field
     n = end.dim
-    gram = Matrix(f, [[_trace_of_composite(end.maps[i], end.maps[j]) for j in range(n)]
-                      for i in range(n)]) if n else Matrix.zeros(f, 0, 0)
-    return Subspace(f, n, kernel_basis(gram))
+    blocks = []
+    offset = 0
+    for v in m.bq.vertices:
+        d = m.dims[v]
+        blocks.append((offset, d))
+        offset += d * d
+    vecs = end.rows.entries
+    flipped = [[vec[o + i * d + j] for o, d in blocks for j in range(d) for i in range(d)]
+               for vec in vecs]
+    gram = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = sum(a * b for a, b in zip(vecs[i], flipped[j]))
+    return Matrix.from_rows(f, n, n, gram)
 
 
 class RadicalHom:
@@ -520,7 +550,10 @@ class RadicalHom:
     def __init__(self, hom: HomBasis, coords: Subspace):
         self.hom = hom
         self.coords = coords
-        self.maps = [hom.from_coords(row) for row in coords.rows.entries]
+
+    @cached_property
+    def maps(self) -> list[ModMap]:
+        return [self.hom.from_coords(row) for row in self.coords.rows.entries]
 
     @property
     def dim(self) -> int:
@@ -693,7 +726,7 @@ def _try_split(piece: DecompPiece, phi: ModMap) -> tuple[DecompPiece, DecompPiec
     total = m.total_dim
     mu = _minimal_polynomial(phi)
     rng = random.Random(0xF17)
-    for g in candidate_factors(f, mu, rng):
+    for g in _candidate_factors(f, mu, rng):
         psi = _poly_of_map(g, phi).power(max(total, 1))
         fac = map_factor(psi)
         k = fac.kernel.total_dim
@@ -1114,6 +1147,7 @@ def format_module(m: Module) -> str:
 
 
 def parse_module(bq: BoundQuiver, text: str, check: bool = True) -> Module:
+    """Read the module file format; ModuleParseError names a malformed line."""
     f = bq.field
     dims: dict[str, int] = {}
     mats: dict[str, Matrix] = {}
@@ -1126,21 +1160,32 @@ def parse_module(bq: BoundQuiver, text: str, check: bool = True) -> Module:
             for part in rest.split():
                 v, _, d = part.partition("=")
                 if v not in bq.vertex_index:
-                    raise ModuleError(f"line {lineno}: unknown vertex {v!r}")
+                    raise ModuleParseError(lineno, f"unknown vertex {v!r}")
+                if not d.isdigit():
+                    raise ModuleParseError(lineno, f"bad dimension {part!r}")
                 dims[v] = int(d)
         elif head == "mat":
             name, _, body = rest.partition("=")
             name = name.strip()
             if name not in bq.arrow_map:
-                raise ModuleError(f"line {lineno}: unknown arrow {name!r}")
+                raise ModuleParseError(lineno, f"unknown arrow {name!r}")
             body = body.strip()
             if not (body.startswith("[[") and body.endswith("]]")):
-                raise ModuleError(f"line {lineno}: matrix must look like [[...],[...]]")
-            rows = []
-            for chunk in body[2:-2].split("],["):
-                rows.append([f.parse(tok) for tok in chunk.split(",") if tok.strip()])
+                raise ModuleParseError(lineno, "matrix must look like [[...],[...]]")
+            try:
+                rows = [[f.parse(tok) for tok in chunk.split(",") if tok.strip()]
+                        for chunk in body[2:-2].split("],[")]
+            except LinAlgError as e:
+                raise ModuleParseError(lineno, str(e)) from None
             a = bq.arrow_map[name]
-            mats[name] = Matrix.from_rows(f, dims.get(a.source, 0), dims.get(a.target, 0), rows)
+            shape = (dims.get(a.source, 0), dims.get(a.target, 0))
+            widths = {len(r) for r in rows}
+            if len(widths) > 1:
+                raise ModuleParseError(lineno, f"matrix for {name} has rows of unequal length")
+            got = (len(rows), widths.pop())
+            if got != shape:
+                raise ModuleParseError(lineno, f"matrix for {name} has shape {got}, expected {shape}")
+            mats[name] = Matrix.from_rows(f, *shape, rows)
         else:
-            raise ModuleError(f"line {lineno}: unknown directive {head!r}")
+            raise ModuleParseError(lineno, f"unknown directive {head!r}")
     return Module(bq, dims, mats, check=check)

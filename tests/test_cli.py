@@ -137,6 +137,35 @@ def test_mod_round_trip(capsys, tmp_path):
     assert code == 0 and out == text
 
 
+@pytest.mark.parametrize("text,err", [
+    ("dims 1=1 2=1\nmat a = [[1/0]]\n", "fovea: line 2: zero denominator in '1/0'\n"),
+    ("dims 1=1 2=1\nmat a = [[x]]\n", "fovea: line 2: not a number: 'x'\n"),
+    ("dims 1=x\n", "fovea: line 1: bad dimension '1=x'\n"),
+    ("dims 1=1 2=1\nmat a = [[1,2]]\n",
+     "fovea: line 2: matrix for a has shape (1, 2), expected (1, 1)\n"),
+    ("dims 1=1 2=2\nmat a = [[1,2],[3]]\n",
+     "fovea: line 2: matrix for a has rows of unequal length\n"),
+    ("# a comment\ndims 1=1 9=0\n", "fovea: line 2: unknown vertex '9'\n"),
+], ids=["zero-denominator", "not-a-number", "bad-dims", "wrong-shape", "ragged", "unknown-vertex"])
+def test_malformed_module_files_are_located_usage_errors(capsys, tmp_path, text, err):
+    mod_file = tmp_path / "bad.mod"
+    mod_file.write_text(text)
+    assert run(capsys, "mod", "a2.bq", str(mod_file)) == (2, "", err)
+
+
+def test_bad_relation_coefficient_is_a_located_usage_error(capsys, tmp_path):
+    bad = tmp_path / "bad.bq"
+    bad.write_text("field gf 32749\nnilbound 2\nvertex v\narrow a: v -> v\nrelation 1/0 a*a\n")
+    assert run(capsys, "suite", "kg0", str(bad)) == (2, "", "fovea: line 5: bad coefficient '1/0'\n")
+
+
+def test_python_dash_m_runs_the_cli():
+    done = subprocess.run([sys.executable, "-m", "fovea", "fixtures"],
+                          capture_output=True, text=True, cwd="src")
+    assert done.returncode == 0, done.stderr
+    assert "line-k2.vq" in done.stdout.split()
+
+
 def test_fixtures_listed(capsys):
     code, out, _ = run(capsys, "fixtures")
     assert code == 0 and "line-k2.vq" in out

@@ -3,23 +3,37 @@
 These count work instead of timing it, so they give the same answer on
 every run: an enumeration decomposes each candidate once; no call
 enumerates a quiver twice, whatever the closure; the repetitive suite
-builds its repetitive category once; and the radical filtration spans
-only the blocks where a product can land.
+builds its repetitive category once; the radical filtration spans only
+the blocks where a product can land; a hom space builds its maps only
+when they are read; and a Fitting split stops factoring at the first
+divisor that splits.
 """
 
+import random
 import sys
 
 import pytest
 
 import fovea.covering
+import fovea.linalg
 import fovea.modules
 import fovea.repetitive
 import fovea.suites
 from fovea.functors import default_battery
-from fovea.linalg import Subspace
-from fovea.modules import enumerate_indecomposables
+from fovea.linalg import Matrix, Subspace, inverse
+from fovea.modules import (
+    ModMap,
+    Module,
+    decompose,
+    direct_sum,
+    enumerate_indecomposables,
+    hom_space,
+    injective,
+    projective,
+    simple,
+)
 from fovea.naming import load_quiver
-from fovea.quiver import Window, lift_window, parse_quiver, radical_filtration
+from fovea.quiver import Window, lift_window, parse_quiver, path_basis, radical_filtration
 from fovea.repetitive import RepetitiveTruncation
 from fovea.suites import run_suite
 from test_repetitive import dense_radical_filtration
@@ -115,3 +129,52 @@ def test_radical_filtration_spans_only_nonzero_blocks(monkeypatch):
     nonzero = sum(1 for power in powers for s in power.values() if s.dim)
     bound = nonzero + len(set(cat.dims.values()))
     assert 0 < len(spans) <= bound
+
+
+def test_hom_dimension_builds_no_maps(monkeypatch):
+    pb = path_basis(D4)
+    modules = [projective(D4, "0", pb), injective(D4, "1"), simple(D4, "0")]
+    built = []
+    from_vector = ModMap.from_vector.__func__
+
+    def recording(cls, *args, **kwargs):
+        built.append(args)
+        return from_vector(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ModMap, "from_vector", classmethod(recording))
+    dims = [hom_space(m, n).dim for m in modules for n in modules]
+    assert sum(dims) > 0
+    assert built == []
+    # the maps are still there for a caller that reads them
+    assert len(hom_space(modules[0], modules[0]).maps) == dims[0]
+    assert len(built) == dims[0]
+
+
+def test_decompose_stops_factoring_at_the_first_split(monkeypatch):
+    pb = path_basis(D4)
+    f = D4.field
+    pieces = [projective(D4, "0", pb), projective(D4, "0", pb), simple(D4, "1"),
+              simple(D4, "0"), injective(D4, "1")]
+    m, _, _ = direct_sum(pieces)
+    rng = random.Random(8)
+    change = {}
+    for v in D4.vertices:
+        while v not in change:
+            cand = Matrix(f, [[f.sample(rng) for _ in range(m.dims[v])] for _ in range(m.dims[v])])
+            if inverse(cand) is not None:
+                change[v] = cand
+    mats = {a.name: change[a.source] @ m.mats[a.name] @ inverse(change[a.target])
+            for a in D4.arrows}
+    scrambled = Module(D4, dict(m.dims), mats)
+    calls = []
+    poly_pow_mod = fovea.linalg.poly_pow_mod
+
+    def recording(*args):
+        calls.append(args)
+        return poly_pow_mod(*args)
+
+    monkeypatch.setattr(fovea.linalg, "poly_pow_mod", recording)
+    dec = decompose(scrambled)
+    assert sorted(p.module.total_dim for p in dec.pieces) == [1, 1, 2, 4, 4]
+    # 11 when recorded; factoring every minimal polynomial in full takes 36
+    assert len(calls) <= 11

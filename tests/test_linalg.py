@@ -39,6 +39,20 @@ def test_field_parse_format():
     assert GF.parse("1/2") == GF.inv(2)
 
 
+@pytest.mark.parametrize("field", [QQ, GF], ids=["q", "gf"])
+@pytest.mark.parametrize("token,message", [
+    ("1/0", "zero denominator in '1/0'"),
+    ("x", "not a number: 'x'"),
+    ("1/y", "not a number: '1/y'"),
+    ("", "not a number: ''"),
+    ("1/2/3", "not a number: '1/2/3'"),
+])
+def test_field_parse_rejects_non_numbers(field, token, message):
+    with pytest.raises(LinAlgError) as info:
+        field.parse(token)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("field", FIELDS)
 def test_rref_identity(field):
     m = Matrix.identity(field, 2)

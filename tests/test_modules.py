@@ -7,6 +7,7 @@ from fovea.modules import (
         ModMap,
     Module,
     ModuleError,
+    ModuleParseError,
     decompose,
     direct_sum,
     dual_module,
@@ -322,6 +323,23 @@ def test_module_file_rejects_unknown_names():
         parse_module(A2, "dims 1=1 9=0\n")
     with pytest.raises(ModuleError):
         parse_module(A2, "dims 1=1 2=1\nmat zz = [[1]]\n")
+
+
+@pytest.mark.parametrize("text,lineno,message", [
+    ("dims 1=1 2=1\nmat a = [[1/0]]\n", 2, "zero denominator in '1/0'"),
+    ("dims 1=1 2=1\nmat a = [[1/32749]]\n", 2, "denominator of 1/32749 vanishes mod 32749"),
+    ("dims 1=1 2=1\n\nmat a = [[two]]\n", 3, "not a number: 'two'"),
+    ("dims 1=-1\n", 1, "bad dimension '1=-1'"),
+    ("dims 1\n", 1, "bad dimension '1'"),
+    ("dims 1=1 2=1\nmat a = [[1],[2]]\n", 2, "matrix for a has shape (2, 1), expected (1, 1)"),
+    ("dims 1=1 2=1\nmat a = [[1]]\ncols 2\n", 3, "unknown directive 'cols'"),
+])
+def test_module_file_errors_name_their_line(text, lineno, message):
+    with pytest.raises(ModuleParseError) as info:
+        parse_module(A2, text)
+    assert info.value.lineno == lineno
+    assert str(info.value) == f"line {lineno}: {message}"
+    assert isinstance(info.value, ModuleError)
 
 
 def test_decomposition_witnesses_invert_each_other():
