@@ -348,20 +348,23 @@ def rref(m: Matrix) -> RREF:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        # the pivot row is zero left of c, so only columns c.. change
+        row = rows[r]
         if p is None:
-            inv = 1 / rows[r][c]
-            top = rows[r] = [inv * x for x in rows[r]]
+            inv = 1 / row[c]
+            top = [inv * x for x in row[c:]]
         else:
-            inv = pow(rows[r][c], -1, p)
-            top = rows[r] = [inv * x % p for x in rows[r]]
+            inv = pow(row[c], -1, p)
+            top = [inv * x % p for x in row[c:]]
+        rows[r] = row[:c] + top
         for i in range(nrows):
             row = rows[i]
             factor = row[c]
             if factor and i != r:
                 if p is None:
-                    rows[i] = [x - factor * y for x, y in zip(row, top)]
+                    rows[i] = row[:c] + [x - factor * y for x, y in zip(row[c:], top)]
                 else:
-                    rows[i] = [(x - factor * y) % p for x, y in zip(row, top)]
+                    rows[i] = row[:c] + [(x - factor * y) % p for x, y in zip(row[c:], top)]
         pivots.append(c)
         r += 1
     out = Matrix._raw(f, nrows, ncols, tuple(tuple(row) for row in rows))
@@ -379,21 +382,27 @@ def row_space(m: Matrix) -> Matrix:
 
 
 def kernel_basis(m: Matrix) -> Matrix:
-    """Canonical basis (as rows) of the right null space of m."""
+    """Canonical basis (as rows) of the right null space of m.
+
+    One elimination of m with its columns reversed: the kernel vector of
+    each free column, read back in the original order, has its leading 1
+    at that column and zeros at every other free column, so the vectors
+    are already the reduced row echelon form of the null space.
+    """
     f = m.field
-    red = rref(m)
+    n = m.cols
+    red = rref(Matrix._raw(f, m.rows, n, tuple(row[::-1] for row in m.entries)))
     pivots = set(red.pivots)
-    free = [c for c in range(m.cols) if c not in pivots]
     vecs = []
-    for fc in free:
-        v = [f.zero] * m.cols
-        v[fc] = f.one
+    for fc in reversed(range(n)):
+        if fc in pivots:
+            continue
+        v = [f.zero] * n
+        v[n - 1 - fc] = f.one
         for i, pc in enumerate(red.pivots):
-            v[pc] = f.neg(red.matrix.entries[i][fc])
-        vecs.append(v)
-    if not vecs:
-        return Matrix.zeros(f, 0, m.cols)
-    return row_space(Matrix._raw(f, len(vecs), m.cols, tuple(map(tuple, vecs))))
+            v[n - 1 - pc] = f.neg(red.matrix.entries[i][fc])
+        vecs.append(tuple(v))
+    return Matrix._raw(f, len(vecs), n, tuple(vecs))
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix | None:

@@ -510,38 +510,36 @@ def end_radical(m: Module, end: HomBasis | None = None) -> Subspace:
     operating regime of this toolkit (the default prime is far larger
     than any fixture dimension).
     """
+    end = end or hom_space(m, m)
+    return Subspace(m.bq.field, end.dim, kernel_basis(_trace_pairing(end, end)))
+
+
+def _trace_pairing(hom: HomBasis, back: HomBasis) -> Matrix:
+    """The matrix [tr(g_j f_i)] for f_i in Hom(M, N) and g_j in Hom(N, M).
+
+    Row j belongs to g_j and column i to f_i.  tr(g f) is the sum over v
+    of g_v[a][b] f_v[b][a], so each entry is the dot product of a basis
+    vector of Hom(M, N) with one of Hom(N, M) whose vertex blocks are
+    transposed; no composite is formed.  On End(M) the matrix is the
+    symmetric trace form.
+    """
+    m, n = hom.source, hom.target
     f = m.bq.field
-    if f.p is not None and f.p <= m.total_dim:
+    if hom.dim and back.dim and f.p is not None and f.p <= m.total_dim:
         raise ModuleError(
             f"prime {f.p} is too small for a {m.total_dim}-dimensional module; "
             "use a larger prime field")
-    end = end or hom_space(m, m)
-    return Subspace(f, end.dim, kernel_basis(_trace_form(m, end)))
-
-
-def _trace_form(m: Module, end: HomBasis) -> Matrix:
-    """Gram matrix of (a, b) -> sum over v of tr(a_v b_v) on the basis of End(M).
-
-    tr(a_v b_v) is the sum of a_v[i][j] b_v[j][i], so each entry is the dot
-    product of one basis vector with another whose vertex blocks are
-    transposed; no composite is formed, and the form is symmetric.
-    """
-    f = m.bq.field
-    n = end.dim
     blocks = []
     offset = 0
     for v in m.bq.vertices:
-        d = m.dims[v]
-        blocks.append((offset, d))
-        offset += d * d
-    vecs = end.rows.entries
-    flipped = [[vec[o + i * d + j] for o, d in blocks for j in range(d) for i in range(d)]
-               for vec in vecs]
-    gram = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            gram[i][j] = gram[j][i] = sum(a * b for a, b in zip(vecs[i], flipped[j]))
-    return Matrix.from_rows(f, n, n, gram)
+        rows, cols = m.dims[v], n.dims[v]
+        blocks.append((offset, rows, cols))
+        offset += rows * cols
+    flipped = [[vec[o + i * c + j] for o, r, c in blocks for j in range(c) for i in range(r)]
+               for vec in back.rows.entries]
+    vecs = hom.rows.entries
+    return Matrix.from_rows(f, back.dim, hom.dim,
+                            [[sum(a * b for a, b in zip(vec, g)) for vec in vecs] for g in flipped])
 
 
 class RadicalHom:
@@ -566,32 +564,19 @@ class RadicalHom:
 
 def radical_hom(m: Module, n: Module,
                 hom: HomBasis | None = None,
-                end_m: HomBasis | None = None,
                 back: HomBasis | None = None) -> RadicalHom:
-    """rad(M, N): the maps f with g f in rad End(M) for every g: N -> M."""
+    """rad(M, N): the maps f with tr(g f) = 0 for every g: N -> M.
+
+    That is the rule "g f lies in rad End(M) for every g", because the
+    radical of End(M) is the kernel of its trace form, tr(g f psi) =
+    tr(psi g f) by cyclicity of the trace, and End(M) Hom(N, M) = Hom(N, M).
+    """
     f = m.bq.field
     hom = hom if hom is not None else hom_space(m, n)
     if hom.dim == 0:
         return RadicalHom(hom, Subspace.span(f, 0, []))
     back = back if back is not None else hom_space(n, m)
-    if back.dim == 0:
-        return RadicalHom(hom, Subspace.span(f, hom.dim, Matrix.identity(f, hom.dim).entries))
-    end_m = end_m if end_m is not None else hom_space(m, m)
-    rad_end = end_radical(m, end_m)
-    quot = rad_end.quotient()
-    rows = []
-    for h in hom.maps:
-        row = []
-        for g in back.maps:
-            comp = g @ h
-            coords = end_m.coords(comp)
-            row.extend(quot.apply(coords))
-        rows.append(row)
-    if not rows or not rows[0]:
-        coords = Subspace.span(f, hom.dim, Matrix.identity(f, hom.dim).entries)
-        return RadicalHom(hom, coords)
-    condition = Matrix(f, rows).transpose()
-    return RadicalHom(hom, Subspace(f, hom.dim, kernel_basis(condition)))
+    return RadicalHom(hom, Subspace(f, hom.dim, kernel_basis(_trace_pairing(hom, back))))
 
 
 class PairCache:
@@ -619,8 +604,7 @@ class PairCache:
         key = (id(m), id(n))
         out = self._rad.get(key)
         if out is None:
-            out = radical_hom(m, n, hom=self.hom(m, n), end_m=self.hom(m, m),
-                              back=self.hom(n, m))
+            out = radical_hom(m, n, hom=self.hom(m, n), back=self.hom(n, m))
             self._rad[key] = out
         return out
 
@@ -632,8 +616,10 @@ def is_isomorphic_indec(m: Module, n: Module) -> bool:
     if m.is_zero():
         return True
     hom = hom_space(m, n)
-    rad = radical_hom(m, n, hom=hom)
-    return hom.dim > rad.dim
+    if hom.dim == 0:
+        return False
+    # some f with tr(g f) != 0 is outside rad(M, N)
+    return not _trace_pairing(hom, hom_space(n, m)).is_zero()
 
 
 def find_iso(m: Module, n: Module) -> ModMap | None:
@@ -720,38 +706,48 @@ def _poly_of_map(poly, phi: ModMap) -> ModMap:
     return acc
 
 
-def _try_split(piece: DecompPiece, phi: ModMap) -> tuple[DecompPiece, DecompPiece] | None:
+def _fitting_split(piece: DecompPiece, psi: ModMap) -> tuple[DecompPiece, DecompPiece] | None:
+    """The pieces ker psi and im psi of M, or None when one of them is zero.
+
+    For psi = g(phi)^N with N >= dim M, Fitting's lemma makes M the
+    direct sum of the two.
+    """
     m = piece.module
     f = m.bq.field
-    total = m.total_dim
-    mu = _minimal_polynomial(phi)
+    ker_cols = {v: kernel_basis(psi.comps[v]).transpose() for v in m.bq.vertices}
+    if not 0 < sum(c.cols for c in ker_cols.values()) < m.total_dim:
+        return None
+    ker, ker_incl = submodule(m, ker_cols)
+    im, im_incl = image_submodule(psi)
+    proj_k, proj_i = {}, {}
+    for v in m.bq.vertices:
+        u_inv = inverse(hstack([ker_incl.comps[v], im_incl.comps[v]]))
+        if u_inv is None:
+            return None
+        kd = ker.dims[v]
+        proj_k[v] = Matrix.from_rows(f, kd, m.dims[v], u_inv.entries[:kd])
+        proj_i[v] = Matrix.from_rows(f, im.dims[v], m.dims[v], u_inv.entries[kd:])
+    pk = ModMap(m, ker, proj_k, check=False)
+    pi = ModMap(m, im, proj_i, check=False)
+    return (
+        DecompPiece(ker, piece.include @ ker_incl, pk @ piece.project),
+        DecompPiece(im, piece.include @ im_incl, pi @ piece.project),
+    )
+
+
+def _try_split(piece: DecompPiece, phi: ModMap) -> tuple[DecompPiece, DecompPiece] | None:
+    """Split on phi^N when phi has eigenvalue 0 and another one; otherwise
+    on g(phi)^N for the divisors g of the minimal polynomial."""
+    n = max(piece.module.total_dim, 1)
+    split = _fitting_split(piece, phi.power(n))
+    if split is not None:
+        return split
+    f = piece.module.bq.field
     rng = random.Random(0xF17)
-    for g in _candidate_factors(f, mu, rng):
-        psi = _poly_of_map(g, phi).power(max(total, 1))
-        fac = map_factor(psi)
-        k = fac.kernel.total_dim
-        if 0 < k < total:
-            ker, ker_incl = fac.kernel, fac.kernel_incl
-            im, im_incl = fac.image, fac.image_incl
-            proj_k, proj_i = {}, {}
-            ok = True
-            for v in m.bq.vertices:
-                u = hstack([ker_incl.comps[v], im_incl.comps[v]])
-                u_inv = inverse(u)
-                if u_inv is None:
-                    ok = False
-                    break
-                kd = ker.dims[v]
-                proj_k[v] = Matrix.from_rows(f, kd, m.dims[v], u_inv.entries[:kd])
-                proj_i[v] = Matrix.from_rows(f, im.dims[v], m.dims[v], u_inv.entries[kd:])
-            if not ok:
-                continue
-            pk = ModMap(m, ker, proj_k, check=False)
-            pi = ModMap(m, im, proj_i, check=False)
-            return (
-                DecompPiece(ker, piece.include @ ker_incl, pk @ piece.project),
-                DecompPiece(im, piece.include @ im_incl, pi @ piece.project),
-            )
+    for g in _candidate_factors(f, _minimal_polynomial(phi), rng):
+        split = _fitting_split(piece, _poly_of_map(g, phi).power(n))
+        if split is not None:
+            return split
     return None
 
 
@@ -773,13 +769,19 @@ def decompose(m: Module, seed: int = DEFAULT_SEED, max_tries: int = 64) -> Decom
         if end.dim - rad.dim == 1:
             done.append(piece)
             continue
+        # a map in K 1 + rad End(P) has a single eigenvalue, so it cannot split
+        f = p.bq.field
+        local = Subspace.span(f, end.dim, [*rad.rows.entries, end.coords(ModMap.identity(p))])
         split = None
-        candidates = list(end.maps)
         for attempt in range(max_tries):
-            if attempt < len(candidates):
-                phi = candidates[attempt]
+            if attempt < end.dim:
+                coords = [f.zero] * end.dim
+                coords[attempt] = f.one
             else:
-                phi = end.from_coords([p.bq.field.sample(rng) for _ in range(end.dim)])
+                coords = [f.sample(rng) for _ in range(end.dim)]
+            if local.contains(coords):
+                continue
+            phi = end.maps[attempt] if attempt < end.dim else end.from_coords(coords)
             split = _try_split(piece, phi)
             if split is not None:
                 break

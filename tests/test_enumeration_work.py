@@ -5,8 +5,9 @@ every run: an enumeration decomposes each candidate once; no call
 enumerates a quiver twice, whatever the closure; the repetitive suite
 builds its repetitive category once; the radical filtration spans only
 the blocks where a product can land; a hom space builds its maps only
-when they are read; and a Fitting split stops factoring at the first
-divisor that splits.
+when they are read; a Fitting split tries phi^N before factoring and
+stops factoring at the first divisor that splits; a kernel takes one
+elimination; and an isomorphism test reads one trace pairing.
 """
 
 import random
@@ -150,7 +151,8 @@ def test_hom_dimension_builds_no_maps(monkeypatch):
     assert len(built) == dims[0]
 
 
-def test_decompose_stops_factoring_at_the_first_split(monkeypatch):
+def _scrambled_d4():
+    """P0 + P0 + S1 + S0 + I1 over D4 in a random basis."""
     pb = path_basis(D4)
     f = D4.field
     pieces = [projective(D4, "0", pb), projective(D4, "0", pb), simple(D4, "1"),
@@ -165,7 +167,10 @@ def test_decompose_stops_factoring_at_the_first_split(monkeypatch):
                 change[v] = cand
     mats = {a.name: change[a.source] @ m.mats[a.name] @ inverse(change[a.target])
             for a in D4.arrows}
-    scrambled = Module(D4, dict(m.dims), mats)
+    return Module(D4, dict(m.dims), mats)
+
+
+def _count_poly_pow_mod(monkeypatch):
     calls = []
     poly_pow_mod = fovea.linalg.poly_pow_mod
 
@@ -174,7 +179,65 @@ def test_decompose_stops_factoring_at_the_first_split(monkeypatch):
         return poly_pow_mod(*args)
 
     monkeypatch.setattr(fovea.linalg, "poly_pow_mod", recording)
-    dec = decompose(scrambled)
+    dec = decompose(_scrambled_d4())
     assert sorted(p.module.total_dim for p in dec.pieces) == [1, 1, 2, 4, 4]
+    return len(calls)
+
+
+def test_decompose_stops_factoring_at_the_first_split(monkeypatch):
     # 11 when recorded; factoring every minimal polynomial in full takes 36
-    assert len(calls) <= 11
+    assert _count_poly_pow_mod(monkeypatch) <= 11
+
+
+def test_decompose_splits_on_the_power_before_factoring(monkeypatch):
+    # recorded when phi^N was tried first and scalar-plus-radical
+    # candidates were skipped; factoring from the first divisor takes 11
+    assert _count_poly_pow_mod(monkeypatch) == 3
+
+
+def test_kernel_basis_runs_one_elimination(monkeypatch):
+    f = D4.field
+    matrices = [Matrix(f, [[1, 2, 3], [2, 4, 6]]), Matrix(f, [[0, 1, 0, 5]]),
+                Matrix(f, [[1, 0], [0, 1]]), Matrix.zeros(f, 2, 3)]
+    calls = []
+    rref = fovea.linalg.rref
+
+    def recording(m):
+        calls.append(m)
+        return rref(m)
+
+    monkeypatch.setattr(fovea.linalg, "rref", recording)
+    for m in matrices:
+        calls.clear()
+        ker = fovea.linalg.kernel_basis(m)
+        assert (m @ ker.transpose()).is_zero()
+        assert len(calls) == 1
+
+
+def test_isomorphism_test_reads_one_trace_pairing(monkeypatch):
+    pb = path_basis(D4)
+    p0 = projective(D4, "0", pb)
+    assert set(p0.dims.values()) == {1}
+    f = D4.field
+    change = {v: Matrix(f, [[k + 2]]) for k, v in enumerate(D4.vertices)}
+    twin = Module(D4, dict(p0.dims),
+                  {a.name: change[a.source] @ p0.mats[a.name] @ inverse(change[a.target])
+                   for a in D4.arrows})
+    assert twin != p0
+    homs, radicals = [], []
+    hom_space_ = fovea.modules.hom_space
+    end_radical = fovea.modules.end_radical
+
+    def recording_hom(m, n):
+        homs.append((m, n))
+        return hom_space_(m, n)
+
+    def recording_radical(*args, **kwargs):
+        radicals.append(args)
+        return end_radical(*args, **kwargs)
+
+    monkeypatch.setattr(fovea.modules, "hom_space", recording_hom)
+    monkeypatch.setattr(fovea.modules, "end_radical", recording_radical)
+    assert fovea.modules.is_isomorphic_indec(p0, twin)
+    # Hom(P, Q) and Hom(Q, P); End(P) is not needed
+    assert len(homs) == 2 and radicals == []
