@@ -228,13 +228,13 @@ def _fun_phi(args) -> int:
 
 def _fun_length(args) -> int:
     _name, _digest, q = _load(args)
-    t = resolve_functor(q, args.functor)
     if isinstance(q, VoltageQuiver):
-        cert = functor_length_cover(t)
+        cert = functor_length_cover(resolve_functor(q, args.functor))
     else:
+        # one enumeration, with the caps given, serves the functor and its length
         enum = enumerate_indecomposables(q, dim_cap=args.dim_cap,
                                          count_cap=args.count_cap, seed=args.seed)
-        cert = functor_length(t, enum)
+        cert = functor_length(resolve_functor(q, args.functor, enum), enum)
     _emit(args, {"length": cert.length, "profile": cert.profile},
           f"length = {cert.length}")
     return 0

@@ -178,8 +178,8 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        z = field.zero
-        return cls._raw(field, rows, cols, tuple(tuple(z for _ in range(cols)) for _ in range(rows)))
+        # rows are immutable tuples, so every row can be the same one
+        return cls._raw(field, rows, cols, ((field.zero,) * cols,) * rows)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
@@ -459,6 +459,16 @@ class Subspace:
         if m.cols != ambient:
             raise LinAlgError("generator length does not match ambient dimension")
         return cls(field, ambient, row_space(m))
+
+    @classmethod
+    def coordinate(cls, field: Field, ambient: int, indices) -> "Subspace":
+        """Span of the unit vectors e_i for increasing indices i.
+
+        Those rows are already in canonical form, so nothing is reduced.
+        """
+        z, o = field.zero, field.one
+        rows = tuple(tuple(o if j == i else z for j in range(ambient)) for i in indices)
+        return cls(field, ambient, Matrix._raw(field, len(rows), ambient, rows))
 
     @property
     def dim(self) -> int:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field as dc_field
 from .linalg import (
     Field,
     Matrix,
+    QuotientMap,
     Subspace,
     kernel_basis,
     parse_field_spec,
@@ -369,7 +370,9 @@ class PathBasis:
 
     Paths of length < nilbound are enumerated per ordered vertex pair and
     reduced modulo the span of all shifted relations; the surviving
-    (non-pivot) paths are the canonical basis representatives.
+    (non-pivot) paths are the canonical basis representatives.  A pair
+    with no relation vector shares the one zero ideal and identity
+    quotient of its ambient dimension (both are immutable).
     """
 
     def __init__(self, bq: BoundQuiver, path_cap: int = 200_000):
@@ -379,29 +382,48 @@ class PathBasis:
         paths, self.path_index = _paths_by_pair(bq, m - 1, path_cap)
         self.paths = paths
 
-        # span of the shifted relations, projected onto paths of length < m
-        ideal_vectors: dict[tuple[str, str], list[list]] = {key: [] for key in paths}
+        # span of the shifted relations, projected onto paths of length < m;
+        # a shift c * rel * d has a term below m only if its shortest does,
+        # and the path lists are sorted by length
+        ideal_vectors: dict[tuple[str, str], list[list]] = {}
         for rel in bq.relations:
             u, v = bq.relation_endpoints(rel)
+            shortest = min(len(p) for _, p in rel)
             for x in bq.vertices:
                 for c_path in paths[(x, u)]:
+                    room = m - shortest - len(c_path)
+                    if room <= 0:
+                        break
                     for y in bq.vertices:
+                        key = (x, y)
+                        index = self.path_index[key]
                         for d_path in paths[(v, y)]:
-                            vec = None
+                            if len(d_path) >= room:
+                                break
+                            vec = [f.zero] * len(index)
                             for coeff, p in rel:
                                 full = c_path + p + d_path
                                 if len(full) < m:
-                                    if vec is None:
-                                        vec = [f.zero] * len(paths[(x, y)])
-                                    idx = self.path_index[(x, y)][full]
+                                    idx = index[full]
                                     vec[idx] = f.add(vec[idx], coeff)
-                            if vec is not None and any(vec):
-                                ideal_vectors[(x, y)].append(vec)
-        self.ideal = {
-            key: Subspace.span(f, len(paths[key]), vecs)
-            for key, vecs in ideal_vectors.items()
-        }
-        self.quots = {key: sub.quotient() for key, sub in self.ideal.items()}
+                            if any(vec):
+                                ideal_vectors.setdefault(key, []).append(vec)
+        zeros: dict[int, tuple[Subspace, QuotientMap]] = {}
+        self.ideal: dict[tuple[str, str], Subspace] = {}
+        self.quots: dict[tuple[str, str], QuotientMap] = {}
+        for key, plist in paths.items():
+            n = len(plist)
+            vecs = ideal_vectors.get(key)
+            if vecs:
+                sub = Subspace.span(f, n, vecs)
+                quot = sub.quotient()
+            else:
+                if n not in zeros:
+                    zero = Subspace.span(f, n, ())
+                    zeros[n] = (zero, zero.quotient())
+                sub, quot = zeros[n]
+            self.ideal[key] = sub
+            self.quots[key] = quot
         self._compose_cache: dict = {}
 
     def dim(self, x: str, y: str) -> int:
@@ -483,26 +505,30 @@ def check_admissible(bq: BoundQuiver, path_cap: int = 200_000) -> AdmissibleRepo
     cap_len = m + max_term
     paths, index = _paths_by_pair(bq, cap_len, path_cap)
 
-    spans: dict[tuple[str, str], list[list]] = {key: [] for key in paths}
+    # only the ideals of pairs that hold a path of length m are read
+    needed = {key for key, plist in paths.items() if any(len(p) == m for p in plist)}
+    spans: dict[tuple[str, str], list[list]] = {key: [] for key in needed}
     for rel in bq.relations:
         u, v = bq.relation_endpoints(rel)
         for x in bq.vertices:
             for c_path in paths[(x, u)]:
+                room = cap_len - max_term - len(c_path)
+                if room < 0:
+                    break
                 for y in bq.vertices:
+                    key = (x, y)
+                    if key not in needed:
+                        continue
                     for d_path in paths[(v, y)]:
-                        if len(c_path) + max_term + len(d_path) > cap_len:
-                            continue
-                        vec = [f.zero] * len(paths[(x, y)])
-                        ok = True
+                        if len(d_path) > room:
+                            break
+                        # every term fits: no term is longer than max_term
+                        vec = [f.zero] * len(paths[key])
                         for coeff, p in rel:
-                            full = c_path + p + d_path
-                            if len(full) > cap_len:
-                                ok = False
-                                break
-                            idx = index[(x, y)][full]
+                            idx = index[key][c_path + p + d_path]
                             vec[idx] = f.add(vec[idx], coeff)
-                        if ok and any(vec):
-                            spans[(x, y)].append(vec)
+                        if any(vec):
+                            spans[key].append(vec)
     ideals = {key: Subspace.span(f, len(paths[key]), vecs) for key, vecs in spans.items()}
 
     for (x, y), plist in sorted(paths.items()):
@@ -667,19 +693,9 @@ class StructureCategory:
         return tuple(v)
 
     def radical(self, x, y) -> Subspace:
-        f = self.field
         n = self.dim(x, y)
-        if x != y:
-            vecs = Matrix.identity(f, n).entries
-            return Subspace.span(f, n, vecs)
-        vecs = []
-        for i in range(n):
-            if i == self.identity_index[x]:
-                continue
-            e = [f.zero] * n
-            e[i] = f.one
-            vecs.append(e)
-        return Subspace.span(f, n, vecs)
+        skip = self.identity_index[x] if x == y else None
+        return Subspace.coordinate(self.field, n, (i for i in range(n) if i != skip))
 
 
 def structure_category(bq: BoundQuiver, basis: PathBasis | None = None) -> StructureCategory:
@@ -835,16 +851,27 @@ def extract_presentation(cat: StructureCategory, vertex_name=None, arrow_prefix:
 
     out = BoundQuiver(vertices, arrows, relations, f, nilbound)
     if verify:
-        got = path_basis(out)
-        for x in objs:
-            for y in objs:
-                if got.dim(vmap[x], vmap[y]) != cat.dim(x, y):
-                    raise QuiverError(
-                        f"extracted presentation has wrong dimension at ({x}, {y}): "
-                        f"{got.dim(vmap[x], vmap[y])} != {cat.dim(x, y)}")
+        presentation_basis(cat, out)
     return out
 
 
-def normalize_presentation(bq: BoundQuiver) -> BoundQuiver:
+def presentation_basis(cat: StructureCategory, bq: BoundQuiver) -> PathBasis:
+    """The path basis of a presentation of cat, checked against its dimensions.
+
+    bq's vertices must list cat's objects in order, as extract_presentation
+    names them.
+    """
+    got = path_basis(bq)
+    vmap = dict(zip(cat.objects, bq.vertices))
+    for x in cat.objects:
+        for y in cat.objects:
+            if got.dim(vmap[x], vmap[y]) != cat.dim(x, y):
+                raise QuiverError(
+                    f"extracted presentation has wrong dimension at ({x}, {y}): "
+                    f"{got.dim(vmap[x], vmap[y])} != {cat.dim(x, y)}")
+    return got
+
+
+def normalize_presentation(bq: BoundQuiver, basis: PathBasis | None = None) -> BoundQuiver:
     """Canonical presentation of the algebra presented by bq."""
-    return extract_presentation(structure_category(bq))
+    return extract_presentation(structure_category(bq, basis))

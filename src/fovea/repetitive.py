@@ -27,6 +27,7 @@ from .quiver import (
     lift_window,
     opposite_quiver,
     path_basis,
+    presentation_basis,
     radical_filtration,
     structure_category,
 )
@@ -93,8 +94,13 @@ class RepetitiveTruncation:
 
     def export(self, layer_sep: str = "@") -> BoundQuiver:
         """A bound quiver presentation with vertices named vertex@layer."""
-        return extract_presentation(self.category,
-                                    vertex_name=lambda o: f"{o[1]}{layer_sep}{o[0]}")
+        return self.export_with_basis(layer_sep)[0]
+
+    def export_with_basis(self, layer_sep: str = "@") -> tuple[BoundQuiver, PathBasis]:
+        """export() together with the path basis its dimension check built."""
+        out = extract_presentation(self.category, verify=False,
+                                   vertex_name=lambda o: f"{o[1]}{layer_sep}{o[0]}")
+        return out, presentation_basis(self.category, out)
 
 
 def _unit_vectors(f, n):
@@ -112,18 +118,19 @@ def _pair(f, coords, functional):
     return acc
 
 
-def repetitive_truncation(bq: BoundQuiver, n: int) -> RepetitiveTruncation:
-    return RepetitiveTruncation(bq, n)
+def repetitive_truncation(bq: BoundQuiver, n: int,
+                          basis: PathBasis | None = None) -> RepetitiveTruncation:
+    return RepetitiveTruncation(bq, n, basis)
 
 
-def repetitive_voltage(bq: BoundQuiver) -> VoltageQuiver:
+def repetitive_voltage(bq: BoundQuiver, basis: PathBasis | None = None) -> VoltageQuiver:
     """The repetitive category as a graded presentation with shift degree 1.
 
     Arrows are a rad/rad^2 basis taken at layer zero (shift invariance
     makes that choice global); relations are the canonical kernel of path
     evaluation inside a truncation wide enough to hold every relation.
     """
-    basis = path_basis(bq)
+    basis = basis or path_basis(bq)
     _, _, nildeg_a = radical_filtration(structure_category(bq, basis))
     trunc = RepetitiveTruncation(bq, max(2 * nildeg_a + 2, 2), basis)
     cat = trunc.category

@@ -167,30 +167,31 @@ def _suite_repetitive(report: Report, q):
         raise SuiteError("suite repetitive needs a finite-dimensional algebra input")
     bq: BoundQuiver = q
     vr = VerifyReport("repetitive")
-    base_dim = path_basis(bq).total_dim
-    trunc0 = repetitive_truncation(bq, 0)
-    trunc1 = repetitive_truncation(bq, 1)
-    trunc2 = repetitive_truncation(bq, 2)
+    # one path basis per quiver: the base's is passed to everything built on
+    # the base, and each export's is the one its dimension check built
+    basis = path_basis(bq)
+    base_dim = basis.total_dim
+    trunc0 = repetitive_truncation(bq, 0, basis)
+    trunc1 = repetitive_truncation(bq, 1, basis)
+    trunc2 = repetitive_truncation(bq, 2, basis)
     vr.add("repetitive.dim-n0", base_dim, trunc0.total_dim)
     vr.add("repetitive.dim-n1", 5 * base_dim, trunc1.total_dim)
     vr.add("repetitive.dim-n2", 9 * base_dim, trunc2.total_dim)
 
-    exported1 = trunc1.export()
+    exported1, pb1 = trunc1.export_with_basis()
     vr.add("repetitive.export-admissible", True, check_admissible(exported1).ok)
 
-    exported2 = trunc2.export()
+    exported2, pb2 = trunc2.export_with_basis()
     inner = [v for v in exported2.vertices if v.endswith(("@-1", "@0", "@1"))]
-    pb1 = path_basis(exported1)
-    pb2 = path_basis(exported2)
     vr.add("repetitive.truncation-convex", True, is_convex(exported2, inner, pb2))
     agree = all(pb1.dim(x, y) == pb2.dim(x, y) for x in inner for y in inner)
     vr.add("repetitive.truncation-hom-dims-agree", True, agree)
 
-    norm = format_quiver(normalize_presentation(bq))
+    norm = format_quiver(normalize_presentation(bq, basis))
     renamed = rename_vertices(trunc0.export(), {f"{v}@0": v for v in bq.vertices})
     vr.add("repetitive.n0-byte-exact", True, format_quiver(renamed) == norm)
 
-    rv = repetitive_voltage(bq)
+    rv = repetitive_voltage(bq, basis)
     for n, trunc in ((1, trunc1), (2, trunc2)):
         wdim = path_basis(lift_window(rv, Window(-n, n))).total_dim
         vr.add(f"repetitive.window-matches-truncation[n={n}]", trunc.total_dim, wdim)

@@ -65,6 +65,21 @@ def test_length_queries(capsys):
     assert code == 0 and out.strip() == "length = 3"
     code, out, _ = run(capsys, "length", "a2.bq", "--functor", "H@P2")
     assert code == 0 and out.strip() == "length = 2"
+    code, out, _ = run(capsys, "length", "a3.bq", "--functor", "S@S1")
+    assert code == 0 and out == "length = 1\n"
+
+
+@pytest.mark.parametrize("functor", ["S@S1", "H@S1"])
+def test_length_on_a_capped_enumeration_fails_fast(functor):
+    # the simple functor is built on the one enumeration with the CLI's caps,
+    # which is incomplete on the Kronecker algebra, so the length check
+    # refuses at once
+    done = subprocess.run(
+        [sys.executable, "-m", "fovea", "length", "kronecker.bq", "--functor", functor],
+        capture_output=True, text=True, cwd="src", timeout=60)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == "fovea: finite length is undecidable from an incomplete list\n"
 
 
 def test_field_override(capsys):

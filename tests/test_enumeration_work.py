@@ -3,8 +3,10 @@
 These count work instead of timing it, so they give the same answer on
 every run: an enumeration decomposes each candidate once; no call
 enumerates a quiver twice, whatever the closure; the repetitive suite
-builds its repetitive category once; the radical filtration spans only
-the blocks where a product can land; a hom space builds its maps only
+builds its repetitive category once and each path basis once; the
+radical filtration spans only the blocks where a product can land; a
+path basis spans only the vertex pairs that hold a relation vector; a hom
+space builds its maps only
 when they are read; a Fitting split tries phi^N before factoring and
 stops factoring at the first divisor that splits; a kernel takes one
 elimination; and an isomorphism test reads one trace pairing.
@@ -34,9 +36,17 @@ from fovea.modules import (
     simple,
 )
 from fovea.naming import load_quiver
-from fovea.quiver import Window, lift_window, parse_quiver, path_basis, radical_filtration
+from fovea.quiver import (
+    PathBasis,
+    Window,
+    lift_window,
+    parse_quiver,
+    path_basis,
+    radical_filtration,
+)
 from fovea.repetitive import RepetitiveTruncation
 from fovea.suites import run_suite
+from test_quiver import dense_path_basis
 from test_repetitive import dense_radical_filtration
 
 D4 = parse_quiver(
@@ -130,6 +140,45 @@ def test_radical_filtration_spans_only_nonzero_blocks(monkeypatch):
     nonzero = sum(1 for power in powers for s in power.values() if s.dim)
     bound = nonzero + len(set(cat.dims.values()))
     assert 0 < len(spans) <= bound
+
+
+@pytest.mark.parametrize("make_bq", [
+    _nakayama2_window,
+    lambda: RepetitiveTruncation(load_quiver("a3.bq")[2], 2).export(),
+], ids=["nakayama2-window", "a3-truncation2"])
+def test_path_basis_spans_only_pairs_with_relation_vectors(monkeypatch, make_bq):
+    bq = make_bq()
+    spans = []
+    span = Subspace.span
+
+    def recording(field, ambient, vectors):
+        spans.append(ambient)
+        return span(field, ambient, vectors)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Subspace, "span", staticmethod(recording))
+        PathBasis(bq)
+    # one span per pair with a relation vector, and at most one zero ideal
+    # per ambient dimension on top
+    paths, ideal_vectors, _, _ = dense_path_basis(bq)
+    with_vectors = sum(1 for vecs in ideal_vectors.values() if vecs)
+    bound = with_vectors + len({len(plist) for plist in paths.values()})
+    assert 0 < len(spans) <= bound
+
+
+def test_repetitive_suite_builds_each_path_basis_once(monkeypatch):
+    built = []
+    init = PathBasis.__init__
+
+    def recording(self, bq, *args, **kwargs):
+        built.append(bq)
+        init(self, bq, *args, **kwargs)
+
+    monkeypatch.setattr(PathBasis, "__init__", recording)
+    assert run_suite("repetitive", "a3.bq").passed
+    # the base, three exports, the two normal forms' checks, two windows,
+    # the degree-0 window, the orbit algebra and its opposite
+    assert len(built) <= 11
 
 
 def test_hom_dimension_builds_no_maps(monkeypatch):

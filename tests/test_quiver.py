@@ -1,5 +1,7 @@
 import pytest
 
+from fovea.linalg import Subspace
+from fovea.naming import fixture_names, load_quiver
 from fovea.quiver import (
     BoundQuiver,
     ParseError,
@@ -13,9 +15,11 @@ from fovea.quiver import (
     normalize_presentation,
     opposite_quiver,
     parse_quiver,
+    _paths_by_pair,
     path_basis,
     sub_quiver,
 )
+from fovea.repetitive import RepetitiveTruncation
 
 from oracles import brute_paths
 
@@ -305,3 +309,143 @@ def test_public_import_surface():
                  "lift_morphism", "fp_hom", "phi", "psi_evaluate",
                  "kg_level0_report", "repetitive_truncation", "selfinjective_orbit"):
         assert hasattr(fovea, name)
+
+
+# ---------------------------------------------------------------------------
+# the dense path-space constructions, kept as references for the sparse ones
+
+
+def dense_path_basis(bq: BoundQuiver, path_cap: int = 200_000):
+    """The dense construction PathBasis replaced, as a reference.
+
+    Tries every prefix c into a relation and every suffix d out of it, and
+    spans and takes the quotient of every vertex pair, empty ones included.
+    Returns (paths, ideal vectors, ideal, quots), each keyed by vertex pair.
+    """
+    f = bq.field
+    m = bq.nilbound
+    paths, index = _paths_by_pair(bq, m - 1, path_cap)
+    ideal_vectors = {key: [] for key in paths}
+    for rel in bq.relations:
+        u, v = bq.relation_endpoints(rel)
+        for x in bq.vertices:
+            for c_path in paths[(x, u)]:
+                for y in bq.vertices:
+                    for d_path in paths[(v, y)]:
+                        vec = None
+                        for coeff, p in rel:
+                            full = c_path + p + d_path
+                            if len(full) < m:
+                                if vec is None:
+                                    vec = [f.zero] * len(paths[(x, y)])
+                                idx = index[(x, y)][full]
+                                vec[idx] = f.add(vec[idx], coeff)
+                        if vec is not None and any(vec):
+                            ideal_vectors[(x, y)].append(vec)
+    ideal = {key: Subspace.span(f, len(paths[key]), vecs)
+             for key, vecs in ideal_vectors.items()}
+    quots = {key: sub.quotient() for key, sub in ideal.items()}
+    return paths, ideal_vectors, ideal, quots
+
+
+def dense_check_admissible(bq: BoundQuiver, path_cap: int = 200_000):
+    """The dense admissibility check check_admissible replaced, as a
+    reference: spans the relation shifts of every vertex pair.  Returns
+    (ok, violations)."""
+    f = bq.field
+    violations = []
+    max_term = 0
+    for rel in bq.relations:
+        for _, p in rel:
+            max_term = max(max_term, len(p))
+            if len(p) < 2:
+                violations.append(f"relation term {'*'.join(p)} has length < 2")
+    m = bq.nilbound
+    cap_len = m + max_term
+    paths, index = _paths_by_pair(bq, cap_len, path_cap)
+    spans = {key: [] for key in paths}
+    for rel in bq.relations:
+        u, v = bq.relation_endpoints(rel)
+        for x in bq.vertices:
+            for c_path in paths[(x, u)]:
+                for y in bq.vertices:
+                    for d_path in paths[(v, y)]:
+                        if len(c_path) + max_term + len(d_path) > cap_len:
+                            continue
+                        vec = [f.zero] * len(paths[(x, y)])
+                        ok = True
+                        for coeff, p in rel:
+                            full = c_path + p + d_path
+                            if len(full) > cap_len:
+                                ok = False
+                                break
+                            idx = index[(x, y)][full]
+                            vec[idx] = f.add(vec[idx], coeff)
+                        if ok and any(vec):
+                            spans[(x, y)].append(vec)
+    ideals = {key: Subspace.span(f, len(paths[key]), vecs) for key, vecs in spans.items()}
+    for (x, y), plist in sorted(paths.items()):
+        for p in plist:
+            if len(p) != m:
+                continue
+            vec = [f.zero] * len(plist)
+            vec[index[(x, y)][p]] = f.one
+            if not ideals[(x, y)].contains(vec):
+                violations.append(
+                    f"path {'*'.join(p)} of length {m} is not in the relation ideal")
+    return not violations, violations
+
+
+def _reference_inputs():
+    out = []
+    for name in fixture_names():
+        q = load_quiver(name)[2]
+        if isinstance(q, VoltageQuiver):
+            out.append(pytest.param(lambda q=q: q.base, id=f"{name}-base"))
+            for r in (1, 2):
+                out.append(pytest.param(lambda q=q, r=r: lift_window(q, Window(-r, r)),
+                                        id=f"{name}[-{r},{r}]"))
+        else:
+            out.append(pytest.param(lambda q=q: q, id=name))
+            for n in (0, 1, 2):
+                out.append(pytest.param(lambda q=q, n=n: RepetitiveTruncation(q, n).export(),
+                                        id=f"{name}-truncation{n}"))
+    out.append(pytest.param(lambda: parse_quiver(
+        "field gf 7\nnilbound 2\nvertex 1 2 3 4\n"
+        "arrow a: 1 -> 2\narrow b: 2 -> 3\narrow c: 3 -> 4\nrelation a*b\n"),
+        id="non-admissible-long-path"))
+    out.append(pytest.param(lambda: BoundQuiver(
+        ["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "3")],
+        [((1, ("a", "b")), (-1, ("c",)))], parse_quiver(A2_TEXT).field, 3),
+        id="non-admissible-short-term"))
+    return out
+
+
+@pytest.mark.parametrize("make_bq", _reference_inputs())
+def test_sparse_path_basis_matches_the_dense_reference(make_bq):
+    bq = make_bq()
+    pb = path_basis(bq)
+    paths, _, ideal, quots = dense_path_basis(bq)
+    assert pb.paths == paths
+    assert pb.ideal.keys() == ideal.keys() == pb.quots.keys()
+    for key in paths:
+        assert pb.ideal[key] == ideal[key], key
+        assert pb.quots[key].projection == quots[key].projection, key
+        assert pb.quots[key].representatives == quots[key].representatives, key
+        assert pb.dim(*key) == quots[key].dim, key
+
+
+@pytest.mark.parametrize("make_bq", _reference_inputs())
+def test_pruned_admissibility_matches_the_dense_reference(make_bq):
+    bq = make_bq()
+    report = check_admissible(bq)
+    assert (report.ok, report.violations) == dense_check_admissible(bq)
+
+
+def test_the_references_see_non_admissible_inputs():
+    verdicts = {}
+    for param in _reference_inputs():
+        verdicts[param.id] = dense_check_admissible(param.values[0]())[0]
+    assert not verdicts["non-admissible-long-path"]
+    assert not verdicts["non-admissible-short-term"]
+    assert verdicts["a3.bq-truncation2"]

@@ -5,6 +5,11 @@ of every suite call the benchmark makes.  Each entry on a packaged fixture
 is run here in-process and compared with its record; entries on generated
 inputs (gen-*) and on the loop cover are left to the benchmark, which
 writes those inputs itself.
+
+The repetitive exports (`rep build`, `rep orbit`) run through the path
+basis, the radical filtration and presentation extraction, and no suite
+report prints them; REP_DIGESTS holds the sha256 of their standard output,
+recorded before path bases were built sparsely.
 """
 
 import contextlib
@@ -21,6 +26,48 @@ from fovea.naming import fixture_names
 DIGESTS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text())
 FIXTURES = set(fixture_names())
 ENTRIES = sorted(key for key in DIGESTS if key.split()[1] in FIXTURES)
+REP_DIGESTS = {
+    "rep build a2.bq --n 1":
+        "2ef645c48a7610482969802a29ea5a84a9f41770d6e87c6048907ad3d4b7bff8",
+    "rep build a2.bq --n 2":
+        "46b77aab5a41238351e605c9baaaef0fc20bc21a29d9f89a13c6417c42e692e6",
+    "rep orbit a2.bq --k 1":
+        "39310300c78a7f0b3c4b6bf212e149326fdf851012dd186f78db69429b5bd09d",
+    "rep orbit a2.bq --k 2":
+        "85360fa10f0d631d823b2598673b7fc0054ad1c614cfef1b3022794f407dade4",
+    "rep build a3.bq --n 1":
+        "c6ee463e31fd4587f71627f8b6639752d83951f9054fe47711268056b2af1111",
+    "rep build a3.bq --n 2":
+        "b068abe56ae47065d6d1451c8c00c02f1555b2cbe02e2d170802be77f643b51c",
+    "rep orbit a3.bq --k 1":
+        "f310522cef27f0186a1e75c653ca9dc455b104e4dcc190056824903cb01b34e4",
+    "rep orbit a3.bq --k 2":
+        "87a29ef8ed1b59e5d00018fa8f5e8e00cc48b03fda0f5aceaeb548296186ebec",
+    "rep build kronecker.bq --n 1":
+        "fb5e62058483add14405efcaf95dd95513a7a66b1831f38c69aeabef10318e07",
+    "rep build kronecker.bq --n 2":
+        "d100f00ded9edec8a78b8e83c2bfc61b7c6ffc043250563b14c1229f856630f7",
+    "rep orbit kronecker.bq --k 1":
+        "b14b2a050750c8d9f256a3aa2e9318ce261c6cc9b5d9c8e7ee9cd67e7f4e12e4",
+    "rep orbit kronecker.bq --k 2":
+        "3005801eee19d1e04c4248a0f614af1cd11c3bbb0c3063a5f4e5a311e2d496c1",
+    "rep build loop2.bq --n 1":
+        "6fe50238a5ad812a42721019ea2af62bb7f209c696307ead3f748aefacae66b2",
+    "rep build loop2.bq --n 2":
+        "1219e26ad20c5e7ade8898cde629f86ea5b7a141dbf25f2d3501a432fa68a980",
+    "rep orbit loop2.bq --k 1":
+        "8f0696bd517c45a3797de41b3fb261c88279e5b1b07c7a20021c7ac5a15b6004",
+    "rep orbit loop2.bq --k 2":
+        "0cb52f15dc737b4346c9f5fa14eb93fdb7fe372cb5875691444de2e409cae0ef",
+    "rep build point.bq --n 1":
+        "654a4bc31409e16bf667b38e18df5914f36d9cce63bf0480478a4ec3901cd446",
+    "rep build point.bq --n 2":
+        "760f091ca4c999da30778356139bc4330e39c7b22b8c713ad546a86deb713042",
+    "rep orbit point.bq --k 1":
+        "eaabed693fd02ee1691304630336df017067cf79fd3ef9cd5e252c1327aa0020",
+    "rep orbit point.bq --k 2":
+        "7c3144a6921d1805896a84969787ecef862fa9c106161cb1b8553216f9c97f83",
+}
 
 
 def test_every_packaged_fixture_entry_is_checked():
@@ -37,3 +84,13 @@ def test_report_matches_its_recorded_digest(monkeypatch, tmp_path, key):
     record = DIGESTS[key]
     assert rc == record["exit"]
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == record["report_sha256"]
+
+
+@pytest.mark.parametrize("command", sorted(REP_DIGESTS))
+def test_repetitive_export_matches_its_recorded_digest(monkeypatch, tmp_path, command):
+    monkeypatch.chdir(tmp_path)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(command.split())
+    assert rc == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == REP_DIGESTS[command]
