@@ -58,93 +58,117 @@ def _common(p: argparse.ArgumentParser):
     p.add_argument("--count-cap", type=int, default=24, help="count cap for enumeration")
 
 
-def build_parser() -> argparse.ArgumentParser:
+# the verbs in help order
+_VERBS = ("hom", "pushdown", "eval", "simple", "phi", "length", "rep", "cover", "suite",
+         "fun", "mod", "fixtures")
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The command line parser; given a verb, only that verb's subparser.
+
+    The subparser list's usage names every verb either way, so a one-verb
+    parser prints the full parser's messages; the full parser is needed
+    only for --help, --version, a missing verb or an unknown one.
+    """
     parser = argparse.ArgumentParser(prog="fovea",
                                      description="exact covering computations on bound quivers")
     parser.add_argument("--version", action="version", version=f"fovea {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if verb is None else "{" + ",".join(_VERBS) + "}")
 
-    p = sub.add_parser("hom", help="dimension of a hom space")
-    p.add_argument("input")
-    p.add_argument("--from", dest="src", required=True, metavar="MODULE")
-    p.add_argument("--to", dest="dst", required=True, metavar="MODULE")
-    _common(p)
+    if verb in (None, "hom"):
+        p = sub.add_parser("hom", help="dimension of a hom space")
+        p.add_argument("input")
+        p.add_argument("--from", dest="src", required=True, metavar="MODULE")
+        p.add_argument("--to", dest="dst", required=True, metavar="MODULE")
+        _common(p)
 
-    p = sub.add_parser("pushdown", help="push a lifted module down to the base algebra")
-    p.add_argument("input")
-    p.add_argument("--module", required=True)
-    _common(p)
+    if verb in (None, "pushdown"):
+        p = sub.add_parser("pushdown", help="push a lifted module down to the base algebra")
+        p.add_argument("input")
+        p.add_argument("--module", required=True)
+        _common(p)
 
-    p = sub.add_parser("eval", help="evaluate a presented functor at a module")
-    p.add_argument("input")
-    p.add_argument("--functor", required=True)
-    p.add_argument("--at", required=True)
-    _common(p)
+    if verb in (None, "eval"):
+        p = sub.add_parser("eval", help="evaluate a presented functor at a module")
+        p.add_argument("input")
+        p.add_argument("--functor", required=True)
+        p.add_argument("--at", required=True)
+        _common(p)
 
-    p = sub.add_parser("simple", help="evaluation profile of a simple functor")
-    p.add_argument("input")
-    p.add_argument("--at", required=True)
-    _common(p)
+    if verb in (None, "simple"):
+        p = sub.add_parser("simple", help="evaluation profile of a simple functor")
+        p.add_argument("input")
+        p.add_argument("--at", required=True)
+        _common(p)
 
-    p = sub.add_parser("phi", help="profile of the pushed-down functor over the base")
-    p.add_argument("input")
-    p.add_argument("--functor", required=True)
-    _common(p)
+    if verb in (None, "phi"):
+        p = sub.add_parser("phi", help="profile of the pushed-down functor over the base")
+        p.add_argument("input")
+        p.add_argument("--functor", required=True)
+        _common(p)
 
-    p = sub.add_parser("length", help="composition length of a presented functor")
-    p.add_argument("input")
-    p.add_argument("--functor", required=True)
-    _common(p)
+    if verb in (None, "length"):
+        p = sub.add_parser("length", help="composition length of a presented functor")
+        p.add_argument("input")
+        p.add_argument("--functor", required=True)
+        _common(p)
 
-    p = sub.add_parser("rep", help="repetitive constructions")
-    rep_sub = p.add_subparsers(dest="rep_command", required=True)
-    pb = rep_sub.add_parser("build", help="truncated repetitive category as a quiver file")
-    pb.add_argument("input")
-    pb.add_argument("--n", type=int, required=True)
-    pb.add_argument("-o", "--output", default=None)
-    _common(pb)
-    po = rep_sub.add_parser("orbit", help="orbit algebra of the k-fold shift")
-    po.add_argument("input")
-    po.add_argument("--k", type=int, default=1)
-    po.add_argument("-o", "--output", default=None)
-    _common(po)
+    if verb in (None, "rep"):
+        p = sub.add_parser("rep", help="repetitive constructions")
+        rep_sub = p.add_subparsers(dest="rep_command", required=True)
+        pb = rep_sub.add_parser("build", help="truncated repetitive category as a quiver file")
+        pb.add_argument("input")
+        pb.add_argument("--n", type=int, required=True)
+        pb.add_argument("-o", "--output", default=None)
+        _common(pb)
+        po = rep_sub.add_parser("orbit", help="orbit algebra of the k-fold shift")
+        po.add_argument("input")
+        po.add_argument("--k", type=int, default=1)
+        po.add_argument("-o", "--output", default=None)
+        _common(po)
 
-    p = sub.add_parser("cover", help="covering verifications")
-    cov_sub = p.add_subparsers(dest="cover_command", required=True)
-    pv = cov_sub.add_parser("verify", help="check the covering identities on a graded input")
-    pv.add_argument("input")
-    pv.set_defaults(name="cover-axioms")
-    _common(pv)
+    if verb in (None, "cover"):
+        p = sub.add_parser("cover", help="covering verifications")
+        cov_sub = p.add_subparsers(dest="cover_command", required=True)
+        pv = cov_sub.add_parser("verify", help="check the covering identities on a graded input")
+        pv.add_argument("input")
+        pv.set_defaults(name="cover-axioms")
+        _common(pv)
 
-    p = sub.add_parser("suite", help="run a named verification suite")
-    p.add_argument("name", help="one of: cover-axioms, pushdown, phi-identities, kg0, repetitive")
-    p.add_argument("input")
-    _common(p)
+    if verb in (None, "suite"):
+        p = sub.add_parser("suite", help="run a named verification suite")
+        p.add_argument("name", help="one of: cover-axioms, pushdown, phi-identities, kg0, repetitive")
+        p.add_argument("input")
+        _common(p)
 
-    p = sub.add_parser("fun", help="functor-category verbs")
-    fun_sub = p.add_subparsers(dest="fun_command", required=True)
-    for verb, args in (("eval", ("--functor", "--at")), ("hom", ("--from", "--to")),
-                       ("simple", ("--at",)), ("phi", ("--functor",)),
-                       ("kg0", ())):
-        pf = fun_sub.add_parser(verb)
-        pf.add_argument("input")
-        if verb == "kg0":
-            pf.set_defaults(name="kg0")
-        for a in args:
-            dest = {"--from": "src", "--to": "dst"}.get(a)
-            if dest:
-                pf.add_argument(a, dest=dest, required=True)
-            else:
-                pf.add_argument(a, required=True)
-        _common(pf)
+    if verb in (None, "fun"):
+        p = sub.add_parser("fun", help="functor-category verbs")
+        fun_sub = p.add_subparsers(dest="fun_command", required=True)
+        for name, args in (("eval", ("--functor", "--at")), ("hom", ("--from", "--to")),
+                           ("simple", ("--at",)), ("phi", ("--functor",)),
+                           ("kg0", ())):
+            pf = fun_sub.add_parser(name)
+            pf.add_argument("input")
+            if name == "kg0":
+                pf.set_defaults(name="kg0")
+            for a in args:
+                dest = {"--from": "src", "--to": "dst"}.get(a)
+                if dest:
+                    pf.add_argument(a, dest=dest, required=True)
+                else:
+                    pf.add_argument(a, required=True)
+            _common(pf)
 
-    p = sub.add_parser("mod", help="round-trip a module file to canonical form")
-    p.add_argument("input")
-    p.add_argument("modfile")
-    _common(p)
+    if verb in (None, "mod"):
+        p = sub.add_parser("mod", help="round-trip a module file to canonical form")
+        p.add_argument("input")
+        p.add_argument("modfile")
+        _common(p)
 
-    p = sub.add_parser("fixtures", help="list packaged fixture inputs")
-    _common(p)
+    if verb in (None, "fixtures"):
+        p = sub.add_parser("fixtures", help="list packaged fixture inputs")
+        _common(p)
 
     return parser
 
@@ -298,8 +322,9 @@ def _fixtures(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    verb = argv[0] if argv and argv[0] in _VERBS else None
+    args = build_parser(verb).parse_args(argv)
     handlers = {
         "hom": _fun_hom,
         "pushdown": _fun_pushdown,

@@ -241,34 +241,32 @@ def layered_simple(vq: VoltageQuiver, v: str, n: int) -> LayeredModule:
     return LayeredModule.make(vq, Window(n, n), {(v, n): 1}, {})
 
 
-_MAX_STANDARD_RADIUS = 32
+def _standard(vq: VoltageQuiver, v: str, n: int, kind: str) -> LayeredModule:
+    """Projective or injective at a lifted vertex, from one lift.
 
-
-def _stable_standard(vq: VoltageQuiver, v: str, n: int, kind: str) -> LayeredModule:
-    """Projective or injective at a lifted vertex, grown until stable."""
-    prev = None
-    r = max(vq.base.nilbound, 1)
-    while r <= _MAX_STANDARD_RADIUS:
-        w = Window(n - r, n + r)
-        bq = lift_window(vq, w)
-        if kind == "projective":
-            mod = projective(bq, layer_vertex(v, n), path_basis(bq))
-        else:
-            mod = injective(bq, layer_vertex(v, n))
-        lm = LayeredModule(vq, w, mod).trim()
-        if prev is not None and prev == lm:
-            return lm
-        prev = lm
-        r *= 2
-    raise CoveringError(f"{kind} at {v}@{n} did not stabilize within radius {_MAX_STANDARD_RADIUS}")
+    Its support is reached from (v, n) by paths shorter than nilbound, so
+    it lies within (nilbound - 1) * max|deg| layers of n.  A window keeps
+    a relation only with all of its terms, so the radius also covers the
+    longest relation term; the lift of that radius holds the module exactly.
+    """
+    step = max((abs(d) for d in vq.degree.values()), default=0)
+    longest = max((len(p) for rel in vq.base.relations for _, p in rel), default=0)
+    r = (max(vq.base.nilbound, 1) - 1 + longest) * step
+    w = Window(n - r, n + r)
+    bq = lift_window(vq, w)
+    if kind == "projective":
+        mod = projective(bq, layer_vertex(v, n), path_basis(bq))
+    else:
+        mod = injective(bq, layer_vertex(v, n))
+    return LayeredModule(vq, w, mod).trim()
 
 
 def layered_projective(vq: VoltageQuiver, v: str, n: int) -> LayeredModule:
-    return _stable_standard(vq, v, n, "projective")
+    return _standard(vq, v, n, "projective")
 
 
 def layered_injective(vq: VoltageQuiver, v: str, n: int) -> LayeredModule:
-    return _stable_standard(vq, v, n, "injective")
+    return _standard(vq, v, n, "injective")
 
 
 # ---------------------------------------------------------------------------

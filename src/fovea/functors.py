@@ -289,12 +289,13 @@ def _widened(vq: VoltageQuiver, w: Window) -> Window:
 def _layered_simple_presentation(vq: VoltageQuiver, n: LayeredModule) -> LayeredModMap:
     """Right minimal almost split into a lifted module.
 
-    Its source and the terms of rad^2 meet N, so N's window widened by the
-    orbit reach holds them all.
+    Every summand of the middle term E of the almost split sequence ending
+    at N maps to N, so its support meets N's, and tau N embeds in E; so
+    N's window widened by the orbit reach holds the whole sequence, which
+    is then the sequence over the window algebra.
     """
     w = _widened(vq, n.window)
-    mods = [x.align(w) for x in window_indecomposables(vq, w)]
-    g = right_almost_split(n.align(w), mods, basis=path_basis(lift_window(vq, w)), check=False)
+    g = right_almost_split(n.align(w), [], basis=path_basis(lift_window(vq, w)), check=False)
     src = LayeredModule(vq, w, g.source).trim()
     return LayeredModMap(src, n, w, ModMap(src.align(w), n.align(w), g.comps, check=False))
 

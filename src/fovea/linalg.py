@@ -711,6 +711,31 @@ def _rational_roots(poly):
     return roots
 
 
+def poly_is_irreducible(f: Field, poly) -> bool:
+    """Irreducibility of a nonconstant polynomial.
+
+    Over GF(p), poly of degree n is irreducible iff it has no factor of
+    degree k <= n/2, that is iff gcd(x^(p^k) - x, poly) = 1 for each such
+    k.  Over Q only degrees up to 3 are decided (no rational root); a
+    larger rational polynomial is reported reducible.
+    """
+    poly = poly_monic(f, poly_trim(list(poly)))
+    n = poly_deg(poly)
+    if n < 1:
+        return False
+    if f.p is None:
+        return n <= 3 and not _rational_roots(poly)
+    x = [f.zero, f.one]
+    xq = x
+    for _ in range(n // 2):
+        xq = poly_pow_mod(f, xq, f.p, poly)
+        diff = poly_trim([f.sub(a, b) for a, b in
+                          zip(xq + [f.zero] * 2, x + [f.zero] * len(xq))])
+        if not diff or poly_deg(poly_gcd(f, diff, poly)) > 0:
+            return False
+    return True
+
+
 def candidate_factors(f: Field, poly, rng, tries: int = 8) -> list:
     """Proper monic divisors of poly, best effort.
 

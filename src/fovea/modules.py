@@ -21,6 +21,7 @@ from .linalg import (
     hstack,
     inverse,
     kernel_basis,
+    poly_is_irreducible,
     poly_trim,
     _candidate_factors,
     rank,
@@ -421,15 +422,21 @@ def socle_quotient(m: Module) -> tuple[Module, ModMap]:
     return quotient_module(m, rows)
 
 
+def _sum_module(bq: BoundQuiver, modules: list[Module]) -> Module:
+    """The direct sum as a module, block diagonal, without its maps."""
+    dims = {v: sum(m.dims[v] for m in modules) for v in bq.vertices}
+    mats = {a.name: block_diag(bq.field, [m.mats[a.name] for m in modules]) for a in bq.arrows}
+    return Module(bq, dims, mats, check=False)
+
+
 def direct_sum(modules: list[Module]) -> tuple[Module, list[ModMap], list[ModMap]]:
     """Direct sum with the canonical inclusions and projections."""
     if not modules:
         raise ModuleError("direct sum of nothing")
     bq = modules[0].bq
     f = bq.field
-    dims = {v: sum(m.dims[v] for m in modules) for v in bq.vertices}
-    mats = {a.name: block_diag(f, [m.mats[a.name] for m in modules]) for a in bq.arrows}
-    total = Module(bq, dims, mats, check=False)
+    total = _sum_module(bq, modules)
+    dims = total.dims
     incls, projs = [], []
     for i, m in enumerate(modules):
         comps_in, comps_pr = {}, {}
@@ -582,8 +589,8 @@ def radical_hom(m: Module, n: Module,
 class PairCache:
     """Memo for hom/radical computations over a stable set of modules.
 
-    Keys are object identities, so this is only safe while the modules it
-    has seen stay alive; enumeration keeps them in its working list.
+    Keys are object identities, so the memo keeps every module it has
+    seen alive in _keep.
     """
 
     def __init__(self):
@@ -751,6 +758,27 @@ def _try_split(piece: DecompPiece, phi: ModMap) -> tuple[DecompPiece, DecompPiec
     return None
 
 
+def _generates_a_residue_field(end: HomBasis, rad: Subspace, rng: random.Random) -> bool:
+    """Does a random phi in End(M) have, modulo rad, an irreducible minimal
+    polynomial of degree dim End(M)/rad?  Then K[phi] is a field filling
+    End(M)/rad, so End(M) is local.  No phi passes when End(M) is not."""
+    f = end.source.bq.field
+    phi = end.from_coords([f.sample(rng) for _ in range(end.dim)])
+    quot = rad.quotient()
+    d = quot.dim
+    power = ModMap.identity(end.source)
+    vecs = []
+    for _ in range(d):
+        vecs.append(quot.apply(end.coords(power)))
+        power = phi @ power
+    stack = Matrix(f, vecs).transpose()
+    if rank(stack) < d:
+        return False
+    last = quot.apply(end.coords(power))
+    coeffs = solve(stack, Matrix(f, [[c] for c in last]))
+    return poly_is_irreducible(f, [f.neg(row[0]) for row in coeffs.entries] + [f.one])
+
+
 def decompose(m: Module, seed: int = DEFAULT_SEED, max_tries: int = 64) -> Decomposition:
     """Full direct-sum decomposition with inclusion/projection witnesses."""
     if m.is_zero():
@@ -786,9 +814,15 @@ def decompose(m: Module, seed: int = DEFAULT_SEED, max_tries: int = 64) -> Decom
             if split is not None:
                 break
         if split is None:
-            raise DecompositionError(
-                "could not split a module with non-local endomorphism algebra; "
-                "the field may be too small")
+            # End(P) is local iff End(P)/rad is a field; over a residue
+            # field larger than K nothing above splits, and some element
+            # then generates End(P)/rad
+            if not any(_generates_a_residue_field(end, rad, rng) for _ in range(max_tries)):
+                raise DecompositionError(
+                    "could not split a module with non-local endomorphism algebra; "
+                    "the field may be too small")
+            done.append(piece)
+            continue
         stack.extend(split)
 
     order = sorted(range(len(done)), key=lambda i: done[i].module.sort_key())
@@ -899,33 +933,19 @@ def right_almost_split(n: Module, ind_list: list[Module],
                        cache: PairCache | None = None) -> ModMap:
     """The right minimal almost split map into an indecomposable N.
 
-    For a projective N this is the inclusion of its radical; otherwise the
-    source is assembled from the irreducible-map spaces over the supplied
-    indecomposable list.  With check=True the defining factorization
-    property is verified against the whole list, so an incomplete list is
-    detected rather than silently accepted.
+    For a projective N this is the inclusion of its radical; otherwise it
+    is the map E -> N of the almost split sequence built from N alone.
+    The list is read only with check=True, which verifies the defining
+    factorization property against it, so an incomplete list is detected
+    rather than silently accepted.
     """
     if n.is_zero():
         raise AlmostSplitError("almost split map into the zero module")
     basis = basis or path_basis(n.bq)
-    cache = cache or PairCache()
     if _is_projective_vertex(n, basis) is not None:
-        rad, incl = radical_submodule(n)
-        g = incl
+        g = radical_submodule(n)[1]
     else:
-        parts: list[Module] = []
-        comps: list[ModMap] = []
-        for x in ind_list:
-            irr = irr_space(x, n, ind_list, cache=cache)
-            for lifted in irr.lifted:
-                parts.append(x)
-                comps.append(lifted)
-        if parts:
-            e, incls, _ = direct_sum(parts)
-            sum_comps = {v: hstack([c.comps[v] for c in comps]) for v in n.bq.vertices}
-            g = ModMap(e, n, sum_comps, check=False)
-        else:
-            g = ModMap.zero(Module.zero(n.bq), n)
+        g = almost_split_sequence(n, basis).g
     if check:
         failures = verify_right_almost_split(g, n, ind_list, cache=cache)
         if failures:
@@ -933,19 +953,17 @@ def right_almost_split(n: Module, ind_list: list[Module],
     return g
 
 
-def _factors_through(h: ModMap, g: ModMap) -> bool:
-    """Does h: X -> N factor as g u for some u: X -> E (g: E -> N)?"""
-    e = g.source
-    x = h.source
-    candidates = hom_space(x, e)
+def _factors_through(hs: list[ModMap], g: ModMap, candidates: HomBasis | None = None) -> bool:
+    """Does every h: X -> N in hs factor as g u for some u in Hom(X, E)
+    (g: E -> N), with that hom space given or computed?"""
+    x = hs[0].source
+    if candidates is None:
+        candidates = hom_space(x, g.source)
     if candidates.dim == 0:
-        return h.is_zero()
+        return all(h.is_zero() for h in hs)
     f = x.bq.field
-    cols = []
-    for u in candidates.maps:
-        cols.append(list((g @ u).vectorize()))
-    a = Matrix(f, cols).transpose()
-    b = Matrix(f, [list(h.vectorize())]).transpose()
+    a = Matrix(f, [list((g @ u).vectorize()) for u in candidates.maps]).transpose()
+    b = Matrix(f, [list(h.vectorize()) for h in hs]).transpose()
     return solve(a, b) is not None
 
 
@@ -954,36 +972,189 @@ def verify_right_almost_split(g: ModMap, n: Module, ind_list: list[Module],
     """Constructive postcondition: non-split, and every radical map factors."""
     cache = cache or PairCache()
     failures = []
-    if not n.is_zero() and _factors_through(ModMap.identity(n), g):
+    back = None if n.is_zero() else hom_space(n, g.source)
+    if back is not None and _factors_through([ModMap.identity(n)], g, back):
         failures.append("the map is a split epimorphism")
     for x in ind_list:
-        if x.dims == n.dims and is_isomorphic_indec(x, n):
+        if x is n or (x.dims == n.dims and is_isomorphic_indec(x, n)):
             continue
-        for h in cache.hom(x, n).maps:
-            if not _factors_through(h, g):
-                failures.append(f"a map from {x!r} does not factor (list incomplete?)")
-                break
-    for r in cache.radical(n, n).maps:
-        if not _factors_through(r, g):
+        if not any(x.dims[v] and n.dims[v] for v in n.bq.vertices):
+            continue    # disjoint supports: Hom(X, N) = 0
+        hom = cache.hom(x, n)
+        if hom.dim and not _factors_through(hom.maps, g):
+            failures.append(f"a map from {x!r} does not factor (list incomplete?)")
+    if back is not None:
+        end = cache.hom(n, n)
+        rad = [end.from_coords(r) for r in end_radical(n, end).rows.entries]
+        if rad and not _factors_through(rad, g, back):
             failures.append("a radical endomorphism does not factor")
-            break
     return failures
 
 
 def left_almost_split(n: Module, ind_list: list[Module],
                       op: BoundQuiver | None = None,
                       op_basis: PathBasis | None = None,
-                      check: bool = True,
-                      dual_n: Module | None = None,
-                      dual_list: list[Module] | None = None,
-                      cache: PairCache | None = None) -> ModMap:
-    """The left minimal almost split map out of N, via duality."""
+                      check: bool = True) -> ModMap:
+    """The left minimal almost split map out of N: the dual of the right
+    one into D N over the opposite quiver.  The list is read only with
+    check=True."""
     op = op or opposite_quiver(n.bq)
     op_basis = op_basis or path_basis(op)
-    dual_n = dual_n if dual_n is not None else dual_module(n, op)
-    dual_list = dual_list if dual_list is not None else [dual_module(x, op) for x in ind_list]
-    g = right_almost_split(dual_n, dual_list, basis=op_basis, check=check, cache=cache)
+    dual_list = [dual_module(x, op) for x in ind_list] if check else []
+    g = right_almost_split(dual_module(n, op), dual_list, basis=op_basis, check=check)
     return dual_map(g, n.bq)
+
+
+# ---------------------------------------------------------------------------
+# almost split sequences from projective presentations
+
+
+@dataclass
+class AlmostSplitSequence:
+    """0 -> tau N -> E -> N -> 0, with f: tau N -> E and g: E -> N."""
+    tau: Module
+    middle: Module
+    f: ModMap
+    g: ModMap
+
+
+def _top_generators(m: Module) -> list[tuple[str, Matrix]]:
+    """A minimal generating set of M as (vertex, column) pairs: at each v,
+    the unit vectors of M(v) off the pivots of rad M(v)."""
+    f = m.bq.field
+    gens = []
+    for v in m.bq.vertices:
+        d = m.dims[v]
+        block = _out_block(m, v)
+        rad = Subspace.span(f, d, () if block is None else block.transpose().entries)
+        for r in rad.quotient().representatives:
+            gens.append((v, Matrix._raw(f, d, 1, tuple((f.one if i == r else f.zero,)
+                                                      for i in range(d)))))
+    return gens
+
+
+def _induced(m: Module, gens: list[tuple[str, Matrix]], basis: PathBasis) -> dict[str, Matrix]:
+    """Components of the map to M from the sum of one P_x per (x, column)
+    in gens that sends the top of that summand to the column: the path
+    class q: z -> x goes to M(q) applied to it (Hom(P_x, M) = M(x))."""
+    f = m.bq.field
+    comps = {}
+    for z in m.bq.vertices:
+        rows = [row for x, col in gens for q in basis.representatives(z, x)
+                for row in (m.path_matrix(q, z) @ col).transpose().entries]
+        comps[z] = Matrix.from_rows(f, len(rows), m.dims[z], rows).transpose()
+    return comps
+
+
+def _nakayama_injective(bq: BoundQuiver, x: str, basis: PathBasis) -> Module:
+    """nu P_x = I_x = D P(x, -), in the basis dual to the path classes
+    x -> z; an arrow a: z -> w acts as the dual of q -> q a."""
+    f = bq.field
+    dims = {z: basis.dim(x, z) for z in bq.vertices}
+    mats = {}
+    for a in bq.arrows:
+        z, w = a.source, a.target
+        a_class = basis.reduce_path(z, w, (a.name,))
+        rows = [basis.compose(x, z, w, unit, a_class)
+                for unit in Matrix.identity(f, dims[z]).entries]
+        mats[a.name] = Matrix.from_rows(f, dims[z], dims[w], rows)
+    return Module(bq, dims, mats, check=False)
+
+
+def almost_split_sequence(n: Module, basis: PathBasis | None = None) -> AlmostSplitSequence:
+    """The almost split sequence ending at an indecomposable non-projective
+    N, built from N alone (Auslander-Reiten-Smalo, ch. IV-V).
+
+    Take a minimal projective presentation P1 -> P0 -> N with K the kernel
+    of P0 -> N.  Then tau N = D Tr N is the kernel of nu P1 -> nu P0, where
+    the Nakayama functor takes P_x to I_x.  Ext^1(N, tau N) is Hom(K, tau N)
+    modulo the maps through P0; a class killed by rad End(N) lies in its
+    socle as an End(N)-module, and pushing K -> P0 out along it gives E.
+    """
+    bq = n.bq
+    f = bq.field
+    basis = basis or path_basis(bq)
+    vertices = bq.vertices
+    gens0 = _top_generators(n)
+    xs0 = [x for x, _ in gens0]
+    p0 = _sum_module(bq, [projective(bq, x, basis) for x in xs0])
+    pi = ModMap(p0, n, _induced(n, gens0, basis), check=False)
+    k, iota = submodule(p0, {z: kernel_basis(pi.comps[z]).transpose() for z in vertices})
+    if k.is_zero():
+        raise AlmostSplitError("no almost split sequence ends at a projective module")
+    # rows of the i-th summand P_(x0_i)(z) inside P0(z)
+    starts = {z: [0] for z in vertices}
+    for z in vertices:
+        for x0 in xs0:
+            starts[z].append(starts[z][-1] + basis.dim(z, x0))
+
+    # the map P1 -> P0 as path classes: the image of the j-th generator of
+    # K, cut into one class x1_j -> x0_i per summand of P0
+    gens1 = _top_generators(k)
+    xs1 = [x for x, _ in gens1]
+    classes = []
+    for x1, col in gens1:
+        image = [row[0] for row in (iota.comps[x1] @ col).entries]
+        cuts = starts[x1]
+        classes.append([image[cuts[i]:cuts[i + 1]] for i in range(len(xs0))])
+    # tau N(y) is the kernel of the transpose of Hom(P0, P_y) -> Hom(P1, P_y)
+    nu_p1 = _sum_module(bq, [_nakayama_injective(bq, x, basis) for x in xs1])
+    cols = {}
+    for y in vertices:
+        rows = []
+        for i, x0 in enumerate(xs0):
+            for unit in Matrix.identity(f, basis.dim(x0, y)).entries:
+                rows.append([c for j, x1 in enumerate(xs1)
+                             for c in basis.compose(x1, x0, y, classes[j][i], unit)])
+        nu_f = Matrix.from_rows(f, len(rows), nu_p1.dims[y], rows)
+        cols[y] = kernel_basis(nu_f).transpose()
+    tau, _ = submodule(nu_p1, cols)
+
+    # Ext^1(N, tau N) is Hom(K, tau N) modulo the maps through P0
+    hom = hom_space(k, tau)
+    through = [hom.coords(phi @ iota) for phi in hom_space(p0, tau).maps]
+    inner = Subspace.span(f, hom.dim, through)
+    # its socle over End(N): the classes xi with xi r through P0 for every
+    # r in rad End(N), where r acts on K through a lift P0 -> P0 of r pi
+    end = hom_space(n, n)
+    conditions = []
+    if end.dim > 1:
+        quot = inner.quotient().projection
+        for coords in end_radical(n, end).rows.entries:
+            r = end.from_coords(coords)
+            r0 = _induced(p0, [(x, solve(pi.comps[x], r.comps[x] @ v)) for x, v in gens0], basis)
+            r_k = ModMap(k, k, {z: solve(iota.comps[z], r0[z] @ iota.comps[z])
+                                for z in vertices}, check=False)
+            action = Matrix(f, [hom.coords(h @ r_k) for h in hom.maps]).transpose()
+            conditions.extend((quot @ action).entries)
+    socle = kernel_basis(Matrix.from_rows(f, len(conditions), hom.dim, conditions))
+    xi_coords = next((c for c in socle.entries if not inner.contains(c)), None)
+    if xi_coords is None:
+        raise AlmostSplitError("Ext^1(N, tau N) has no socle class; N is not indecomposable")
+    xi = hom.from_coords(xi_coords)
+
+    # E is the pushout of P0 along xi, in coordinates tau N(z) + N(z): with
+    # s a section of pi, an arrow moves s(n) to s(N(a) n) plus iota(k),
+    # and iota(k) is -xi(k) in E
+    section = {z: solve(pi.comps[z], Matrix.identity(f, n.dims[z])) for z in vertices}
+    mats = {}
+    for a in bq.arrows:
+        z, w = a.source, a.target
+        slip = p0.mats[a.name] @ section[w] - section[z] @ n.mats[a.name]
+        corner = -(xi.comps[z] @ solve(iota.comps[z], slip))
+        top = [r + c for r, c in zip(tau.mats[a.name].entries, corner.entries)]
+        bottom = [(f.zero,) * tau.dims[w] + r for r in n.mats[a.name].entries]
+        mats[a.name] = Matrix.from_rows(f, tau.dims[z] + n.dims[z], tau.dims[w] + n.dims[w],
+                                        top + bottom)
+    e = Module(bq, {z: tau.dims[z] + n.dims[z] for z in vertices}, mats, check=False)
+    f_comps, g_comps = {}, {}
+    for z in vertices:
+        dt, dn = tau.dims[z], n.dims[z]
+        ident = Matrix.identity(f, dt + dn).entries
+        f_comps[z] = Matrix.from_rows(f, dt + dn, dt, [row[:dt] for row in ident])
+        g_comps[z] = Matrix.from_rows(f, dn, dt + dn, ident[dt:])
+    return AlmostSplitSequence(tau, e, ModMap(tau, e, f_comps, check=False),
+                               ModMap(e, n, g_comps, check=False))
 
 
 # ---------------------------------------------------------------------------
@@ -1012,11 +1183,15 @@ def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int
     """Close the simples, projectives and injectives under the module
     operations that generate the AR quiver at desk scale.
 
-    The full closure adds radical submodules, socle quotients, summands
-    and kernels/cokernels of (candidate) almost split maps, and images of
-    radical maps between listed modules; stabilizing within the caps and
-    passing the factorization check of every almost split map marks the
-    list complete.  closure="light" keeps only the radical/socle steps and
+    The full closure knits: for each listed N it adds the radical, the
+    socle quotient, tau N, tau^-1 N and the summands of the middle terms
+    of the almost split sequences ending and starting at N, each built
+    from N alone.  A list that stabilizes within the caps is closed under
+    tau^{+-1}, middle terms, radicals and socle quotients, so it is a union
+    of AR components holding every simple, which is every indecomposable
+    (Auslander); it is marked complete once every map from a listed module
+    into each N also factors through N's tau-built almost split map.
+    closure="light" keeps only the radical/socle steps and
     skips the factorization check, so stabilizing within the caps marks
     the list complete; that is sound only over a Nakayama algebra (no
     vertex with two arrows in or two arrows out), whose indecomposables
@@ -1032,9 +1207,14 @@ def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int
     # candidate joins seen only after its pieces, since an indecomposable
     # candidate is its own piece
     seen: set[Module] = set()
-    duals: dict[int, Module] = {}
-    cache = PairCache()
-    op_cache = PairCache()
+    # the listed module isomorphic to each piece met so far
+    known: dict[Module, Module] = {}
+    # the map E -> N of the almost split sequence ending at each found N
+    right: dict[Module, ModMap] = {}
+    # the sequence ending at N is the one starting at tau N: the listed
+    # modules whose incoming (outgoing) sequence was knitted from the other end
+    knit_in: set[Module] = set()
+    knit_out: set[Module] = set()
     complete = True
 
     def add(candidate: Module) -> list[Module]:
@@ -1058,15 +1238,19 @@ def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int
                 complete = False
                 notes.append(f"dimension cap {dim_cap} hit")
                 continue
-            if piece in seen or any(is_isomorphic_indec(piece, m) for m in found):
+            if piece in known:
+                continue
+            match = next((m for m in found if is_isomorphic_indec(piece, m)), None)
+            if match is not None:
+                known[piece] = match
                 continue
             if len(found) >= count_cap:
                 complete = False
                 notes.append(f"count cap {count_cap} hit")
                 continue
             found.append(piece)
+            known[piece] = piece
             seen.add(piece)
-            duals[id(piece)] = dual_module(piece, op)
             new.append(piece)
         seen.add(candidate)
         return new
@@ -1088,32 +1272,25 @@ def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int
         socq, _ = socle_quotient(n)
         queue.extend(add(socq))
         if closure == "full" and complete:
+            # knit: tau N, tau^-1 N and the middle terms of the two
+            # almost split sequences at N
             if _is_projective_vertex(n, basis) is None:
-                g = right_almost_split(n, found, basis=basis, check=False, cache=cache)
-                queue.extend(add(g.source))
-                if complete:
-                    fac = map_factor(g)
-                    if fac.cokernel.is_zero():
-                        queue.extend(add(fac.kernel))
-            dual_n = duals[id(n)]
-            if complete and _is_projective_vertex(dual_n, op_basis) is None:
-                gl = left_almost_split(n, found, op=op, op_basis=op_basis, check=False,
-                                       dual_n=dual_n,
-                                       dual_list=[duals[id(x)] for x in found],
-                                       cache=op_cache)
-                queue.extend(add(gl.target))
-                if complete:
-                    fac = map_factor(gl)
-                    if fac.kernel.is_zero():
-                        queue.extend(add(fac.cokernel))
-            for x in list(found):
-                if not complete:
-                    break
-                for h in cache.radical(x, n).maps:
-                    queue.extend(add(image_submodule(h)[0]))
-                if x is not n:
-                    for h in cache.radical(n, x).maps:
-                        queue.extend(add(image_submodule(h)[0]))
+                seq = almost_split_sequence(n, basis)
+                right[n] = seq.g
+                if n not in knit_in:
+                    queue.extend(add(seq.middle))
+                    queue.extend(add(seq.tau))
+                    if seq.tau in known:
+                        knit_out.add(known[seq.tau])
+            dual_n = dual_module(n, op)
+            if (complete and n not in knit_out
+                    and _is_projective_vertex(dual_n, op_basis) is None):
+                seq = almost_split_sequence(dual_n, op_basis)
+                tau_inv = dual_module(seq.tau, bq)
+                queue.extend(add(dual_module(seq.middle, bq)))
+                queue.extend(add(tau_inv))
+                if tau_inv in known:
+                    knit_in.add(known[tau_inv])
         if processed > 4 * count_cap:
             complete = False
             notes.append("closure did not stabilize")
@@ -1121,11 +1298,11 @@ def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int
 
     if complete and closure == "full":
         for n in found:
-            try:
-                right_almost_split(n, found, basis=basis, check=True, cache=cache)
-            except AlmostSplitError as e:
+            g = right[n] if n in right else radical_submodule(n)[1]
+            failures = verify_right_almost_split(g, n, found)
+            if failures:
                 complete = False
-                notes.append(f"verification failed: {e}")
+                notes.append("verification failed: " + "; ".join(failures))
                 break
 
     found.sort(key=lambda m: m.sort_key())

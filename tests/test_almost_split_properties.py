@@ -1,0 +1,136 @@
+"""Property tests of the almost split sequence built from N alone.
+
+The algebras are random bound quivers on a tree with 2 to 4 vertices,
+random orientation and random monomial relations, over GF(101),
+GF(32749) and Q.  Their indecomposables are Dynkin representations, so
+the full closure lists all of them and End(X)/rad = K for each.  For one
+non-projective N of that list, 0 -> tau N -> E -> N -> 0 must be an exact
+sequence of modules that does not split, its map E -> N must pass the
+factorization check against the list, and each listed X must occur in E
+as often as the irreducible maps X -> N that `irr_space`, the older
+construction through rad^2 over the list, counts.
+"""
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from fovea.linalg import Matrix, rank
+from fovea.modules import (
+    ModMap,
+    Module,
+    almost_split_sequence,
+    decompose,
+    enumerate_indecomposables,
+    hom_space,
+    irr_space,
+    is_isomorphic_indec,
+    verify_right_almost_split,
+)
+from fovea.quiver import parse_quiver, path_basis
+
+CHECKS = settings(max_examples=25, deadline=None, derandomize=True, database=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def tree_algebras(draw):
+    field = draw(st.sampled_from(["gf 101", "gf 32749", "q"]))
+    k = draw(st.integers(2, 4))
+    arrows = []
+    for i in range(2, k + 1):
+        j = draw(st.integers(1, i - 1))
+        src, tgt = (i, j) if draw(st.booleans()) else (j, i)
+        arrows.append((f"a{i}", src, tgt))
+    composable = [(a, b) for a, _, t in arrows for b, s, _ in arrows if t == s]
+    relations = [f"{a}*{b}" for a, b in composable if draw(st.booleans())]
+    lines = [f"field {field}", "nilbound 4", "vertex " + " ".join(str(v) for v in range(1, k + 1))]
+    lines += [f"arrow {a}: {s} -> {t}" for a, s, t in arrows]
+    lines += [f"relation {r}" for r in relations]
+    return parse_quiver("\n".join(lines) + "\n")
+
+
+def _is_split_epi(g: ModMap) -> bool:
+    """Does the identity of N lie in the span of the g u, u: N -> E?"""
+    n = g.target
+    f = n.bq.field
+    cols = [list((g @ u).vectorize()) for u in hom_space(n, g.source).maps]
+    ident = list(ModMap.identity(n).vectorize())
+    if not cols:
+        return False
+    return rank(Matrix(f, cols)) == rank(Matrix(f, cols + [ident]))
+
+
+@CHECKS
+@given(tree_algebras(), st.data())
+def test_almost_split_sequence_properties(bq, data):
+    pb = path_basis(bq)
+    enum = enumerate_indecomposables(bq, basis=pb)
+    assert enum.complete
+    # a Dynkin indecomposable is determined by its dimension vector, so N
+    # is projective iff it has the dimension vector of some P_x
+    projective_dims = [{z: pb.dim(z, x) for z in bq.vertices} for x in bq.vertices]
+    ends = [n for n in enum.modules if n.dims not in projective_dims]
+    if not ends:
+        return
+    n = data.draw(st.sampled_from(ends))
+    seq = almost_split_sequence(n, pb)
+    tau, e, f, g = seq.tau, seq.middle, seq.f, seq.g
+
+    # modules and module maps
+    for m in (tau, e):
+        Module(bq, m.dims, m.mats)          # checks the relations
+    assert f.source is tau and f.target is e and g.source is e and g.target is n
+    assert f.is_natural() and g.is_natural()
+    # exact: f mono, g epi, g f = 0, and dims(E) = dims(N) + dims(tau N)
+    assert all(e.dims[v] == n.dims[v] + tau.dims[v] for v in bq.vertices)
+    assert all(rank(f.comps[v]) == tau.dims[v] for v in bq.vertices)
+    assert all(rank(g.comps[v]) == n.dims[v] for v in bq.vertices)
+    assert (g @ f).is_zero()
+    assert not tau.is_zero()
+    # not split
+    assert not _is_split_epi(g)
+    # almost split against the complete list
+    assert verify_right_almost_split(g, n, enum.modules) == []
+    # multiplicities in E are the dimensions of the irreducible-map spaces
+    summands = decompose(e).summands()
+    for x in enum.modules:
+        mult = sum(c for piece, c in summands
+                   if piece.dims == x.dims and is_isomorphic_indec(piece, x))
+        assert mult == irr_space(x, n, enum.modules).dim
+
+
+LOOP4 = "field gf 32749\nnilbound 4\nvertex v\narrow a: v -> v\nrelation a*a*a*a\n"
+CYCLIC = ("field q\nnilbound 4\nvertex 1 2\narrow a: 1 -> 2\narrow b: 2 -> 1\n"
+          "relation a*b*a*b\nrelation b*a*b*a\n")
+
+
+def test_the_extension_class_is_killed_by_the_radical_of_the_endomorphisms():
+    """Over k[x]/x^4, End(k[x]/x^2) is 2-dimensional and no radical map
+    factors through a projective, so Ext^1(N, tau N) is 2-dimensional and
+    only its socle line gives an almost split sequence."""
+    bq = parse_quiver(LOOP4)
+    pb = path_basis(bq)
+    enum = enumerate_indecomposables(bq, basis=pb)
+    assert enum.complete and [m.total_dim for m in enum.modules] == [1, 2, 3, 4]
+    n = enum.modules[1]
+    assert hom_space(n, n).dim == 2
+    seq = almost_split_sequence(n, pb)
+    assert verify_right_almost_split(seq.g, n, enum.modules) == []
+    assert sorted(p.total_dim for p, c in decompose(seq.middle).summands() for _ in range(c)) == [1, 3]
+
+
+def test_sequences_over_a_cyclic_nakayama_algebra():
+    bq = parse_quiver(CYCLIC)
+    pb = path_basis(bq)
+    enum = enumerate_indecomposables(bq, basis=pb)
+    assert enum.complete and len(enum.modules) == 8
+    for n in enum.modules:
+        if n.total_dim == 4:        # the two projective-injectives
+            continue
+        seq = almost_split_sequence(n, pb)
+        assert not _is_split_epi(seq.g)
+        assert verify_right_almost_split(seq.g, n, enum.modules) == []
+        summands = decompose(seq.middle).summands()
+        for x in enum.modules:
+            mult = sum(c for piece, c in summands
+                       if piece.dims == x.dims and is_isomorphic_indec(piece, x))
+            assert mult == irr_space(x, n, enum.modules).dim

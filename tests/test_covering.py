@@ -28,11 +28,20 @@ from fovea.modules import (
     hom_space,
     is_indecomposable,
     is_isomorphic_indec,
+    injective,
     map_factor,
+    projective,
 )
 from fovea.functors import window_indecomposables
 from fovea.naming import load_quiver
-from fovea.quiver import Window, format_quiver, lift_window, parse_quiver, path_basis
+from fovea.quiver import (
+    Window,
+    format_quiver,
+    layer_vertex,
+    lift_window,
+    parse_quiver,
+    path_basis,
+)
 from fovea.repetitive import repetitive_voltage
 from fovea.suites import run_suite
 
@@ -303,6 +312,35 @@ def test_density_search_on_a_capped_window_reports_not_found(monkeypatch):
 def _graded(name):
     texts = {"loop-cover": LOOP_COVER_TEXT, "d4": D4_COVER_TEXT}
     return parse_quiver(texts[name]) if name in texts else load_quiver(name)[2]
+
+
+def _grown_standard(vq, v, n, kind):
+    """A lifted projective or injective as it was once computed: lifts of
+    radius nilbound, 2 nilbound, ... until two in a row trim to equal modules."""
+    prev = None
+    r = max(vq.base.nilbound, 1)
+    while r <= 32:
+        w = Window(n - r, n + r)
+        bq = lift_window(vq, w)
+        if kind == "projective":
+            mod = projective(bq, layer_vertex(v, n), path_basis(bq))
+        else:
+            mod = injective(bq, layer_vertex(v, n))
+        lm = LayeredModule(vq, w, mod).trim()
+        if lm == prev:
+            return lm
+        prev = lm
+        r *= 2
+    raise AssertionError("did not stabilize")
+
+
+@pytest.mark.parametrize("name", ["line-k2.vq", "nakayama2.vq", "trivial-a2.vq", "loop-cover", "d4"])
+def test_one_lift_gives_the_grown_projectives_and_injectives(name):
+    vq = _graded(name)
+    for v in vq.base.vertices:
+        for n in (-1, 0, 2):
+            assert fovea.covering.layered_projective(vq, v, n) == _grown_standard(vq, v, n, "projective")
+            assert layered_injective(vq, v, n) == _grown_standard(vq, v, n, "injective")
 
 
 def _assert_one_to_one(xs, ys):

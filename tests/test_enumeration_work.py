@@ -1,7 +1,9 @@
 """Operation-count gates on the enumeration and repetitive layers.
 
 These count work instead of timing it, so they give the same answer on
-every run: an enumeration decomposes each candidate once; no call
+every run: the full closure knits almost split sequences built from each
+module alone, with no rad^2 search and at most one sequence per module
+and side; an enumeration decomposes each candidate once; no call
 enumerates a quiver twice, whatever the closure; the repetitive suite
 builds its repetitive category once and each path basis once; the
 radical filtration spans only the blocks where a product can land; a
@@ -77,6 +79,50 @@ def test_enumeration_decomposes_each_candidate_once(monkeypatch, make_bq):
     enum = enumerate_indecomposables(bq, dim_cap=64, count_cap=128)
     assert enum.complete and seen
     assert len(set(seen)) == len(seen)
+
+
+# kg0 inputs of the algebra-suites workload: a fixture and the two
+# generated algebras whose enumerations cost the most
+STAR5 = ("field gf 32749\nnilbound 3\nvertex 1 2 3 4 5\n"
+         "arrow a: 2 -> 1\narrow b: 3 -> 1\narrow c: 4 -> 1\narrow d: 1 -> 5\nrelation a*d\n")
+TREE5 = ("field gf 32749\nnilbound 3\nvertex 1 2 3 4 5\n"
+         "arrow a: 1 -> 2\narrow b: 1 -> 3\narrow c: 4 -> 2\narrow d: 2 -> 5\n")
+
+
+# hom_space calls before knitting: 805, 998 and 1118
+@pytest.mark.parametrize("name,text,hom_bound", [
+    ("kronecker.bq", None, 200),
+    ("gen-star5-d11-v7.bq", STAR5, 640),
+    ("gen-tree5-d11-v6.bq", TREE5, 700),
+])
+def test_kg0_knits_local_almost_split_sequences(monkeypatch, tmp_path, name, text, hom_bound):
+    calls = {"irr_space": 0, "hom_space": 0}
+    sequences = []
+    for fn in calls:
+        original = getattr(fovea.modules, fn)
+
+        def counting(*args, _fn=fn, _original=original, **kwargs):
+            calls[_fn] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(fovea.modules, fn, counting)
+    almost_split_sequence = fovea.modules.almost_split_sequence
+
+    def recording(n, *args, **kwargs):
+        sequences.append(n)
+        return almost_split_sequence(n, *args, **kwargs)
+
+    monkeypatch.setattr(fovea.modules, "almost_split_sequence", recording)
+    if text is not None:
+        (tmp_path / name).write_text(text)
+        name = str(tmp_path / name)
+    report = run_suite("kg0", name)
+    assert report.passed
+    assert calls["irr_space"] == 0
+    assert 0 < calls["hom_space"] <= hom_bound
+    # a sequence ending at N is built over the quiver, one starting at N
+    # from D N over the opposite quiver, so equal arguments mean a repeat
+    assert sequences and len(set(sequences)) == len(sequences)
 
 
 def test_battery_enumerates_each_window_once(monkeypatch):

@@ -1,7 +1,7 @@
 """No fovea module holds shared mutable state.
 
 Memos live on the objects whose lifetime they share (a VoltageQuiver, a
-PathBasis, one enumeration's PairCache), so nothing survives a caller
+PathBasis, one factorization check's PairCache), so nothing survives a caller
 except through the values it holds.
 """
 

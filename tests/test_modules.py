@@ -271,6 +271,39 @@ def test_enumerate_kronecker_hits_caps():
     assert enum.labels() == ["X0[0,1]", "X1[1,0]", "X2[1,2]", "X3[2,1]", "X4[3,2]"]
 
 
+# k[x,y]/(x^2, y^2): the trivial extension of k[x]/(x^2), and the base of
+# its repetitive cover; representation-infinite (its rad^2 = 0 quotient is
+# of Kronecker type)
+KXY = parse_quiver("field gf 32749\nnilbound 3\nvertex v\narrow x: v -> v\n"
+                   "arrow y: v -> v\nrelation x*x\nrelation y*y\nrelation x*y - y*x\n")
+
+
+def test_a_representation_infinite_local_algebra_is_not_certified_finite():
+    """The rad^2 closure stopped here with 6 modules (dimensions 1 to 4)
+    and marked the list complete, so kg0 called the algebra finite; the
+    syzygies of k have dimensions 1, 3, 5, ... and knitting keeps going."""
+    enum = enumerate_indecomposables(KXY, dim_cap=6, count_cap=24)
+    assert not enum.complete and enum.notes == ["dimension cap 6 hit"]
+    assert sorted(m.total_dim for m in enum.modules) == [1, 3, 3, 4, 5, 5]
+    assert all(is_indecomposable(m) for m in enum.modules)
+
+
+def test_knitting_lists_every_indecomposable_of_a_repetitive_window():
+    """The layers [0, 3] of the repetitive cover of k[x]/(x^2): the rad^2
+    closure marked a list of 20 modules complete; there are 35."""
+    from fovea.naming import load_quiver
+    from fovea.quiver import Window, lift_window
+    from fovea.repetitive import repetitive_voltage
+    from fovea.modules import is_isomorphic_indec
+    bq = lift_window(repetitive_voltage(load_quiver("loop2.bq")[2]), Window(0, 3))
+    enum = enumerate_indecomposables(bq, dim_cap=12, count_cap=40)
+    assert enum.complete and len(enum.modules) == 35
+    mods = enum.modules
+    assert max(m.total_dim for m in mods) == 8
+    assert not any(x.dims == y.dims and is_isomorphic_indec(x, y)
+                   for i, x in enumerate(mods) for y in mods[:i])
+
+
 @pytest.mark.parametrize("n,count", [(2, 3), (3, 6), (4, 10)])
 def test_line_quivers_have_triangular_counts(n, count):
     lines = [f"field gf 32749", f"nilbound {n}",

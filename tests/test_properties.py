@@ -28,7 +28,6 @@ from fovea.linalg import (
     rref,
 )
 from fovea.modules import (
-    DecompositionError,
     ModMap,
     Module,
     _trace_pairing,
@@ -254,15 +253,7 @@ def test_radical_hom_equals_the_composite_radical(pair):
 def test_decomposition_witnesses_are_mutually_inverse(m):
     if m.is_zero():
         return
-    try:
-        dec = decompose(m)
-    except DecompositionError:
-        # known gap: a Kronecker module of dimension vector (2, 2) whose
-        # pencil has an irreducible quadratic is indecomposable with End(M)
-        # a degree-2 field, and decompose takes End(M)/rad as local only
-        # when it is one-dimensional
-        assert len(m.bq.arrows) == 2 and list(m.dims.values()) == [2, 2]
-        return
+    dec = decompose(m)
     total, to_sum, from_sum = dec.witnesses()
     assert from_sum @ to_sum == ModMap.identity(m)
     assert to_sum @ from_sum == ModMap.identity(total)
