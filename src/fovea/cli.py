@@ -24,6 +24,7 @@ from .naming import (
     resolve_module,
 )
 from .functors import (
+    FunctorError,
     evaluate_dim,
     functor_length,
     functor_length_cover,
@@ -229,6 +230,8 @@ def _fun_simple(args) -> int:
     enum = enumerate_indecomposables(q, dim_cap=args.dim_cap, count_cap=args.count_cap,
                                      seed=args.seed)
     n = resolve_module(q, args.at)
+    if not enum.complete:
+        raise FunctorError("a simple functor's profile is undecidable from an incomplete list")
     t = simple_functor(q, n, enum)
     profile = {label: evaluate_dim(t, x) for label, x in zip(enum.labels(), enum.modules)}
     text = "  ".join(f"{k}:{v}" for k, v in sorted(profile.items()))

@@ -118,9 +118,14 @@ class Module:
             and self.mats == other.mats
         )
 
-    def __hash__(self):
+    @cached_property
+    def _hash(self) -> int:
         return hash((self.bq, tuple(sorted(self.dims.items())),
                      tuple(sorted(self.mats.items()))))
+
+    def __hash__(self):
+        # a module is never changed after construction
+        return self._hash
 
     def sort_key(self):
         return (self.total_dim,
@@ -587,32 +592,23 @@ def radical_hom(m: Module, n: Module,
 
 
 class PairCache:
-    """Memo for hom/radical computations over a stable set of modules.
-
-    Keys are object identities, so the memo keeps every module it has
-    seen alive in _keep.
-    """
+    """Memo for hom/radical computations over a stable set of modules,
+    keyed on the modules themselves (they are immutable and hashable)."""
 
     def __init__(self):
         self._hom: dict = {}
         self._rad: dict = {}
-        self._keep: list = []
 
     def hom(self, m: Module, n: Module) -> HomBasis:
-        key = (id(m), id(n))
-        out = self._hom.get(key)
+        out = self._hom.get((m, n))
         if out is None:
-            out = hom_space(m, n)
-            self._hom[key] = out
-            self._keep.append((m, n))
+            out = self._hom[(m, n)] = hom_space(m, n)
         return out
 
     def radical(self, m: Module, n: Module) -> RadicalHom:
-        key = (id(m), id(n))
-        out = self._rad.get(key)
+        out = self._rad.get((m, n))
         if out is None:
-            out = radical_hom(m, n, hom=self.hom(m, n), back=self.hom(n, m))
-            self._rad[key] = out
+            out = self._rad[(m, n)] = radical_hom(m, n, hom=self.hom(m, n), back=self.hom(n, m))
         return out
 
 
@@ -991,6 +987,37 @@ def verify_right_almost_split(g: ModMap, n: Module, ind_list: list[Module],
     return failures
 
 
+def _sequence_failures(n: Module, tau: Module | None, e: Module, ind_list: list[Module],
+                       cache: PairCache) -> list[str]:
+    """verify_right_almost_split in dimension form, for an exact sequence
+    0 -> tau N -> E -> N -> 0 (tau N None for the radical inclusion of a
+    projective N).
+
+    Hom(X, -) is left exact, so the maps X -> N through E span a space of
+    dimension dim Hom(X, E) - dim Hom(X, tau N).  For X other than N every
+    map must factor, so that is dim Hom(X, N).  For X = N the maps form a
+    right ideal of the local ring End(N); a proper one lies in rad End(N),
+    so it is rad End(N) exactly when its dimension is dim rad End(N).
+    """
+    def through(x: Module) -> int:
+        return cache.hom(x, e).dim - (0 if tau is None else cache.hom(x, tau).dim)
+
+    failures = []
+    end = cache.hom(n, n)
+    own = through(n)
+    if own == end.dim:
+        failures.append("the map is a split epimorphism")
+    elif own != end_radical(n, end).dim:
+        failures.append("a radical endomorphism does not factor")
+    for x in ind_list:
+        if x is n or not any(x.dims[v] and n.dims[v] for v in n.bq.vertices):
+            continue    # disjoint supports: Hom(X, N) = 0
+        dim = cache.hom(x, n).dim
+        if dim and through(x) != dim:
+            failures.append(f"a map from {x!r} does not factor (list incomplete?)")
+    return failures
+
+
 def left_almost_split(n: Module, ind_list: list[Module],
                       op: BoundQuiver | None = None,
                       op_basis: PathBasis | None = None,
@@ -1189,8 +1216,11 @@ def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int
     from N alone.  A list that stabilizes within the caps is closed under
     tau^{+-1}, middle terms, radicals and socle quotients, so it is a union
     of AR components holding every simple, which is every indecomposable
-    (Auslander); it is marked complete once every map from a listed module
-    into each N also factors through N's tau-built almost split map.
+    (Auslander); it is marked complete once hom dimensions certify, for
+    each N, that every radical map from a listed module into N factors
+    through the almost split sequence ending at N (`_sequence_failures`).
+    Each sequence is built once, from whichever end the knitting reaches
+    first.
     closure="light" keeps only the radical/socle steps and
     skips the factorization check, so stabilizing within the caps marks
     the list complete; that is sound only over a Nakayama algebra (no
@@ -1209,8 +1239,8 @@ def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int
     seen: set[Module] = set()
     # the listed module isomorphic to each piece met so far
     known: dict[Module, Module] = {}
-    # the map E -> N of the almost split sequence ending at each found N
-    right: dict[Module, ModMap] = {}
+    # (tau N, E) of the almost split sequence ending at each found N
+    ending: dict[Module, tuple[Module, Module]] = {}
     # the sequence ending at N is the one starting at tau N: the listed
     # modules whose incoming (outgoing) sequence was knitted from the other end
     knit_in: set[Module] = set()
@@ -1274,32 +1304,35 @@ def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int
         if closure == "full" and complete:
             # knit: tau N, tau^-1 N and the middle terms of the two
             # almost split sequences at N
-            if _is_projective_vertex(n, basis) is None:
+            if n not in knit_in and _is_projective_vertex(n, basis) is None:
                 seq = almost_split_sequence(n, basis)
-                right[n] = seq.g
-                if n not in knit_in:
-                    queue.extend(add(seq.middle))
-                    queue.extend(add(seq.tau))
-                    if seq.tau in known:
-                        knit_out.add(known[seq.tau])
+                queue.extend(add(seq.middle))
+                queue.extend(add(seq.tau))
+                ending[n] = (known.get(seq.tau, seq.tau), seq.middle)
+                if seq.tau in known:
+                    knit_out.add(known[seq.tau])
             dual_n = dual_module(n, op)
             if (complete and n not in knit_out
                     and _is_projective_vertex(dual_n, op_basis) is None):
+                # D of the sequence ending at D N: 0 -> N -> E -> tau^-1 N -> 0
                 seq = almost_split_sequence(dual_n, op_basis)
                 tau_inv = dual_module(seq.tau, bq)
-                queue.extend(add(dual_module(seq.middle, bq)))
+                middle = dual_module(seq.middle, bq)
+                queue.extend(add(middle))
                 queue.extend(add(tau_inv))
                 if tau_inv in known:
                     knit_in.add(known[tau_inv])
+                    ending.setdefault(known[tau_inv], (n, middle))
         if processed > 4 * count_cap:
             complete = False
             notes.append("closure did not stabilize")
             break
 
     if complete and closure == "full":
+        cache = PairCache()
         for n in found:
-            g = right[n] if n in right else radical_submodule(n)[1]
-            failures = verify_right_almost_split(g, n, found)
+            tau, e = ending[n] if n in ending else (None, radical_submodule(n)[0])
+            failures = _sequence_failures(n, tau, e, found, cache)
             if failures:
                 complete = False
                 notes.append("verification failed: " + "; ".join(failures))

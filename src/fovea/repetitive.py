@@ -29,7 +29,6 @@ from .quiver import (
     path_basis,
     presentation_basis,
     radical_filtration,
-    structure_category,
 )
 
 
@@ -126,14 +125,18 @@ def repetitive_truncation(bq: BoundQuiver, n: int,
 def repetitive_voltage(bq: BoundQuiver, basis: PathBasis | None = None) -> VoltageQuiver:
     """The repetitive category as a graded presentation with shift degree 1.
 
-    Arrows are a rad/rad^2 basis taken at layer zero (shift invariance
-    makes that choice global); relations are the canonical kernel of path
-    evaluation inside a truncation wide enough to hold every relation.
+    A nonzero morphism moves up at most one layer, and the composite of two
+    layer-raising maps is zero, so a nonzero product that starts at layer
+    zero stays inside layers 0 and 1; by shift invariance every nonzero
+    product is a shift of such a one.  The truncation to layers -1..1
+    therefore holds rad, rad^2 and the nilpotency degree of the whole
+    category.  Arrows are a rad/rad^2 basis taken at layer zero (shift
+    invariance makes that choice global); relations are the canonical
+    kernel of path evaluation, where a path that reaches layer 2 or beyond
+    is zero because Hom((0, i), (m, j)) = 0 for m >= 2.
     """
     basis = basis or path_basis(bq)
-    _, _, nildeg_a = radical_filtration(structure_category(bq, basis))
-    trunc = RepetitiveTruncation(bq, max(2 * nildeg_a + 2, 2), basis)
-    cat = trunc.category
+    cat = RepetitiveTruncation(bq, 1, basis).category
     rad, rad2, nildeg = radical_filtration(cat)
     nilbound = nildeg + 1
 
@@ -168,14 +171,17 @@ def repetitive_voltage(bq: BoundQuiver, basis: PathBasis | None = None) -> Volta
                 for name in out_arrows[end]:
                     d = degrees[name]
                     tgt = arrow_target[name]
-                    new_val = cat.compose((0, i), (layer, end), (layer + d, tgt),
-                                          val, elems[name])
+                    if layer + d > 1:
+                        new_val = ()    # Hom((0, i), (m, j)) = 0 for m >= 2
+                    else:
+                        new_val = cat.compose((0, i), (layer, end), (layer + d, tgt),
+                                              val, elems[name])
                     p = path + (name,)
                     paths.setdefault((tgt, layer + d), []).append((p, new_val))
                     nxt.append((p, tgt, layer + d, new_val))
             frontier = nxt
         for (j, layer), plist in sorted(paths.items()):
-            dim = cat.dim((0, i), (layer, j))
+            dim = cat.dim((0, i), (layer, j)) if layer <= 1 else 0
             ev = Matrix(bq.field, [list(val) for _p, val in plist]).transpose() if dim else \
                 Matrix.zeros(bq.field, 0, len(plist))
             for row in kernel_basis(ev).entries:

@@ -82,6 +82,16 @@ def test_length_on_a_capped_enumeration_fails_fast(functor):
     assert done.stderr == "fovea: finite length is undecidable from an incomplete list\n"
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_simple_profile_on_a_capped_enumeration_fails(capsys, json_flag):
+    # the Kronecker algebra's list stops at the dimension cap, so a profile
+    # over it would leave out the regular modules
+    code, out, err = run(capsys, "simple", "kronecker.bq", "--at", "S1", *json_flag)
+    assert code == 1
+    assert out == ""
+    assert err == "fovea: a simple functor's profile is undecidable from an incomplete list\n"
+
+
 def test_field_override(capsys):
     code, out, _ = run(capsys, "hom", "a2.bq", "--field", "q", "--from", "P2", "--to", "S2")
     assert code == 0 and out.strip() == "dim = 1"

@@ -2,16 +2,17 @@
 
 These count work instead of timing it, so they give the same answer on
 every run: the full closure knits almost split sequences built from each
-module alone, with no rad^2 search and at most one sequence per module
-and side; an enumeration decomposes each candidate once; no call
-enumerates a quiver twice, whatever the closure; the repetitive suite
-builds its repetitive category once and each path basis once; the
+module alone, with no rad^2 search, each sequence built once from one of
+its ends and certified by hom dimensions; an enumeration decomposes each
+candidate once; no call enumerates a quiver twice, whatever the closure;
+the repetitive suite builds its repetitive category once and each path
+basis once, and filters only the three layers a morphism can reach; the
 radical filtration spans only the blocks where a product can land; a
 path basis spans only the vertex pairs that hold a relation vector; a hom
-space builds its maps only
-when they are read; a Fitting split tries phi^N before factoring and
-stops factoring at the first divisor that splits; a kernel takes one
-elimination; and an isomorphism test reads one trace pairing.
+space builds its maps only when they are read; a Fitting split tries
+phi^N before factoring and stops factoring at the first divisor that
+splits; a kernel takes one elimination; and an isomorphism test reads one
+trace pairing.
 """
 
 import random
@@ -89,6 +90,11 @@ TREE5 = ("field gf 32749\nnilbound 3\nvertex 1 2 3 4 5\n"
          "arrow a: 1 -> 2\narrow b: 1 -> 3\narrow c: 4 -> 2\narrow d: 2 -> 5\n")
 
 
+# almost split sequences built while the final check rebuilt the incoming
+# ones: 12, 22 and 22
+SEQUENCE_BOUNDS = {"kronecker.bq": 9, "gen-star5-d11-v7.bq": 15, "gen-tree5-d11-v6.bq": 15}
+
+
 # hom_space calls before knitting: 805, 998 and 1118
 @pytest.mark.parametrize("name,text,hom_bound", [
     ("kronecker.bq", None, 200),
@@ -96,6 +102,7 @@ TREE5 = ("field gf 32749\nnilbound 3\nvertex 1 2 3 4 5\n"
     ("gen-tree5-d11-v6.bq", TREE5, 700),
 ])
 def test_kg0_knits_local_almost_split_sequences(monkeypatch, tmp_path, name, text, hom_bound):
+    sequence_bound = SEQUENCE_BOUNDS[name]
     calls = {"irr_space": 0, "hom_space": 0}
     sequences = []
     for fn in calls:
@@ -109,8 +116,9 @@ def test_kg0_knits_local_almost_split_sequences(monkeypatch, tmp_path, name, tex
     almost_split_sequence = fovea.modules.almost_split_sequence
 
     def recording(n, *args, **kwargs):
-        sequences.append(n)
-        return almost_split_sequence(n, *args, **kwargs)
+        seq = almost_split_sequence(n, *args, **kwargs)
+        sequences.append((n, seq))
+        return seq
 
     monkeypatch.setattr(fovea.modules, "almost_split_sequence", recording)
     if text is not None:
@@ -122,7 +130,18 @@ def test_kg0_knits_local_almost_split_sequences(monkeypatch, tmp_path, name, tex
     assert 0 < calls["hom_space"] <= hom_bound
     # a sequence ending at N is built over the quiver, one starting at N
     # from D N over the opposite quiver, so equal arguments mean a repeat
-    assert sequences and len(set(sequences)) == len(sequences)
+    ends = [n for n, _seq in sequences]
+    assert ends and len(set(ends)) == len(ends)
+    assert len(sequences) <= sequence_bound
+    # and no sequence is built from both ends: over the opposite quiver,
+    # the dual of tau N for a sequence built at N is never the argument D M
+    # of a sequence built from its start M
+    base = load_quiver(name)[2]
+    starts = [fovea.modules.dual_module(seq.tau) for n, seq in sequences if n.bq == base]
+    duals = [n for n, _seq in sequences if n.bq != base]
+    assert starts and duals
+    assert not any(s.dims == d.dims and fovea.modules.is_isomorphic_indec(s, d)
+                   for s in starts for d in duals)
 
 
 def test_battery_enumerates_each_window_once(monkeypatch):
@@ -166,6 +185,23 @@ def test_repetitive_suite_builds_the_repetitive_category_once(monkeypatch):
     assert fovea.suites.repetitive_voltage is recording
     assert run_suite("repetitive", "a3.bq").passed
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["a3.bq", "kronecker.bq", "loop2.bq"])
+def test_repetitive_voltage_filters_one_three_layer_truncation(monkeypatch, name):
+    bq = load_quiver(name)[2]
+    sizes = []
+
+    def recording(cat):
+        sizes.append(len(cat.objects))
+        return radical_filtration(cat)
+
+    monkeypatch.setattr(fovea.repetitive, "radical_filtration", recording)
+    fovea.repetitive.repetitive_voltage(bq)
+    # a nonzero product from layer 0 stays in layers 0 and 1, so the
+    # truncation to layers -1..1 is all the filtration needs
+    assert len(sizes) == 1
+    assert sizes[0] <= 3 * len(bq.vertices)
 
 
 def test_radical_filtration_spans_only_nonzero_blocks(monkeypatch):

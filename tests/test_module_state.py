@@ -1,8 +1,9 @@
 """No fovea module holds shared mutable state.
 
 Memos live on the objects whose lifetime they share (a VoltageQuiver, a
-PathBasis, one factorization check's PairCache), so nothing survives a caller
-except through the values it holds.
+PathBasis, the PairCache of one factorization check or of one
+enumeration's final check, keyed on the modules), so nothing survives a
+caller except through the values it holds.
 """
 
 import importlib

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+import fovea.modules
 from fovea.linalg import Field, Matrix
 from fovea.modules import (
+    AlmostSplitSequence,
         ModMap,
     Module,
     ModuleError,
@@ -239,6 +241,23 @@ def test_verifier_rejects_a_wrong_candidate():
     bad = ModMap.zero(Module.zero(A2), S2)
     failures = verify_right_almost_split(bad, S2, ind)
     assert failures  # the map from P2 cannot factor through the zero module
+
+
+@pytest.mark.parametrize("bq", [A3, LOOP], ids=["a3", "loop"])
+def test_enumeration_refuses_split_sequences(monkeypatch, bq):
+    """The final check reads hom dimensions only; it must still refuse a
+    knitting whose sequences split, here 0 -> tau N -> tau N + N -> N -> 0."""
+    almost_split_sequence = fovea.modules.almost_split_sequence
+
+    def split(n, *args, **kwargs):
+        tau = almost_split_sequence(n, *args, **kwargs).tau
+        middle, incls, projs = direct_sum([tau, n])
+        return AlmostSplitSequence(tau, middle, incls[0], projs[1])
+
+    monkeypatch.setattr(fovea.modules, "almost_split_sequence", split)
+    enum = enumerate_indecomposables(bq)
+    assert not enum.complete
+    assert len(enum.notes) == 1 and enum.notes[0].startswith("verification failed")
 
 
 def test_left_almost_split_duality():

@@ -1,12 +1,14 @@
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fovea.linalg import Subspace
+from fovea.linalg import Matrix, Subspace, kernel_basis
 from fovea.naming import fixture_names, load_quiver
 from fovea.quiver import (
     BoundQuiver,
     QuiverError,
     VoltageQuiver,
     Window,
+    arrow_elements,
     check_admissible,
     format_quiver,
     is_convex,
@@ -275,3 +277,85 @@ def test_radical_filtration_matches_the_dense_reference_on_the_voltage_truncatio
     a3 = load_quiver("a3.bq")[2]
     _, _, nildeg_a, _ = dense_radical_filtration(structure_category(a3))
     _assert_matches_dense(RepetitiveTruncation(a3, max(2 * nildeg_a + 2, 2)).category)
+
+
+def wide_repetitive_voltage(bq):
+    """The construction repetitive_voltage replaced, as a reference.
+
+    It sizes the truncation from the base algebra's nilpotency degree d,
+    takes rad, rad^2 and the nilpotency degree on 2d + 3 layers, and
+    evaluates every orbit path inside that truncation.
+    """
+    basis = path_basis(bq)
+    _, _, nildeg_a = radical_filtration(structure_category(bq, basis))
+    cat = RepetitiveTruncation(bq, max(2 * nildeg_a + 2, 2), basis).category
+    rad, rad2, nildeg = radical_filtration(cat)
+    nilbound = nildeg + 1
+    reps = arrow_elements(cat, rad, rad2)
+    arrows, degrees, elems = [], {}, {}
+    for i in bq.vertices:
+        for d in (0, 1):
+            for j in bq.vertices:
+                for elem in reps.get(((0, i), (d, j)), []):
+                    name = f"a{len(arrows)}"
+                    arrows.append((name, i, j))
+                    degrees[name] = d
+                    elems[name] = elem
+    relations = []
+    for i in bq.vertices:
+        paths = {}
+        frontier = [((), i, 0, cat.unit((0, i)))]
+        for _ in range(nilbound):
+            nxt = []
+            for path, end, layer, val in frontier:
+                for name, src, tgt in arrows:
+                    if src != end:
+                        continue
+                    r = layer + degrees[name]
+                    new_val = cat.compose((0, i), (layer, end), (r, tgt), val, elems[name])
+                    paths.setdefault((tgt, r), []).append((path + (name,), new_val))
+                    nxt.append((path + (name,), tgt, r, new_val))
+            frontier = nxt
+        for (j, layer), plist in sorted(paths.items()):
+            ev = Matrix(bq.field, [list(val) for _p, val in plist]).transpose() \
+                if cat.dim((0, i), (layer, j)) else Matrix.zeros(bq.field, 0, len(plist))
+            for row in kernel_basis(ev).entries:
+                terms = tuple((c, p) for c, (p, _v) in zip(row, plist) if c)
+                if terms:
+                    relations.append(terms)
+    return VoltageQuiver(BoundQuiver(bq.vertices, arrows, relations, bq.field, nilbound),
+                         degrees)
+
+
+TRUNCATED_POLYNOMIALS = parse_quiver(
+    "field gf 32749\nnilbound 5\nvertex v\narrow x: v -> v\n")
+
+
+@pytest.mark.parametrize("bq", _algebra_fixtures() + [
+    pytest.param(TRUNCATED_POLYNOMIALS, id="k[x]/(x^5)")])
+def test_voltage_matches_the_wide_truncation(bq):
+    assert format_quiver(repetitive_voltage(bq)) == format_quiver(wide_repetitive_voltage(bq))
+
+
+@st.composite
+def small_bound_quivers(draw):
+    """1 to 3 vertices, up to 3 arrows (loops and cycles allowed), a
+    nilbound of 2 or 3 and random monomial relations of length 2."""
+    field = draw(st.sampled_from(["gf 101", "gf 32749", "q"]))
+    k = draw(st.integers(1, 3))
+    ends = st.integers(1, k)
+    arrows = [(f"a{i}", draw(ends), draw(ends)) for i in range(draw(st.integers(0, 3)))]
+    composable = [(a, b) for a, _, t in arrows for b, s, _ in arrows if t == s]
+    relations = [f"{a}*{b}" for a, b in composable if draw(st.booleans())]
+    lines = [f"field {field}", f"nilbound {draw(st.integers(2, 3))}",
+             "vertex " + " ".join(str(v) for v in range(1, k + 1))]
+    lines += [f"arrow {a}: {s} -> {t}" for a, s, t in arrows]
+    lines += [f"relation {r}" for r in relations]
+    return parse_quiver("\n".join(lines) + "\n")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_bound_quivers())
+def test_voltage_matches_the_wide_truncation_on_random_bound_quivers(bq):
+    assert format_quiver(repetitive_voltage(bq)) == format_quiver(wide_repetitive_voltage(bq))
