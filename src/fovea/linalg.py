@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _int_gcd
+from operator import mul as _mul
 
 DEFAULT_PRIME = 32749
 
@@ -211,13 +212,13 @@ class Matrix:
         cols = tuple(zip(*other.entries))
         if f.p is None:
             out = tuple(
-                tuple(sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols)
+                tuple(sum(map(_mul, row, col), Fraction(0)) for col in cols)
                 for row in self.entries
             )
         else:
             p = f.p
             out = tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) % p for col in cols)
+                tuple(sum(map(_mul, row, col)) % p for col in cols)
                 for row in self.entries
             )
         return Matrix._raw(f, self.rows, other.cols, out)
@@ -259,16 +260,20 @@ class Matrix:
         return t
 
     def power(self, n: int) -> "Matrix":
+        """self^n for n >= 0, by squaring; the last square is never formed."""
         if self.rows != self.cols:
             raise LinAlgError("power of non-square matrix")
-        result = Matrix.identity(self.field, self.rows)
+        if n < 0:
+            raise LinAlgError(f"negative matrix power {n}")
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result @ base
-            base = base @ base
+                result = base if result is None else result @ base
             n >>= 1
-        return result
+            if not n:
+                return Matrix.identity(self.field, self.rows) if result is None else result
+            base = base @ base
 
     def __eq__(self, other):
         return (

@@ -203,6 +203,8 @@ class ModMap:
     def power(self, n: int) -> "ModMap":
         if self.source is not self.target and self.source != self.target:
             raise ModuleError("power of a non-endomorphism")
+        if n < 0:
+            raise ModuleError(f"negative power {n} of a module map")
         comps = {v: m.power(n) for v, m in self.comps.items()}
         return ModMap(self.source, self.target, comps, check=False)
 
@@ -712,43 +714,67 @@ def _poly_of_map(poly, phi: ModMap) -> ModMap:
 def _fitting_split(piece: DecompPiece, psi: ModMap) -> tuple[DecompPiece, DecompPiece] | None:
     """The pieces ker psi and im psi of M, or None when one of them is zero.
 
-    For psi = g(phi)^N with N >= dim M, Fitting's lemma makes M the
-    direct sum of the two.
+    When each psi_v is a power of an endomorphism to at least dim M(v),
+    Fitting's lemma makes M the direct sum of the two.  Both pieces are
+    read off one change of basis: with U_v = [ker psi_v | im psi_v], the
+    matrix U_x^-1 M_a U_y of an arrow a: x -> y is block diagonal, its
+    diagonal blocks act on the kernel and on the image, and the rows of
+    U_v^-1 are the two projections.
     """
     m = piece.module
     f = m.bq.field
     ker_cols = {v: kernel_basis(psi.comps[v]).transpose() for v in m.bq.vertices}
     if not 0 < sum(c.cols for c in ker_cols.values()) < m.total_dim:
         return None
-    ker, ker_incl = submodule(m, ker_cols)
-    im, im_incl = image_submodule(psi)
-    proj_k, proj_i = {}, {}
-    for v in m.bq.vertices:
-        u_inv = inverse(hstack([ker_incl.comps[v], im_incl.comps[v]]))
-        if u_inv is None:
-            return None
-        kd = ker.dims[v]
-        proj_k[v] = Matrix.from_rows(f, kd, m.dims[v], u_inv.entries[:kd])
-        proj_i[v] = Matrix.from_rows(f, im.dims[v], m.dims[v], u_inv.entries[kd:])
-    pk = ModMap(m, ker, proj_k, check=False)
-    pi = ModMap(m, im, proj_i, check=False)
+    im_cols = {v: column_space_basis(psi.comps[v]) for v in m.bq.vertices}
+    kd = {v: c.cols for v, c in ker_cols.items()}
+    u = {v: hstack([ker_cols[v], im_cols[v]]) for v in m.bq.vertices}
+    u_inv = {v: inverse(c) for v, c in u.items()}
+    if any(c is None for c in u_inv.values()):
+        return None
+    ker_mats, im_mats = {}, {}
+    for a in m.bq.arrows:
+        x, y = a.source, a.target
+        # the columns of the kernel (image) at y go to the kernel (image) at x
+        block = (u_inv[x] @ m.mats[a.name] @ u[y]).entries
+        kx, ky = kd[x], kd[y]
+        if any(any(row[ky:]) for row in block[:kx]) or any(any(row[:ky]) for row in block[kx:]):
+            raise ModuleError("columns are not closed under the arrow action")
+        ker_mats[a.name] = Matrix._raw(f, kx, ky, tuple(row[:ky] for row in block[:kx]))
+        im_mats[a.name] = Matrix._raw(f, m.dims[x] - kx, m.dims[y] - ky,
+                                      tuple(row[ky:] for row in block[kx:]))
+    ker = Module(m.bq, kd, ker_mats, check=False)
+    im = Module(m.bq, {v: c.cols for v, c in im_cols.items()}, im_mats, check=False)
+    ker_incl = ModMap(ker, m, ker_cols, check=False)
+    im_incl = ModMap(im, m, im_cols, check=False)
+    pk = ModMap(m, ker, {v: Matrix._raw(f, kd[v], m.dims[v], u_inv[v].entries[:kd[v]])
+                         for v in m.bq.vertices}, check=False)
+    pi = ModMap(m, im, {v: Matrix._raw(f, im.dims[v], m.dims[v], u_inv[v].entries[kd[v]:])
+                        for v in m.bq.vertices}, check=False)
     return (
         DecompPiece(ker, piece.include @ ker_incl, pk @ piece.project),
         DecompPiece(im, piece.include @ im_incl, pi @ piece.project),
     )
 
 
+def _fitting_power(phi: ModMap) -> ModMap:
+    """phi_v to the power dim M(v) at each vertex v: from that power on,
+    ker phi_v^k and im phi_v^k no longer change."""
+    m = phi.source
+    return ModMap(m, m, {v: c.power(m.dims[v]) for v, c in phi.comps.items()}, check=False)
+
+
 def _try_split(piece: DecompPiece, phi: ModMap) -> tuple[DecompPiece, DecompPiece] | None:
-    """Split on phi^N when phi has eigenvalue 0 and another one; otherwise
-    on g(phi)^N for the divisors g of the minimal polynomial."""
-    n = max(piece.module.total_dim, 1)
-    split = _fitting_split(piece, phi.power(n))
+    """Split on the Fitting power of phi when phi has eigenvalue 0 and
+    another one; otherwise on that of g(phi) for the divisors g of the
+    minimal polynomial."""
+    split = _fitting_split(piece, _fitting_power(phi))
     if split is not None:
         return split
     f = piece.module.bq.field
     rng = random.Random(0xF17)
     for g in _candidate_factors(f, _minimal_polynomial(phi), rng):
-        split = _fitting_split(piece, _poly_of_map(g, phi).power(n))
+        split = _fitting_split(piece, _fitting_power(_poly_of_map(g, phi)))
         if split is not None:
             return split
     return None
@@ -805,7 +831,10 @@ def decompose(m: Module, seed: int = DEFAULT_SEED, max_tries: int = 64) -> Decom
                 coords = [f.sample(rng) for _ in range(end.dim)]
             if local.contains(coords):
                 continue
-            phi = end.maps[attempt] if attempt < end.dim else end.from_coords(coords)
+            if attempt < end.dim:
+                phi = ModMap.from_vector(p, p, end.rows.entries[attempt])
+            else:
+                phi = end.from_coords(coords)
             split = _try_split(piece, phi)
             if split is not None:
                 break
@@ -987,11 +1016,12 @@ def verify_right_almost_split(g: ModMap, n: Module, ind_list: list[Module],
     return failures
 
 
-def _sequence_failures(n: Module, tau: Module | None, e: Module, ind_list: list[Module],
-                       cache: PairCache) -> list[str]:
+def _sequence_failures(n: Module, tau: Module | None, e_parts: list[tuple[Module, int]],
+                       ind_list: list[Module], cache: PairCache) -> list[str]:
     """verify_right_almost_split in dimension form, for an exact sequence
     0 -> tau N -> E -> N -> 0 (tau N None for the radical inclusion of a
-    projective N).
+    projective N), with E given as the listed modules isomorphic to its
+    summands and their multiplicities.
 
     Hom(X, -) is left exact, so the maps X -> N through E span a space of
     dimension dim Hom(X, E) - dim Hom(X, tau N).  For X other than N every
@@ -1000,7 +1030,8 @@ def _sequence_failures(n: Module, tau: Module | None, e: Module, ind_list: list[
     so it is rad End(N) exactly when its dimension is dim rad End(N).
     """
     def through(x: Module) -> int:
-        return cache.hom(x, e).dim - (0 if tau is None else cache.hom(x, tau).dim)
+        into_e = sum(count * cache.hom(x, part).dim for part, count in e_parts)
+        return into_e - (0 if tau is None else cache.hom(x, tau).dim)
 
     failures = []
     end = cache.hom(n, n)
@@ -1239,6 +1270,9 @@ def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int
     seen: set[Module] = set()
     # the listed module isomorphic to each piece met so far
     known: dict[Module, Module] = {}
+    # the listed modules isomorphic to the summands of each candidate
+    # decomposed while the list was complete, with their multiplicities
+    parts: dict[Module, list[tuple[Module, int]]] = {}
     # (tau N, E) of the almost split sequence ending at each found N
     ending: dict[Module, tuple[Module, Module]] = {}
     # the sequence ending at N is the one starting at tau N: the listed
@@ -1263,25 +1297,27 @@ def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int
             complete = False
             notes.append(str(e))
             return new
-        for piece, _count in dec.summands():
+        listed = []
+        for piece, count in dec.summands():
             if piece.total_dim > dim_cap:
                 complete = False
                 notes.append(f"dimension cap {dim_cap} hit")
                 continue
-            if piece in known:
-                continue
-            match = next((m for m in found if is_isomorphic_indec(piece, m)), None)
-            if match is not None:
+            if piece not in known:
+                match = next((m for m in found if is_isomorphic_indec(piece, m)), None)
+                if match is None:
+                    if len(found) >= count_cap:
+                        complete = False
+                        notes.append(f"count cap {count_cap} hit")
+                        continue
+                    match = piece
+                    found.append(piece)
+                    seen.add(piece)
+                    new.append(piece)
                 known[piece] = match
-                continue
-            if len(found) >= count_cap:
-                complete = False
-                notes.append(f"count cap {count_cap} hit")
-                continue
-            found.append(piece)
-            known[piece] = piece
-            seen.add(piece)
-            new.append(piece)
+            listed.append((known[piece], count))
+        if complete:
+            parts[candidate] = listed
         seen.add(candidate)
         return new
 
@@ -1328,11 +1364,18 @@ def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int
             notes.append("closure did not stabilize")
             break
 
+    def listed_parts(m: Module) -> list[tuple[Module, int]]:
+        # every middle term and radical went through add(); one met
+        # earlier as a listed piece was not decomposed again
+        if m.is_zero():
+            return []
+        return parts[m] if m in parts else [(known[m], 1)]
+
     if complete and closure == "full":
         cache = PairCache()
         for n in found:
             tau, e = ending[n] if n in ending else (None, radical_submodule(n)[0])
-            failures = _sequence_failures(n, tau, e, found, cache)
+            failures = _sequence_failures(n, tau, listed_parts(e), found, cache)
             if failures:
                 complete = False
                 notes.append("verification failed: " + "; ".join(failures))

@@ -170,6 +170,24 @@ def test_solve_and_inverse(field):
             assert m @ sol == b
 
 
+@pytest.mark.parametrize("field", FIELDS)
+def test_power_is_repeated_multiplication(field):
+    rng = random.Random(5)
+    m = Matrix(field, [[field.sample(rng) for _ in range(3)] for _ in range(3)])
+    product = Matrix.identity(field, 3)
+    for n in range(10):
+        assert m.power(n) == product
+        product = product @ m
+    assert Matrix.zeros(field, 0, 0).power(3) == Matrix.zeros(field, 0, 0)
+
+
+def test_negative_power_is_an_error():
+    with pytest.raises(LinAlgError, match="negative"):
+        Matrix(GF, [[1, 1], [0, 1]]).power(-1)
+    with pytest.raises(LinAlgError, match="non-square"):
+        Matrix(GF, [[1, 1]]).power(2)
+
+
 def test_quotient_projection_kernel_is_the_subspace():
     w = Subspace.span(QQ, 4, [[1, 0, 2, 0], [0, 1, 1, 1]])
     quot = w.quotient()

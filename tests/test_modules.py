@@ -6,6 +6,7 @@ import fovea.modules
 from fovea.linalg import Field, Matrix
 from fovea.modules import (
     AlmostSplitSequence,
+    DecompPiece,
         ModMap,
     Module,
     ModuleError,
@@ -160,6 +161,24 @@ def test_decompose_witnesses_are_mutually_inverse():
     assert total == ModMap.identity(m)
 
 
+def test_a_split_on_a_non_natural_map_is_refused():
+    # the arrow sends M(2) onto M(1), so the kernel of a map that kills
+    # M(2) and not M(1) is not a submodule
+    m = Module(A2, {"1": 1, "2": 1}, {"a": Matrix(A2.field, [[1]])})
+    psi = ModMap(m, m, {"1": Matrix(A2.field, [[1]]), "2": Matrix(A2.field, [[0]])}, check=False)
+    assert not psi.is_natural()
+    whole = DecompPiece(m, ModMap.identity(m), ModMap.identity(m))
+    with pytest.raises(ModuleError, match="not closed"):
+        fovea.modules._fitting_split(whole, psi)
+
+
+def test_negative_power_of_a_module_map_is_an_error():
+    phi = ModMap.identity(direct_sum([P2, S1])[0])
+    assert phi.power(0) == phi
+    with pytest.raises(ModuleError, match="negative"):
+        phi.power(-1)
+
+
 def test_is_indecomposable_examples():
     assert is_indecomposable(S1)
     assert not is_indecomposable(direct_sum([S1, S2])[0])
@@ -243,18 +262,33 @@ def test_verifier_rejects_a_wrong_candidate():
     assert failures  # the map from P2 cannot factor through the zero module
 
 
-@pytest.mark.parametrize("bq", [A3, LOOP], ids=["a3", "loop"])
-def test_enumeration_refuses_split_sequences(monkeypatch, bq):
+def _split_sequence(seq, n):
+    middle, incls, projs = direct_sum([seq.tau, n])
+    return AlmostSplitSequence(seq.tau, middle, incls[0], projs[1])
+
+
+def _doubled_middle(seq, n):
+    middle, incls, projs = direct_sum([seq.middle, seq.middle])
+    return AlmostSplitSequence(seq.tau, middle, incls[0] @ seq.f, seq.g @ projs[0])
+
+
+@pytest.mark.parametrize("bq,wrong", [
+    pytest.param(A3, _split_sequence, id="a3"),
+    pytest.param(LOOP, _split_sequence, id="loop"),
+    pytest.param(A3, _doubled_middle, id="a3-doubled"),
+    pytest.param(LOOP, _doubled_middle, id="loop-doubled"),
+])
+def test_enumeration_refuses_split_sequences(monkeypatch, bq, wrong):
     """The final check reads hom dimensions only; it must still refuse a
-    knitting whose sequences split, here 0 -> tau N -> tau N + N -> N -> 0."""
+    knitting whose sequences split, here 0 -> tau N -> tau N + N -> N -> 0,
+    or whose middle terms hold each summand twice (the same summands, so
+    only their multiplicities tell)."""
     almost_split_sequence = fovea.modules.almost_split_sequence
 
-    def split(n, *args, **kwargs):
-        tau = almost_split_sequence(n, *args, **kwargs).tau
-        middle, incls, projs = direct_sum([tau, n])
-        return AlmostSplitSequence(tau, middle, incls[0], projs[1])
+    def replaced(n, *args, **kwargs):
+        return wrong(almost_split_sequence(n, *args, **kwargs), n)
 
-    monkeypatch.setattr(fovea.modules, "almost_split_sequence", split)
+    monkeypatch.setattr(fovea.modules, "almost_split_sequence", replaced)
     enum = enumerate_indecomposables(bq)
     assert not enum.complete
     assert len(enum.notes) == 1 and enum.notes[0].startswith("verification failed")

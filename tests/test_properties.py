@@ -5,9 +5,12 @@ naive eliminator in `oracles.py`, plain convolution of coefficient lists,
 the trace form built from composite matrices, which `end_radical`
 computed before it read the form off the hom basis directly, and the
 radical of Hom(M, N) built from composites g f reduced modulo rad End(M),
-which `radical_hom` computed before it read the trace pairing.  The runs
-are derandomized and write no example database, so every run checks the
-same examples.
+which `radical_hom` computed before it read the trace pairing, and
+`reference_decompose`, the decomposition that split on phi^(dim M) and
+solved for each piece's arrow matrices before `decompose` took per-vertex
+Fitting powers and one change of basis per split.  The runs are
+derandomized and write no example database, so every run checks the same
+examples.
 """
 
 import random
@@ -15,12 +18,14 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+import fovea.modules
 from fovea.linalg import (
     Field,
     Matrix,
     Subspace,
     _candidate_factors,
     candidate_factors,
+    hstack,
     inverse,
     kernel_basis,
     poly_divmod,
@@ -28,14 +33,25 @@ from fovea.linalg import (
     rref,
 )
 from fovea.modules import (
+    DecompPiece,
+    Decomposition,
+    DecompositionError,
     ModMap,
     Module,
+    ModuleError,
+    _generates_a_residue_field,
+    _minimal_polynomial,
+    _poly_of_map,
     _trace_pairing,
     decompose,
+    direct_sum,
     end_radical,
     hom_space,
+    image_submodule,
     is_isomorphic_indec,
+    parse_module,
     radical_hom,
+    submodule,
 )
 from fovea.quiver import parse_quiver
 
@@ -257,3 +273,183 @@ def test_decomposition_witnesses_are_mutually_inverse(m):
     total, to_sum, from_sum = dec.witnesses()
     assert from_sum @ to_sum == ModMap.identity(m)
     assert to_sum @ from_sum == ModMap.identity(total)
+
+
+def _reference_fitting_split(piece, psi):
+    """ker psi and im psi as submodules, each arrow matrix solved for."""
+    m = piece.module
+    f = m.bq.field
+    ker_cols = {v: kernel_basis(psi.comps[v]).transpose() for v in m.bq.vertices}
+    if not 0 < sum(c.cols for c in ker_cols.values()) < m.total_dim:
+        return None
+    ker, ker_incl = submodule(m, ker_cols)
+    im, im_incl = image_submodule(psi)
+    proj_k, proj_i = {}, {}
+    for v in m.bq.vertices:
+        u_inv = inverse(hstack([ker_incl.comps[v], im_incl.comps[v]]))
+        if u_inv is None:
+            return None
+        kd = ker.dims[v]
+        proj_k[v] = Matrix.from_rows(f, kd, m.dims[v], u_inv.entries[:kd])
+        proj_i[v] = Matrix.from_rows(f, im.dims[v], m.dims[v], u_inv.entries[kd:])
+    pk = ModMap(m, ker, proj_k, check=False)
+    pi = ModMap(m, im, proj_i, check=False)
+    return (
+        DecompPiece(ker, piece.include @ ker_incl, pk @ piece.project),
+        DecompPiece(im, piece.include @ im_incl, pi @ piece.project),
+    )
+
+
+def _reference_try_split(piece, phi):
+    n = max(piece.module.total_dim, 1)
+    split = _reference_fitting_split(piece, phi.power(n))
+    if split is not None:
+        return split
+    f = piece.module.bq.field
+    rng = random.Random(0xF17)
+    for g in _candidate_factors(f, _minimal_polynomial(phi), rng):
+        split = _reference_fitting_split(piece, _poly_of_map(g, phi).power(n))
+        if split is not None:
+            return split
+    return None
+
+
+def reference_decompose(m, seed=0, max_tries=64):
+    """The decomposition `decompose` replaced, as a reference: it splits on
+    phi^N and g(phi)^N with N = dim M at every vertex, reads each piece's
+    arrow matrices by solving against its basis, and builds every map of
+    End(P)."""
+    if m.is_zero():
+        return Decomposition(m, [], [])
+    rng = random.Random(seed)
+    done = []
+    stack = [DecompPiece(m, ModMap.identity(m), ModMap.identity(m))]
+    while stack:
+        piece = stack.pop()
+        p = piece.module
+        end = hom_space(p, p)
+        if end.dim == 1:
+            done.append(piece)
+            continue
+        rad = end_radical(p, end)
+        if end.dim - rad.dim == 1:
+            done.append(piece)
+            continue
+        f = p.bq.field
+        local = Subspace.span(f, end.dim, [*rad.rows.entries, end.coords(ModMap.identity(p))])
+        split = None
+        for attempt in range(max_tries):
+            if attempt < end.dim:
+                coords = [f.zero] * end.dim
+                coords[attempt] = f.one
+            else:
+                coords = [f.sample(rng) for _ in range(end.dim)]
+            if local.contains(coords):
+                continue
+            phi = end.maps[attempt] if attempt < end.dim else end.from_coords(coords)
+            split = _reference_try_split(piece, phi)
+            if split is not None:
+                break
+        if split is None:
+            if not any(_generates_a_residue_field(end, rad, rng) for _ in range(max_tries)):
+                raise DecompositionError(
+                    "could not split a module with non-local endomorphism algebra; "
+                    "the field may be too small")
+            done.append(piece)
+            continue
+        stack.extend(split)
+
+    order = sorted(range(len(done)), key=lambda i: done[i].module.sort_key())
+    done = [done[i] for i in order]
+    classes = []
+    for i, piece in enumerate(done):
+        for group in classes:
+            if is_isomorphic_indec(done[group[0]].module, piece.module):
+                group.append(i)
+                break
+        else:
+            classes.append([i])
+    return Decomposition(m, done, classes)
+
+
+@st.composite
+def scrambled_sums(draw):
+    """A direct sum of up to three random modules, some of them repeated,
+    in a random basis, of dimension at most 10: over Q the entries of a
+    scrambled sum grow fast, and one of dimension 15 takes seconds."""
+    first = draw(modules())
+    bq = first.bq
+    f = bq.field
+    summands = [first]
+    for _ in range(draw(st.integers(1, 2))):
+        extra = draw(st.one_of(st.sampled_from(summands), modules(bq)))
+        if sum(s.total_dim for s in summands) + extra.total_dim <= 10:
+            summands.append(extra)
+    m, _, _ = direct_sum(summands)
+    change = {}
+    for v in bq.vertices:
+        d = m.dims[v]
+        cand = Matrix.from_rows(f, d, d, [[draw(scalars(f)) for _ in range(d)] for _ in range(d)])
+        change[v] = cand if inverse(cand) is not None else Matrix.identity(f, d)
+    mats = {a.name: change[a.source] @ m.mats[a.name] @ inverse(change[a.target])
+            for a in bq.arrows}
+    return Module(bq, m.dims, mats)
+
+
+def _decomposition_or_error(decomposer, m):
+    try:
+        return decomposer(m)
+    except ModuleError as e:
+        return type(e), str(e)
+
+
+def _assert_decomposes_as_the_reference(m):
+    got = _decomposition_or_error(decompose, m)
+    want = _decomposition_or_error(reference_decompose, m)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert len(got.pieces) == len(want.pieces)
+    for mine, theirs in zip(got.pieces, want.pieces):
+        assert mine.module == theirs.module
+        assert mine.include == theirs.include
+        assert mine.project == theirs.project
+    assert got.classes == want.classes
+
+
+@CHECKS
+@given(modules())
+def test_decompose_equals_the_reference_decomposition(m):
+    _assert_decomposes_as_the_reference(m)
+
+
+@CHECKS
+@given(scrambled_sums())
+def test_decompose_equals_the_reference_on_scrambled_sums(m):
+    _assert_decomposes_as_the_reference(m)
+
+
+# X + X for the Kronecker module X of dimension vector (2, 1), in a basis
+# where no element of the canonical basis of End = M2(K) splits it: the
+# first is the identity and the others have irreducible minimal
+# polynomials, so only one of the random endomorphisms splits
+DOUBLED_KRONECKER = (
+    "dims 1=4 2=2\n"
+    "mat a = [[8848,425],[595,32607],[32425,8504],[4172,0]]\n"
+    "mat b = [[27786,13052],[6579,20162],[10030,28856],[820,4485]]\n")
+
+
+def test_decompose_equals_the_reference_after_a_random_split(monkeypatch):
+    bq = parse_quiver("field gf 32749\n" + QUIVERS[1])
+    m = parse_module(bq, DOUBLED_KRONECKER)
+    tried = []
+    try_split = fovea.modules._try_split
+
+    def recording(piece, phi):
+        tried.append(phi)
+        return try_split(piece, phi)
+
+    monkeypatch.setattr(fovea.modules, "_try_split", recording)
+    _assert_decomposes_as_the_reference(m)
+    # the three basis elements other than the identity, then random ones
+    assert len(tried) > 3
