@@ -328,6 +328,10 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     verb = argv[0] if argv and argv[0] in _VERBS else None
     args = build_parser(verb).parse_args(argv)
+    for cap, what in ((args.dim_cap, "dimension cap"), (args.count_cap, "count cap")):
+        if cap < 0:
+            sys.stderr.write(f"fovea: {what} must be nonnegative\n")
+            return USAGE_EXIT
     handlers = {
         "hom": _fun_hom,
         "pushdown": _fun_pushdown,

@@ -189,19 +189,9 @@ def layered_hom_dim(x: LayeredModule, y: LayeredModule) -> int:
 
 
 def window_enumeration(vq: VoltageQuiver, window: Window) -> Enumeration:
-    """The indecomposables over a window of the lift.
-
-    Where no vertex of the window has two arrows in or two arrows out, the
-    window algebra is Nakayama: its indecomposables are quotients of
-    projectives, which the light closure reaches.  Any other window takes
-    the verified full closure.  An incomplete enumeration is an error, not
-    a guess.
-    """
-    bq = lift_window(vq, window)
-    nakayama = all(len(bq.in_arrows[v]) <= 1 and len(bq.out_arrows[v]) <= 1
-                   for v in bq.vertices)
-    enum = enumerate_indecomposables(bq, dim_cap=64, count_cap=128,
-                                     closure="light" if nakayama else "full")
+    """The indecomposables over a window of the lift.  An incomplete
+    enumeration is an error, not a guess."""
+    enum = enumerate_indecomposables(lift_window(vq, window), dim_cap=64, count_cap=128)
     if not enum.complete:
         raise CoveringError("window enumeration is incomplete: " + "; ".join(enum.notes))
     return enum

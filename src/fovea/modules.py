@@ -498,13 +498,6 @@ def dual_module(m: Module, op: BoundQuiver | None = None) -> Module:
     return Module(op, dims, mats, check=False)
 
 
-def dual_map(f: ModMap, op: BoundQuiver | None = None) -> ModMap:
-    op = op or opposite_quiver(f.source.bq)
-    src = dual_module(f.target, op)
-    tgt = dual_module(f.source, op)
-    return ModMap(src, tgt, {v: c.transpose() for v, c in f.comps.items()}, check=False)
-
-
 def injective(bq: BoundQuiver, x: str, op_basis: PathBasis | None = None) -> Module:
     """I_x, computed as the dual of the projective over the opposite quiver."""
     op = opposite_quiver(bq)
@@ -563,17 +556,9 @@ class RadicalHom:
         self.hom = hom
         self.coords = coords
 
-    @cached_property
-    def maps(self) -> list[ModMap]:
-        return [self.hom.from_coords(row) for row in self.coords.rows.entries]
-
     @property
     def dim(self) -> int:
         return self.coords.dim
-
-    def contains(self, f: ModMap) -> bool:
-        c = self.hom.coords(f)
-        return c is not None and self.coords.contains(c)
 
 
 def radical_hom(m: Module, n: Module,
@@ -594,23 +579,16 @@ def radical_hom(m: Module, n: Module,
 
 
 class PairCache:
-    """Memo for hom/radical computations over a stable set of modules,
-    keyed on the modules themselves (they are immutable and hashable)."""
+    """Memo for hom spaces over a stable set of modules, keyed on the
+    modules themselves (they are immutable and hashable)."""
 
     def __init__(self):
         self._hom: dict = {}
-        self._rad: dict = {}
 
     def hom(self, m: Module, n: Module) -> HomBasis:
         out = self._hom.get((m, n))
         if out is None:
             out = self._hom[(m, n)] = hom_space(m, n)
-        return out
-
-    def radical(self, m: Module, n: Module) -> RadicalHom:
-        out = self._rad.get((m, n))
-        if out is None:
-            out = self._rad[(m, n)] = radical_hom(m, n, hom=self.hom(m, n), back=self.hom(n, m))
         return out
 
 
@@ -890,43 +868,7 @@ def is_isomorphic(m: Module, n: Module) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# irreducible maps and almost split maps
-
-
-@dataclass
-class IrrSpace:
-    dim: int
-    lifted: list[ModMap]   # maps X -> N spanning rad modulo rad^2
-
-
-def irr_space(x: Module, n: Module, ind_list: list[Module],
-              cache: PairCache | None = None) -> IrrSpace:
-    """rad(X, N)/rad^2(X, N) with rad^2 spanned through the given list."""
-    f = x.bq.field
-    cache = cache or PairCache()
-    hom = cache.hom(x, n)
-    rad = cache.radical(x, n)
-    if rad.dim == 0:
-        return IrrSpace(0, [])
-    rad2_rows = []
-    for y in ind_list:
-        first = cache.radical(x, y)
-        if first.dim == 0:
-            continue
-        second = cache.radical(y, n)
-        if second.dim == 0:
-            continue
-        for a in first.maps:
-            for b in second.maps:
-                comp = b @ a
-                coords = hom.coords(comp)
-                in_rad = rad.coords.coords(coords)
-                if in_rad is None:
-                    raise ModuleError("rad^2 escaped rad; the list is inconsistent")
-                rad2_rows.append(in_rad)
-    rad2 = Subspace.span(f, rad.dim, rad2_rows)
-    reps = rad2.quotient().representatives
-    return IrrSpace(rad.dim - rad2.dim, [rad.maps[i] for i in reps])
+# almost split maps
 
 
 def _is_projective_vertex(n: Module, basis: PathBasis) -> str | None:
@@ -954,74 +896,38 @@ def _is_projective_vertex(n: Module, basis: PathBasis) -> str | None:
 
 def right_almost_split(n: Module, ind_list: list[Module],
                        basis: PathBasis | None = None,
-                       check: bool = True,
-                       cache: PairCache | None = None) -> ModMap:
+                       check: bool = True) -> ModMap:
     """The right minimal almost split map into an indecomposable N.
 
     For a projective N this is the inclusion of its radical; otherwise it
-    is the map E -> N of the almost split sequence built from N alone.
-    The list is read only with check=True, which verifies the defining
-    factorization property against it, so an incomplete list is detected
-    rather than silently accepted.
+    is the map E -> N of the almost split sequence built from N alone,
+    with E(z) = tau N(z) + N(z) and g the projection onto N(z).  The list
+    is read only with check=True, which certifies with hom dimensions
+    (`_sequence_failures`) that g does not split and that every radical
+    map into N from N or from a listed module factors through g.
     """
     if n.is_zero():
         raise AlmostSplitError("almost split map into the zero module")
     basis = basis or path_basis(n.bq)
     if _is_projective_vertex(n, basis) is not None:
-        g = radical_submodule(n)[1]
+        tau, g = None, radical_submodule(n)[1]
     else:
-        g = almost_split_sequence(n, basis).g
+        seq = almost_split_sequence(n, basis)
+        tau, g = seq.tau, seq.g
     if check:
-        failures = verify_right_almost_split(g, n, ind_list, cache=cache)
+        others = [x for x in ind_list if not (x.dims == n.dims and is_isomorphic_indec(x, n))]
+        failures = _sequence_failures(n, tau, [(g.source, 1)], others, PairCache())
         if failures:
             raise AlmostSplitError("; ".join(failures))
     return g
 
 
-def _factors_through(hs: list[ModMap], g: ModMap, candidates: HomBasis | None = None) -> bool:
-    """Does every h: X -> N in hs factor as g u for some u in Hom(X, E)
-    (g: E -> N), with that hom space given or computed?"""
-    x = hs[0].source
-    if candidates is None:
-        candidates = hom_space(x, g.source)
-    if candidates.dim == 0:
-        return all(h.is_zero() for h in hs)
-    f = x.bq.field
-    a = Matrix(f, [list((g @ u).vectorize()) for u in candidates.maps]).transpose()
-    b = Matrix(f, [list(h.vectorize()) for h in hs]).transpose()
-    return solve(a, b) is not None
-
-
-def verify_right_almost_split(g: ModMap, n: Module, ind_list: list[Module],
-                              cache: PairCache | None = None) -> list[str]:
-    """Constructive postcondition: non-split, and every radical map factors."""
-    cache = cache or PairCache()
-    failures = []
-    back = None if n.is_zero() else hom_space(n, g.source)
-    if back is not None and _factors_through([ModMap.identity(n)], g, back):
-        failures.append("the map is a split epimorphism")
-    for x in ind_list:
-        if x is n or (x.dims == n.dims and is_isomorphic_indec(x, n)):
-            continue
-        if not any(x.dims[v] and n.dims[v] for v in n.bq.vertices):
-            continue    # disjoint supports: Hom(X, N) = 0
-        hom = cache.hom(x, n)
-        if hom.dim and not _factors_through(hom.maps, g):
-            failures.append(f"a map from {x!r} does not factor (list incomplete?)")
-    if back is not None:
-        end = cache.hom(n, n)
-        rad = [end.from_coords(r) for r in end_radical(n, end).rows.entries]
-        if rad and not _factors_through(rad, g, back):
-            failures.append("a radical endomorphism does not factor")
-    return failures
-
-
 def _sequence_failures(n: Module, tau: Module | None, e_parts: list[tuple[Module, int]],
                        ind_list: list[Module], cache: PairCache) -> list[str]:
-    """verify_right_almost_split in dimension form, for an exact sequence
-    0 -> tau N -> E -> N -> 0 (tau N None for the radical inclusion of a
-    projective N), with E given as the listed modules isomorphic to its
-    summands and their multiplicities.
+    """Why the map g: E -> N of an exact sequence 0 -> tau N -> E -> N -> 0
+    is not right almost split against the list (tau N None for the
+    radical inclusion of a projective N), with E given as modules whose
+    direct sum is isomorphic to it and their multiplicities.
 
     Hom(X, -) is left exact, so the maps X -> N through E span a space of
     dimension dim Hom(X, E) - dim Hom(X, tau N).  For X other than N every
@@ -1047,20 +953,6 @@ def _sequence_failures(n: Module, tau: Module | None, e_parts: list[tuple[Module
         if dim and through(x) != dim:
             failures.append(f"a map from {x!r} does not factor (list incomplete?)")
     return failures
-
-
-def left_almost_split(n: Module, ind_list: list[Module],
-                      op: BoundQuiver | None = None,
-                      op_basis: PathBasis | None = None,
-                      check: bool = True) -> ModMap:
-    """The left minimal almost split map out of N: the dual of the right
-    one into D N over the opposite quiver.  The list is read only with
-    check=True."""
-    op = op or opposite_quiver(n.bq)
-    op_basis = op_basis or path_basis(op)
-    dual_list = [dual_module(x, op) for x in ind_list] if check else []
-    g = right_almost_split(dual_module(n, op), dual_list, basis=op_basis, check=check)
-    return dual_map(g, n.bq)
 
 
 # ---------------------------------------------------------------------------
@@ -1234,33 +1126,39 @@ class Enumeration:
         return out
 
 
+def _is_nakayama(bq: BoundQuiver) -> bool:
+    """No vertex has two arrows in or two arrows out: then the algebra is
+    Nakayama, and its indecomposables are the P_x / rad^k P_x for
+    1 <= k <= dim P_x, dim A of them."""
+    return all(len(bq.in_arrows[v]) <= 1 and len(bq.out_arrows[v]) <= 1 for v in bq.vertices)
+
+
 def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int = 80,
                               seed: int = DEFAULT_SEED,
-                              basis: PathBasis | None = None,
-                              closure: str = "full") -> Enumeration:
+                              basis: PathBasis | None = None) -> Enumeration:
     """Close the simples, projectives and injectives under the module
     operations that generate the AR quiver at desk scale.
 
-    The full closure knits: for each listed N it adds the radical, the
-    socle quotient, tau N, tau^-1 N and the summands of the middle terms
-    of the almost split sequences ending and starting at N, each built
-    from N alone.  A list that stabilizes within the caps is closed under
-    tau^{+-1}, middle terms, radicals and socle quotients, so it is a union
-    of AR components holding every simple, which is every indecomposable
-    (Auslander); it is marked complete once hom dimensions certify, for
-    each N, that every radical map from a listed module into N factors
-    through the almost split sequence ending at N (`_sequence_failures`).
-    Each sequence is built once, from whichever end the knitting reaches
-    first.
-    closure="light" keeps only the radical/socle steps and
-    skips the factorization check, so stabilizing within the caps marks
-    the list complete; that is sound only over a Nakayama algebra (no
-    vertex with two arrows in or two arrows out), whose indecomposables
-    are quotients of projectives.
+    Over a Nakayama algebra (`_is_nakayama`) the light closure adds, for
+    each listed N, the radical and the socle quotient; every indecomposable
+    is a radical power of an injective, so this reaches them all, and a
+    list that stabilizes within the caps is marked complete exactly when
+    it holds dim A classes.
+    Over any other algebra the full closure also knits: it adds tau N,
+    tau^-1 N and the summands of the middle terms of the almost split
+    sequences ending and starting at N, each built from N alone.  A list
+    that stabilizes within the caps is closed under tau^{+-1}, middle
+    terms, radicals and socle quotients, so it is a union of AR components
+    holding every simple, which is every indecomposable (Auslander); it is
+    marked complete once hom dimensions certify, for each N, that every
+    radical map from a listed module into N factors through the almost
+    split sequence ending at N (`_sequence_failures`).  Each sequence is
+    built once, from whichever end the knitting reaches first.
     """
     basis = basis or path_basis(bq)
     op = opposite_quiver(bq)
     op_basis = path_basis(op)
+    light = _is_nakayama(bq)
     notes: list[str] = []
     found: list[Module] = []
     # while complete, every module in seen is found or a direct sum of
@@ -1337,7 +1235,7 @@ def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int
         queue.extend(add(rad))
         socq, _ = socle_quotient(n)
         queue.extend(add(socq))
-        if closure == "full" and complete:
+        if not light and complete:
             # knit: tau N, tau^-1 N and the middle terms of the two
             # almost split sequences at N
             if n not in knit_in and _is_projective_vertex(n, basis) is None:
@@ -1371,7 +1269,11 @@ def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int
             return []
         return parts[m] if m in parts else [(known[m], 1)]
 
-    if complete and closure == "full":
+    if complete and light and len(found) != basis.total_dim:
+        complete = False
+        notes.append(f"light closure lists {len(found)} classes, "
+                     f"not dim A = {basis.total_dim}")
+    if complete and not light:
         cache = PairCache()
         for n in found:
             tau, e = ending[n] if n in ending else (None, radical_submodule(n)[0])

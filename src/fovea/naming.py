@@ -90,16 +90,19 @@ def resolve_layered(vq: VoltageQuiver, spec: str) -> LayeredModule:
     parts = spec.split("@")
     base = vq.base
     if len(parts) == 3:
-        kind, vertex, layer = parts[0].upper(), parts[1], int(parts[2])
+        kind, vertex, layer = parts[0].upper(), parts[1], parts[2]
     elif len(parts) == 1:
-        kind = spec[:1].upper()
-        layer = int(spec[1:])
+        kind, layer = spec[:1].upper(), spec[1:]
         if len(base.vertices) != 1:
             raise FixtureError(
                 f"short spec {spec!r} needs a single-vertex base; use kind@vertex@layer")
         vertex = base.vertices[0]
     else:
         raise FixtureError(f"bad layered module spec {spec!r}")
+    try:
+        layer = int(layer)
+    except ValueError:
+        raise FixtureError(f"bad layered module spec {spec!r}") from None
     if vertex not in base.vertex_index:
         raise FixtureError(f"unknown vertex {vertex!r}")
     if kind == "S":

@@ -273,8 +273,7 @@ def support_finiteness_probe(vq: VoltageQuiver, radius: int = 8,
     while r <= radius:
         w = Window(-r, r)
         bq = lift_window(vq, w)
-        enum = enumerate_indecomposables(bq, dim_cap=dim_cap, count_cap=count_cap,
-                                         closure="light")
+        enum = enumerate_indecomposables(bq, dim_cap=dim_cap, count_cap=count_cap)
         if not enum.complete:
             return ProbeReport(False, extents, "not stabilized (enumeration hit a cap)")
         lo = hi = 0

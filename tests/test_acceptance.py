@@ -49,7 +49,6 @@ from fovea.modules import (
     projective,
     right_almost_split,
     simple,
-    verify_right_almost_split,
 )
 from fovea.quiver import (
     Window,
@@ -66,6 +65,8 @@ from fovea.repetitive import (
     repetitive_truncation,
     selfinjective_orbit,
 )
+
+from almost_split_reference import verify_right_almost_split
 
 LINE_K2 = parse_quiver(
     "field gf 32749\nnilbound 2\nvertex v\narrow a: v -> v deg 1\nrelation a*a\n")

@@ -21,11 +21,11 @@ from fovea.modules import (
     decompose,
     enumerate_indecomposables,
     hom_space,
-    irr_space,
     is_isomorphic_indec,
-    verify_right_almost_split,
 )
 from fovea.quiver import parse_quiver, path_basis
+
+from almost_split_reference import irr_space, verify_right_almost_split
 
 CHECKS = settings(max_examples=25, deadline=None, derandomize=True, database=None,
                   suppress_health_check=[HealthCheck.too_slow])

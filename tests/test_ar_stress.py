@@ -4,7 +4,6 @@ from fovea.functors import functor_length, hom_functor, kg_level0_report, simple
 from fovea.modules import (
     _is_projective_vertex,
     enumerate_indecomposables,
-    irr_space,
     is_isomorphic_indec,
     map_factor,
     projective,
@@ -12,6 +11,8 @@ from fovea.modules import (
 )
 from fovea.quiver import parse_quiver, path_basis
 from fovea.repetitive import selfinjective_orbit
+
+from almost_split_reference import irr_space
 
 D4 = parse_quiver(
     "field gf 32749\nnilbound 2\nvertex 0 1 2 3\n"

@@ -127,6 +127,24 @@ def test_suite_rejects_a_negative_window_as_a_usage_error(capsys, suite):
         run(capsys, "suite", suite, "line-k2.vq")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("suite", "kg0", "a2.bq", "--dim-cap", "-1"), "dimension cap must be nonnegative"),
+    (("suite", "kg0", "a2.bq", "--count-cap", "-1"), "count cap must be nonnegative"),
+    (("phi", "line-k2.vq", "--functor", "S@M0", "--dim-cap", "-2"),
+     "dimension cap must be nonnegative"),
+    (("simple", "a2.bq", "--at", "S2", "--count-cap", "-5", "--json"),
+     "count cap must be nonnegative"),
+], ids=["suite-dim", "suite-count", "phi-dim", "simple-count"])
+def test_a_negative_cap_is_a_usage_error(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"fovea: {message}\n")
+
+
+@pytest.mark.parametrize("spec", ["S@v@x", "Sx", "S@v@1.5", "S", "M@v@"])
+def test_a_layered_spec_with_a_bad_layer_is_a_usage_error(capsys, spec):
+    assert run(capsys, "pushdown", "line-k2.vq", "--module", spec) == \
+        (2, "", f"fovea: bad layered module spec {spec!r}\n")
+
+
 def test_cover_verify(capsys):
     code, out, _ = run(capsys, "cover", "verify", "line-k2.vq", "--json")
     assert code == 0

@@ -1,6 +1,8 @@
 import pytest
 
 import fovea.covering
+import fovea.modules
+import fovea.repetitive
 from fovea.covering import (
     CoveringError,
     LayeredModule,
@@ -42,7 +44,7 @@ from fovea.quiver import (
     parse_quiver,
     path_basis,
 )
-from fovea.repetitive import repetitive_voltage
+from fovea.repetitive import repetitive_voltage, support_finiteness_probe
 from fovea.suites import run_suite
 
 LINE_K2 = parse_quiver(
@@ -251,13 +253,16 @@ def test_nakayama_orbit_algebra_is_selfinjective():
 
 @pytest.mark.parametrize("name", ["line-k2.vq", "nakayama2.vq", "trivial-a2.vq", "loop-cover"])
 @pytest.mark.parametrize("window", [Window(-1, 1), Window(-2, 2)], ids=["w1", "w2"])
-def test_light_closure_finds_every_window_class(name, window):
-    """The premise of window_enumeration: on a window the light closure
-    finds exactly the isomorphism classes of the verified full closure."""
+def test_light_closure_finds_every_window_class(monkeypatch, name, window):
+    """These windows are Nakayama, so enumeration takes the light closure
+    on them; it finds exactly the isomorphism classes of the verified full
+    closure, forced here by patching the Nakayama test."""
     vq = LOOP_COVER if name == "loop-cover" else load_quiver(name)[2]
     bq = lift_window(vq, window)
-    light = enumerate_indecomposables(bq, dim_cap=64, count_cap=128, closure="light")
-    full = enumerate_indecomposables(bq, dim_cap=64, count_cap=128, closure="full")
+    assert fovea.modules._is_nakayama(bq)
+    light = enumerate_indecomposables(bq, dim_cap=64, count_cap=128)
+    monkeypatch.setattr(fovea.modules, "_is_nakayama", lambda bq: False)
+    full = enumerate_indecomposables(bq, dim_cap=64, count_cap=128)
     assert light.complete and full.complete
     assert len(light.modules) == len(full.modules)
     for x, y in zip(light.modules, full.modules):
@@ -280,20 +285,50 @@ def test_window_enumeration_is_memoised_and_refuses_a_capped_window(monkeypatch)
     assert fresh._orbits is None
 
 
-def test_branching_window_takes_the_full_closure():
-    """Over a branching lift the light closure misses indecomposables (the
-    D4 modules of dimension 3 and (2;1,1,1)), so window_enumeration must
-    list what the verified full closure lists."""
+def test_branching_window_takes_the_full_closure(monkeypatch):
+    """Over a branching lift the light closure, forced here by patching the
+    Nakayama test, misses indecomposables (the D4 modules of dimension 3
+    and (2;1,1,1)), so window_enumeration must list what the verified full
+    closure lists."""
     w = Window(-1, 1)
     bq = lift_window(D4_COVER, w)
-    light = enumerate_indecomposables(bq, dim_cap=64, count_cap=128, closure="light")
-    full = enumerate_indecomposables(bq, dim_cap=64, count_cap=128, closure="full")
+    assert not fovea.modules._is_nakayama(bq)
+    full = enumerate_indecomposables(bq, dim_cap=64, count_cap=128)
     enum = window_enumeration(D4_COVER, w)
+    with monkeypatch.context() as patch:
+        patch.setattr(fovea.modules, "_is_nakayama", lambda bq: True)
+        light = enumerate_indecomposables(bq, dim_cap=64, count_cap=128)
     assert full.complete and enum.complete
     assert len(light.modules) < len(full.modules) == len(enum.modules)
+    assert not light.complete and light.notes[-1].startswith("light closure lists")
     for x, y in zip(enum.modules, full.modules):
         assert x.dims == y.dims and is_isomorphic_indec(x, y)
     assert any(m.total_dim == 5 for m in enum.modules)
+
+
+def test_the_probe_reads_only_full_window_lists_on_the_d4_cover(monkeypatch):
+    """The probe once took the light closure on every window: on [-2, 2]
+    of the D4 cover it read 39 classes as complete where there are 55, and
+    answered "stabilized".  Every list it reads now holds the classes
+    window_enumeration lists."""
+    vq = parse_quiver(D4_COVER_TEXT)
+    read = []
+    enumerate_ = fovea.repetitive.enumerate_indecomposables
+
+    def recording(bq, *args, **kwargs):
+        enum = enumerate_(bq, *args, **kwargs)
+        read.append(enum)
+        return enum
+
+    monkeypatch.setattr(fovea.repetitive, "enumerate_indecomposables", recording)
+    report = support_finiteness_probe(vq)
+    complete = [enum for enum in read if enum.complete]
+    assert complete
+    for enum in complete:
+        r = max(int(v.rpartition("@")[2]) for v in enum.bq.vertices)
+        assert len(enum.modules) == len(window_enumeration(vq, Window(-r, r)).modules)
+    assert not report.stabilized
+    assert report.verdict == "not stabilized (enumeration hit a cap)"
 
 
 def test_density_search_on_a_capped_window_reports_not_found(monkeypatch):

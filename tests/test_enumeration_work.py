@@ -2,7 +2,7 @@
 
 These count work instead of timing it, so they give the same answer on
 every run: the full closure knits almost split sequences built from each
-module alone, with no rad^2 search, each sequence built once from one of
+module alone, with no rad^2 search left in the package, each sequence built once from one of
 its ends and certified by hom dimensions between listed modules; an
 enumeration decomposes each candidate once; no call enumerates a quiver
 twice, whatever the closure; the repetitive suite builds its repetitive
@@ -18,6 +18,7 @@ kernel takes one elimination; and an isomorphism test reads one trace
 pairing.
 """
 
+import inspect
 import random
 import sys
 
@@ -93,6 +94,11 @@ TREE5 = ("field gf 32749\nnilbound 3\nvertex 1 2 3 4 5\n"
          "arrow a: 1 -> 2\narrow b: 1 -> 3\narrow c: 4 -> 2\narrow d: 2 -> 5\n")
 
 
+# the rad^2 search, the map-level almost split certificate and the duals
+# they needed; tests/almost_split_reference.py keeps them as cross-checks
+RETIRED = ("irr_space", "IrrSpace", "verify_right_almost_split", "_factors_through",
+           "left_almost_split", "dual_map")
+
 # almost split sequences built while the final check rebuilt the incoming
 # ones: 12, 22 and 22
 SEQUENCE_BOUNDS = {"kronecker.bq": 9, "gen-star5-d11-v7.bq": 15, "gen-tree5-d11-v6.bq": 15}
@@ -107,7 +113,7 @@ SEQUENCE_BOUNDS = {"kronecker.bq": 9, "gen-star5-d11-v7.bq": 15, "gen-tree5-d11-
 ])
 def test_kg0_knits_local_almost_split_sequences(monkeypatch, tmp_path, name, text, hom_bound):
     sequence_bound = SEQUENCE_BOUNDS[name]
-    calls = {"irr_space": 0, "hom_space": 0}
+    calls = {"hom_space": 0}
     sequences = []
     for fn in calls:
         original = getattr(fovea.modules, fn)
@@ -130,7 +136,10 @@ def test_kg0_knits_local_almost_split_sequences(monkeypatch, tmp_path, name, tex
         name = str(tmp_path / name)
     report = run_suite("kg0", name)
     assert report.passed
-    assert calls["irr_space"] == 0
+    # no rad^2 search and no map-level certificate is left to call
+    assert not [name for name in RETIRED if hasattr(fovea.modules, name)]
+    assert not hasattr(fovea.modules.PairCache, "radical")
+    assert "cache" not in inspect.signature(fovea.modules.right_almost_split).parameters
     assert 0 < calls["hom_space"] <= hom_bound
     # a sequence ending at N is built over the quiver, one starting at N
     # from D N over the opposite quiver, so equal arguments mean a repeat

@@ -1,7 +1,7 @@
 """No fovea module holds shared mutable state.
 
 Memos live on the objects whose lifetime they share (a VoltageQuiver, a
-PathBasis, the PairCache of one factorization check or of one
+PathBasis, the PairCache of one almost split certificate or of one
 enumeration's final check, keyed on the modules), so nothing survives a
 caller except through the values it holds.
 """

@@ -7,7 +7,7 @@ from fovea.linalg import Field, Matrix
 from fovea.modules import (
     AlmostSplitSequence,
     DecompPiece,
-        ModMap,
+    ModMap,
     Module,
     ModuleError,
     ModuleParseError,
@@ -19,10 +19,8 @@ from fovea.modules import (
     hom_dim,
     hom_space,
     injective,
-    irr_space,
     is_indecomposable,
     is_isomorphic,
-        left_almost_split,
     map_factor,
     parse_module,
     projective,
@@ -30,16 +28,19 @@ from fovea.modules import (
     right_almost_split,
     simple,
     socle_submodule,
-    verify_right_almost_split,
 )
 from fovea.quiver import parse_quiver, path_basis
 
+from almost_split_reference import irr_space, left_almost_split, verify_right_almost_split
 from oracles import naturality_hom_dim
 
 A2 = parse_quiver("field gf 32749\nnilbound 2\nvertex 1 2\narrow a: 1 -> 2\n")
 A3 = parse_quiver(
     "field gf 32749\nnilbound 3\nvertex 1 2 3\narrow a: 1 -> 2\narrow b: 2 -> 3\n")
 LOOP = parse_quiver("field gf 32749\nnilbound 2\nvertex v\narrow a: v -> v\nrelation a*a\n")
+D4 = parse_quiver(
+    "field gf 32749\nnilbound 2\nvertex 0 1 2 3\n"
+    "arrow a: 1 -> 0\narrow b: 2 -> 0\narrow c: 3 -> 0\n")
 KRONECKER = parse_quiver(
     "field gf 32749\nnilbound 2\nvertex 1 2\narrow a: 1 -> 2\narrow b: 1 -> 2\n")
 
@@ -275,23 +276,90 @@ def _doubled_middle(seq, n):
 @pytest.mark.parametrize("bq,wrong", [
     pytest.param(A3, _split_sequence, id="a3"),
     pytest.param(LOOP, _split_sequence, id="loop"),
+    pytest.param(D4, _split_sequence, id="d4"),
     pytest.param(A3, _doubled_middle, id="a3-doubled"),
     pytest.param(LOOP, _doubled_middle, id="loop-doubled"),
+    pytest.param(D4, _doubled_middle, id="d4-doubled"),
 ])
 def test_enumeration_refuses_split_sequences(monkeypatch, bq, wrong):
     """The final check reads hom dimensions only; it must still refuse a
     knitting whose sequences split, here 0 -> tau N -> tau N + N -> N -> 0,
     or whose middle terms hold each summand twice (the same summands, so
-    only their multiplicities tell)."""
+    only their multiplicities tell).  A3 and LOOP are Nakayama and take
+    the light closure, so the full one is forced on them; D4 takes it."""
     almost_split_sequence = fovea.modules.almost_split_sequence
 
     def replaced(n, *args, **kwargs):
         return wrong(almost_split_sequence(n, *args, **kwargs), n)
 
     monkeypatch.setattr(fovea.modules, "almost_split_sequence", replaced)
+    if fovea.modules._is_nakayama(bq):
+        monkeypatch.setattr(fovea.modules, "_is_nakayama", lambda bq: False)
     enum = enumerate_indecomposables(bq)
     assert not enum.complete
     assert len(enum.notes) == 1 and enum.notes[0].startswith("verification failed")
+
+
+@pytest.mark.parametrize("wrong,message,almost_split", [
+    pytest.param(_split_sequence, "the map is a split epimorphism", False, id="split"),
+    pytest.param(_doubled_middle, "does not factor", True, id="doubled"),
+])
+def test_right_almost_split_refuses_a_wrong_sequence(monkeypatch, wrong, message, almost_split):
+    """The certificate of right_almost_split(check=True) reads hom
+    dimensions only; it must refuse the same wrong sequences as the
+    enumeration's final check.  The map-level reference refuses the split
+    one; the doubled middle term still gives an almost split map, only not
+    a minimal one, and the reference accepts it."""
+    enum = enumerate_indecomposables(D4)
+    pb = path_basis(D4)
+    exceptional = next(m for m in enum.modules if m.total_dim == 5)
+    right_almost_split(exceptional, enum.modules, basis=pb)
+    almost_split_sequence = fovea.modules.almost_split_sequence
+
+    def replaced(n, *args, **kwargs):
+        return wrong(almost_split_sequence(n, *args, **kwargs), n)
+
+    monkeypatch.setattr(fovea.modules, "almost_split_sequence", replaced)
+    g = right_almost_split(exceptional, enum.modules, basis=pb, check=False)
+    assert (verify_right_almost_split(g, exceptional, enum.modules) == []) == almost_split
+    with pytest.raises(fovea.modules.AlmostSplitError, match=message):
+        right_almost_split(exceptional, enum.modules, basis=pb)
+
+
+LOOP3 = parse_quiver("field gf 32749\nnilbound 3\nvertex v\narrow a: v -> v\nrelation a*a*a\n")
+A4 = parse_quiver("field gf 32749\nnilbound 4\nvertex 1 2 3 4\n"
+                  "arrow a: 1 -> 2\narrow b: 2 -> 3\narrow c: 3 -> 4\n")
+
+
+@pytest.mark.parametrize("bq", [LOOP3, A4], ids=["loop3", "a4"])
+def test_a_light_list_short_of_dim_a_classes_is_not_complete(monkeypatch, bq):
+    """Over a Nakayama algebra every indecomposable is a radical power of
+    an injective and a socle quotient power of a projective, so the light
+    closure drops a class only when both steps skip it; the count dim A
+    then certifies the list as incomplete."""
+    enum = enumerate_indecomposables(bq)
+    assert enum.complete and len(enum.modules) == path_basis(bq).total_dim
+    # a class the closure reaches only as a radical or a socle quotient
+    pb = path_basis(bq)
+    standard = [make(bq, v) for make in (simple, injective) for v in bq.vertices]
+    standard += [projective(bq, v, pb) for v in bq.vertices]
+    dropped = next(m for m in enum.modules
+                   if not any(is_isomorphic(m, s) for s in standard))
+
+    def skipping(step):
+        def patched(m):
+            sub, proj = step(m)
+            return (Module.zero(bq), None) if is_isomorphic(sub, dropped) else (sub, proj)
+        return patched
+
+    monkeypatch.setattr(fovea.modules, "socle_quotient", skipping(fovea.modules.socle_quotient))
+    monkeypatch.setattr(fovea.modules, "radical_submodule",
+                        skipping(fovea.modules.radical_submodule))
+    short = enumerate_indecomposables(bq)
+    assert len(short.modules) == len(enum.modules) - 1
+    assert not short.complete
+    assert short.notes == [f"light closure lists {len(short.modules)} classes, "
+                           f"not dim A = {len(enum.modules)}"]
 
 
 def test_left_almost_split_duality():

@@ -2,9 +2,11 @@
 
 perfbench/digests.json records the exit code and the sha256 of the report
 of every suite call the benchmark makes.  Each entry on a packaged fixture
-is run here in-process and compared with its record; entries on generated
-inputs (gen-*) and on the loop cover are left to the benchmark, which
-writes those inputs itself.
+is run here in-process and compared with its record.  Every entry, the
+generated inputs (gen-*) and the loop cover included, is also run through
+the benchmark's own call builder and check rule (perfbench/workloads.py,
+read and not changed): a call that passed when recorded must print the
+recorded report, and one that failed must fail with the recorded exit code.
 
 The repetitive exports (`rep build`, `rep orbit`) run through the path
 basis, the radical filtration and presentation extraction, and no suite
@@ -16,6 +18,7 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -23,7 +26,9 @@ import pytest
 from fovea.cli import main
 from fovea.naming import fixture_names
 
-DIGESTS = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text())
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+DIGESTS = json.loads((PERFBENCH / "digests.json").read_text())
 FIXTURES = set(fixture_names())
 ENTRIES = sorted(key for key in DIGESTS if key.split()[1] in FIXTURES)
 REP_DIGESTS = {
@@ -94,3 +99,27 @@ def test_repetitive_export_matches_its_recorded_digest(monkeypatch, tmp_path, co
         rc = main(command.split())
     assert rc == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == REP_DIGESTS[command]
+
+
+def _workloads():
+    # appended, so that the benchmark's gen/oracle modules shadow nothing
+    if str(PERFBENCH) not in sys.path:
+        sys.path.append(str(PERFBENCH))
+    import workloads
+    return workloads
+
+
+RECORDED = _workloads().recorded_calls()
+
+
+def test_every_recorded_call_is_checked():
+    assert sorted(f"{suite} {name}" for suite, name, _text in RECORDED) == sorted(DIGESTS)
+
+
+@pytest.mark.parametrize("suite,name,text", RECORDED, ids=[f"{s} {n}" for s, n, _t in RECORDED])
+def test_benchmark_call_passes_its_check(monkeypatch, tmp_path, suite, name, text):
+    workloads = _workloads()
+    monkeypatch.chdir(tmp_path)     # the report names the input as given
+    suites = workloads.SuiteCalls(DIGESTS, ROOT / "src" / "fovea" / "fixtures", tmp_path)
+    call = suites.call(suite, name, text)
+    assert call.check(call.summarize(workloads.cli_main(*call.args))) != workloads.FAIL
