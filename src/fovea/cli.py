@@ -211,12 +211,25 @@ def _fun_pushdown(args) -> int:
     return 0
 
 
+def _complete_list(q, args):
+    """The one enumeration a verb reads, at the CLI's caps; an incomplete
+    list is refused, since a simple functor built on it is not simple."""
+    enum = enumerate_indecomposables(q, dim_cap=args.dim_cap, count_cap=args.count_cap,
+                                     seed=args.seed)
+    if not enum.complete:
+        raise FunctorError("a simple functor's profile is undecidable from an incomplete list")
+    return enum
+
+
 def _fun_eval(args) -> int:
     _name, _digest, q = _load(args)
-    t = resolve_functor(q, args.functor)
     if isinstance(q, VoltageQuiver):
+        t = resolve_functor(q, args.functor)
         x = resolve_layered(q, args.at)
     else:
+        # only a simple functor reads the list of indecomposables
+        simple_spec = args.functor.strip().partition("@")[0].upper() == "S"
+        t = resolve_functor(q, args.functor, _complete_list(q, args) if simple_spec else None)
         x = resolve_module(q, args.at)
     d = evaluate_dim(t, x)
     _emit(args, {"dim": d}, str(d))
@@ -227,11 +240,8 @@ def _fun_simple(args) -> int:
     _name, _digest, q = _load(args)
     if isinstance(q, VoltageQuiver):
         raise FixtureError("profiles over a graded input are infinite; use eval")
-    enum = enumerate_indecomposables(q, dim_cap=args.dim_cap, count_cap=args.count_cap,
-                                     seed=args.seed)
     n = resolve_module(q, args.at)
-    if not enum.complete:
-        raise FunctorError("a simple functor's profile is undecidable from an incomplete list")
+    enum = _complete_list(q, args)
     t = simple_functor(q, n, enum)
     profile = {label: evaluate_dim(t, x) for label, x in zip(enum.labels(), enum.modules)}
     text = "  ".join(f"{k}:{v}" for k, v in sorted(profile.items()))

@@ -10,7 +10,15 @@ field and do the arithmetic inline, `(x - c*y) % p` over GF(p) and
 `x - c*y` over Q, instead of calling the `Field` methods per entry.  The
 GF(p) branches return the residues the `Field` methods would (`poly_mul`
 reduces once, after summing), so they compute the same canonical forms
-entry for entry.
+entry for entry.  `Subspace.reduce`, `coords` and `contains` do the same.
+
+Two kernel routines give the same canonical basis.  `kernel_basis` takes
+a dense `Matrix` through `rref`; trace pairings, presentations and
+Fitting splits are dense, and sending them through the sparse routine
+made no run faster.  `sparse_kernel` takes the naturality system of a
+hom space: its rows are dicts with a few entries each, many systems have
+no equation at all, and it returns the `Subspace` with the pivots it
+already knows, so nothing writes a dense row or scans one again.
 """
 
 from __future__ import annotations
@@ -410,6 +418,72 @@ def kernel_basis(m: Matrix) -> Matrix:
     return Matrix._raw(f, len(vecs), n, tuple(vecs))
 
 
+def sparse_kernel(field: Field, n: int, rows) -> "Subspace":
+    """Canonical null space in K^n of a sparse system, with its pivots.
+
+    Each row is a dict {column: nonzero entry} whose columns are already
+    reversed (column n-1-u holds unknown u); the rows are consumed and
+    changed.  They are reduced one at a time into an echelon form keyed
+    by leading column, back-substituted once, and read off as in
+    `kernel_basis`: the vector of free column fc has its leading 1 at
+    n-1-fc, so the vectors come out in reduced row echelon form and
+    those positions are the pivots of the subspace.  An echelon row is
+    held without its leading 1, as the entries right of it.
+    """
+    p = field.p
+    echelon = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            lead = row.pop(c)
+            tail = echelon.get(c)
+            if tail is None:
+                if p is None:
+                    inv = 1 / lead
+                    echelon[c] = {k: inv * x for k, x in row.items()}
+                elif lead != 1:
+                    inv = pow(lead, -1, p)
+                    echelon[c] = {k: inv * x % p for k, x in row.items()}
+                else:
+                    echelon[c] = row
+                break
+            _axpy(row, lead, tail, p)
+    # back-substitute from the last pivot, so that every tail used is reduced
+    for c in sorted(echelon, reverse=True):
+        row = echelon[c]
+        for k in [k for k in row if k in echelon]:
+            _axpy(row, row.pop(k), echelon[k], p)
+    zero, one = field.zero, field.one
+    vecs = {fc: [zero] * n for fc in range(n - 1, -1, -1) if fc not in echelon}
+    for fc, v in vecs.items():
+        v[n - 1 - fc] = one
+    for c, row in echelon.items():
+        i = n - 1 - c
+        for fc, x in row.items():
+            vecs[fc][i] = -x if p is None else p - x
+    return Subspace(field, n, Matrix._raw(field, len(vecs), n, tuple(map(tuple, vecs.values()))),
+                    tuple(n - 1 - fc for fc in vecs))
+
+
+def _axpy(row: dict, factor, tail: dict, p) -> None:
+    """row -= factor * tail in place, dropping the entries that vanish."""
+    get = row.get
+    if p is None:
+        for k, y in tail.items():
+            x = get(k, 0) - factor * y
+            if x:
+                row[k] = x
+            else:
+                del row[k]
+    else:
+        for k, y in tail.items():
+            x = (get(k, 0) - factor * y) % p
+            if x:
+                row[k] = x
+            else:
+                del row[k]
+
+
 def solve(a: Matrix, b: Matrix) -> Matrix | None:
     """One exact solution X of a @ X = b, or None if inconsistent."""
     if a.rows != b.rows:
@@ -442,15 +516,16 @@ class Subspace:
 
     __slots__ = ("field", "ambient", "rows", "_pivots")
 
-    def __init__(self, field: Field, ambient: int, rows: Matrix):
+    def __init__(self, field: Field, ambient: int, rows: Matrix, pivots=None):
+        """rows must be in canonical form; pivots, if given, are their
+        leading columns, which are otherwise scanned for."""
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "rows", rows)
-        f = field
-        pivots = []
-        for row in rows.entries:
-            pivots.append(next(i for i, x in enumerate(row) if x == f.one))
-        object.__setattr__(self, "_pivots", tuple(pivots))
+        if pivots is None:
+            one = field.one
+            pivots = tuple(next(i for i, x in enumerate(row) if x == one) for row in rows.entries)
+        object.__setattr__(self, "_pivots", pivots)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -481,31 +556,37 @@ class Subspace:
 
     def reduce(self, v) -> tuple:
         """Remainder of v after elimination by the canonical basis rows."""
-        f = self.field
-        v = [f.coerce(x) for x in v]
-        for row, pivot in zip(self.rows.entries, self._pivots):
-            c = v[pivot]
-            if c:
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
-        return tuple(v)
+        return tuple(self._eliminate(v, None))
 
     def contains(self, v) -> bool:
-        z = self.field.zero
-        return all(x == z for x in self.reduce(v))
+        return not any(self._eliminate(v, None))
 
     def coords(self, v):
         """Coefficients of v in the canonical basis, or None if outside."""
-        f = self.field
-        v = [f.coerce(x) for x in v]
         out = []
-        for row, pivot in zip(self.rows.entries, self._pivots):
-            c = v[pivot]
-            out.append(c)
-            if c:
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
-        if any(x != f.zero for x in v):
+        if any(self._eliminate(v, out)):
             return None
         return tuple(out)
+
+    def _eliminate(self, v, out):
+        """Eliminate v by each basis row in turn, appending the
+        coefficient used to out (unless None); returns the remainder.
+
+        A row is zero left of its pivot and 1 there, so only the columns
+        from the pivot on change."""
+        f = self.field
+        p = f.p
+        v = [f.coerce(x) for x in v]
+        for row, c in zip(self.rows.entries, self._pivots):
+            factor = v[c]
+            if out is not None:
+                out.append(factor)
+            if factor:
+                if p is None:
+                    v[c:] = [x - factor * y for x, y in zip(v[c:], row[c:])]
+                else:
+                    v[c:] = [(x - factor * y) % p for x, y in zip(v[c:], row[c:])]
+        return v
 
     def sum(self, other: "Subspace") -> "Subspace":
         return Subspace.span(self.field, self.ambient, list(self.rows.entries) + list(other.rows.entries))

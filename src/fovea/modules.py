@@ -27,6 +27,7 @@ from .linalg import (
     rank,
     row_space,
     solve,
+    sparse_kernel,
     vstack,
 )
 from .quiver import BoundQuiver, PathBasis, opposite_quiver, path_basis
@@ -249,11 +250,11 @@ class ModMap:
 class HomBasis:
     """Canonical basis of Hom(M, N) with coordinate helpers."""
 
-    def __init__(self, source: Module, target: Module, rows: Matrix):
+    def __init__(self, source: Module, target: Module, space: Subspace):
         self.source = source
         self.target = target
-        self.rows = rows
-        self.space = Subspace(source.bq.field, rows.cols, rows)
+        self.space = space
+        self.rows = space.rows
 
     @cached_property
     def maps(self) -> list[ModMap]:
@@ -282,41 +283,53 @@ class HomBasis:
 
 
 def hom_space(m: Module, n: Module) -> HomBasis:
-    """Solve all naturality squares; canonical basis of the solution space."""
-    if m.bq != n.bq:
+    """Solve all naturality squares; canonical basis of the solution space.
+
+    Unknown u = offset(v) + i dim M(v) + k is the entry (i, k) of the
+    component f_v.  Each entry (i, j) of each square f_x M(a) = N(a) f_y
+    gives one sparse equation, with unknown u at column last - u, the
+    reversed order `sparse_kernel` eliminates in.
+    """
+    if n.bq is not m.bq and m.bq != n.bq:
         raise ModuleError("hom between modules over different quivers")
-    f = m.bq.field
-    p, zero = f.p, f.zero
     offsets = {}
     total = 0
     for v in m.bq.vertices:
         offsets[v] = total
         total += n.dims[v] * m.dims[v]
+    f = m.bq.field
+    return HomBasis(m, n, sparse_kernel(f, total, _naturality_rows(m, n, offsets, total - 1, f.p)))
 
-    # unknown (v, i, j) is the entry (i, j) of the component at v
-    rows = []
+
+def _naturality_rows(m: Module, n: Module, offsets: dict, last: int, p):
+    """The nonzero equations of hom_space's system, as {column: entry}."""
     for a in m.bq.arrows:
         x, y = a.source, a.target
-        ma, na = m.mats[a.name].entries, n.mats[a.name].entries
-        mx, my, ny = m.dims[x], m.dims[y], n.dims[y]
-        ox, oy = offsets[x], offsets[y]
-        for i in range(n.dims[x]):
-            for j in range(my):
-                row = [zero] * total
-                for k in range(mx):
-                    c = ma[k][j]
-                    if c:
-                        u = ox + i * mx + k
-                        row[u] = row[u] + c if p is None else (row[u] + c) % p
-                for l in range(ny):
-                    c = na[i][l]
-                    if c:
-                        u = oy + l * my + j
-                        row[u] = row[u] - c if p is None else (row[u] - c) % p
-                if any(row):
-                    rows.append(tuple(row))
-    system = Matrix._raw(f, len(rows), total, tuple(rows))
-    return HomBasis(m, n, kernel_basis(system))
+        mx, my, nx = m.dims[x], m.dims[y], n.dims[x]
+        # equation (i, j), for i < dim N(x) and j < dim M(y), reads column
+        # j of M(a) (mx entries) and row i of N(a) (dim N(y) entries)
+        if not my or not nx or not (mx or n.dims[y]):
+            continue
+        ma = m.mats[a.name].entries
+        m_cols = [[(k, row[j]) for k, row in enumerate(ma) if row[j]] for j in range(my)]
+        n_rows = [[(l, -c if p is None else -c % p) for l, c in enumerate(row) if c]
+                  for row in n.mats[a.name].entries]
+        ox, oy = last - offsets[x], last - offsets[y]
+        for i, n_row in enumerate(n_rows):
+            base = ox - i * mx
+            for j, m_col in enumerate(m_cols):
+                row = {base - k: c for k, c in m_col}
+                base_y = oy - j
+                for l, c in n_row:
+                    col = base_y - l * my
+                    if col in row:
+                        # a loop at x = y: both sides read this unknown
+                        c = row.pop(col) + c if p is None else (row.pop(col) + c) % p
+                        if not c:
+                            continue
+                    row[col] = c
+                if row:
+                    yield row
 
 
 def hom_dim(m: Module, n: Module) -> int:

@@ -11,9 +11,10 @@ as often as the irreducible maps X -> N that `irr_space`, the older
 construction through rad^2 over the list, counts.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from fovea.linalg import Matrix, rank
+from fovea.linalg import Matrix, inverse, rank
 from fovea.modules import (
     ModMap,
     Module,
@@ -116,6 +117,32 @@ def test_the_extension_class_is_killed_by_the_radical_of_the_endomorphisms():
     seq = almost_split_sequence(n, pb)
     assert verify_right_almost_split(seq.g, n, enum.modules) == []
     assert sorted(p.total_dim for p, c in decompose(seq.middle).summands() for _ in range(c)) == [1, 3]
+
+
+KRONECKER = "nilbound 2\nvertex 1 2\narrow a: 1 -> 2\narrow b: 1 -> 2\n"
+
+
+@pytest.mark.parametrize("field", ["gf 32749", "q"])
+def test_the_socle_class_is_found_in_a_scrambled_basis(field):
+    """The Kronecker module R of dimension vector (2, 2) with a = 1 and
+    b = J_2(3) lies in a homogeneous tube: tau R = R, End(R) = k[t]/t^2 and
+    Ext^1(R, R) is 2-dimensional.  Only its socle line over End(R) gives the
+    almost split sequence, with middle term R_1 + R_3; another class gives
+    the indecomposable R_4.  In the basis of R the canonical bases hand the
+    construction, the first class is already in the socle; in a scrambled
+    basis it is not, so the socle step is what picks the right class."""
+    bq = parse_quiver(f"field {field}\n" + KRONECKER)
+    f = bq.field
+    c1, c2 = Matrix(f, [[3, 3], [0, 2]]), Matrix(f, [[4, 3], [3, 2]])
+    plain = {"a": Matrix.identity(f, 2), "b": Matrix(f, [[3, 1], [0, 3]])}
+    n = Module(bq, {"1": 2, "2": 2}, {k: c1 @ m @ inverse(c2) for k, m in plain.items()})
+    assert hom_space(n, n).dim == 2
+    seq = almost_split_sequence(n)
+    assert seq.tau.dims == n.dims and is_isomorphic_indec(seq.tau, n)
+    assert not _is_split_epi(seq.g)
+    summands = decompose(seq.middle).summands()
+    assert sorted((piece.dims["1"], piece.dims["2"], c) for piece, c in summands) == [
+        (1, 1, 1), (3, 3, 1)]
 
 
 def test_sequences_over_a_cyclic_nakayama_algebra():

@@ -92,6 +92,26 @@ def test_simple_profile_on_a_capped_enumeration_fails(capsys, json_flag):
     assert err == "fovea: a simple functor's profile is undecidable from an incomplete list\n"
 
 
+def test_eval_of_a_simple_functor_honours_the_caps():
+    # S@ is built on one enumeration at the CLI's caps, which is incomplete
+    # on the Kronecker algebra, so eval refuses at once; it used to enumerate
+    # at the library's caps and ran for more than 20 s
+    done = subprocess.run(
+        [sys.executable, "-m", "fovea", "eval", "kronecker.bq", "--functor", "S@S1",
+         "--at", "S1", "--dim-cap", "2"],
+        capture_output=True, text=True, cwd="src", timeout=5)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == "fovea: a simple functor's profile is undecidable from an incomplete list\n"
+
+
+def test_eval_of_a_representable_functor_reads_no_list(capsys):
+    # Hom(-, S1) needs no indecomposable list, so an incomplete one is no bar
+    code, out, _ = run(capsys, "eval", "kronecker.bq", "--functor", "H@S1", "--at", "S1",
+                       "--dim-cap", "2")
+    assert code == 0 and out.strip() == "1"
+
+
 def test_field_override(capsys):
     code, out, _ = run(capsys, "hom", "a2.bq", "--field", "q", "--from", "P2", "--to", "S2")
     assert code == 0 and out.strip() == "dim = 1"

@@ -14,8 +14,8 @@ they are read; a Fitting split tries the power of phi before factoring
 and stops factoring at the first divisor that splits; a decomposition
 builds only the endomorphisms it tries, raises each vertex to its own
 dimension and reads both pieces of a split off one change of basis; a
-kernel takes one elimination; and an isomorphism test reads one trace
-pairing.
+kernel takes one elimination; a hom space takes no dense elimination; and
+an isomorphism test reads one trace pairing.
 """
 
 import inspect
@@ -372,8 +372,9 @@ def test_decompose_builds_only_the_tried_endomorphisms(monkeypatch):
     assert tried and len(built) <= len(tried)
     # each vertex is raised to its own dimension, not to dim M
     assert powers and all(n <= size for size, n in powers)
-    # 89 when each piece's arrow matrices were solved for (73 when recorded)
-    assert len(eliminations) < 89
+    # 89 when each piece's arrow matrices were solved for, 80 while each hom
+    # space was a dense elimination; 69 when recorded
+    assert len(eliminations) <= 69
 
 
 def test_kernel_basis_runs_one_elimination(monkeypatch):
@@ -393,6 +394,25 @@ def test_kernel_basis_runs_one_elimination(monkeypatch):
         ker = fovea.linalg.kernel_basis(m)
         assert (m @ ker.transpose()).is_zero()
         assert len(calls) == 1
+
+
+def test_hom_space_runs_no_dense_elimination(monkeypatch):
+    pb = path_basis(D4)
+    scrambled = _scrambled_d4()
+    modules = [projective(D4, "0", pb), injective(D4, "1"), simple(D4, "0"), scrambled,
+               Module.zero(D4)]
+    calls = []
+    for name in ("rref", "kernel_basis"):
+        original = getattr(fovea.linalg, name)
+
+        def recording(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(fovea.linalg, name, recording)
+        monkeypatch.setattr(fovea.modules, name, recording, raising=False)
+    assert sum(hom_space(m, n).dim for m in modules for n in modules) > 0
+    assert calls == []
 
 
 def test_isomorphism_test_reads_one_trace_pairing(monkeypatch):

@@ -1,0 +1,170 @@
+"""hom_space against the dense system it replaced.
+
+`reference_hom_space` is hom_space as it was before the naturality system
+was solved sparse: every equation written as a dense row, and the row
+space's null space taken by `kernel_basis`.  The null space has one
+reduced row echelon form, so both must give the same basis entry for
+entry, and the sparse solve must hand the subspace the pivots a fresh
+scan of its rows finds.  The quivers are random and unbound (loops and
+parallel arrows included), since hom_space never reads the relations.
+"""
+
+import pytest
+from hypothesis import given, strategies as st
+
+from fovea.linalg import Field, Matrix, Subspace, kernel_basis
+from fovea.modules import HomBasis, ModMap, Module, ModuleError, hom_space
+from fovea.quiver import BoundQuiver
+
+from oracles import naturality_hom_dim
+from test_properties import CHECKS, FIELDS, scalars
+
+
+def reference_hom_space(m: Module, n: Module) -> HomBasis:
+    """Solve all naturality squares as one dense system."""
+    if m.bq != n.bq:
+        raise ModuleError("hom between modules over different quivers")
+    f = m.bq.field
+    p, zero = f.p, f.zero
+    offsets = {}
+    total = 0
+    for v in m.bq.vertices:
+        offsets[v] = total
+        total += n.dims[v] * m.dims[v]
+
+    # unknown (v, i, j) is the entry (i, j) of the component at v
+    rows = []
+    for a in m.bq.arrows:
+        x, y = a.source, a.target
+        ma, na = m.mats[a.name].entries, n.mats[a.name].entries
+        mx, my, ny = m.dims[x], m.dims[y], n.dims[y]
+        ox, oy = offsets[x], offsets[y]
+        for i in range(n.dims[x]):
+            for j in range(my):
+                row = [zero] * total
+                for k in range(mx):
+                    c = ma[k][j]
+                    if c:
+                        u = ox + i * mx + k
+                        row[u] = row[u] + c if p is None else (row[u] + c) % p
+                for l in range(ny):
+                    c = na[i][l]
+                    if c:
+                        u = oy + l * my + j
+                        row[u] = row[u] - c if p is None else (row[u] - c) % p
+                if any(row):
+                    rows.append(tuple(row))
+    system = Matrix._raw(f, len(rows), total, tuple(rows))
+    return HomBasis(m, n, Subspace(f, total, kernel_basis(system)))
+
+
+def _oracle_dim(m, n):
+    arrows = [(a.name, a.source, a.target) for a in m.bq.arrows]
+    return naturality_hom_dim(
+        m.bq.vertices, arrows, m.dims,
+        {k: [list(r) for r in v.entries] for k, v in m.mats.items()},
+        n.dims, {k: [list(r) for r in v.entries] for k, v in n.mats.items()},
+        p=m.bq.field.p)
+
+
+def _assert_matches_the_reference(m, n):
+    hom = hom_space(m, n)
+    ref = reference_hom_space(m, n)
+    assert hom.rows.entries == ref.rows.entries
+    assert hom.rows.shape == ref.rows.shape
+    fresh = Subspace(m.bq.field, hom.rows.cols, hom.rows)
+    assert hom.space._pivots == fresh._pivots
+    assert hom.dim == _oracle_dim(m, n)
+    for g in hom.maps:
+        assert g.is_natural()
+    return hom
+
+
+@st.composite
+def quivers(draw):
+    field = draw(st.sampled_from(FIELDS))
+    vertices = [str(v) for v in range(1, draw(st.integers(1, 3)) + 1)]
+    ends = st.tuples(st.sampled_from(vertices), st.sampled_from(vertices))
+    arrows = [(f"a{k}", *draw(ends)) for k in range(draw(st.integers(0, 4)))]
+    return BoundQuiver(vertices, arrows, [], field, 2)
+
+
+@st.composite
+def modules(draw, bq):
+    field = bq.field
+    dims = {v: draw(st.integers(0, 3)) for v in bq.vertices}
+    entry = st.one_of(st.just(0), st.just(1), scalars(field))
+    mats = {a.name: Matrix.from_rows(field, dims[a.source], dims[a.target],
+                                     [[draw(entry) for _ in range(dims[a.target])]
+                                      for _ in range(dims[a.source])])
+            for a in bq.arrows}
+    return Module(bq, dims, mats)
+
+
+@st.composite
+def module_pairs(draw):
+    bq = draw(quivers())
+    m = draw(modules(bq))
+    # Hom(M, M) as well, where the loops' two sides share unknowns
+    n = m if draw(st.booleans()) else draw(modules(bq))
+    return m, n
+
+
+@CHECKS
+@given(module_pairs())
+def test_hom_space_equals_the_dense_reference(pair):
+    _assert_matches_the_reference(*pair)
+
+
+def _bq(field, arrows):
+    vertices = sorted({v for _name, x, y in arrows for v in (x, y)} | {"1"})
+    return BoundQuiver(vertices, arrows, [], field, 2)
+
+
+def _module(bq, dims, mats):
+    f = bq.field
+    return Module(bq, dims, {
+        a.name: Matrix.from_rows(f, dims[a.source], dims[a.target],
+                                 mats.get(a.name, [[0] * dims[a.target]] * dims[a.source]))
+        for a in bq.arrows})
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["gf7", "gf32749", "q"])
+def test_edge_systems_equal_the_dense_reference(field):
+    loop = _bq(field, [("a", "1", "1")])
+    line = _bq(field, [("a", "1", "2")])
+    bare = _bq(field, [])
+    # no unknowns: N vanishes wherever M does not
+    zero = _module(loop, {"1": 0}, {})
+    one = _module(loop, {"1": 1}, {"a": [[0]]})
+    assert _assert_matches_the_reference(zero, one).rows.shape == (0, 0)
+    assert _assert_matches_the_reference(one, zero).rows.shape == (0, 0)
+    # no arrows, so no equation: every matrix is a map
+    m = _module(bare, {"1": 2}, {})
+    assert _assert_matches_the_reference(m, m).dim == 4
+    # an arrow a: 1 -> 2 gives equations f_1 M(a) = N(a) f_2, one for each
+    # entry of N(1) x M(2); none when M(2) = 0 or N(1) = 0
+    s1 = _module(line, {"1": 1, "2": 0}, {})
+    s2 = _module(line, {"1": 0, "2": 1}, {})
+    p1 = _module(line, {"1": 1, "2": 1}, {"a": [[1]]})
+    assert _assert_matches_the_reference(s1, p1).dim == 1
+    assert _assert_matches_the_reference(p1, s2).dim == 1
+    # M(1) = N(2) = 0: the one equation is zero
+    assert _assert_matches_the_reference(s2, s1).dim == 0
+    # nonzero equations with a trivial and with a full solution space
+    assert _assert_matches_the_reference(p1, s1).dim == 0
+    assert _assert_matches_the_reference(s2, p1).dim == 0
+    assert _assert_matches_the_reference(p1, p1).dim == 1
+    # a loop whose two sides cancel on one unknown: N(a) = M(a) = [[1]]
+    unit = _module(loop, {"1": 1}, {"a": [[1]]})
+    assert _assert_matches_the_reference(unit, unit).dim == 1
+    assert _assert_matches_the_reference(unit, one).dim == 0
+    jordan = _module(loop, {"1": 2}, {"a": [[1, 1], [0, 1]]})
+    assert _assert_matches_the_reference(jordan, jordan).dim == 2
+
+
+def test_hom_space_refuses_modules_over_different_quivers():
+    f = Field.gf(7)
+    a, b = _bq(f, [("a", "1", "1")]), _bq(f, [("b", "1", "1")])
+    with pytest.raises(ModuleError):
+        hom_space(_module(a, {"1": 1}, {"a": [[0]]}), _module(b, {"1": 1}, {"b": [[0]]}))
