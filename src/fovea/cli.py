@@ -55,8 +55,10 @@ def _common(p: argparse.ArgumentParser):
                    help="field override: gf:<p> or q (default from FOVEA_FIELD)")
     p.add_argument("--seed", type=int, default=0, help="seed for decompositions")
     p.add_argument("--window", type=int, default=None, help="window / search radius")
-    p.add_argument("--dim-cap", type=int, default=12, help="dimension cap for enumeration")
-    p.add_argument("--count-cap", type=int, default=24, help="count cap for enumeration")
+    p.add_argument("--dim-cap", type=int, default=12,
+                   help="dimension cap for enumeration over an algebra input (covers: fixed 64)")
+    p.add_argument("--count-cap", type=int, default=24,
+                   help="count cap for enumeration over an algebra input (covers: fixed 128)")
 
 
 # the verbs in help order

@@ -193,7 +193,9 @@ def window_enumeration(vq: VoltageQuiver, window: Window) -> Enumeration:
     enumeration is an error, not a guess."""
     enum = enumerate_indecomposables(lift_window(vq, window), dim_cap=64, count_cap=128)
     if not enum.complete:
-        raise CoveringError("window enumeration is incomplete: " + "; ".join(enum.notes))
+        raise CoveringError("window enumeration is incomplete: " + "; ".join(enum.notes) + "; a "
+                            "cover's windows are enumerated at the fixed caps dim 64, count 128: "
+                            "--dim-cap and --count-cap bound algebra inputs only")
     return enum
 
 

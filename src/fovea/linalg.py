@@ -106,9 +106,6 @@ class Field:
             raise ZeroDivisionError("inverse of zero field element")
         return 1 / a if self.p is None else pow(a, -1, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def sample(self, rng):
         """Draw a pseudo-random element; small integers over the rationals."""
         if self.p is None:
@@ -495,19 +492,17 @@ def solve(a: Matrix, b: Matrix) -> Matrix | None:
         return Matrix.zeros(f, a.cols, 0)
     red = rref(hstack([a, b]))
     n = a.cols
-    x = [[f.zero] * b.cols for _ in range(n)]
+    x = [(f.zero,) * b.cols] * n
     for i, p in enumerate(red.pivots):
         if p >= n:
             return None
-        x[p] = list(red.matrix.entries[i][n:])
-    return Matrix(f, x)
+        x[p] = red.matrix.entries[i][n:]
+    return Matrix._raw(f, n, b.cols, tuple(x))
 
 
 def inverse(m: Matrix) -> Matrix | None:
     if m.rows != m.cols:
         return None
-    if m.rows == 0:
-        return Matrix.zeros(m.field, 0, 0)
     return solve(m, Matrix.identity(m.field, m.rows))
 
 
@@ -658,9 +653,6 @@ class SubspaceOps:
 
     def in_a(self, v) -> bool:
         return self.a.contains(v)
-
-    def in_b(self, v) -> bool:
-        return self.b.contains(v)
 
     def in_sum(self, v) -> bool:
         return self.a.sum(self.b).contains(v)

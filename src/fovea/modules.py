@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from operator import mul as _mul
 
 from .linalg import (
     LinAlgError,
@@ -557,9 +558,9 @@ def _trace_pairing(hom: HomBasis, back: HomBasis) -> Matrix:
         offset += rows * cols
     flipped = [[vec[o + i * c + j] for o, r, c in blocks for j in range(c) for i in range(r)]
                for vec in back.rows.entries]
-    vecs = hom.rows.entries
-    return Matrix.from_rows(f, back.dim, hom.dim,
-                            [[sum(a * b for a, b in zip(vec, g)) for vec in vecs] for g in flipped])
+    vecs, zero, p = hom.rows.entries, f.zero, f.p
+    return Matrix._raw(f, back.dim, hom.dim, tuple(tuple(sum(map(_mul, v, g), zero) if p is None
+                       else sum(map(_mul, v, g)) % p for v in vecs) for g in flipped))
 
 
 class RadicalHom:
@@ -605,17 +606,18 @@ class PairCache:
         return out
 
 
-def is_isomorphic_indec(m: Module, n: Module) -> bool:
+def is_isomorphic_indec(m: Module, n: Module, cache: PairCache | None = None) -> bool:
     """Isomorphism test for modules assumed indecomposable."""
     if m.dims != n.dims:
         return False
     if m.is_zero():
         return True
-    hom = hom_space(m, n)
+    cache = cache or PairCache()
+    hom = cache.hom(m, n)
     if hom.dim == 0:
         return False
     # some f with tr(g f) != 0 is outside rad(M, N)
-    return not _trace_pairing(hom, hom_space(n, m)).is_zero()
+    return not _trace_pairing(hom, cache.hom(n, m)).is_zero()
 
 
 def find_iso(m: Module, n: Module) -> ModMap | None:
@@ -641,11 +643,28 @@ def find_iso(m: Module, n: Module) -> ModMap | None:
 # decomposition
 
 
-@dataclass
 class DecompPiece:
-    module: Module
-    include: ModMap   # piece -> whole
-    project: ModMap   # whole -> piece
+    """A summand of a module with its witnesses include (piece -> whole) and
+    project (whole -> piece).  A split piece keeps its parent and its own
+    step and composes parent.include @ step and step @ parent.project when
+    first read; a step off the whole DecompPiece(m) is its own witness."""
+
+    def __init__(self, module: Module, include: ModMap | None = None,
+                 project: ModMap | None = None, parent: DecompPiece | None = None):
+        self.module = module
+        self._include, self._project, self._parent = include, project, parent
+
+    include = property(lambda self: self._witnesses()[0])
+    project = property(lambda self: self._witnesses()[1])
+
+    def _witnesses(self) -> tuple[ModMap, ModMap]:
+        parent, self._parent = self._parent, None
+        if parent is not None and parent._include is not None:
+            self._include = parent.include @ self._include
+            self._project = self._project @ parent.project
+        elif self._include is None:
+            self._include = self._project = ModMap.identity(self.module)
+        return self._include, self._project
 
 
 @dataclass
@@ -710,25 +729,29 @@ def _fitting_split(piece: DecompPiece, psi: ModMap) -> tuple[DecompPiece, Decomp
     read off one change of basis: with U_v = [ker psi_v | im psi_v], the
     matrix U_x^-1 M_a U_y of an arrow a: x -> y is block diagonal, its
     diagonal blocks act on the kernel and on the image, and the rows of
-    U_v^-1 are the two projections.
+    U_v^-1 are the two projections; U_v = [1] where dim M(v) = 1.
     """
     m = piece.module
     f = m.bq.field
-    ker_cols = {v: kernel_basis(psi.comps[v]).transpose() for v in m.bq.vertices}
-    if not 0 < sum(c.cols for c in ker_cols.values()) < m.total_dim:
-        return None
-    im_cols = {v: column_space_basis(psi.comps[v]) for v in m.bq.vertices}
+    unit, empty = Matrix.identity(f, 1), Matrix.zeros(f, 1, 0)
+    ker_cols = {v: (empty if psi.comps[v].entries[0][0] else unit) if m.dims[v] == 1
+                else kernel_basis(psi.comps[v]).transpose() for v in m.support}
     kd = {v: c.cols for v, c in ker_cols.items()}
-    u = {v: hstack([ker_cols[v], im_cols[v]]) for v in m.bq.vertices}
-    u_inv = {v: inverse(c) for v, c in u.items()}
+    if not 0 < sum(kd.values()) < m.total_dim:
+        return None
+    im_cols = {v: (empty if kd[v] else unit) if m.dims[v] == 1
+               else column_space_basis(psi.comps[v]) for v in m.support}
+    u = {v: hstack([ker_cols[v], im_cols[v]]) for v in m.support if m.dims[v] > 1}
+    u_inv = {v: inverse(u[v]) if v in u else unit for v in m.support}
     if any(c is None for c in u_inv.values()):
         return None
     ker_mats, im_mats = {}, {}
     for a in m.bq.arrows:
         x, y = a.source, a.target
         # the columns of the kernel (image) at y go to the kernel (image) at x
-        block = (u_inv[x] @ m.mats[a.name] @ u[y]).entries
-        kx, ky = kd[x], kd[y]
+        block = u_inv[x] @ m.mats[a.name] if x in u else m.mats[a.name]
+        block = (block @ u[y] if y in u else block).entries
+        kx, ky = kd.get(x, 0), kd.get(y, 0)
         if any(any(row[ky:]) for row in block[:kx]) or any(any(row[:ky]) for row in block[kx:]):
             raise ModuleError("columns are not closed under the arrow action")
         ker_mats[a.name] = Matrix._raw(f, kx, ky, tuple(row[:ky] for row in block[:kx]))
@@ -736,15 +759,13 @@ def _fitting_split(piece: DecompPiece, psi: ModMap) -> tuple[DecompPiece, Decomp
                                       tuple(row[ky:] for row in block[kx:]))
     ker = Module(m.bq, kd, ker_mats, check=False)
     im = Module(m.bq, {v: c.cols for v, c in im_cols.items()}, im_mats, check=False)
-    ker_incl = ModMap(ker, m, ker_cols, check=False)
-    im_incl = ModMap(im, m, im_cols, check=False)
-    pk = ModMap(m, ker, {v: Matrix._raw(f, kd[v], m.dims[v], u_inv[v].entries[:kd[v]])
-                         for v in m.bq.vertices}, check=False)
-    pi = ModMap(m, im, {v: Matrix._raw(f, im.dims[v], m.dims[v], u_inv[v].entries[kd[v]:])
-                        for v in m.bq.vertices}, check=False)
+    pk = {v: Matrix._raw(f, kd[v], m.dims[v], u_inv[v].entries[:kd[v]]) for v in m.support}
+    pi = {v: Matrix._raw(f, im.dims[v], m.dims[v], u_inv[v].entries[kd[v]:]) for v in m.support}
     return (
-        DecompPiece(ker, piece.include @ ker_incl, pk @ piece.project),
-        DecompPiece(im, piece.include @ im_incl, pi @ piece.project),
+        DecompPiece(ker, ModMap(ker, m, ker_cols, check=False), ModMap(m, ker, pk, check=False),
+                    piece),
+        DecompPiece(im, ModMap(im, m, im_cols, check=False), ModMap(m, im, pi, check=False),
+                    piece),
     )
 
 
@@ -792,17 +813,37 @@ def _generates_a_residue_field(end: HomBasis, rad: Subspace, rng: random.Random)
     return poly_is_irreducible(f, [f.neg(row[0]) for row in coeffs.entries] + [f.one])
 
 
-def decompose(m: Module, seed: int = DEFAULT_SEED, max_tries: int = 64) -> Decomposition:
-    """Full direct-sum decomposition with inclusion/projection witnesses."""
+def _is_thin_brick(m: Module) -> bool:
+    """Is every dim of M at most 1, its support connected by nonzero arrows?"""
+    if any(d > 1 for d in m.dims.values()):
+        return False
+    links = [(a.source, a.target) for a in m.bq.arrows if any(map(any, m.mats[a.name].entries))]
+    reached = set(m.support[:1])
+    for _ in m.support:
+        reached.update(v for x, y in links if x in reached or y in reached for v in (x, y))
+    return 0 < len(reached) == len(m.support)
+
+
+def decompose(m: Module, seed: int = DEFAULT_SEED, max_tries: int = 64,
+              cache: PairCache | None = None) -> Decomposition:
+    """Full direct-sum decomposition with inclusion/projection witnesses,
+    composed when first read (`DecompPiece`).  A thin piece whose nonzero
+    arrows connect its support (`_is_thin_brick`) needs no End(P): its
+    endomorphisms are one scalar per vertex, equal at the two ends of a
+    nonzero arrow (a loop asks nothing), so End(P) = K over any field."""
     if m.is_zero():
         return Decomposition(m, [], [])
+    cache = cache or PairCache()
     rng = random.Random(seed)
     done: list[DecompPiece] = []
-    stack = [DecompPiece(m, ModMap.identity(m), ModMap.identity(m))]
+    stack = [DecompPiece(m)]
     while stack:
         piece = stack.pop()
         p = piece.module
-        end = hom_space(p, p)
+        if _is_thin_brick(p):
+            done.append(piece)
+            continue
+        end = cache.hom(p, p)
         if end.dim == 1:
             done.append(piece)
             continue
@@ -846,7 +887,7 @@ def decompose(m: Module, seed: int = DEFAULT_SEED, max_tries: int = 64) -> Decom
     classes: list[list[int]] = []
     for i, piece in enumerate(done):
         for group in classes:
-            if is_isomorphic_indec(done[group[0]].module, piece.module):
+            if is_isomorphic_indec(done[group[0]].module, piece.module, cache):
                 group.append(i)
                 break
         else:
@@ -1024,7 +1065,8 @@ def _nakayama_injective(bq: BoundQuiver, x: str, basis: PathBasis) -> Module:
     return Module(bq, dims, mats, check=False)
 
 
-def almost_split_sequence(n: Module, basis: PathBasis | None = None) -> AlmostSplitSequence:
+def almost_split_sequence(n: Module, basis: PathBasis | None = None,
+                          cache: PairCache | None = None) -> AlmostSplitSequence:
     """The almost split sequence ending at an indecomposable non-projective
     N, built from N alone (Auslander-Reiten-Smalo, ch. IV-V).
 
@@ -1034,6 +1076,7 @@ def almost_split_sequence(n: Module, basis: PathBasis | None = None) -> AlmostSp
     modulo the maps through P0; a class killed by rad End(N) lies in its
     socle as an End(N)-module, and pushing K -> P0 out along it gives E.
     """
+    cache = cache or PairCache()
     bq = n.bq
     f = bq.field
     basis = basis or path_basis(bq)
@@ -1074,12 +1117,12 @@ def almost_split_sequence(n: Module, basis: PathBasis | None = None) -> AlmostSp
     tau, _ = submodule(nu_p1, cols)
 
     # Ext^1(N, tau N) is Hom(K, tau N) modulo the maps through P0
-    hom = hom_space(k, tau)
-    through = [hom.coords(phi @ iota) for phi in hom_space(p0, tau).maps]
+    hom = cache.hom(k, tau)
+    through = [hom.coords(phi @ iota) for phi in cache.hom(p0, tau).maps]
     inner = Subspace.span(f, hom.dim, through)
     # its socle over End(N): the classes xi with xi r through P0 for every
     # r in rad End(N), where r acts on K through a lift P0 -> P0 of r pi
-    end = hom_space(n, n)
+    end = cache.hom(n, n)
     conditions = []
     if end.dim > 1:
         quot = inner.quotient().projection
@@ -1190,6 +1233,7 @@ def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int
     # modules whose incoming (outgoing) sequence was knitted from the other end
     knit_in: set[Module] = set()
     knit_out: set[Module] = set()
+    cache = PairCache()     # every hom space of the run, each built once
     complete = True
 
     def add(candidate: Module) -> list[Module]:
@@ -1203,7 +1247,7 @@ def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int
             notes.append(f"candidate of dimension {candidate.total_dim} abandoned")
             return new
         try:
-            dec = decompose(candidate, seed=seed)
+            dec = decompose(candidate, seed=seed, cache=cache)
         except DecompositionError as e:
             complete = False
             notes.append(str(e))
@@ -1215,7 +1259,7 @@ def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int
                 notes.append(f"dimension cap {dim_cap} hit")
                 continue
             if piece not in known:
-                match = next((m for m in found if is_isomorphic_indec(piece, m)), None)
+                match = next((m for m in found if is_isomorphic_indec(piece, m, cache)), None)
                 if match is None:
                     if len(found) >= count_cap:
                         complete = False
@@ -1252,7 +1296,7 @@ def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int
             # knit: tau N, tau^-1 N and the middle terms of the two
             # almost split sequences at N
             if n not in knit_in and _is_projective_vertex(n, basis) is None:
-                seq = almost_split_sequence(n, basis)
+                seq = almost_split_sequence(n, basis, cache)
                 queue.extend(add(seq.middle))
                 queue.extend(add(seq.tau))
                 ending[n] = (known.get(seq.tau, seq.tau), seq.middle)
@@ -1262,7 +1306,7 @@ def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int
             if (complete and n not in knit_out
                     and _is_projective_vertex(dual_n, op_basis) is None):
                 # D of the sequence ending at D N: 0 -> N -> E -> tau^-1 N -> 0
-                seq = almost_split_sequence(dual_n, op_basis)
+                seq = almost_split_sequence(dual_n, op_basis, cache)
                 tau_inv = dual_module(seq.tau, bq)
                 middle = dual_module(seq.middle, bq)
                 queue.extend(add(middle))
@@ -1287,7 +1331,6 @@ def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int
         notes.append(f"light closure lists {len(found)} classes, "
                      f"not dim A = {basis.total_dim}")
     if complete and not light:
-        cache = PairCache()
         for n in found:
             tau, e = ending[n] if n in ending else (None, radical_submodule(n)[0])
             failures = _sequence_failures(n, tau, listed_parts(e), found, cache)

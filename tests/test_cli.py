@@ -4,8 +4,9 @@ import sys
 
 import pytest
 
+import fovea.covering
 from fovea.cli import main
-from fovea.modules import format_module, projective
+from fovea.modules import Enumeration, format_module, projective
 from fovea.quiver import parse_quiver, path_basis
 
 
@@ -103,6 +104,25 @@ def test_eval_of_a_simple_functor_honours_the_caps():
     assert done.returncode == 1
     assert done.stdout == ""
     assert done.stderr == "fovea: a simple functor's profile is undecidable from an incomplete list\n"
+
+
+@pytest.mark.parametrize("verb", [["eval", "--at", "S@1@0"], ["length"]], ids=["eval", "length"])
+def test_an_incomplete_cover_list_names_the_fixed_window_caps(capsys, monkeypatch, tmp_path, verb):
+    # the Kronecker cover's windows hit the count cap after some seconds;
+    # here every window enumeration stops on it at once
+    def capped(bq, *args, **kwargs):
+        return Enumeration(bq, [], False, ["count cap 128 hit"])
+
+    monkeypatch.setattr(fovea.covering, "enumerate_indecomposables", capped)
+    cover = tmp_path / "kcover.vq"
+    cover.write_text("field gf 32749\nnilbound 2\nvertex 1 2\n"
+                     "arrow a: 1 -> 2 deg 0\narrow b: 1 -> 2 deg 1\n")
+    code, out, err = run(capsys, verb[0], str(cover), "--functor", "S@S@1@0", *verb[1:],
+                         "--dim-cap", "2")
+    assert code == 1 and out == ""
+    assert err == ("fovea: window enumeration is incomplete: count cap 128 hit; a cover's "
+                   "windows are enumerated at the fixed caps dim 64, count 128: "
+                   "--dim-cap and --count-cap bound algebra inputs only\n")
 
 
 def test_eval_of_a_representable_functor_reads_no_list(capsys):

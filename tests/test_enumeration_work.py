@@ -14,8 +14,11 @@ they are read; a Fitting split tries the power of phi before factoring
 and stops factoring at the first divisor that splits; a decomposition
 builds only the endomorphisms it tries, raises each vertex to its own
 dimension and reads both pieces of a split off one change of basis; a
-kernel takes one elimination; a hom space takes no dense elimination; and
-an isomorphism test reads one trace pairing.
+kernel takes one elimination; a hom space takes no dense elimination;
+a decomposition builds no End of a thin piece whose nonzero arrows
+connect it and composes no witness that nobody reads; an enumeration
+builds each hom space once; and an isomorphism test reads one trace
+pairing.
 """
 
 import inspect
@@ -105,24 +108,29 @@ SEQUENCE_BOUNDS = {"kronecker.bq": 9, "gen-star5-d11-v7.bq": 15, "gen-tree5-d11-
 
 
 # hom_space calls before knitting: 805, 998 and 1118; while the final
-# check built Hom(X, E) on every middle term: 168, 586 and 617
-@pytest.mark.parametrize("name,text,hom_bound", [
-    ("kronecker.bq", None, 200),
-    ("gen-star5-d11-v7.bq", STAR5, 500),
-    ("gen-tree5-d11-v6.bq", TREE5, 540),
+# check built Hom(X, E) on every middle term: 168, 586 and 617; while
+# decompose, the isomorphism tests and the sequences each built their own
+# (80, 51 and 59 of 168, 465 and 499 repeating a pair) and End of every
+# thin piece: 168, 465 and 499; 88, 402 and 430 when recorded
+HOM_BOUNDS = {"kronecker.bq": 88, "gen-star5-d11-v7.bq": 402, "gen-tree5-d11-v6.bq": 430}
+
+
+@pytest.mark.parametrize("name,text", [
+    ("kronecker.bq", None),
+    ("gen-star5-d11-v7.bq", STAR5),
+    ("gen-tree5-d11-v6.bq", TREE5),
 ])
-def test_kg0_knits_local_almost_split_sequences(monkeypatch, tmp_path, name, text, hom_bound):
-    sequence_bound = SEQUENCE_BOUNDS[name]
-    calls = {"hom_space": 0}
+def test_kg0_knits_local_almost_split_sequences(monkeypatch, tmp_path, name, text):
+    sequence_bound, hom_bound = SEQUENCE_BOUNDS[name], HOM_BOUNDS[name]
+    pairs = []
     sequences = []
-    for fn in calls:
-        original = getattr(fovea.modules, fn)
+    hom_space_ = fovea.modules.hom_space
 
-        def counting(*args, _fn=fn, _original=original, **kwargs):
-            calls[_fn] += 1
-            return _original(*args, **kwargs)
+    def counting(m, n):
+        pairs.append((m, n))
+        return hom_space_(m, n)
 
-        monkeypatch.setattr(fovea.modules, fn, counting)
+    monkeypatch.setattr(fovea.modules, "hom_space", counting)
     almost_split_sequence = fovea.modules.almost_split_sequence
 
     def recording(n, *args, **kwargs):
@@ -140,7 +148,9 @@ def test_kg0_knits_local_almost_split_sequences(monkeypatch, tmp_path, name, tex
     assert not [name for name in RETIRED if hasattr(fovea.modules, name)]
     assert not hasattr(fovea.modules.PairCache, "radical")
     assert "cache" not in inspect.signature(fovea.modules.right_almost_split).parameters
-    assert 0 < calls["hom_space"] <= hom_bound
+    assert 0 < len(pairs) <= hom_bound
+    # the enumeration's one PairCache builds each hom space once
+    assert len(set(pairs)) == len(pairs)
     # a sequence ending at N is built over the quiver, one starting at N
     # from D N over the opposite quiver, so equal arguments mean a repeat
     ends = [n for n, _seq in sequences]
@@ -373,8 +383,39 @@ def test_decompose_builds_only_the_tried_endomorphisms(monkeypatch):
     # each vertex is raised to its own dimension, not to dim M
     assert powers and all(n <= size for size, n in powers)
     # 89 when each piece's arrow matrices were solved for, 80 while each hom
-    # space was a dense elimination; 69 when recorded
-    assert len(eliminations) <= 69
+    # space was a dense elimination, 69 while 1-dimensional vertices were
+    # eliminated too; 43 when recorded
+    assert len(eliminations) <= 43
+
+
+def test_decompose_builds_no_end_of_a_thin_piece_and_composes_no_unread_witness(monkeypatch):
+    homs, composites = [], []
+    hom_space_ = fovea.modules.hom_space
+    matmul = ModMap.__matmul__
+
+    def recording_hom(m, n):
+        homs.append((m, n))
+        return hom_space_(m, n)
+
+    def recording_matmul(self, other):
+        composites.append((other.source, self.target))
+        return matmul(self, other)
+
+    monkeypatch.setattr(fovea.modules, "hom_space", recording_hom)
+    monkeypatch.setattr(ModMap, "__matmul__", recording_matmul)
+    m = _scrambled_d4()
+    dec = decompose(m)
+    pieces = [p.module for p in dec.pieces]
+    # P0, P0, S1, S0 and I1 are thin, each connected by its nonzero arrows
+    assert sorted(p.total_dim for p in pieces) == [1, 1, 2, 4, 4]
+    assert all(set(p.dims.values()) <= {0, 1} for p in pieces)
+    assert not [p for p in pieces if (p, p) in homs]
+    # the minimal polynomials compose endomorphisms of a piece; a witness
+    # would map a piece into the whole
+    assert all(s == t for s, t in composites)
+    composites.clear()
+    dec.witnesses()
+    assert any(s != t for s, t in composites)
 
 
 def test_kernel_basis_runs_one_elimination(monkeypatch):

@@ -7,13 +7,15 @@ reduced row echelon form, so both must give the same basis entry for
 entry, and the sparse solve must hand the subspace the pivots a fresh
 scan of its rows finds.  The quivers are random and unbound (loops and
 parallel arrows included), since hom_space never reads the relations.
+The same quivers check the thin-brick certificate `decompose` reads in
+place of End(M) against dim End(M) = 1.
 """
 
 import pytest
 from hypothesis import given, strategies as st
 
 from fovea.linalg import Field, Matrix, Subspace, kernel_basis
-from fovea.modules import HomBasis, ModMap, Module, ModuleError, hom_space
+from fovea.modules import HomBasis, ModMap, Module, ModuleError, _is_thin_brick, hom_space
 from fovea.quiver import BoundQuiver
 
 from oracles import naturality_hom_dim
@@ -81,18 +83,18 @@ def _assert_matches_the_reference(m, n):
 
 
 @st.composite
-def quivers(draw):
+def quivers(draw, max_vertices=3, max_arrows=4):
     field = draw(st.sampled_from(FIELDS))
-    vertices = [str(v) for v in range(1, draw(st.integers(1, 3)) + 1)]
+    vertices = [str(v) for v in range(1, draw(st.integers(1, max_vertices)) + 1)]
     ends = st.tuples(st.sampled_from(vertices), st.sampled_from(vertices))
-    arrows = [(f"a{k}", *draw(ends)) for k in range(draw(st.integers(0, 4)))]
+    arrows = [(f"a{k}", *draw(ends)) for k in range(draw(st.integers(0, max_arrows)))]
     return BoundQuiver(vertices, arrows, [], field, 2)
 
 
 @st.composite
-def modules(draw, bq):
+def modules(draw, bq, max_dim=3):
     field = bq.field
-    dims = {v: draw(st.integers(0, 3)) for v in bq.vertices}
+    dims = {v: draw(st.integers(0, max_dim)) for v in bq.vertices}
     entry = st.one_of(st.just(0), st.just(1), scalars(field))
     mats = {a.name: Matrix.from_rows(field, dims[a.source], dims[a.target],
                                      [[draw(entry) for _ in range(dims[a.target])]
@@ -114,6 +116,31 @@ def module_pairs(draw):
 @given(module_pairs())
 def test_hom_space_equals_the_dense_reference(pair):
     _assert_matches_the_reference(*pair)
+
+
+@st.composite
+def thin_modules(draw):
+    """Every dim at most 1 on up to five vertices: zero arrows, loops,
+    parallel arrows and disconnected supports are all frequent."""
+    return draw(modules(draw(quivers(max_vertices=5, max_arrows=6)), max_dim=1))
+
+
+@CHECKS
+@given(thin_modules())
+def test_the_thin_brick_certificate_is_a_one_dimensional_end(m):
+    assert _is_thin_brick(m) == (hom_space(m, m).dim == 1)
+
+
+def test_the_thin_brick_certificate_on_edge_cases():
+    f = Field.gf(7)
+    line = _bq(f, [("a", "1", "2"), ("b", "1", "2"), ("c", "1", "1")])
+    # one nonzero parallel arrow connects; a loop alone connects nothing
+    assert _is_thin_brick(_module(line, {"1": 1, "2": 1}, {"b": [[3]], "c": [[1]]}))
+    assert not _is_thin_brick(_module(line, {"1": 1, "2": 1}, {"c": [[1]]}))
+    assert _is_thin_brick(_module(line, {"1": 1, "2": 0}, {"c": [[2]]}))
+    # not thin, or zero: End(M) is not K
+    assert not _is_thin_brick(_module(line, {"1": 2, "2": 0}, {"c": [[0, 1], [0, 0]]}))
+    assert not _is_thin_brick(_module(line, {"1": 0, "2": 0}, {}))
 
 
 def _bq(field, arrows):

@@ -8,7 +8,9 @@ radical of Hom(M, N) built from composites g f reduced modulo rad End(M),
 which `radical_hom` computed before it read the trace pairing, and
 `reference_decompose`, the decomposition that split on phi^(dim M) and
 solved for each piece's arrow matrices before `decompose` took per-vertex
-Fitting powers and one change of basis per split.  The runs are
+Fitting powers and one change of basis per split; it composes every
+witness as it splits, so it is also the reference for the witnesses
+`decompose` composes when they are read.  The runs are
 derandomized and write no example database, so every run checks the same
 examples.
 """
@@ -56,6 +58,7 @@ from fovea.modules import (
 from fovea.quiver import parse_quiver
 
 from oracles import dumb_rref
+from test_enumeration_work import _scrambled_d4
 
 FIELDS = [Field.gf(7), Field.gf(32749), Field.rationals()]
 CHECKS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -453,3 +456,14 @@ def test_decompose_equals_the_reference_after_a_random_split(monkeypatch):
     _assert_decomposes_as_the_reference(m)
     # the three basis elements other than the identity, then random ones
     assert len(tried) > 3
+
+
+def test_witnesses_composed_on_read_equal_the_eager_ones():
+    bq = parse_quiver("field gf 32749\n" + QUIVERS[1])
+    for m in (_scrambled_d4(), parse_module(bq, DOUBLED_KRONECKER)):
+        _assert_decomposes_as_the_reference(m)
+        dec = decompose(m)
+        assert len(dec.pieces) > 1
+        total, to_sum, from_sum = dec.witnesses()
+        assert from_sum @ to_sum == ModMap.identity(m)
+        assert to_sum @ from_sum == ModMap.identity(total)
