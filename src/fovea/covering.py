@@ -16,6 +16,7 @@ from .modules import (
     Enumeration,
     ModMap,
     Module,
+    _is_nakayama,
     enumerate_indecomposables,
     hom_space,
     injective,
@@ -23,6 +24,7 @@ from .modules import (
     is_isomorphic,
     is_isomorphic_indec,
     projective,
+    socle_quotient,
 )
 from .quiver import (
     BoundQuiver,
@@ -202,31 +204,70 @@ def window_enumeration(vq: VoltageQuiver, window: Window) -> Enumeration:
 def orbit_enumeration(vq: VoltageQuiver) -> list[LayeredModule]:
     """The indecomposables of the lift up to shift, memoised on vq.
 
-    Each is trimmed and shifted to lowest layer 0.  Windows [0, w] grow by
-    nilbound until two in a row give the same classes (a window's classes
-    contain a narrower one's, so equal counts mean equal sets).  The shift
-    acts freely, so distinct orbits push down to non-isomorphic modules
-    (Gabriel; Dowbor-Skowronski); a failure of that is an error.
+    Each is trimmed and shifted to lowest layer 0.  A lifted vertex (v, n)
+    has exactly the arrows of v, so the lift is locally Nakayama exactly
+    when the base is (`_is_nakayama`); then the list is read off the lifted
+    projectives (`_nakayama_orbits`).  On any other lift, windows [0, w]
+    grow by nilbound until two in a row give the same classes (a window's
+    classes contain a narrower one's, so equal counts mean equal sets).
+    The shift acts freely, so distinct orbits push down to non-isomorphic
+    modules (Gabriel; Dowbor-Skowronski); a failure of that is an error.
     """
     if vq._orbits is None:
-        step = max(vq.base.nilbound, 1)
-        w, prev = step, None
-        while True:
-            reps: list[LayeredModule] = []
-            for m in window_enumeration(vq, Window(0, w)).modules:
-                lm = LayeredModule(vq, Window(0, w), m).trim()
-                lm = lm.twist(-lm.window.lo)
-                if not any(r.window == lm.window and is_isomorphic_indec(r.module, lm.module)
-                           for r in reps):
-                    reps.append(lm)
-            if prev is not None and len(prev) == len(reps):
-                break
-            w, prev = w + step, reps
+        if _is_nakayama(vq.base):
+            reps = _nakayama_orbits(vq)
+        else:
+            reps = _window_orbits(vq)
         pushed = [push_down(r) for r in reps]
         if any(is_isomorphic_indec(x, y) for i, x in enumerate(pushed) for y in pushed[:i]):
             raise CoveringError("distinct orbits push down to isomorphic modules")
         vq._orbits = reps
     return vq._orbits
+
+
+def _nakayama_orbits(vq: VoltageQuiver) -> list[LayeredModule]:
+    """The orbit list of a locally Nakayama lift, in closed form.
+
+    A finite-dimensional indecomposable R-module lives on a window of the
+    lift, and a window algebra is Nakayama, so the module is uniserial: its
+    top (v, n) and its length k fix it, as P(v, n) / rad^k P(v, n)
+    (Auslander-Reiten-Smalo IV.2, VI; Gabriel 1981).  Up to shift these are
+    the quotients of the P(v, 0), read off by removing one socle at a time,
+    dim A of them; no window is enumerated and no stopping rule is needed.
+    They are listed in the order a window [0, W] holding them all sorts
+    them in: by the sort key of each one's highest shift in it.
+    """
+    reps: list[LayeredModule] = []
+    for v in vq.base.vertices:
+        lm = layered_projective(vq, v, 0)
+        while not lm.is_zero():
+            reps.append(lm.twist(-lm.window.lo))
+            lm = LayeredModule(vq, lm.window, socle_quotient(lm.module)[0]).trim()
+    dim_a = path_basis(vq.base).total_dim
+    if len(reps) != dim_a:
+        raise CoveringError(f"a Nakayama lift lists {len(reps)} uniserial classes, "
+                            f"not dim A = {dim_a}")
+    top = max(r.window.hi for r in reps)
+    reps.sort(key=lambda r: r.twist(top - r.window.hi).align(Window(0, top)).sort_key())
+    return reps
+
+
+def _window_orbits(vq: VoltageQuiver) -> list[LayeredModule]:
+    """The orbit list of any lift, read off windows [0, w] that grow until
+    two in a row give the same classes."""
+    step = max(vq.base.nilbound, 1)
+    w, prev = step, None
+    while True:
+        reps: list[LayeredModule] = []
+        for m in window_enumeration(vq, Window(0, w)).modules:
+            lm = LayeredModule(vq, Window(0, w), m).trim()
+            lm = lm.twist(-lm.window.lo)
+            if not any(r.window == lm.window and is_isomorphic_indec(r.module, lm.module)
+                       for r in reps):
+                reps.append(lm)
+        if prev is not None and len(prev) == len(reps):
+            return reps
+        w, prev = w + step, reps
 
 
 def layered_simple(vq: VoltageQuiver, v: str, n: int) -> LayeredModule:
@@ -385,15 +426,6 @@ def lift_morphism(x: LayeredModule, y: LayeredModule, alpha: ModMap) -> dict[int
     return result
 
 
-def reassemble(components: dict[int, LayeredModMap]) -> ModMap | None:
-    """Sum of push-downs of a lifted family; inverse of lift_morphism."""
-    total = None
-    for k in sorted(components):
-        pushed = push_down_map(components[k])
-        total = pushed if total is None else total + pushed
-    return total
-
-
 # ---------------------------------------------------------------------------
 # verification reports
 
@@ -464,16 +496,16 @@ def verify_pushdown(vq: VoltageQuiver, x: LayeredModule, y: LayeredModule,
         report.assert_true("pushdown.preserves-indecomposable", is_indecomposable(fx))
         if not y.is_zero() and is_indecomposable(y.module) and fx.dims == fy.dims \
                 and is_isomorphic_indec(fx, fy):
-            found = None
-            for k in range(-shift_radius, shift_radius + 1):
-                xt = x.twist(k).trim()
-                yt = y.trim()
-                if xt.window == yt.window and xt.module.dims == yt.module.dims \
-                        and is_isomorphic_indec(xt.module, yt.module):
-                    found = k
-                    break
-            report.assert_true("pushdown.iso-implies-twist", found is not None,
-                               f"witness shift {found}" if found is not None else False)
+            # a twist of x can equal y only with y's window, so the one shift
+            # to test is the difference of the trimmed windows' lowest layers
+            xt, yt = x.trim(), y.trim()
+            k = yt.window.lo - xt.window.lo
+            xt = xt.twist(k)
+            found = (abs(k) <= shift_radius and xt.window == yt.window
+                     and xt.module.dims == yt.module.dims
+                     and is_isomorphic_indec(xt.module, yt.module))
+            report.assert_true("pushdown.iso-implies-twist", found,
+                               f"witness shift {k}" if found else False)
 
     if density_target is not None:
         found = _density_search(vq, density_target)

@@ -113,11 +113,6 @@ def hom_functor(carrier, target) -> FpFunctor:
     return FpFunctor(ALGEBRA, carrier, ModMap.zero(zero, target))
 
 
-def zero_functor(carrier) -> FpFunctor:
-    side = COVER if isinstance(carrier, VoltageQuiver) else ALGEBRA
-    return FpFunctor(side, carrier, _zero_presentation(carrier))
-
-
 def _present_on_window(t: FpFunctor, w: Window) -> ModMap:
     """The presentation morphism extended by zero onto a larger window."""
     src = t.pres.source.align(w)
@@ -181,15 +176,6 @@ class FpHomResult:
     hom_targets: HomBasis          # Hom(N1, N2)
     good_coords: Subspace          # subspace inducing functor maps
     trivial_coords: Subspace       # subspace inducing the zero map
-
-    def same_class(self, h1: ModMap, h2: ModMap) -> bool:
-        c1 = self.hom_targets.coords(h1)
-        c2 = self.hom_targets.coords(h2)
-        if c1 is None or c2 is None:
-            raise FunctorError("map does not land in Hom(N1, N2)")
-        f = self.hom_targets.source.bq.field
-        diff = [f.sub(a, b) for a, b in zip(c1, c2)]
-        return self.trivial_coords.contains(diff)
 
 
 def fp_hom(t1: FpFunctor, t2: FpFunctor) -> FpHomResult:

@@ -549,6 +549,12 @@ class Subspace:
     def dim(self) -> int:
         return self.rows.rows
 
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        """The leading column of each canonical row: the coordinates of a
+        vector of the subspace are its entries there."""
+        return self._pivots
+
     def reduce(self, v) -> tuple:
         """Remainder of v after elimination by the canonical basis rows."""
         return tuple(self._eliminate(v, None))
@@ -650,12 +656,6 @@ class SubspaceOps:
     sum_dim: int
     intersection_dim: int
     quotient_dim: int
-
-    def in_a(self, v) -> bool:
-        return self.a.contains(v)
-
-    def in_sum(self, v) -> bool:
-        return self.a.sum(self.b).contains(v)
 
 
 def subspace_ops(field: Field, ambient: int, gens_a, gens_b) -> SubspaceOps:

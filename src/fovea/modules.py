@@ -219,14 +219,15 @@ class ModMap:
 
     @classmethod
     def from_vector(cls, source: Module, target: Module, vec, check: bool = False) -> "ModMap":
+        """The map whose `vectorize` is vec; its entries are field elements
+        already (a hom-basis row or a sum of them), so none is coerced."""
         f = source.bq.field
         comps = {}
         i = 0
-        vec = list(vec)
+        vec = tuple(vec)
         for v in source.bq.vertices:
             r, c = target.dims[v], source.dims[v]
-            block = [vec[i + j * c: i + (j + 1) * c] for j in range(r)]
-            comps[v] = Matrix.from_rows(f, r, c, block)
+            comps[v] = Matrix._raw(f, r, c, tuple(vec[i + j * c: i + (j + 1) * c] for j in range(r)))
             i += r * c
         return cls(source, target, comps, check=check)
 
@@ -813,6 +814,18 @@ def _generates_a_residue_field(end: HomBasis, rad: Subspace, rng: random.Random)
     return poly_is_irreducible(f, [f.neg(row[0]) for row in coeffs.entries] + [f.one])
 
 
+def _identity_coords(end: HomBasis) -> list:
+    """The coordinates of the identity in the canonical basis of End(M):
+    its entries at the basis's pivots, 1 where a pivot is a diagonal entry."""
+    m, f = end.source, end.source.bq.field
+    diagonal, offset = set(), 0
+    for v in m.bq.vertices:
+        d = m.dims[v]
+        diagonal.update(range(offset, offset + d * d, d + 1))
+        offset += d * d
+    return [f.one if c in diagonal else f.zero for c in end.space.pivots]
+
+
 def _is_thin_brick(m: Module) -> bool:
     """Is every dim of M at most 1, its support connected by nonzero arrows?"""
     if any(d > 1 for d in m.dims.values()):
@@ -853,7 +866,7 @@ def decompose(m: Module, seed: int = DEFAULT_SEED, max_tries: int = 64,
             continue
         # a map in K 1 + rad End(P) has a single eigenvalue, so it cannot split
         f = p.bq.field
-        local = Subspace.span(f, end.dim, [*rad.rows.entries, end.coords(ModMap.identity(p))])
+        local = Subspace.span(f, end.dim, [*rad.rows.entries, _identity_coords(end)])
         split = None
         for attempt in range(max_tries):
             if attempt < end.dim:

@@ -15,7 +15,6 @@ from fovea.covering import (
     orbit_enumeration,
     push_down,
     push_down_map,
-    reassemble,
     twist_shift_range,
     verify_covering_axioms,
     verify_pushdown,
@@ -174,6 +173,15 @@ def test_only_finitely_many_twists_are_nonzero():
     assert all(k in twist_shift_range(M0, M0) for k in ks)
 
 
+def reassemble(components):
+    """The sum of the push-downs of a lifted family: lift_morphism's inverse."""
+    total = None
+    for k in sorted(components):
+        pushed = push_down_map(components[k])
+        total = pushed if total is None else total + pushed
+    return total
+
+
 def test_lift_morphism_of_a_pushed_down_map():
     lm = layered_hom(S0, M0)[0]
     alpha = push_down_map(lm)
@@ -246,6 +254,17 @@ def test_pushdown_indecomposable_and_twist_iso():
     assert "pushdown.iso-implies-twist" in checks
 
 
+@pytest.mark.parametrize("k", [-5, 5])
+def test_iso_implies_twist_tests_the_one_shift_within_the_radius(k):
+    def witness(radius):
+        rep = verify_pushdown(LINE_K2, M0, M0.twist(k), shift_radius=radius)
+        return next(r for r in rep.records if r.check == "pushdown.iso-implies-twist")
+
+    assert witness(8).ok and witness(8).actual == f"witness shift {k}"
+    assert witness(5).ok
+    assert not witness(4).ok and witness(4).actual is False
+
+
 def test_nakayama_orbit_algebra_is_selfinjective():
     from fovea.repetitive import is_selfinjective
     assert is_selfinjective(orbit_algebra(NAKAYAMA2))
@@ -279,7 +298,8 @@ def test_window_enumeration_is_memoised_and_refuses_a_capped_window(monkeypatch)
 
     monkeypatch.setattr(fovea.covering, "enumerate_indecomposables", capped)
     assert orbit_enumeration(vq) is orbits
-    fresh = parse_quiver(LOOP_COVER_TEXT)
+    # a Nakayama lift enumerates no window, so the capped one is the D4 cover's
+    fresh = parse_quiver(D4_COVER_TEXT)
     with pytest.raises(CoveringError, match="count cap 128 hit"):
         orbit_enumeration(fresh)
     assert fresh._orbits is None
@@ -332,8 +352,8 @@ def test_the_probe_reads_only_full_window_lists_on_the_d4_cover(monkeypatch):
 
 
 def test_density_search_on_a_capped_window_reports_not_found(monkeypatch):
-    vq = parse_quiver(LOOP_COVER_TEXT)
-    x = layered_simple(vq, "v", 0)
+    vq = parse_quiver(D4_COVER_TEXT)
+    x = layered_simple(vq, "0", 0)
 
     def capped(bq, *args, **kwargs):
         return Enumeration(bq, [], False, ["count cap 128 hit"])
@@ -404,6 +424,65 @@ def test_orbit_push_downs_biject_with_the_base_enumeration(name):
     base = enumerate_indecomposables(vq.base)
     assert base.complete
     _assert_one_to_one([push_down(r) for r in orbit_enumeration(vq)], base.modules)
+
+
+def reference_orbit_enumeration(vq):
+    """The orbit list read off whole windows, the reference for the closed
+    form: windows [0, w] grow by nilbound until two in a row give the same
+    classes; each class is trimmed and shifted to lowest layer 0."""
+    step = max(vq.base.nilbound, 1)
+    w, prev = step, None
+    while True:
+        enum = enumerate_indecomposables(lift_window(vq, Window(0, w)), dim_cap=64, count_cap=128)
+        assert enum.complete
+        reps = []
+        for m in enum.modules:
+            lm = LayeredModule(vq, Window(0, w), m).trim()
+            lm = lm.twist(-lm.window.lo)
+            if not any(r.window == lm.window and is_isomorphic_indec(r.module, lm.module)
+                       for r in reps):
+                reps.append(lm)
+        if prev is not None and len(prev) == len(reps):
+            return reps
+        w, prev = w + step, reps
+
+
+def _nakayama_cover(name):
+    if name.startswith("rep-"):
+        return repetitive_voltage(load_quiver(name[4:] + ".bq")[2])
+    return _graded(name)
+
+
+@pytest.mark.parametrize("name", ["line-k2.vq", "nakayama2.vq", "trivial-a2.vq", "loop-cover",
+                                  "rep-a2", "rep-a3", "rep-point"])
+def test_nakayama_orbit_list_is_the_window_list(name):
+    """A Nakayama lift reads its orbit list off the lifted projectives; it
+    is the windows' list, equal module for module and in the same order."""
+    vq = _nakayama_cover(name)
+    assert fovea.modules._is_nakayama(vq.base)
+    reps = orbit_enumeration(vq)
+    ref = reference_orbit_enumeration(_nakayama_cover(name))
+    assert len(reps) == len(ref) == path_basis(vq.base).total_dim
+    for x, y in zip(reps, ref):
+        assert x.window == y.window and x.module.dims == y.module.dims
+        assert x.module.mats == y.module.mats
+
+
+def test_nakayama_orbit_list_on_a_degree_zero_cycle_lists_the_window_classes():
+    """Arrows of degrees 1 and -1 around a 2-cycle lift to copies of the
+    base, where a uniserial module has dimension 2 at a vertex: the closed
+    form may take another basis of it than the window enumeration met
+    first, but it lists the same classes on the same windows in the same
+    order."""
+    text = ("field gf 32749\nnilbound 4\nvertex 0 1\n"
+            "arrow a0: 0 -> 1 deg 1\narrow a1: 1 -> 0 deg -1\nrelation a0*a1*a0\n")
+    reps = orbit_enumeration(parse_quiver(text))
+    ref = reference_orbit_enumeration(parse_quiver(text))
+    assert len(reps) == len(ref) == 7
+    for x, y in zip(reps, ref):
+        assert x.window == y.window and x.module.dims == y.module.dims
+        assert is_isomorphic_indec(x.module, y.module)
+    assert any(max(x.module.dims.values()) == 2 for x in reps)
 
 
 @pytest.mark.parametrize("suite", ["kg0", "pushdown", "phi-identities"])

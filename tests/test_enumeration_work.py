@@ -17,8 +17,8 @@ dimension and reads both pieces of a split off one change of basis; a
 kernel takes one elimination; a hom space takes no dense elimination;
 a decomposition builds no End of a thin piece whose nonzero arrows
 connect it and composes no witness that nobody reads; an enumeration
-builds each hom space once; and an isomorphism test reads one trace
-pairing.
+builds each hom space once; an isomorphism test reads one trace
+pairing; and a locally Nakayama cover's orbit list enumerates nothing.
 """
 
 import inspect
@@ -167,7 +167,7 @@ def test_kg0_knits_local_almost_split_sequences(monkeypatch, tmp_path, name, tex
                    for s in starts for d in duals)
 
 
-def test_battery_enumerates_each_window_once(monkeypatch):
+def _record_enumerations(monkeypatch) -> list:
     calls = []
     enumerate_ = fovea.modules.enumerate_indecomposables
 
@@ -180,18 +180,45 @@ def test_battery_enumerates_each_window_once(monkeypatch):
         if name.startswith("fovea") and getattr(module, "enumerate_indecomposables", None) is enumerate_:
             monkeypatch.setattr(module, "enumerate_indecomposables", recording)
     assert fovea.covering.enumerate_indecomposables is recording
+    return calls
+
+
+def test_battery_enumerates_each_window_once(monkeypatch):
+    calls = _record_enumerations(monkeypatch)
+    # a Nakayama cover's orbit list enumerates no window, so only the base
+    # is enumerated, and the battery needs not even that
     runs = {
-        "battery trivial-a2.vq": lambda: default_battery(load_quiver("trivial-a2.vq")[2]),
-        "pushdown nakayama2.vq": lambda: run_suite("pushdown", "nakayama2.vq"),
-        "kg0 nakayama2.vq": lambda: run_suite("kg0", "nakayama2.vq"),
+        "battery trivial-a2.vq": (lambda: default_battery(load_quiver("trivial-a2.vq")[2]), 0),
+        "pushdown nakayama2.vq": (lambda: run_suite("pushdown", "nakayama2.vq"), 1),
+        "kg0 nakayama2.vq": (lambda: run_suite("kg0", "nakayama2.vq"), 1),
     }
-    for label, run in runs.items():
+    for label, (run, count) in runs.items():
         calls.clear()
         run()
-        assert calls, label
-        assert len(set(calls)) == len(calls), label
-        # the base and the windows of one orbit list
-        assert len(calls) <= 3, label
+        assert len(calls) == count, label
+        assert all(not any("@" in v for v in bq.vertices) for bq in calls), label
+
+
+@pytest.mark.parametrize("name", ["line-k2.vq", "nakayama2.vq", "trivial-a2.vq", "loop-cover"])
+def test_nakayama_orbit_list_enumerates_no_window(monkeypatch, name):
+    """A locally Nakayama cover's orbit list is read off its lifted
+    projectives: inside orbit_enumeration nothing is enumerated."""
+    calls = _record_enumerations(monkeypatch)
+    windows = []
+    window_enumeration = fovea.covering.window_enumeration
+
+    def recording(vq, window):
+        windows.append(window)
+        return window_enumeration(vq, window)
+
+    monkeypatch.setattr(fovea.covering, "window_enumeration", recording)
+    if name == "loop-cover":
+        vq = parse_quiver("field gf 32749\nnilbound 3\nvertex v\n"
+                          "arrow a: v -> v deg 0\nrelation a*a*a\n")
+    else:
+        vq = load_quiver(name)[2]
+    assert fovea.covering.orbit_enumeration(vq)
+    assert calls == [] and windows == []
 
 
 def test_repetitive_suite_builds_the_repetitive_category_once(monkeypatch):

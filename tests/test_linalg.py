@@ -142,7 +142,7 @@ def test_subspace_dimension_identities_random(field):
         assert ops.a.dim + ops.b.dim == ops.sum_dim + ops.intersection_dim
         assert ops.quotient_dim == ops.sum_dim - ops.b.dim
         for g in gens_a:
-            assert ops.in_a(g) and ops.in_sum(g)
+            assert ops.a.contains(g) and ops.a.sum(ops.b).contains(g)
 
 
 def test_subspace_canonical_bases_are_equal_for_equal_spaces():
