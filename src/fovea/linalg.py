@@ -430,21 +430,7 @@ def sparse_kernel(field: Field, n: int, rows) -> "Subspace":
     p = field.p
     echelon = {}
     for row in rows:
-        while row:
-            c = min(row)
-            lead = row.pop(c)
-            tail = echelon.get(c)
-            if tail is None:
-                if p is None:
-                    inv = 1 / lead
-                    echelon[c] = {k: inv * x for k, x in row.items()}
-                elif lead != 1:
-                    inv = pow(lead, -1, p)
-                    echelon[c] = {k: inv * x % p for k, x in row.items()}
-                else:
-                    echelon[c] = row
-                break
-            _axpy(row, lead, tail, p)
+        _echelon_reduce(echelon, row, p)
     # back-substitute from the last pivot, so that every tail used is reduced
     for c in sorted(echelon, reverse=True):
         row = echelon[c]
@@ -460,6 +446,33 @@ def sparse_kernel(field: Field, n: int, rows) -> "Subspace":
             vecs[fc][i] = -x if p is None else p - x
     return Subspace(field, n, Matrix._raw(field, len(vecs), n, tuple(map(tuple, vecs.values()))),
                     tuple(n - 1 - fc for fc in vecs))
+
+
+def _echelon_reduce(echelon: dict, row: dict, p, insert: bool = True) -> bool:
+    """Reduce a sparse row {column: nonzero entry} in place by an echelon
+    form keyed by leading column, and say whether it lay in its span.
+
+    p is the characteristic, None over Q.  An echelon row is held without
+    its leading 1, as the entries right of it.  A row left nonzero is
+    filed at its leading column, scaled to a leading 1, when insert holds.
+    """
+    while row:
+        c = min(row)
+        tail = echelon.get(c)
+        if tail is None:
+            if insert:
+                lead = row.pop(c)
+                if p is None:
+                    inv = 1 / lead
+                    echelon[c] = {k: inv * x for k, x in row.items()}
+                elif lead != 1:
+                    inv = pow(lead, -1, p)
+                    echelon[c] = {k: inv * x % p for k, x in row.items()}
+                else:
+                    echelon[c] = row
+            return False
+        _axpy(row, row.pop(c), tail, p)
+    return True
 
 
 def _axpy(row: dict, factor, tail: dict, p) -> None:

@@ -19,6 +19,7 @@ from .linalg import (
     Matrix,
     QuotientMap,
     Subspace,
+    _echelon_reduce,
     kernel_basis,
     parse_field_spec,
 )
@@ -505,9 +506,10 @@ def check_admissible(bq: BoundQuiver, path_cap: int = 200_000) -> AdmissibleRepo
     cap_len = m + max_term
     paths, index = _paths_by_pair(bq, cap_len, path_cap)
 
-    # only the ideals of pairs that hold a path of length m are read
+    # only the ideals of pairs that hold a path of length m are read; each
+    # is kept as a sparse echelon form, one relation shift at a time
     needed = {key for key, plist in paths.items() if any(len(p) == m for p in plist)}
-    spans: dict[tuple[str, str], list[list]] = {key: [] for key in needed}
+    ideals: dict[tuple[str, str], dict] = {key: {} for key in needed}
     for rel in bq.relations:
         u, v = bq.relation_endpoints(rel)
         for x in bq.vertices:
@@ -523,21 +525,19 @@ def check_admissible(bq: BoundQuiver, path_cap: int = 200_000) -> AdmissibleRepo
                         if len(d_path) > room:
                             break
                         # every term fits: no term is longer than max_term
-                        vec = [f.zero] * len(paths[key])
+                        row = {}
                         for coeff, p in rel:
                             idx = index[key][c_path + p + d_path]
-                            vec[idx] = f.add(vec[idx], coeff)
-                        if any(vec):
-                            spans[key].append(vec)
-    ideals = {key: Subspace.span(f, len(paths[key]), vecs) for key, vecs in spans.items()}
+                            val = f.add(row.pop(idx, f.zero), coeff)
+                            if val:
+                                row[idx] = val
+                        _echelon_reduce(ideals[key], row, f.p)
 
     for (x, y), plist in sorted(paths.items()):
         for p in plist:
             if len(p) != m:
                 continue
-            vec = [f.zero] * len(plist)
-            vec[index[(x, y)][p]] = f.one
-            if not ideals[(x, y)].contains(vec):
+            if not _echelon_reduce(ideals[(x, y)], {index[(x, y)][p]: f.one}, f.p, insert=False):
                 violations.append(
                     f"path {'*'.join(p)} of length {m} is not in the relation ideal")
     return AdmissibleReport(not violations, violations)

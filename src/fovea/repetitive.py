@@ -95,10 +95,37 @@ class RepetitiveTruncation:
         """A bound quiver presentation with vertices named vertex@layer."""
         return self.export_with_basis(layer_sep)[0]
 
-    def export_with_basis(self, layer_sep: str = "@") -> tuple[BoundQuiver, PathBasis]:
-        """export() together with the path basis its dimension check built."""
-        out = extract_presentation(self.category, verify=False,
-                                   vertex_name=lambda o: f"{o[1]}{layer_sep}{o[0]}")
+    def export_with_basis(self, layer_sep: str = "@", rv: VoltageQuiver | None = None
+                          ) -> tuple[BoundQuiver, PathBasis]:
+        """export() together with the path basis its dimension check built.
+
+        Layer 0 alone is extracted from the category.  For n >= 1 the
+        presentation is lifted off the repetitive voltage quiver rv (built
+        from the base and its basis when not given), byte for byte the one
+        extract_presentation would give:
+
+        - Hom and composition depend only on r - m.
+        - Every nonzero product x -> y -> z has y in a layer between those
+          of x and z.  So the rad and rad^2 blocks, the canonical arrow
+          representatives and the nilpotency degree of T_n equal those of
+          T_1 at ((0, i), (d, j)), which are rv's.
+        - A path from (m, i) to (m + d, j) visits only layers m..m + d, so
+          for d <= 1 its evaluation matrix and canonical kernel are the
+          shifted ones.
+        - For d >= 2 the hom is zero, so each path of length <= nilbound is
+          its own relation, listed in path order, in T_n as in rv.
+        - The identity column at (x, x) never enters a kernel vector: every
+          other column lies in the radical.
+        """
+        def name(o):
+            return f"{o[1]}{layer_sep}{o[0]}"
+
+        if self.n == 0:
+            out = extract_presentation(self.category, verify=False, vertex_name=name)
+        else:
+            if rv is None:
+                rv = repetitive_voltage(self.base, self.basis)
+            out = _lift_truncation(rv, self.n, name)
         return out, presentation_basis(self.category, out)
 
 
@@ -115,6 +142,48 @@ def _pair(f, coords, functional):
         if a and b:
             acc = f.add(acc, f.mul(a, b))
     return acc
+
+
+def _lift_truncation(rv: VoltageQuiver, n: int, vertex_name) -> BoundQuiver:
+    """Layers -n..n of the graded lift of rv, in extract_presentation's order.
+
+    Arrows and relations are read by source object, then target object,
+    both in (layer, vertex) order; rv's arrows already run by (source,
+    degree, target) and its relations are regrouped that way.
+    """
+    base = rv.base
+    deg = rv.degree
+    layers = range(-n, n + 1)
+    vertices = [vertex_name((m, i)) for m in layers for i in base.vertices]
+    lifted = {}
+    arrows = []
+    for m in layers:
+        for i in base.vertices:
+            for a in base.out_arrows[i]:
+                if m + deg[a.name] <= n:
+                    name = f"a{len(arrows)}"
+                    lifted[(a.name, m)] = name
+                    arrows.append((name, vertex_name((m, i)),
+                                   vertex_name((m + deg[a.name], a.target))))
+
+    groups: dict[tuple, list] = {}
+    for rel in base.relations:
+        src, tgt = base.relation_endpoints(rel)
+        groups.setdefault((src, sum(deg[a] for a in rel[0][1]), tgt), []).append(rel)
+    index = base.vertex_index
+    order = sorted(groups, key=lambda k: (index[k[0]], k[1], index[k[2]]))
+
+    def lift(path, m):
+        out = []
+        for a in path:
+            out.append(lifted[(a, m)])
+            m += deg[a]
+        return tuple(out)
+
+    relations = [tuple((c, lift(p, m)) for c, p in rel)
+                 for m in layers for key in order if m + key[1] <= n
+                 for rel in groups[key]]
+    return BoundQuiver(vertices, arrows, relations, base.field, base.nilbound)
 
 
 def repetitive_truncation(bq: BoundQuiver, n: int,

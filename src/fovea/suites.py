@@ -178,10 +178,12 @@ def _suite_repetitive(report: Report, q):
     vr.add("repetitive.dim-n1", 5 * base_dim, trunc1.total_dim)
     vr.add("repetitive.dim-n2", 9 * base_dim, trunc2.total_dim)
 
-    exported1, pb1 = trunc1.export_with_basis()
+    # the exports for n >= 1 are lifted off the one repetitive voltage quiver
+    rv = repetitive_voltage(bq, basis)
+    exported1, pb1 = trunc1.export_with_basis(rv=rv)
     vr.add("repetitive.export-admissible", True, check_admissible(exported1).ok)
 
-    exported2, pb2 = trunc2.export_with_basis()
+    exported2, pb2 = trunc2.export_with_basis(rv=rv)
     inner = [v for v in exported2.vertices if v.endswith(("@-1", "@0", "@1"))]
     vr.add("repetitive.truncation-convex", True, is_convex(exported2, inner, pb2))
     agree = all(pb1.dim(x, y) == pb2.dim(x, y) for x in inner for y in inner)
@@ -191,7 +193,6 @@ def _suite_repetitive(report: Report, q):
     renamed = rename_vertices(trunc0.export(), {f"{v}@0": v for v in bq.vertices})
     vr.add("repetitive.n0-byte-exact", True, format_quiver(renamed) == norm)
 
-    rv = repetitive_voltage(bq, basis)
     for n, trunc in ((1, trunc1), (2, trunc2)):
         wdim = path_basis(lift_window(rv, Window(-n, n))).total_dim
         vr.add(f"repetitive.window-matches-truncation[n={n}]", trunc.total_dim, wdim)

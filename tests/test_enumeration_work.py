@@ -6,11 +6,11 @@ module alone, with no rad^2 search left in the package, each sequence built once
 its ends and certified by hom dimensions between listed modules; an
 enumeration decomposes each candidate once; no call enumerates a quiver
 twice, whatever the closure; the repetitive suite builds its repetitive
-category once and each path basis once, and filters only the three
-layers a morphism can reach; the radical filtration spans only the
-blocks where a product can land; a path basis spans only the vertex
-pairs that hold a relation vector; a hom space builds its maps only when
-they are read; a Fitting split tries the power of phi before factoring
+category once and each path basis once, extracts only layer zero and the
+normal forms, and filters only the three layers a morphism can reach;
+the radical filtration spans only the blocks where a product can land; a
+path basis spans only the vertex pairs that hold a relation vector; a hom
+space builds its maps only when they are read; a Fitting split tries the power of phi before factoring
 and stops factoring at the first divisor that splits; a decomposition
 builds only the endomorphisms it tries, raises each vertex to its own
 dimension and reads both pieces of a split off one change of basis; a
@@ -30,6 +30,7 @@ import pytest
 import fovea.covering
 import fovea.linalg
 import fovea.modules
+import fovea.quiver
 import fovea.repetitive
 import fovea.suites
 from fovea.functors import default_battery
@@ -235,6 +236,25 @@ def test_repetitive_suite_builds_the_repetitive_category_once(monkeypatch):
     assert fovea.suites.repetitive_voltage is recording
     assert run_suite("repetitive", "a3.bq").passed
     assert len(calls) == 1
+
+
+def test_repetitive_suite_extracts_only_layer_zero_and_the_normal_forms(monkeypatch):
+    calls = []
+    extract_presentation = fovea.quiver.extract_presentation
+
+    def recording(cat, *args, **kwargs):
+        calls.append(cat)
+        return extract_presentation(cat, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fovea") and \
+                getattr(module, "extract_presentation", None) is extract_presentation:
+            monkeypatch.setattr(module, "extract_presentation", recording)
+    assert fovea.repetitive.extract_presentation is recording
+    assert run_suite("repetitive", "a3.bq").passed
+    # T_0 and the normal forms of the base and of the degree-0 window; T_1
+    # and T_2 are lifted off the repetitive voltage quiver
+    assert len(calls) <= 3
 
 
 @pytest.mark.parametrize("name", ["a3.bq", "kronecker.bq", "loop2.bq"])

@@ -410,10 +410,21 @@ def _reference_inputs():
             for n in (0, 1, 2):
                 out.append(pytest.param(lambda q=q, n=n: RepetitiveTruncation(q, n).export(),
                                         id=f"{name}-truncation{n}"))
+    for field in ("gf 7", "q"):
+        out.append(pytest.param(lambda field=field: parse_quiver(
+            f"field {field}\nnilbound 2\nvertex 1 2 3 4\n"
+            "arrow a: 1 -> 2\narrow b: 2 -> 3\narrow c: 3 -> 4\nrelation a*b\n"),
+            id="non-admissible-long-path" + ("-q" if field == "q" else "")))
+    # a*b and c*d are each outside the ideal, but congruent modulo it
     out.append(pytest.param(lambda: parse_quiver(
-        "field gf 7\nnilbound 2\nvertex 1 2 3 4\n"
-        "arrow a: 1 -> 2\narrow b: 2 -> 3\narrow c: 3 -> 4\nrelation a*b\n"),
-        id="non-admissible-long-path"))
+        "field q\nnilbound 2\nvertex 1 2 3 4\narrow a: 1 -> 2\narrow b: 2 -> 3\n"
+        "arrow c: 1 -> 4\narrow d: 4 -> 3\nrelation 2 a*b - 3 c*d\n"),
+        id="non-admissible-commutative-square"))
+    for field in ("gf 32749", "q"):
+        out.append(pytest.param(lambda field=field: parse_quiver(
+            f"field {field}\nnilbound 4\nvertex 1\narrow a: 1 -> 1\narrow b: 1 -> 1\n"
+            "relation a*a\nrelation b*b\nrelation 2 a*b - 3 b*a\n"),
+            id="exterior-like" + ("-q" if field == "q" else "")))
     out.append(pytest.param(lambda: BoundQuiver(
         ["1", "2", "3"], [("a", "1", "2"), ("b", "2", "3"), ("c", "1", "3")],
         [((1, ("a", "b")), (-1, ("c",)))], parse_quiver(A2_TEXT).field, 3),
@@ -443,9 +454,11 @@ def test_pruned_admissibility_matches_the_dense_reference(make_bq):
 
 
 def test_the_references_see_non_admissible_inputs():
-    verdicts = {}
+    verdicts, violations = {}, {}
     for param in _reference_inputs():
-        verdicts[param.id] = dense_check_admissible(param.values[0]())[0]
+        verdicts[param.id], violations[param.id] = dense_check_admissible(param.values[0]())
     assert not verdicts["non-admissible-long-path"]
+    assert not verdicts["non-admissible-long-path-q"]
+    assert len(violations["non-admissible-commutative-square"]) == 2
     assert not verdicts["non-admissible-short-term"]
     assert verdicts["a3.bq-truncation2"]

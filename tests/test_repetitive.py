@@ -10,6 +10,7 @@ from fovea.quiver import (
     Window,
     arrow_elements,
     check_admissible,
+    extract_presentation,
     format_quiver,
     is_convex,
     lift_window,
@@ -28,6 +29,7 @@ from fovea.repetitive import (
     selfinjective_orbit,
     support_finiteness_probe,
 )
+from test_report_digests import _workloads
 
 POINT = parse_quiver("field gf 32749\nnilbound 1\nvertex v\n")
 A2 = parse_quiver("field gf 32749\nnilbound 2\nvertex 1 2\narrow a: 1 -> 2\n")
@@ -359,3 +361,38 @@ def small_bound_quivers(draw):
 @given(small_bound_quivers())
 def test_voltage_matches_the_wide_truncation_on_random_bound_quivers(bq):
     assert format_quiver(repetitive_voltage(bq)) == format_quiver(wide_repetitive_voltage(bq))
+
+
+# k<a, b>/(a^2, b^2, ab - ba): its T_1 export has 8 arrows and 202 relations
+EXTERIOR = parse_quiver(
+    "field gf 32749\nnilbound 4\nvertex 1\narrow a: 1 -> 1\narrow b: 1 -> 1\n"
+    "relation a*a\nrelation b*b\nrelation a*b - b*a\n")
+
+
+def _catalogued_algebras():
+    """The 64 generated algebras the benchmark's algebra-suites draws from."""
+    workloads = _workloads()
+    return [pytest.param(parse_quiver(text), id=name)
+            for stratum in workloads.ALGEBRA_STRATA for v in range(workloads.VARIANTS)
+            for name, text in [workloads._algebra_input(*stratum, v)]]
+
+
+def _assert_lifted_exports_are_extracted_ones(bq):
+    for n in (1, 2, 3):
+        trunc = RepetitiveTruncation(bq, n)
+        extracted = extract_presentation(trunc.category, verify=False,
+                                         vertex_name=lambda o: f"{o[1]}@{o[0]}")
+        assert format_quiver(trunc.export()) == format_quiver(extracted), n
+
+
+@pytest.mark.parametrize("bq", _algebra_fixtures() + _catalogued_algebras()
+                         + [pytest.param(EXTERIOR, id="exterior")])
+def test_lifted_truncations_are_the_extracted_presentations(bq):
+    _assert_lifted_exports_are_extracted_ones(bq)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(small_bound_quivers())
+def test_lifted_truncations_are_the_extracted_presentations_on_random_bound_quivers(bq):
+    _assert_lifted_exports_are_extracted_ones(bq)

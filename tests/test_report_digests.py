@@ -9,9 +9,11 @@ read and not changed): a call that passed when recorded must print the
 recorded report, and one that failed must fail with the recorded exit code.
 
 The repetitive exports (`rep build`, `rep orbit`) run through the path
-basis, the radical filtration and presentation extraction, and no suite
-report prints them; REP_DIGESTS holds the sha256 of their standard output,
-recorded before path bases were built sparsely.
+basis, the radical filtration of layers -1..1 and the repetitive voltage
+quiver, whose arrows and relations `rep build --n N` lifts to layers
+-N..N, and no suite report prints them; REP_DIGESTS holds the sha256 of
+their standard output, recorded before path bases were built sparsely and
+while every truncation was still extracted from its structure constants.
 """
 
 import contextlib
