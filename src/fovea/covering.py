@@ -43,12 +43,19 @@ class CoveringError(ValueError):
 
 
 class LayeredModule:
-    """A finite-support module over the graded lift of a voltage quiver."""
+    """A finite-support module over the graded lift of a voltage quiver.
+
+    It owns two memos of pure results, which take no part in equality or
+    hashing: its push-down (`push_down`) and its alignment per window
+    (`align`).  Both live as long as the instance.
+    """
 
     def __init__(self, vq: VoltageQuiver, window: Window, module: Module):
         self.vq = vq
         self.window = window
         self.module = module
+        self._pushed: Module | None = None
+        self._aligned: dict[Window, Module] = {}
 
     @classmethod
     def make(cls, vq: VoltageQuiver, window: Window, dims: dict, mats: dict,
@@ -106,12 +113,18 @@ class LayeredModule:
         return LayeredModule(self.vq, w, Module(bq, dims, mats, check=False))
 
     def align(self, w: Window) -> Module:
-        """The underlying module extended by zero onto a larger window."""
-        if self.is_zero():
-            return Module.zero(lift_window(self.vq, w))
-        if w.lo > self.window.lo or w.hi < self.window.hi:
-            raise CoveringError("alignment window does not contain the support")
-        return self._on_window(w).module
+        """The underlying module extended by zero onto a larger window,
+        built once per window and memoised on self."""
+        aligned = self._aligned.get(w)
+        if aligned is None:
+            if self.is_zero():
+                aligned = Module.zero(lift_window(self.vq, w))
+            elif w.lo > self.window.lo or w.hi < self.window.hi:
+                raise CoveringError("alignment window does not contain the support")
+            else:
+                aligned = self._on_window(w).module
+            self._aligned[w] = aligned
+        return aligned
 
     def twist(self, k: int) -> "LayeredModule":
         """The shift action: layer n of the result is layer n - k of self."""
@@ -312,7 +325,17 @@ def orbit_algebra(vq: VoltageQuiver) -> BoundQuiver:
 
 
 def push_down(x: LayeredModule) -> Module:
-    """Sum the layers of each vertex fiber; arrows act by layered blocks."""
+    """Sum the layers of each vertex fiber; arrows act by layered blocks.
+
+    Built and checked once per instance and memoised on it, so
+    `push_down_map` and `verify_pushdown` reuse it.
+    """
+    if x._pushed is None:
+        x._pushed = _push_down(x)
+    return x._pushed
+
+
+def _push_down(x: LayeredModule) -> Module:
     vq = x.vq
     base = vq.base
     f = base.field

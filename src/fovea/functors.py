@@ -137,18 +137,25 @@ class EvalResult:
 
 
 def evaluate(t: FpFunctor, x) -> EvalResult:
-    """Value of the functor at a module: coker of Hom(x, f)."""
+    """Value of the functor at a module: coker of Hom(x, f).
+
+    Hom(x, N) is built first; when it is 0 so is the value, and neither
+    Hom(x, M) nor (on the covering side) the aligned presentation is built.
+    """
     if t.side == COVER:
         if not isinstance(x, LayeredModule):
             raise FunctorError("covering-side functor evaluated at a non-layered module")
         w = common_window(t.pres.source, t.pres.target, x)
-        f, xm = _present_on_window(t, w), x.align(w)
+        xm, target = x.align(w), t.pres.target.align(w)
     else:
         if isinstance(x, LayeredModule):
             raise FunctorError("algebra-side functor evaluated at a layered module")
-        f, xm = t.pres, x
+        xm, target = x, t.pres.target
+    hom_n = hom_space(xm, target)
+    if hom_n.dim == 0:
+        return EvalResult(0, hom_n, Subspace.span(xm.bq.field, 0, ()))
+    f = _present_on_window(t, w) if t.side == COVER else t.pres
     hom_m = hom_space(xm, f.source)
-    hom_n = hom_space(xm, f.target)
     rows = []
     for h in hom_m.maps:
         coords = hom_n.coords(f @ h)

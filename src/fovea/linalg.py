@@ -431,11 +431,7 @@ def sparse_kernel(field: Field, n: int, rows) -> "Subspace":
     echelon = {}
     for row in rows:
         _echelon_reduce(echelon, row, p)
-    # back-substitute from the last pivot, so that every tail used is reduced
-    for c in sorted(echelon, reverse=True):
-        row = echelon[c]
-        for k in [k for k in row if k in echelon]:
-            _axpy(row, row.pop(k), echelon[k], p)
+    _back_substitute(echelon, p)
     zero, one = field.zero, field.one
     vecs = {fc: [zero] * n for fc in range(n - 1, -1, -1) if fc not in echelon}
     for fc, v in vecs.items():
@@ -473,6 +469,34 @@ def _echelon_reduce(echelon: dict, row: dict, p, insert: bool = True) -> bool:
             return False
         _axpy(row, row.pop(c), tail, p)
     return True
+
+
+def _back_substitute(echelon: dict, p) -> None:
+    """Clear every pivot column from the other rows of an echelon form
+    kept by `_echelon_reduce`, which makes it the reduced row echelon form.
+
+    Rows are reduced from the last pivot, so that every tail used is
+    already reduced."""
+    for c in sorted(echelon, reverse=True):
+        row = echelon[c]
+        for k in [k for k in row if k in echelon]:
+            _axpy(row, row.pop(k), echelon[k], p)
+
+
+def _echelon_subspace(field: Field, n: int, echelon: dict) -> "Subspace":
+    """The subspace of K^n spanned by an echelon form kept by
+    `_echelon_reduce`, read off in canonical form (the form is consumed)."""
+    _back_substitute(echelon, field.p)
+    zero, one = field.zero, field.one
+    pivots = sorted(echelon)
+    rows = []
+    for c in pivots:
+        row = [zero] * n
+        row[c] = one
+        for k, x in echelon[c].items():
+            row[k] = x
+        rows.append(tuple(row))
+    return Subspace(field, n, Matrix._raw(field, len(rows), n, tuple(rows)), tuple(pivots))
 
 
 def _axpy(row: dict, factor, tail: dict, p) -> None:
@@ -606,19 +630,19 @@ class Subspace:
         return Subspace.span(self.field, self.ambient, list(self.rows.entries) + list(other.rows.entries))
 
     def quotient(self) -> "QuotientMap":
+        """The canonical projection onto the non-pivot coordinates, read
+        off the rows: reducing the unit vector of a pivot column j takes
+        away exactly the row with pivot j, so column j projects to minus
+        that row on the representatives."""
         f = self.field
-        reps = tuple(i for i in range(self.ambient) if i not in set(self._pivots))
-        cols = []
-        for j in range(self.ambient):
-            e = [f.zero] * self.ambient
-            e[j] = f.one
-            red = self.reduce(e)
-            cols.append([red[i] for i in reps])
-        if self.ambient and reps:
-            proj = Matrix(f, cols).transpose()
-        else:
-            proj = Matrix.zeros(f, len(reps), self.ambient)
-        return QuotientMap(f, self, proj, reps)
+        n = self.ambient
+        row_at = dict(zip(self._pivots, self.rows.entries))
+        reps = tuple(i for i in range(n) if i not in row_at)
+        zero, one, neg = f.zero, f.one, f.neg
+        proj = tuple(tuple(neg(row_at[j][r]) if j in row_at else (one if j == r else zero)
+                           for j in range(n))
+                     for r in reps)
+        return QuotientMap(f, self, Matrix._raw(f, len(reps), n, proj), reps)
 
     def __eq__(self, other):
         return isinstance(other, Subspace) and self.ambient == other.ambient and self.rows == other.rows

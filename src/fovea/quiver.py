@@ -20,6 +20,7 @@ from .linalg import (
     QuotientMap,
     Subspace,
     _echelon_reduce,
+    _echelon_subspace,
     kernel_basis,
     parse_field_spec,
 )
@@ -370,9 +371,10 @@ class PathBasis:
     """Bases of all hom spaces of the category presented by a BoundQuiver.
 
     Paths of length < nilbound are enumerated per ordered vertex pair and
-    reduced modulo the span of all shifted relations; the surviving
-    (non-pivot) paths are the canonical basis representatives.  A pair
-    with no relation vector shares the one zero ideal and identity
+    reduced modulo the span of all shifted relations, each kept as one
+    sparse echelon form per pair and read off once back-substituted; the
+    surviving (non-pivot) paths are the canonical basis representatives.
+    A pair with no relation vector shares the one zero ideal and identity
     quotient of its ambient dimension (both are immutable).
     """
 
@@ -383,47 +385,49 @@ class PathBasis:
         paths, self.path_index = _paths_by_pair(bq, m - 1, path_cap)
         self.paths = paths
 
-        # span of the shifted relations, projected onto paths of length < m;
-        # a shift c * rel * d has a term below m only if its shortest does,
-        # and the path lists are sorted by length
-        ideal_vectors: dict[tuple[str, str], list[list]] = {}
+        # the shifted relations, projected onto paths of length < m, reduced
+        # as sparse rows into one echelon form per vertex pair; a shift
+        # c * rel * d has a term below m only if its shortest does, the path
+        # lists are sorted by length, and only pairs that hold paths are walked
+        p = f.p
+        reach = {v: [y for y in bq.vertices if paths[(v, y)]] for v in bq.vertices}
+        echelons: dict[tuple[str, str], dict] = {}
         for rel in bq.relations:
             u, v = bq.relation_endpoints(rel)
-            shortest = min(len(p) for _, p in rel)
+            shortest = min(len(q) for _, q in rel)
             for x in bq.vertices:
                 for c_path in paths[(x, u)]:
                     room = m - shortest - len(c_path)
                     if room <= 0:
                         break
-                    for y in bq.vertices:
+                    for y in reach[v]:
                         key = (x, y)
                         index = self.path_index[key]
                         for d_path in paths[(v, y)]:
                             if len(d_path) >= room:
                                 break
-                            vec = [f.zero] * len(index)
-                            for coeff, p in rel:
-                                full = c_path + p + d_path
+                            row = {}
+                            for coeff, q in rel:
+                                full = c_path + q + d_path
                                 if len(full) < m:
                                     idx = index[full]
-                                    vec[idx] = f.add(vec[idx], coeff)
-                            if any(vec):
-                                ideal_vectors.setdefault(key, []).append(vec)
-        zeros: dict[int, tuple[Subspace, QuotientMap]] = {}
+                                    val = f.add(row.pop(idx, f.zero), coeff)
+                                    if val:
+                                        row[idx] = val
+                            if row:
+                                _echelon_reduce(echelons.setdefault(key, {}), row, p)
+        zeros: dict[int, QuotientMap] = {}
         self.ideal: dict[tuple[str, str], Subspace] = {}
         self.quots: dict[tuple[str, str], QuotientMap] = {}
         for key, plist in paths.items():
             n = len(plist)
-            vecs = ideal_vectors.get(key)
-            if vecs:
-                sub = Subspace.span(f, n, vecs)
-                quot = sub.quotient()
+            if key in echelons:
+                quot = _echelon_subspace(f, n, echelons[key]).quotient()
             else:
                 if n not in zeros:
-                    zero = Subspace.span(f, n, ())
-                    zeros[n] = (zero, zero.quotient())
-                sub, quot = zeros[n]
-            self.ideal[key] = sub
+                    zeros[n] = Subspace.span(f, n, ()).quotient()
+                quot = zeros[n]
+            self.ideal[key] = quot.subspace
             self.quots[key] = quot
         self._compose_cache: dict = {}
 

@@ -18,7 +18,10 @@ kernel takes one elimination; a hom space takes no dense elimination;
 a decomposition builds no End of a thin piece whose nonzero arrows
 connect it and composes no witness that nobody reads; an enumeration
 builds each hom space once; an isomorphism test reads one trace
-pairing; and a locally Nakayama cover's orbit list enumerates nothing.
+pairing; a locally Nakayama cover's orbit list enumerates nothing; a
+layered module is pushed down once; an evaluation builds no Hom(X, M)
+where Hom(X, N) is zero; and a path basis reads every pair with relation
+vectors off a sparse echelon form, with no dense elimination.
 """
 
 import inspect
@@ -28,11 +31,13 @@ import sys
 import pytest
 
 import fovea.covering
+import fovea.functors
 import fovea.linalg
 import fovea.modules
 import fovea.quiver
 import fovea.repetitive
 import fovea.suites
+from fovea.covering import layered_injective, push_down
 from fovea.functors import default_battery
 from fovea.linalg import Matrix, Subspace, inverse
 from fovea.modules import (
@@ -166,6 +171,23 @@ def test_kg0_knits_local_almost_split_sequences(monkeypatch, tmp_path, name, tex
     assert starts and duals
     assert not any(s.dims == d.dims and fovea.modules.is_isomorphic_indec(s, d)
                    for s in starts for d in duals)
+
+
+def _record(monkeypatch, module, name) -> list:
+    """Record (args, result) of every call of module.name made through any
+    fovea binding of it, so that no caller escapes the count."""
+    calls = []
+    original = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        result = original(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("fovea") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, recording)
+    return calls
 
 
 def _record_enumerations(monkeypatch) -> list:
@@ -530,3 +552,57 @@ def test_isomorphism_test_reads_one_trace_pairing(monkeypatch):
     assert fovea.modules.is_isomorphic_indec(p0, twin)
     # Hom(P, Q) and Hom(Q, P); End(P) is not needed
     assert len(homs) == 2 and radicals == []
+
+
+def test_push_down_is_built_once_per_layered_module(monkeypatch):
+    x = layered_injective(load_quiver("nakayama2.vq")[2], "1", 0)
+    assert push_down(x) is push_down(x)
+    calls = _record(monkeypatch, fovea.covering, "push_down")
+    assert run_suite("phi-identities", "nakayama2.vq").passed
+    # 241 distinct push-downs of 20 layered modules while each call built one
+    arguments = {id(args[0]): args[0] for args, _ in calls}
+    pushed = {id(result): result for _, result in calls}
+    assert calls and len(pushed) <= len(arguments)
+
+
+def test_evaluate_builds_no_hom_into_the_source_where_the_target_has_none(monkeypatch):
+    calls = _record(monkeypatch, fovea.modules, "hom_space")
+    assert fovea.functors.hom_space is fovea.modules.hom_space
+    assert run_suite("kg0", "nakayama2.vq").passed
+    # 650 while every evaluation built Hom(X, M) and Hom(X, N)
+    assert 0 < len(calls) <= 410
+
+
+@pytest.mark.parametrize("make_bq", [
+    lambda: RepetitiveTruncation(load_quiver("loop2.bq")[2], 2).export(),
+    lambda: RepetitiveTruncation(load_quiver("kronecker.bq")[2], 1).export(),
+    lambda: parse_quiver("field q\nnilbound 4\nvertex 1\narrow a: 1 -> 1\narrow b: 1 -> 1\n"
+                         "relation a*a\nrelation b*b\nrelation 2 a*b - 3 b*a\n"),
+    lambda: parse_quiver("field q\nnilbound 3\nvertex 1 2 3 4\narrow a: 1 -> 2\n"
+                         "arrow b: 2 -> 3\narrow c: 1 -> 4\narrow d: 4 -> 3\n"
+                         "relation 2 a*b - 3 c*d\n"),
+], ids=["loop2-truncation2", "kronecker-truncation1", "exterior-like-q", "square-q"])
+def test_path_basis_runs_no_dense_elimination(monkeypatch, make_bq):
+    bq = make_bq()
+    eliminations, spans = [], []
+    rref = fovea.linalg.rref
+    span = Subspace.span
+
+    def recording_rref(m):
+        eliminations.append(m)
+        return rref(m)
+
+    def recording_span(field, ambient, vectors):
+        vectors = list(vectors)
+        spans.append(vectors)
+        return span(field, ambient, vectors)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fovea.linalg, "rref", recording_rref)
+        patch.setattr(Subspace, "span", staticmethod(recording_span))
+        pb = PathBasis(bq)
+    # the pairs with relation vectors are read off their echelon forms;
+    # a span is taken only of no vectors, for the shared zero ideals
+    assert any(sub.dim for sub in pb.ideal.values())
+    assert eliminations == []
+    assert all(vectors == [] for vectors in spans)

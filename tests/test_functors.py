@@ -1,8 +1,17 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fovea.covering import LayeredModule, layered_injective, layered_simple, push_down
+from fovea.covering import (
+    LayeredModule,
+    common_window,
+    layered_injective,
+    layered_simple,
+    push_down,
+)
 from fovea.functors import (
+    COVER,
     Coinduction,
+    EvalResult,
     FunctorError,
     default_battery,
     evaluate,
@@ -23,8 +32,9 @@ from fovea.functors import (
     simple_functor,
     simple_functor_cover,
     twist_functor,
+    window_indecomposables,
 )
-from fovea.linalg import Matrix, rank
+from fovea.linalg import Matrix, Subspace, rank
 from fovea.modules import (
         ModMap,
     Module,
@@ -34,7 +44,18 @@ from fovea.modules import (
     simple,
     projective,
 )
-from fovea.quiver import VoltageQuiver, Window, lift_window, parse_quiver, path_basis, sub_quiver
+from fovea.naming import load_quiver
+from fovea.quiver import (
+    VoltageQuiver,
+    Window,
+    layer_vertex,
+    lift_window,
+    parse_quiver,
+    path_basis,
+    sub_quiver,
+)
+from test_covering import D4_COVER
+from test_properties import modules, scalars
 
 A2 = parse_quiver("field gf 32749\nnilbound 2\nvertex 1 2\narrow a: 1 -> 2\n")
 LINE_K2 = parse_quiver(
@@ -392,7 +413,6 @@ def test_functor_map_coset_equality():
 
 
 def test_twist_evaluations_vanish_outside_the_overlap():
-    from fovea.covering import common_window
     t = simple_functor_cover(LINE_K2, M0)
     hull = common_window(t.pres.source, t.pres.target)
     nonzero = [k for k in range(-8, 9) if evaluate_dim(t, S0.twist(k)) > 0
@@ -420,3 +440,100 @@ def test_simple_functors_push_to_indicators_on_the_two_vertex_cover():
         for m in base_enum.modules:
             expected = 1 if (m.dims == fx.dims and is_isomorphic_indec(m, fx)) else 0
             assert evaluate_dim(t, m) == expected
+
+
+# ---------------------------------------------------------------------------
+# evaluate against the reference that builds every hom space
+
+
+def _fresh_align(lm: LayeredModule, w: Window) -> Module:
+    """A layered module extended by zero onto w, built anew (no memo)."""
+    if lm.is_zero():
+        return Module.zero(lift_window(lm.vq, w))
+    return lm._on_window(w).module
+
+
+def reference_evaluate(t, x) -> EvalResult:
+    """evaluate as it was before it read Hom(x, N) first: it aligns the
+    whole presentation and builds Hom(x, M) whatever Hom(x, N) is.  The
+    alignments are built anew, so no memo of a LayeredModule is read."""
+    if t.side == COVER:
+        w = common_window(t.pres.source, t.pres.target, x)
+        comps = {layer_vertex(v, n): t.pres.map.comps[layer_vertex(v, n)]
+                 for v in t.carrier.base.vertices for n in w.layers if n in t.pres.window}
+        f = ModMap(_fresh_align(t.pres.source, w), _fresh_align(t.pres.target, w), comps,
+                   check=False)
+        xm = _fresh_align(x, w)
+    else:
+        f, xm = t.pres, x
+    hom_m = hom_space(xm, f.source)
+    hom_n = hom_space(xm, f.target)
+    rows = [list(hom_n.coords(f @ h)) for h in hom_m.maps]
+    image = Subspace.span(xm.bq.field, hom_n.dim, rows)
+    return EvalResult(hom_n.dim - image.dim, hom_n, image)
+
+
+def _assert_evaluates_as_the_reference(t, x) -> int:
+    got, want = evaluate(t, x), reference_evaluate(t, x)
+    assert got.dim == want.dim
+    assert got.hom_target.source == want.hom_target.source
+    assert got.hom_target.target == want.hom_target.target
+    assert got.hom_target.rows.entries == want.hom_target.rows.entries
+    assert got.image_coords == want.image_coords
+    assert got.image_coords.ambient == want.image_coords.ambient
+    return want.hom_target.dim
+
+
+@pytest.mark.parametrize("make_vq", [
+    lambda: load_quiver("line-k2.vq")[2],
+    lambda: load_quiver("nakayama2.vq")[2],
+    lambda: load_quiver("trivial-a2.vq")[2],
+    lambda: D4_COVER,
+], ids=["line-k2", "nakayama2", "trivial-a2", "d4"])
+def test_cover_evaluate_matches_the_reference(make_vq):
+    vq = make_vq()
+    battery, _ = default_battery(vq)
+    windows = window_indecomposables(vq, Window(-1, 1))
+    dims = [_assert_evaluates_as_the_reference(t, x) for t in battery for x in windows]
+    # both branches are taken: Hom(X, N) = 0 and Hom(X, N) != 0
+    assert 0 in dims and any(dims)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_algebra_evaluate_matches_the_reference(data):
+    m = data.draw(modules())
+    bq = m.bq
+    n = data.draw(modules(bq))
+    hom = hom_space(m, n)
+    f = hom.from_coords([data.draw(scalars(bq.field)) for _ in range(hom.dim)])
+    t = fp_functor(bq, f)
+    for _ in range(3):
+        _assert_evaluates_as_the_reference(t, data.draw(modules(bq)))
+
+
+def test_layered_memos_take_no_part_in_equality():
+    vq = load_quiver("nakayama2.vq")[2]
+    warm = layered_injective(vq, "1", 0)
+    push_down(warm)
+    for k in (0, 1, 3):
+        warm.align(Window(warm.window.lo - k, warm.window.hi + k))
+    fresh = layered_injective(vq, "1", 0)
+    assert fresh._pushed is None and not fresh._aligned
+    assert warm == fresh and fresh == warm
+    assert hash(warm) == hash(fresh)
+    assert len({warm, fresh}) == 1
+
+
+@pytest.mark.parametrize("make_lm", [
+    lambda: layered_injective(load_quiver("nakayama2.vq")[2], "2", 1),
+    lambda: layered_simple(load_quiver("line-k2.vq")[2], "v", -1),
+    lambda: layered_injective(D4_COVER, "0", 0),
+], ids=["nakayama2-injective", "line-k2-simple", "d4-injective"])
+def test_align_equals_a_fresh_zero_extension(make_lm):
+    lm = make_lm()
+    lo, hi = lm.window.lo, lm.window.hi
+    for w in (Window(lo, hi), Window(lo - 1, hi), Window(lo, hi + 2), Window(lo - 3, hi + 1)):
+        first = lm.align(w)
+        assert first == lm._on_window(w).module
+        assert lm.align(w) is first
