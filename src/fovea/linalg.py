@@ -636,13 +636,16 @@ class Subspace:
         that row on the representatives."""
         f = self.field
         n = self.ambient
-        row_at = dict(zip(self._pivots, self.rows.entries))
-        reps = tuple(i for i in range(n) if i not in row_at)
-        zero, one, neg = f.zero, f.one, f.neg
-        proj = tuple(tuple(neg(row_at[j][r]) if j in row_at else (one if j == r else zero)
-                           for j in range(n))
-                     for r in reps)
-        return QuotientMap(f, self, Matrix._raw(f, len(reps), n, proj), reps)
+        pivots = set(self._pivots)
+        reps = tuple(i for i in range(n) if i not in pivots)
+        proj = [[f.zero] * n for _ in reps]
+        for i, r in enumerate(reps):
+            proj[i][r] = f.one
+        for c, row in zip(self._pivots, self.rows.entries):
+            for i, r in enumerate(reps):
+                if row[r]:
+                    proj[i][c] = f.neg(row[r])
+        return QuotientMap(f, self, Matrix._raw(f, len(reps), n, tuple(map(tuple, proj))), reps)
 
     def __eq__(self, other):
         return isinstance(other, Subspace) and self.ambient == other.ambient and self.rows == other.rows

@@ -390,17 +390,18 @@ class PathBasis:
         # c * rel * d has a term below m only if its shortest does, the path
         # lists are sorted by length, and only pairs that hold paths are walked
         p = f.p
-        reach = {v: [y for y in bq.vertices if paths[(v, y)]] for v in bq.vertices}
+        into = {v: [x for x in bq.vertices if paths[(x, v)]] for v in bq.vertices}
+        out_of = {v: [y for y in bq.vertices if paths[(v, y)]] for v in bq.vertices}
         echelons: dict[tuple[str, str], dict] = {}
         for rel in bq.relations:
             u, v = bq.relation_endpoints(rel)
             shortest = min(len(q) for _, q in rel)
-            for x in bq.vertices:
+            for x in into[u]:
                 for c_path in paths[(x, u)]:
                     room = m - shortest - len(c_path)
                     if room <= 0:
                         break
-                    for y in reach[v]:
+                    for y in out_of[v]:
                         key = (x, y)
                         index = self.path_index[key]
                         for d_path in paths[(v, y)]:
