@@ -389,13 +389,12 @@ class PathBasis:
         # as sparse rows into one echelon form per vertex pair; a shift
         # c * rel * d has a term below m only if its shortest does, the path
         # lists are sorted by length, and only pairs that hold paths are walked
-        p = f.p
         into = {v: [x for x in bq.vertices if paths[(x, v)]] for v in bq.vertices}
         out_of = {v: [y for y in bq.vertices if paths[(v, y)]] for v in bq.vertices}
         echelons: dict[tuple[str, str], dict] = {}
         for rel in bq.relations:
             u, v = bq.relation_endpoints(rel)
-            shortest = min(len(q) for _, q in rel)
+            shortest = min(len(p) for _, p in rel)
             for x in into[u]:
                 for c_path in paths[(x, u)]:
                     room = m - shortest - len(c_path)
@@ -408,15 +407,15 @@ class PathBasis:
                             if len(d_path) >= room:
                                 break
                             row = {}
-                            for coeff, q in rel:
-                                full = c_path + q + d_path
+                            for coeff, p in rel:
+                                full = c_path + p + d_path
                                 if len(full) < m:
                                     idx = index[full]
                                     val = f.add(row.pop(idx, f.zero), coeff)
                                     if val:
                                         row[idx] = val
                             if row:
-                                _echelon_reduce(echelons.setdefault(key, {}), row, p)
+                                _echelon_reduce(echelons.setdefault(key, {}), row, f.p)
         zeros: dict[int, QuotientMap] = {}
         self.ideal: dict[tuple[str, str], Subspace] = {}
         self.quots: dict[tuple[str, str], QuotientMap] = {}
