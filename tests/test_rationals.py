@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from fovea.covering import layered_injective, layered_simple, push_down, verify_covering_axioms
 from fovea.functors import evaluate_dim, functor_length, hom_functor, phi, simple_functor
 from fovea.linalg import Matrix
@@ -17,6 +19,7 @@ from fovea.modules import (
     simple,
 )
 from fovea.quiver import parse_quiver, path_basis
+from fovea.suites import run_suite
 
 from oracles import naturality_hom_dim
 
@@ -103,7 +106,27 @@ def test_random_hom_dims_agree_with_the_oracle_over_both_fields():
 
 
 def test_all_suites_pass_over_the_rationals():
-    from fovea.suites import run_suite
     for name, fixture in (("cover-axioms", "line-k2.vq"), ("pushdown", "line-k2.vq"),
                           ("kg0", "line-k2.vq"), ("repetitive", "a2.bq")):
         assert run_suite(name, fixture, field_override="q").passed
+
+
+CROSS_FIELD_CALLS = [
+    *(("kg0", name) for name in ("a2.bq", "a3.bq", "loop2.bq", "point.bq")),
+    *(("repetitive", name) for name in ("a2.bq", "a3.bq", "kronecker.bq", "loop2.bq")),
+    *((suite, "trivial-a2.vq") for suite in ("cover-axioms", "pushdown", "phi-identities", "kg0")),
+    *((suite, "nakayama2.vq") for suite in ("kg0", "cover-axioms", "phi-identities", "pushdown")),
+    ("pushdown", "line-k2.vq"),
+]
+
+
+@pytest.mark.parametrize("suite,name", CROSS_FIELD_CALLS,
+                         ids=[f"{s} {n}" for s, n in CROSS_FIELD_CALLS])
+def test_suite_reports_agree_over_both_prime_fields_and_the_rationals(suite, name):
+    """Only the field line of a report may depend on the field: every
+    verdict and every check record (id, expected, actual, pass) is the
+    same over GF(32749), GF(101) and Q."""
+    reports = [run_suite(suite, name, field_override=field).to_dict()
+               for field in ("gf:32749", "gf:101", "q")]
+    assert len({report.pop("field") for report in reports}) == 3
+    assert reports[0] == reports[1] == reports[2]

@@ -14,6 +14,12 @@ quiver, whose arrows and relations `rep build --n N` lifts to layers
 -N..N, and no suite report prints them; REP_DIGESTS holds the sha256 of
 their standard output, recorded before path bases were built sparsely and
 while every truncation was still extracted from its structure constants.
+
+D4_DIGESTS pins the four cover suites on the D4 cover (`D4_COVER_TEXT`,
+written to d4.vq).  It is not locally Nakayama, so its orbit list comes
+from the window loop (`covering._window_orbits`), which no packaged
+fixture reaches; the records were taken before hom spaces deferred their
+canonical basis.
 """
 
 import contextlib
@@ -27,6 +33,7 @@ import pytest
 
 from fovea.cli import main
 from fovea.naming import fixture_names
+from test_covering import D4_COVER_TEXT
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -76,6 +83,13 @@ REP_DIGESTS = {
         "7c3144a6921d1805896a84969787ecef862fa9c106161cb1b8553216f9c97f83",
 }
 
+D4_DIGESTS = {
+    "cover-axioms": (0, "37b50e7f10c8aa6afa9d8e7c9769328d6b4605eeefc7b81671600d87f0f767ae"),
+    "pushdown": (0, "458cc62438e626d226d333122ae20b186ef589517d18e0599df521d9653afe43"),
+    "phi-identities": (0, "1a07f9fad99239498c13e0d62092d8c2f28413619e453da0c31456337b031098"),
+    "kg0": (0, "98c0c0c0d3910c761fc1a150accd2fba48e0ee1496163e882cb16147ae4c1f5e"),
+}
+
 
 def test_every_packaged_fixture_entry_is_checked():
     assert len(ENTRIES) == 22
@@ -101,6 +115,16 @@ def test_repetitive_export_matches_its_recorded_digest(monkeypatch, tmp_path, co
         rc = main(command.split())
     assert rc == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == REP_DIGESTS[command]
+
+
+@pytest.mark.parametrize("suite", sorted(D4_DIGESTS))
+def test_d4_cover_report_matches_its_recorded_digest(monkeypatch, tmp_path, suite):
+    monkeypatch.chdir(tmp_path)     # the report names the input as given
+    (tmp_path / "d4.vq").write_text(D4_COVER_TEXT)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(["suite", suite, "d4.vq"])
+    assert (rc, hashlib.sha256(out.getvalue().encode()).hexdigest()) == D4_DIGESTS[suite]
 
 
 def _workloads():
