@@ -15,10 +15,11 @@ entry for entry.  `Subspace.reduce`, `coords` and `contains` do the same.
 Two kernel routines give the same canonical basis.  `kernel_basis` takes
 a dense `Matrix` through `rref`; trace pairings, presentations and
 Fitting splits are dense, and sending them through the sparse routine
-made no run faster.  `sparse_kernel` takes the naturality system of a
-hom space: its rows are dicts with a few entries each, many systems have
-no equation at all, and it returns the `Subspace` with the pivots it
-already knows, so nothing writes a dense row or scans one again.
+made no run faster.  A hom space's naturality system has a few entries
+per row, often no row at all: `_echelon_reduce` files its rows as
+`{column: entry}` dicts into an echelon form whose size gives the
+dimension, and `_echelon_kernel`, run only once the basis is read, reads
+the canonical basis and its pivots off it, with no dense row written.
 """
 
 from __future__ import annotations
@@ -254,15 +255,9 @@ class Matrix:
             return Matrix.zeros(self.field, self.cols, self.rows)
         return Matrix._raw(self.field, self.cols, self.rows, tuple(zip(*self.entries)))
 
-    def row(self, i):
-        return self.entries[i]
-
     def trace(self):
-        f = self.field
-        t = f.zero
-        for i in range(min(self.rows, self.cols)):
-            t = f.add(t, self.entries[i][i])
-        return t
+        return self.field.coerce(sum((self.entries[i][i] for i in range(min(self.rows, self.cols))),
+                                     self.field.zero))
 
     def power(self, n: int) -> "Matrix":
         """self^n for n >= 0, by squaring; the last square is never formed."""
@@ -415,35 +410,6 @@ def kernel_basis(m: Matrix) -> Matrix:
     return Matrix._raw(f, len(vecs), n, tuple(vecs))
 
 
-def sparse_kernel(field: Field, n: int, rows) -> "Subspace":
-    """Canonical null space in K^n of a sparse system, with its pivots.
-
-    Each row is a dict {column: nonzero entry} whose columns are already
-    reversed (column n-1-u holds unknown u); the rows are consumed and
-    changed.  They are reduced one at a time into an echelon form keyed
-    by leading column, back-substituted once, and read off as in
-    `kernel_basis`: the vector of free column fc has its leading 1 at
-    n-1-fc, so the vectors come out in reduced row echelon form and
-    those positions are the pivots of the subspace.  An echelon row is
-    held without its leading 1, as the entries right of it.
-    """
-    p = field.p
-    echelon = {}
-    for row in rows:
-        _echelon_reduce(echelon, row, p)
-    _back_substitute(echelon, p)
-    zero, one = field.zero, field.one
-    vecs = {fc: [zero] * n for fc in range(n - 1, -1, -1) if fc not in echelon}
-    for fc, v in vecs.items():
-        v[n - 1 - fc] = one
-    for c, row in echelon.items():
-        i = n - 1 - c
-        for fc, x in row.items():
-            vecs[fc][i] = -x if p is None else p - x
-    return Subspace(field, n, Matrix._raw(field, len(vecs), n, tuple(map(tuple, vecs.values()))),
-                    tuple(n - 1 - fc for fc in vecs))
-
-
 def _echelon_reduce(echelon: dict, row: dict, p, insert: bool = True) -> bool:
     """Reduce a sparse row {column: nonzero entry} in place by an echelon
     form keyed by leading column, and say whether it lay in its span.
@@ -497,6 +463,26 @@ def _echelon_subspace(field: Field, n: int, echelon: dict) -> "Subspace":
             row[k] = x
         rows.append(tuple(row))
     return Subspace(field, n, Matrix._raw(field, len(rows), n, tuple(rows)), tuple(pivots))
+
+
+def _echelon_kernel(field: Field, n: int, echelon: dict) -> "Subspace":
+    """The canonical null space in K^n of a system whose column n-1-u holds
+    unknown u, from its echelon form kept by `_echelon_reduce` (consumed).
+
+    Back-substituted once and read off as in `kernel_basis`: the vector of
+    free column fc has its leading 1 at n-1-fc, which are the pivots."""
+    p = field.p
+    _back_substitute(echelon, p)
+    zero, one = field.zero, field.one
+    vecs = {fc: [zero] * n for fc in range(n - 1, -1, -1) if fc not in echelon}
+    for fc, v in vecs.items():
+        v[n - 1 - fc] = one
+    for c, row in echelon.items():
+        i = n - 1 - c
+        for fc, x in row.items():
+            vecs[fc][i] = -x if p is None else p - x
+    return Subspace(field, n, Matrix._raw(field, len(vecs), n, tuple(map(tuple, vecs.values()))),
+                    tuple(n - 1 - fc for fc in vecs))
 
 
 def _axpy(row: dict, factor, tail: dict, p) -> None:
@@ -675,16 +661,9 @@ class QuotientMap:
         return tuple(red[i] for i in self.representatives)
 
     def section(self) -> Matrix:
-        f = self.field
-        n = self.subspace.ambient
-        if not self.representatives:
-            return Matrix.zeros(f, n, 0)
-        cols = []
-        for r in self.representatives:
-            e = [f.zero] * n
-            e[r] = f.one
-            cols.append(e)
-        return Matrix(f, cols).transpose()
+        f, n, reps = self.field, self.subspace.ambient, self.representatives
+        return Matrix._raw(f, n, len(reps), tuple(tuple(f.one if i == r else f.zero for r in reps)
+                                                  for i in range(n)))
 
 
 @dataclass(frozen=True)

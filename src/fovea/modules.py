@@ -28,8 +28,9 @@ from .linalg import (
     rank,
     row_space,
     solve,
-    sparse_kernel,
     vstack,
+    _echelon_kernel,
+    _echelon_reduce,
 )
 from .quiver import BoundQuiver, PathBasis, opposite_quiver, path_basis
 
@@ -250,21 +251,36 @@ class ModMap:
 
 
 class HomBasis:
-    """Canonical basis of Hom(M, N) with coordinate helpers."""
+    """Hom(M, N): its dimension, and its canonical basis with coordinate
+    helpers.  From `hom_space` it holds the forward echelon form of the
+    naturality system, whose size gives the dimension; the first read of
+    `space`, `rows`, `maps`, `coords` or `from_coords` back-substitutes it
+    and drops it.  Every answer, pivots included, is unchanged by that."""
 
     def __init__(self, source: Module, target: Module, space: Subspace):
-        self.source = source
-        self.target = target
-        self.space = space
-        self.rows = space.rows
+        self.source, self.target = source, target
+        self.space, self.dim = space, space.dim
+
+    @classmethod
+    def _deferred(cls, source: Module, target: Module, unknowns: int, echelon: dict) -> "HomBasis":
+        hom = cls.__new__(cls)
+        hom.source, hom.target, hom.dim = source, target, unknowns - len(echelon)
+        hom._echelon = (unknowns, echelon)
+        return hom
+
+    @cached_property
+    def space(self) -> Subspace:
+        space = _echelon_kernel(self.source.bq.field, *self._echelon)
+        del self._echelon
+        return space
+
+    @property
+    def rows(self) -> Matrix:
+        return self.space.rows
 
     @cached_property
     def maps(self) -> list[ModMap]:
         return [ModMap.from_vector(self.source, self.target, r) for r in self.rows.entries]
-
-    @property
-    def dim(self) -> int:
-        return self.rows.rows
 
     def coords(self, f: ModMap):
         return self.space.coords(f.vectorize())
@@ -285,12 +301,13 @@ class HomBasis:
 
 
 def hom_space(m: Module, n: Module) -> HomBasis:
-    """Solve all naturality squares; canonical basis of the solution space.
+    """Hom(M, N) as the solutions of all naturality squares.
 
     Unknown u = offset(v) + i dim M(v) + k is the entry (i, k) of the
     component f_v.  Each entry (i, j) of each square f_x M(a) = N(a) f_y
     gives one sparse equation, with unknown u at column last - u, the
-    reversed order `sparse_kernel` eliminates in.
+    reversed order `linalg._echelon_kernel` reads the null space in.  They
+    are reduced here; the basis is read off when first asked for.
     """
     if n.bq is not m.bq and m.bq != n.bq:
         raise ModuleError("hom between modules over different quivers")
@@ -299,8 +316,11 @@ def hom_space(m: Module, n: Module) -> HomBasis:
     for v in m.bq.vertices:
         offsets[v] = total
         total += n.dims[v] * m.dims[v]
-    f = m.bq.field
-    return HomBasis(m, n, sparse_kernel(f, total, _naturality_rows(m, n, offsets, total - 1, f.p)))
+    p = m.bq.field.p
+    echelon = {}
+    for row in _naturality_rows(m, n, offsets, total - 1, p):
+        _echelon_reduce(echelon, row, p)
+    return HomBasis._deferred(m, n, total, echelon)
 
 
 def _naturality_rows(m: Module, n: Module, offsets: dict, last: int, p):

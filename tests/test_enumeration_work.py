@@ -20,8 +20,9 @@ connect it and composes no witness that nobody reads; an enumeration
 builds each hom space once; an isomorphism test reads one trace
 pairing; a locally Nakayama cover's orbit list enumerates nothing; a
 layered module is pushed down once; an evaluation builds no Hom(X, M)
-where Hom(X, N) is zero; and a path basis reads every pair with relation
-vectors off a sparse echelon form, with no dense elimination.
+where Hom(X, N) is zero; a path basis reads every pair with relation
+vectors off a sparse echelon form, with no dense elimination; and a hom
+dimension reads no canonical basis.
 """
 
 import inspect
@@ -37,7 +38,7 @@ import fovea.modules
 import fovea.quiver
 import fovea.repetitive
 import fovea.suites
-from fovea.covering import layered_injective, push_down
+from fovea.covering import layered_hom_dim, layered_injective, push_down
 from fovea.functors import default_battery
 from fovea.linalg import Matrix, Subspace, inverse
 from fovea.modules import (
@@ -46,6 +47,7 @@ from fovea.modules import (
     decompose,
     direct_sum,
     enumerate_indecomposables,
+    hom_dim,
     hom_space,
     injective,
     projective,
@@ -571,6 +573,31 @@ def test_evaluate_builds_no_hom_into_the_source_where_the_target_has_none(monkey
     assert run_suite("kg0", "nakayama2.vq").passed
     # 650 while every evaluation built Hom(X, M) and Hom(X, N)
     assert 0 < len(calls) <= 410
+
+
+def test_hom_dimensions_read_no_basis(monkeypatch):
+    """A dimension is read off the forward echelon form of the naturality
+    system; the canonical basis is never back-substituted for it."""
+    tests = []
+    for name in ("line-k2.vq", "nakayama2.vq", "trivial-a2.vq"):
+        _battery, test = default_battery(load_quiver(name)[2])
+        tests.append([(x, push_down(x)) for x in test])
+    readouts = _record(monkeypatch, fovea.linalg, "_echelon_kernel")
+    dims = [layered_hom_dim(x.twist(k), y) + hom_dim(px, py)
+            for test in tests for x, px in test for y, py in test for k in (-1, 0, 1)]
+    assert sum(dims) > 0
+    assert readouts == []
+    # a basis that is read is counted
+    px = tests[0][0][1]
+    assert len(hom_space(px, px).maps) == 1
+    assert len(readouts) == 1
+
+
+def test_kg0_reads_few_hom_bases(monkeypatch):
+    readouts = _record(monkeypatch, fovea.linalg, "_echelon_kernel")
+    assert run_suite("kg0", "nakayama2.vq").passed
+    # 410 while every hom space was solved to its canonical basis
+    assert 0 < len(readouts) <= 112
 
 
 @pytest.mark.parametrize("make_bq", [

@@ -5,7 +5,9 @@ was solved sparse: every equation written as a dense row, and the row
 space's null space taken by `kernel_basis`.  The null space has one
 reduced row echelon form, so both must give the same basis entry for
 entry, and the sparse solve must hand the subspace the pivots a fresh
-scan of its rows finds.  The quivers are random and unbound (loops and
+scan of its rows finds.  hom_space stops at the forward echelon form and
+reads the basis off it only when asked, so each check runs with the
+dimension read before the basis as well as after it.  The quivers are random and unbound (loops and
 parallel arrows included), since hom_space never reads the relations.
 The same quivers check the thin-brick certificate `decompose` reads in
 place of End(M) against dim End(M) = 1.
@@ -69,14 +71,17 @@ def _oracle_dim(m, n):
         p=m.bq.field.p)
 
 
-def _assert_matches_the_reference(m, n):
+def _assert_matches_the_reference(m, n, dim_first=False):
     hom = hom_space(m, n)
     ref = reference_hom_space(m, n)
+    if dim_first:
+        # read off the forward echelon form, before any basis exists
+        assert hom.dim == len(hom) == ref.dim == _oracle_dim(m, n)
     assert hom.rows.entries == ref.rows.entries
     assert hom.rows.shape == ref.rows.shape
     fresh = Subspace(m.bq.field, hom.rows.cols, hom.rows)
-    assert hom.space._pivots == fresh._pivots
-    assert hom.dim == _oracle_dim(m, n)
+    assert hom.space._pivots == fresh._pivots == ref.space._pivots
+    assert hom.dim == ref.dim == _oracle_dim(m, n)
     for g in hom.maps:
         assert g.is_natural()
     return hom
@@ -116,6 +121,14 @@ def module_pairs(draw):
 @given(module_pairs())
 def test_hom_space_equals_the_dense_reference(pair):
     _assert_matches_the_reference(*pair)
+
+
+@CHECKS
+@given(module_pairs())
+def test_a_dimension_read_before_the_basis_equals_the_dense_reference(pair):
+    """hom_space defers its canonical basis; reading the dimension first
+    changes neither the dimension nor the basis read after it."""
+    _assert_matches_the_reference(*pair, dim_first=True)
 
 
 @st.composite
@@ -158,36 +171,48 @@ def _module(bq, dims, mats):
 
 @pytest.mark.parametrize("field", FIELDS, ids=["gf7", "gf32749", "q"])
 def test_edge_systems_equal_the_dense_reference(field):
+    _check_edge_systems(field, dim_first=False)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=["gf7", "gf32749", "q"])
+def test_edge_systems_read_dimension_first_equal_the_dense_reference(field):
+    _check_edge_systems(field, dim_first=True)
+
+
+def _check_edge_systems(field, dim_first):
+    def check(m, n):
+        return _assert_matches_the_reference(m, n, dim_first)
+
     loop = _bq(field, [("a", "1", "1")])
     line = _bq(field, [("a", "1", "2")])
     bare = _bq(field, [])
     # no unknowns: N vanishes wherever M does not
     zero = _module(loop, {"1": 0}, {})
     one = _module(loop, {"1": 1}, {"a": [[0]]})
-    assert _assert_matches_the_reference(zero, one).rows.shape == (0, 0)
-    assert _assert_matches_the_reference(one, zero).rows.shape == (0, 0)
+    assert check(zero, one).rows.shape == (0, 0)
+    assert check(one, zero).rows.shape == (0, 0)
     # no arrows, so no equation: every matrix is a map
     m = _module(bare, {"1": 2}, {})
-    assert _assert_matches_the_reference(m, m).dim == 4
+    assert check(m, m).dim == 4
     # an arrow a: 1 -> 2 gives equations f_1 M(a) = N(a) f_2, one for each
     # entry of N(1) x M(2); none when M(2) = 0 or N(1) = 0
     s1 = _module(line, {"1": 1, "2": 0}, {})
     s2 = _module(line, {"1": 0, "2": 1}, {})
     p1 = _module(line, {"1": 1, "2": 1}, {"a": [[1]]})
-    assert _assert_matches_the_reference(s1, p1).dim == 1
-    assert _assert_matches_the_reference(p1, s2).dim == 1
+    assert check(s1, p1).dim == 1
+    assert check(p1, s2).dim == 1
     # M(1) = N(2) = 0: the one equation is zero
-    assert _assert_matches_the_reference(s2, s1).dim == 0
+    assert check(s2, s1).dim == 0
     # nonzero equations with a trivial and with a full solution space
-    assert _assert_matches_the_reference(p1, s1).dim == 0
-    assert _assert_matches_the_reference(s2, p1).dim == 0
-    assert _assert_matches_the_reference(p1, p1).dim == 1
+    assert check(p1, s1).dim == 0
+    assert check(s2, p1).dim == 0
+    assert check(p1, p1).dim == 1
     # a loop whose two sides cancel on one unknown: N(a) = M(a) = [[1]]
     unit = _module(loop, {"1": 1}, {"a": [[1]]})
-    assert _assert_matches_the_reference(unit, unit).dim == 1
-    assert _assert_matches_the_reference(unit, one).dim == 0
+    assert check(unit, unit).dim == 1
+    assert check(unit, one).dim == 0
     jordan = _module(loop, {"1": 2}, {"a": [[1, 1], [0, 1]]})
-    assert _assert_matches_the_reference(jordan, jordan).dim == 2
+    assert check(jordan, jordan).dim == 2
 
 
 def test_hom_space_refuses_modules_over_different_quivers():
