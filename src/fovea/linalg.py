@@ -470,7 +470,7 @@ def _echelon_kernel(field: Field, n: int, echelon: dict) -> "Subspace":
     unknown u, from its echelon form kept by `_echelon_reduce` (consumed).
 
     Back-substituted once and read off as in `kernel_basis`: the vector of
-    free column fc has its leading 1 at n-1-fc, which are the pivots."""
+    free column fc has its leading 1, its pivot, at n-1-fc."""
     p = field.p
     _back_substitute(echelon, p)
     zero, one = field.zero, field.one
