@@ -20,6 +20,12 @@ written to d4.vq).  It is not locally Nakayama, so its orbit list comes
 from the window loop (`covering._window_orbits`), which no packaged
 fixture reaches; the records were taken before hom spaces deferred their
 canonical basis.
+
+REP_A3_PRIME_DIGESTS pins the same four suites on rep-A3' (`REP_A3_PRIME_TEXT`,
+the repetitive voltage quiver of 1 -> 2 <- 3 with no relations, written to
+rep-a3p.vq).  Its windows are not Nakayama either, so the window loop
+decomposes candidates over branching quivers; the records were taken before
+`decompose` read locality off the trace form.
 """
 
 import contextlib
@@ -33,6 +39,8 @@ import pytest
 
 from fovea.cli import main
 from fovea.naming import fixture_names
+from fovea.quiver import format_quiver, parse_quiver
+from fovea.repetitive import repetitive_voltage
 from test_covering import D4_COVER_TEXT
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -90,6 +98,21 @@ D4_DIGESTS = {
     "kg0": (0, "98c0c0c0d3910c761fc1a150accd2fba48e0ee1496163e882cb16147ae4c1f5e"),
 }
 
+A3_PRIME_TEXT = "field gf 32749\nnilbound 2\nvertex 1 2 3\narrow a: 1 -> 2\narrow b: 3 -> 2\n"
+REP_A3_PRIME_TEXT = (
+    "field gf 32749\nnilbound 3\nvertex 1 2 3\n"
+    "arrow a0: 1 -> 2 deg 0\narrow a1: 2 -> 1 deg 1\n"
+    "arrow a2: 2 -> 3 deg 1\narrow a3: 3 -> 2 deg 0\n"
+    "relation a0*a1*a0\nrelation a0*a2*a3\nrelation a0*a2\nrelation a1*a0*a1\n"
+    "relation a2*a3*a1\nrelation a1*a0 + 32748 a2*a3\nrelation a1*a0*a2\n"
+    "relation a2*a3*a2\nrelation a3*a1\nrelation a3*a1*a0\nrelation a3*a2*a3\n")
+REP_A3_PRIME_DIGESTS = {
+    "cover-axioms": (0, "1d4be5ac2acc1ead91a578fc242235894cbe0cceabf81326fd47b04c343abf95"),
+    "pushdown": (0, "d746a140fa80ea0a867ec1256c7e7f783cbbd13361fbbf21f16f0014c5730b48"),
+    "phi-identities": (0, "4810e3ced6ae4ef6a8fdfb9f861809d112b1203cd81b7bd2d595ad48eaafee08"),
+    "kg0": (0, "09702e03b5bf38f03ffab68f76db087e366e9e302e3c376ad3cbd5204913b66d"),
+}
+
 
 def test_every_packaged_fixture_entry_is_checked():
     assert len(ENTRIES) == 22
@@ -125,6 +148,20 @@ def test_d4_cover_report_matches_its_recorded_digest(monkeypatch, tmp_path, suit
     with contextlib.redirect_stdout(out):
         rc = main(["suite", suite, "d4.vq"])
     assert (rc, hashlib.sha256(out.getvalue().encode()).hexdigest()) == D4_DIGESTS[suite]
+
+
+def test_rep_a3_prime_text_is_the_repetitive_voltage_quiver():
+    assert format_quiver(repetitive_voltage(parse_quiver(A3_PRIME_TEXT))) == REP_A3_PRIME_TEXT
+
+
+@pytest.mark.parametrize("suite", sorted(REP_A3_PRIME_DIGESTS))
+def test_rep_a3_prime_report_matches_its_recorded_digest(monkeypatch, tmp_path, suite):
+    monkeypatch.chdir(tmp_path)     # the report names the input as given
+    (tmp_path / "rep-a3p.vq").write_text(REP_A3_PRIME_TEXT)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(["suite", suite, "rep-a3p.vq"])
+    assert (rc, hashlib.sha256(out.getvalue().encode()).hexdigest()) == REP_A3_PRIME_DIGESTS[suite]
 
 
 def _workloads():
