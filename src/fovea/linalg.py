@@ -13,13 +13,14 @@ reduces once, after summing), so they compute the same canonical forms
 entry for entry.  `Subspace.reduce`, `coords` and `contains` do the same.
 
 Two kernel routines give the same canonical basis.  `kernel_basis` takes
-a dense `Matrix` through `rref`; trace pairings, presentations and
-Fitting splits are dense, and sending them through the sparse routine
-made no run faster.  A hom space's naturality system has a few entries
-per row, often no row at all: `_echelon_reduce` files its rows as
-`{column: entry}` dicts into an echelon form whose size gives the
-dimension, and `_echelon_kernel`, run only once the basis is read, reads
-the canonical basis and its pivots off it, with no dense row written.
+a dense `Matrix` through `rref`; trace pairings and presentations are
+dense, and sending them through the sparse routine made no run faster.
+A Fitting split runs the elimination of `rref`, `_gauss_jordan`, on plain
+rows.  A hom space's naturality system has a few entries per row, often
+no row at all: `_echelon_reduce` files its rows as `{column: entry}`
+dicts into an echelon form whose size gives the dimension, and
+`_echelon_kernel`, run only once the basis is read, reads the canonical
+basis and its pivots off it, with no dense row written.
 """
 
 from __future__ import annotations
@@ -336,10 +337,15 @@ class RREF:
 
 def rref(m: Matrix) -> RREF:
     """Unique reduced row echelon form (Gauss-Jordan, exact)."""
-    f = m.field
-    p = f.p
     rows = [list(r) for r in m.entries]
-    nrows, ncols = m.rows, m.cols
+    pivots = _gauss_jordan(rows, m.cols, m.field.p)
+    out = Matrix._raw(m.field, m.rows, m.cols, tuple(tuple(row) for row in rows))
+    return RREF(len(pivots), out, tuple(pivots))
+
+
+def _gauss_jordan(rows: list, ncols: int, p) -> list:
+    """Reduce a list of row lists to its rref in place; returns the pivots."""
+    nrows = len(rows)
     pivots = []
     r = 0
     for c in range(ncols):
@@ -372,8 +378,7 @@ def rref(m: Matrix) -> RREF:
                     rows[i] = row[:c] + [(x - factor * y) % p for x, y in zip(row[c:], top)]
         pivots.append(c)
         r += 1
-    out = Matrix._raw(f, nrows, ncols, tuple(tuple(row) for row in rows))
-    return RREF(r, out, tuple(pivots))
+    return pivots
 
 
 def rank(m: Matrix) -> int:
@@ -716,14 +721,16 @@ def poly_mul(f: Field, a, b):
 
 
 def poly_divmod(f: Field, a, b):
-    a = poly_trim(a)
-    b = poly_trim(b)
+    a, b = poly_trim(a), poly_trim(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    p = f.p
     q = [f.zero] * max(0, len(a) - len(b) + 1)
-    r = a
-    inv_lead = f.inv(b[-1])
+    r = _poly_reduce(a, b, f.inv(b[-1]), f.p, q)
+    return poly_trim(q), r
+
+
+def _poly_reduce(r: list, b: list, inv_lead, p, q: list | None = None) -> list:
+    """r modulo b in place, with inv_lead = 1 / lead(b); the quotient goes into q if given."""
     while len(r) >= len(b):
         shift = len(r) - len(b)
         if p is None:
@@ -734,10 +741,11 @@ def poly_divmod(f: Field, a, b):
             c = r[-1] * inv_lead % p
             for i, y in enumerate(b, shift):
                 r[i] = (r[i] - c * y) % p
-        q[shift] = c
+        if q is not None:
+            q[shift] = c
         while r and not r[-1]:
             r.pop()
-    return poly_trim(q), r
+    return r
 
 
 def poly_monic(f: Field, a):
@@ -761,13 +769,19 @@ def poly_deriv(f: Field, a):
 
 
 def poly_pow_mod(f: Field, base, e: int, mod):
-    result = [f.one]
-    base = poly_divmod(f, base, mod)[1]
+    """base^e modulo mod by squaring, inverting lead(mod) once and reducing
+    each product in place; the square after the last bit is not formed."""
+    mod = poly_trim(mod)
+    if not mod:
+        raise ZeroDivisionError("polynomial division by zero")
+    inv_lead, p = f.inv(mod[-1]), f.p
+    result, base = [f.one], _poly_reduce(poly_trim(base), mod, inv_lead, p)
     while e:
         if e & 1:
-            result = poly_divmod(f, poly_mul(f, result, base), mod)[1]
-        base = poly_divmod(f, poly_mul(f, base, base), mod)[1]
+            result = _poly_reduce(poly_mul(f, result, base), mod, inv_lead, p)
         e >>= 1
+        if e:
+            base = _poly_reduce(poly_mul(f, base, base), mod, inv_lead, p)
     return result
 
 

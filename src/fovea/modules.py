@@ -23,14 +23,15 @@ from .linalg import (
     inverse,
     kernel_basis,
     poly_is_irreducible,
-    poly_trim,
     _candidate_factors,
     rank,
     row_space,
     solve,
     vstack,
+    _axpy,
     _echelon_kernel,
     _echelon_reduce,
+    _gauss_jordan,
 )
 from .quiver import BoundQuiver, PathBasis, opposite_quiver, path_basis
 
@@ -231,9 +232,6 @@ class ModMap:
             comps[v] = Matrix._raw(f, r, c, tuple(vec[i + j * c: i + (j + 1) * c] for j in range(r)))
             i += r * c
         return cls(source, target, comps, check=check)
-
-    def rank(self) -> int:
-        return sum(rank(m) for m in self.comps.values())
 
     def __eq__(self, other):
         return (isinstance(other, ModMap) and self.source == other.source
@@ -704,8 +702,7 @@ class Decomposition:
     def witnesses(self) -> tuple[Module, ModMap, ModMap]:
         """(direct sum of the pieces, to_sum, from_sum), mutually inverse."""
         total, incls, projs = direct_sum([p.module for p in self.pieces])
-        to_sum = None
-        from_sum = None
+        to_sum = from_sum = None
         for piece, incl, proj in zip(self.pieces, incls, projs):
             up = incl @ piece.project        # module -> total through one piece
             down = piece.include @ proj      # total -> module through one piece
@@ -715,31 +712,34 @@ class Decomposition:
 
 
 def _minimal_polynomial(phi: ModMap):
-    f = phi.source.bq.field
-    vecs = [ModMap.identity(phi.source).vectorize()]
-    power = ModMap.identity(phi.source)
-    bound = phi.source.total_dim
-    for _ in range(bound + 1):
+    """The minimal polynomial of phi from one echelon form of its powers,
+    each row carrying the powers it combines in columns n, n + 1, ..."""
+    m, f = phi.source, phi.source.bq.field
+    n, echelon, power = sum(d * d for d in m.dims.values()), {}, ModMap.identity(m)
+    for k in range(m.total_dim + 2):
+        row = {i: x for i, x in enumerate(power.vectorize()) if x}
+        row[n + k] = f.one
+        while (c := min(row)) < n and c in echelon:
+            _axpy(row, row.pop(c), echelon[c], f.p)
+        if c >= n:      # phi^k + sum of row[n + i] phi^i = 0
+            return [row.get(n + i, f.zero) for i in range(k)] + [f.one]
+        _echelon_reduce(echelon, row, f.p)
         power = phi @ power
-        target = Matrix(f, [list(power.vectorize())]).transpose()
-        stack = Matrix(f, [list(v) for v in vecs]).transpose()
-        sol = solve(stack, target)
-        if sol is not None:
-            coeffs = [f.neg(sol.entries[i][0]) for i in range(len(vecs))]
-            return poly_trim(coeffs + [f.one])
-        vecs.append(power.vectorize())
     raise DecompositionError("minimal polynomial did not terminate")
 
 
 def _poly_of_map(poly, phi: ModMap) -> ModMap:
+    """g(phi) by Horner's rule at each vertex."""
     f = phi.source.bq.field
-    acc = ModMap.zero(phi.source, phi.source)
-    power = ModMap.identity(phi.source)
-    for c in poly:
-        if c:
-            acc = acc + power.scale(c)
-        power = phi @ power
-    return acc
+    comps = {}
+    for v, a in phi.comps.items():
+        acc = Matrix.zeros(f, a.rows, a.cols)
+        for c in reversed(poly):
+            acc = tuple(tuple(f.add(x, c) if i == j else x for j, x in enumerate(row))
+                        for i, row in enumerate((acc @ a).entries))
+            acc = Matrix._raw(f, a.rows, a.cols, acc)
+        comps[v] = acc
+    return ModMap(phi.source, phi.target, comps, check=False)
 
 
 def _fitting_split(piece: DecompPiece, psi: ModMap) -> tuple[DecompPiece, DecompPiece] | None:
@@ -750,22 +750,35 @@ def _fitting_split(piece: DecompPiece, psi: ModMap) -> tuple[DecompPiece, Decomp
     read off one change of basis: with U_v = [ker psi_v | im psi_v], the
     matrix U_x^-1 M_a U_y of an arrow a: x -> y is block diagonal, its
     diagonal blocks act on the kernel and on the image, and the rows of
-    U_v^-1 are the two projections; U_v = [1] where dim M(v) = 1.
+    U_v^-1 are the two projections; U_v = [1] where dim M(v) = 1.  Reducing
+    the rows of [psi_v^T | 1] leaves the canonical bases of the image (the
+    first rank rows, left of the bar) and of the kernel (the others, right
+    of it); reducing [U_v | 1] leaves U_v^-1.
     """
     m = piece.module
     f = m.bq.field
-    unit, empty = Matrix.identity(f, 1), Matrix.zeros(f, 1, 0)
-    ker_cols = {v: (empty if psi.comps[v].entries[0][0] else unit) if m.dims[v] == 1
-                else kernel_basis(psi.comps[v]).transpose() for v in m.support}
-    kd = {v: c.cols for v, c in ker_cols.items()}
+    p, one, unit = f.p, f.one, Matrix.identity(f, 1)
+    kernels, images, u, u_inv = {}, {}, {}, {}
+    for v in m.support:
+        d, entries = m.dims[v], psi.comps[v].entries
+        if d == 1:
+            kernels[v], images[v] = ((), unit.entries) if entries[0][0] else (unit.entries, ())
+            continue
+        rows = [[*col, *(one if i == j else f.zero for j in range(d))]
+                for i, col in enumerate(zip(*entries))]
+        r = sum(c < d for c in _gauss_jordan(rows, 2 * d, p))
+        images[v] = tuple(tuple(row[:d]) for row in rows[:r])
+        kernels[v] = tuple(tuple(row[d:]) for row in rows[r:])
+    kd = {v: len(k) for v, k in kernels.items()}
     if not 0 < sum(kd.values()) < m.total_dim:
         return None
-    im_cols = {v: (empty if kd[v] else unit) if m.dims[v] == 1
-               else column_space_basis(psi.comps[v]) for v in m.support}
-    u = {v: hstack([ker_cols[v], im_cols[v]]) for v in m.support if m.dims[v] > 1}
-    u_inv = {v: inverse(u[v]) if v in u else unit for v in m.support}
-    if any(c is None for c in u_inv.values()):
-        return None
+    for v, d in ((v, m.dims[v]) for v in m.support if m.dims[v] > 1):
+        u[v] = Matrix._raw(f, d, d, tuple(zip(*kernels[v], *images[v])))
+        rows = [[*row, *(one if i == j else f.zero for j in range(d))]
+                for i, row in enumerate(u[v].entries)]
+        if _gauss_jordan(rows, 2 * d, p)[-1] >= d:
+            return None
+        u_inv[v] = Matrix._raw(f, d, d, tuple(tuple(row[d:]) for row in rows))
     ker_mats, im_mats = {}, {}
     for a in m.bq.arrows:
         x, y = a.source, a.target
@@ -779,9 +792,13 @@ def _fitting_split(piece: DecompPiece, psi: ModMap) -> tuple[DecompPiece, Decomp
         im_mats[a.name] = Matrix._raw(f, m.dims[x] - kx, m.dims[y] - ky,
                                       tuple(row[ky:] for row in block[kx:]))
     ker = Module(m.bq, kd, ker_mats, check=False)
-    im = Module(m.bq, {v: c.cols for v, c in im_cols.items()}, im_mats, check=False)
-    pk = {v: Matrix._raw(f, kd[v], m.dims[v], u_inv[v].entries[:kd[v]]) for v in m.support}
-    pi = {v: Matrix._raw(f, im.dims[v], m.dims[v], u_inv[v].entries[kd[v]:]) for v in m.support}
+    im = Module(m.bq, {v: len(c) for v, c in images.items()}, im_mats, check=False)
+    ker_cols, im_cols = ({v: Matrix._raw(f, len(vecs[v]), m.dims[v], vecs[v]).transpose()
+                          for v in m.support} for vecs in (kernels, images))
+    pk = {v: Matrix._raw(f, kd[v], m.dims[v], u_inv.get(v, unit).entries[:kd[v]])
+          for v in m.support}
+    pi = {v: Matrix._raw(f, im.dims[v], m.dims[v], u_inv.get(v, unit).entries[kd[v]:])
+          for v in m.support}
     return (
         DecompPiece(ker, ModMap(ker, m, ker_cols, check=False), ModMap(m, ker, pk, check=False),
                     piece),
@@ -834,16 +851,22 @@ def _generates_a_residue_field(end: HomBasis, rad: Subspace, rng: random.Random)
     return poly_is_irreducible(f, [f.neg(row[0]) for row in coeffs.entries] + [f.one])
 
 
-def _identity_coords(end: HomBasis) -> list:
-    """The coordinates of the identity in the canonical basis of End(M):
-    its entries at the basis's pivots, 1 where a pivot is a diagonal entry."""
+def _traces(end: HomBasis) -> list:
+    """The trace of each canonical basis map of End(M): T 1 for the trace
+    form T, as T_ji = tr(f_j f_i)."""
     m, f = end.source, end.source.bq.field
-    diagonal, offset = set(), 0
+    diagonal, offset = [], 0
     for v in m.bq.vertices:
         d = m.dims[v]
-        diagonal.update(range(offset, offset + d * d, d + 1))
+        diagonal += range(offset, offset + d * d, d + 1)
         offset += d * d
-    return [f.one if c in diagonal else f.zero for c in end.space.pivots]
+    return [f.coerce(sum(row[c] for c in diagonal)) for row in end.rows.entries]
+
+
+def _is_multiple(v, t, p) -> bool:
+    """Is v a multiple of the nonzero vector t?"""
+    k = next(j for j, y in enumerate(t) if y)
+    return not any((x * t[k] - v[k] * y) % p if p else x * t[k] - v[k] * y for x, y in zip(v, t))
 
 
 def _is_thin_brick(m: Module) -> bool:
@@ -880,26 +903,25 @@ def decompose(m: Module, seed: int = DEFAULT_SEED, max_tries: int = 64,
         if end.dim == 1:
             done.append(piece)
             continue
-        rad = end_radical(p, end)
-        if end.dim - rad.dim == 1:
+        # rad End(P) is the kernel of the trace form T, so phi lies in K 1 + rad
+        # exactly when T phi is a multiple of T 1, and End(P) is local with
+        # residue field K when every column of T is; row i of T is T e_i
+        f = p.bq.field
+        form, one = _trace_pairing(end, end).entries, _traces(end)
+        if all(_is_multiple(row, one, f.p) for row in form):
             done.append(piece)
             continue
-        # a map in K 1 + rad End(P) has a single eigenvalue, so it cannot split
-        f = p.bq.field
-        local = Subspace.span(f, end.dim, [*rad.rows.entries, _identity_coords(end)])
         split = None
         for attempt in range(max_tries):
-            if attempt < end.dim:
-                coords = [f.zero] * end.dim
-                coords[attempt] = f.one
-            else:
-                coords = [f.sample(rng) for _ in range(end.dim)]
-            if local.contains(coords):
+            unit = attempt < end.dim
+            coords = None if unit else [f.sample(rng) for _ in range(end.dim)]
+            # a map in K 1 + rad End(P) has a single eigenvalue, so it cannot split
+            image = form[attempt] if unit else [f.coerce(sum(map(_mul, row, coords)))
+                                                for row in form]
+            if _is_multiple(image, one, f.p):
                 continue
-            if attempt < end.dim:
-                phi = ModMap.from_vector(p, p, end.rows.entries[attempt])
-            else:
-                phi = end.from_coords(coords)
+            phi = (ModMap.from_vector(p, p, end.rows.entries[attempt]) if unit
+                   else end.from_coords(coords))
             split = _try_split(piece, phi)
             if split is not None:
                 break
@@ -907,6 +929,7 @@ def decompose(m: Module, seed: int = DEFAULT_SEED, max_tries: int = 64,
             # End(P) is local iff End(P)/rad is a field; over a residue
             # field larger than K nothing above splits, and some element
             # then generates End(P)/rad
+            rad = end_radical(p, end)
             if not any(_generates_a_residue_field(end, rad, rng) for _ in range(max_tries)):
                 raise DecompositionError(
                     "could not split a module with non-local endomorphism algebra; "

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .linalg import Matrix, kernel_basis
-from .modules import enumerate_indecomposables, injective, is_isomorphic_indec, projective
+from .modules import _nakayama_injective, enumerate_indecomposables, is_isomorphic_indec, projective
 from .quiver import (
     BoundQuiver,
     PathBasis,
@@ -25,7 +25,6 @@ from .quiver import (
     arrow_elements,
     extract_presentation,
     lift_window,
-    opposite_quiver,
     path_basis,
     presentation_basis,
     radical_filtration,
@@ -301,11 +300,10 @@ def _orbit_quotient(rv: VoltageQuiver, k: int) -> BoundQuiver:
 
 
 def is_selfinjective(bq: BoundQuiver, basis: PathBasis | None = None) -> bool:
-    """Each indecomposable projective is injective (and conversely)."""
+    """Each indecomposable projective is injective (and conversely); I_x = D A(x, -)."""
     basis = basis or path_basis(bq)
-    op_basis = path_basis(opposite_quiver(bq))
     projs = {v: projective(bq, v, basis) for v in bq.vertices}
-    injs = {v: injective(bq, v, op_basis) for v in bq.vertices}
+    injs = {v: _nakayama_injective(bq, v, basis) for v in bq.vertices}
     remaining = list(bq.vertices)
     for v, p in projs.items():
         match = None

@@ -10,7 +10,9 @@ category once and each path basis once, extracts only layer zero and the
 normal forms, and filters only the three layers a morphism can reach;
 the radical filtration spans only the blocks where a product can land; a
 path basis spans only the vertex pairs that hold a relation vector; a hom
-space builds its maps only when they are read; a Fitting split tries the power of phi before factoring
+space builds its maps only when they are read; a decomposition reads
+locality and its skip test off the trace form and builds the radical of
+End(P) only for the residue-field fallback; a Fitting split tries the power of phi before factoring
 and stops factoring at the first divisor that splits; a decomposition
 builds only the endomorphisms it tries, raises each vertex to its own
 dimension and reads both pieces of a split off one change of basis; a
@@ -50,6 +52,7 @@ from fovea.modules import (
     hom_dim,
     hom_space,
     injective,
+    parse_module,
     projective,
     simple,
 )
@@ -65,6 +68,7 @@ from fovea.quiver import (
 from fovea.repetitive import RepetitiveTruncation
 from fovea.suites import run_suite
 from test_quiver import dense_path_basis
+from test_report_digests import _workloads
 from test_repetitive import dense_radical_filtration
 
 D4 = parse_quiver(
@@ -457,6 +461,48 @@ def test_decompose_builds_only_the_tried_endomorphisms(monkeypatch):
     # space was a dense elimination, 69 while 1-dimensional vertices were
     # eliminated too; 43 when recorded
     assert len(eliminations) <= 43
+
+
+# Kronecker module of dimension vector (2, 2) whose pencil has the
+# irreducible x^2 - 2 (2 is not a square mod 32749): End = GF(32749^2) is
+# local with a residue field larger than K, so decompose takes its fallback
+KRONECKER_PENCIL = ("dims 1=2 2=2\nmat a = [[1,0],[0,1]]\nmat b = [[0,2],[1,0]]\n")
+
+
+def test_decompose_builds_the_radical_only_for_the_residue_field_fallback(monkeypatch):
+    library = [call.args[0] for call in _workloads().library_session(1, None)
+               if call.function == "decompose"]
+    inputs = [_scrambled_d4()] + library
+    kronecker = parse_quiver("field gf 32749\nnilbound 2\nvertex 1 2\n"
+                             "arrow a: 1 -> 2\narrow b: 1 -> 2\n")
+    pencil = parse_module(kronecker, KRONECKER_PENCIL)
+    radicals, spans, fallbacks = [], [], []
+    end_radical = fovea.modules.end_radical
+    span = Subspace.span.__func__
+    generates = fovea.modules._generates_a_residue_field
+
+    def recording_radical(*args, **kwargs):
+        radicals.append(args)
+        return end_radical(*args, **kwargs)
+
+    def recording_span(cls, *args, **kwargs):
+        spans.append(args)
+        return span(cls, *args, **kwargs)
+
+    def recording_generates(*args):
+        fallbacks.append(args)
+        return generates(*args)
+
+    monkeypatch.setattr(fovea.modules, "end_radical", recording_radical)
+    monkeypatch.setattr(Subspace, "span", classmethod(recording_span))
+    monkeypatch.setattr(fovea.modules, "_generates_a_residue_field", recording_generates)
+    for m in inputs:
+        decompose(m)
+    # rad End(P) is the kernel of the trace form, which answers locality
+    # and the skip test by itself
+    assert fallbacks == [] and radicals == [] and spans == []
+    assert decompose(pencil).is_indecomposable
+    assert fallbacks and len(radicals) == 1
 
 
 def test_decompose_builds_no_end_of_a_thin_piece_and_composes_no_unread_witness(monkeypatch):

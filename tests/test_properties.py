@@ -10,7 +10,11 @@ which `radical_hom` computed before it read the trace pairing, and
 solved for each piece's arrow matrices before `decompose` took per-vertex
 Fitting powers and one change of basis per split; it composes every
 witness as it splits, so it is also the reference for the witnesses
-`decompose` composes when they are read.  The runs are
+`decompose` composes when they are read.  It factors with
+`reference_minimal_polynomial` and `reference_poly_of_map`, the routines
+`decompose` used before its one-pass Krylov echelon and Horner's rule,
+and skips the maps in the span of rad End(P) and the identity, the test
+`decompose` ran before it read the trace form.  The runs are
 derandomized and write no example database, so every run checks the same
 examples.
 """
@@ -33,6 +37,7 @@ from fovea.linalg import (
     poly_divmod,
     poly_trim,
     rref,
+    solve,
 )
 from fovea.modules import (
     DecompPiece,
@@ -42,8 +47,6 @@ from fovea.modules import (
     Module,
     ModuleError,
     _generates_a_residue_field,
-    _minimal_polynomial,
-    _poly_of_map,
     _trace_pairing,
     decompose,
     direct_sum,
@@ -303,6 +306,34 @@ def _reference_fitting_split(piece, psi):
     )
 
 
+def reference_minimal_polynomial(phi):
+    """The minimal polynomial as `_minimal_polynomial` found it before it
+    kept one incremental echelon form: a fresh `solve` for each power."""
+    f = phi.source.bq.field
+    vecs = [ModMap.identity(phi.source).vectorize()]
+    power = ModMap.identity(phi.source)
+    for _ in range(phi.source.total_dim + 1):
+        power = phi @ power
+        target = Matrix(f, [list(power.vectorize())]).transpose()
+        stack = Matrix(f, [list(v) for v in vecs]).transpose()
+        sol = solve(stack, target)
+        if sol is not None:
+            return poly_trim([f.neg(sol.entries[i][0]) for i in range(len(vecs))] + [f.one])
+        vecs.append(power.vectorize())
+    raise DecompositionError("minimal polynomial did not terminate")
+
+
+def reference_poly_of_map(poly, phi):
+    """g(phi) as the sum of its terms c phi^i, each power composed anew."""
+    acc = ModMap.zero(phi.source, phi.source)
+    power = ModMap.identity(phi.source)
+    for c in poly:
+        if c:
+            acc = acc + power.scale(c)
+        power = phi @ power
+    return acc
+
+
 def _reference_try_split(piece, phi):
     n = max(piece.module.total_dim, 1)
     split = _reference_fitting_split(piece, phi.power(n))
@@ -310,8 +341,8 @@ def _reference_try_split(piece, phi):
         return split
     f = piece.module.bq.field
     rng = random.Random(0xF17)
-    for g in _candidate_factors(f, _minimal_polynomial(phi), rng):
-        split = _reference_fitting_split(piece, _poly_of_map(g, phi).power(n))
+    for g in _candidate_factors(f, reference_minimal_polynomial(phi), rng):
+        split = _reference_fitting_split(piece, reference_poly_of_map(g, phi).power(n))
         if split is not None:
             return split
     return None

@@ -116,7 +116,7 @@ CROSS_FIELD_CALLS = [
     *(("repetitive", name) for name in ("a2.bq", "a3.bq", "kronecker.bq", "loop2.bq")),
     *((suite, "trivial-a2.vq") for suite in ("cover-axioms", "pushdown", "phi-identities", "kg0")),
     *((suite, "nakayama2.vq") for suite in ("kg0", "cover-axioms", "phi-identities", "pushdown")),
-    ("pushdown", "line-k2.vq"),
+    *((suite, "line-k2.vq") for suite in ("pushdown", "cover-axioms", "phi-identities", "kg0")),
 ]
 
 

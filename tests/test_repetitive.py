@@ -2,6 +2,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fovea.linalg import Matrix, Subspace, kernel_basis
+from fovea.modules import _nakayama_injective, injective, is_isomorphic_indec, projective
 from fovea.naming import fixture_names, load_quiver
 from fovea.quiver import (
     BoundQuiver,
@@ -15,6 +16,7 @@ from fovea.quiver import (
     is_convex,
     lift_window,
     normalize_presentation,
+    opposite_quiver,
     parse_quiver,
     path_basis,
     radical_filtration,
@@ -396,3 +398,36 @@ def test_lifted_truncations_are_the_extracted_presentations(bq):
 @given(small_bound_quivers())
 def test_lifted_truncations_are_the_extracted_presentations_on_random_bound_quivers(bq):
     _assert_lifted_exports_are_extracted_ones(bq)
+
+
+def reference_is_selfinjective(bq, basis=None):
+    """`is_selfinjective` as it was before it read the injectives off the
+    algebra's own basis: each I_x is the dual of a projective over the
+    opposite quiver, through a second path basis."""
+    basis = basis or path_basis(bq)
+    op_basis = path_basis(opposite_quiver(bq))
+    projs = {v: projective(bq, v, basis) for v in bq.vertices}
+    injs = {v: injective(bq, v, op_basis) for v in bq.vertices}
+    remaining = list(bq.vertices)
+    for v, p in projs.items():
+        match = None
+        for w in remaining:
+            if p.dims == injs[w].dims and is_isomorphic_indec(p, injs[w]):
+                match = w
+                break
+        if match is None:
+            return False
+        remaining.remove(match)
+    return not remaining
+
+
+@pytest.mark.parametrize("bq", _algebra_fixtures() + _catalogued_algebras())
+def test_selfinjectivity_equals_the_reference_on_the_algebra_and_its_orbit_algebra(bq):
+    orbit = selfinjective_orbit(bq, 1)
+    assert is_selfinjective(orbit)
+    for algebra in (bq, orbit):
+        assert is_selfinjective(algebra) == reference_is_selfinjective(algebra)
+        basis = path_basis(algebra)
+        for v in algebra.vertices:
+            assert is_isomorphic_indec(_nakayama_injective(algebra, v, basis),
+                                       injective(algebra, v))
