@@ -3,14 +3,16 @@
 `decompose` reads locality and its skip test off the trace form T: with
 rad End(P) = ker T, a map phi lies in K 1 + rad exactly when T phi is a
 multiple of T 1, the vector of traces of the basis maps.  It used to span
-rad End(P) and the identity and test membership.  `_minimal_polynomial` keeps one incremental echelon form of
-the powers of phi where it used to solve afresh for each power, and
-`poly_pow_mod` inverts the leading coefficient of the modulus once and
-reduces in place where it called `poly_divmod` for every product.  Each
-is checked against the old routine over GF(7), GF(32749) and Q, and
-`decompose` against `reference_decompose` on the 300 `decompose` inputs of
-the benchmark's library session at seed 1, read through
-perfbench/workloads.py and not changed.
+rad End(P) and the identity and test membership.  `_minimal_polynomial`
+keeps one incremental echelon form of the powers of phi where it used to
+solve afresh for each power, and `poly_pow_mod` inverts the leading
+coefficient of the modulus once and reduces in place where it called
+`poly_divmod` for every product.  Each is checked against the old routine
+over GF(7), GF(32749) and Q.  `decompose`, whose Fitting splits now reduce
+plain rows and whose g(phi) comes from Horner's rule, is checked against
+`reference_decompose` on the 300 `decompose` inputs of the benchmark's
+library session at seed 1, read through perfbench/workloads.py and not
+changed.
 """
 
 from operator import mul
