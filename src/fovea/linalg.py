@@ -167,21 +167,21 @@ class Matrix:
         ncols = len(data[0]) if data else 0
         if any(len(r) != ncols for r in data):
             raise LinAlgError("ragged matrix rows")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", len(data))
-        object.__setattr__(self, "cols", ncols)
-        object.__setattr__(self, "entries", data)
+        _matrix_field(self, field)
+        _matrix_rows(self, len(data))
+        _matrix_cols(self, ncols)
+        _matrix_entries(self, data)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
     def _raw(cls, field, rows, cols, entries) -> "Matrix":
-        m = object.__new__(cls)
-        object.__setattr__(m, "field", field)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "entries", entries)
+        m = _new(cls)
+        _matrix_field(m, field)
+        _matrix_rows(m, rows)
+        _matrix_cols(m, cols)
+        _matrix_entries(m, entries)
         return m
 
     @classmethod
@@ -218,16 +218,13 @@ class Matrix:
             return Matrix.zeros(f, self.rows, other.cols)
         cols = tuple(zip(*other.entries))
         if f.p is None:
-            out = tuple(
-                tuple(sum(map(_mul, row, col), Fraction(0)) for col in cols)
-                for row in self.entries
-            )
+            zero = Fraction(0)
+            out = tuple([tuple([sum(map(_mul, row, col), zero) for col in cols])
+                         for row in self.entries])
         else:
             p = f.p
-            out = tuple(
-                tuple(sum(map(_mul, row, col)) % p for col in cols)
-                for row in self.entries
-            )
+            out = tuple([tuple([sum(map(_mul, row, col)) % p for col in cols])
+                         for row in self.entries])
         return Matrix._raw(f, self.rows, other.cols, out)
 
     def __add__(self, other: "Matrix") -> "Matrix":
@@ -289,6 +286,13 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols}, {self.entries!r})"
+
+
+# an immutable object's slots are set through their descriptors, which skip
+# the __setattr__ that refuses assignment and cost less than object.__setattr__
+_new = object.__new__
+_matrix_field, _matrix_rows, _matrix_cols, _matrix_entries = (
+    getattr(Matrix, name).__set__ for name in Matrix.__slots__)
 
 
 def hstack(mats) -> Matrix:
@@ -542,13 +546,13 @@ class Subspace:
     def __init__(self, field: Field, ambient: int, rows: Matrix, pivots=None):
         """rows must be in canonical form; pivots, if given, are their
         leading columns, which are otherwise scanned for."""
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "rows", rows)
+        _subspace_field(self, field)
+        _subspace_ambient(self, ambient)
+        _subspace_rows(self, rows)
         if pivots is None:
             one = field.one
             pivots = tuple(next(i for i, x in enumerate(row) if x == one) for row in rows.entries)
-        object.__setattr__(self, "_pivots", pivots)
+        _subspace_pivots(self, pivots)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -646,6 +650,10 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of K^{self.ambient})"
+
+
+_subspace_field, _subspace_ambient, _subspace_rows, _subspace_pivots = (
+    getattr(Subspace, name).__set__ for name in Subspace.__slots__)
 
 
 @dataclass(frozen=True)

@@ -1256,16 +1256,22 @@ def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int
     is a radical power of an injective, so this reaches them all, and a
     list that stabilizes within the caps is marked complete exactly when
     it holds dim A classes.
-    Over any other algebra the full closure also knits: it adds tau N,
-    tau^-1 N and the summands of the middle terms of the almost split
-    sequences ending and starting at N, each built from N alone.  A list
-    that stabilizes within the caps is closed under tau^{+-1}, middle
-    terms, radicals and socle quotients, so it is a union of AR components
-    holding every simple, which is every indecomposable (Auslander); it is
-    marked complete once hom dimensions certify, for each N, that every
-    radical map from a listed module into N factors through the almost
-    split sequence ending at N (`_sequence_failures`).  Each sequence is
-    built once, from whichever end the knitting reaches first.
+    Over any other algebra the full closure knits the AR-quiver
+    neighbours of each listed N instead (Auslander-Reiten-Smalo
+    ch. V-VII): the predecessors of N are the summands of rad N when N is
+    projective and of the middle term of the almost split sequence ending
+    at N otherwise, and dually its successors are the summands of N/soc N
+    when N is injective and of the middle term of the sequence starting
+    at N otherwise.  So it adds rad N only for a projective N, N/soc N
+    only for an injective N, and otherwise tau N or tau^-1 N and the
+    middle term, each sequence built from N alone.  A list that
+    stabilizes within the caps is closed under AR-quiver neighbours, so
+    it is a union of AR components holding every simple, which is every
+    indecomposable (Auslander); it is marked complete once hom dimensions
+    certify, for each N, that every radical map from a listed module into
+    N factors through the almost split sequence ending at N
+    (`_sequence_failures`).  Each sequence is built once, from whichever
+    end the knitting reaches first.
     """
     basis = basis or path_basis(bq)
     op = opposite_quiver(bq)
@@ -1344,32 +1350,39 @@ def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int
     while queue and complete:
         n = queue.pop(0)
         processed += 1
-        rad, _ = radical_submodule(n)
-        queue.extend(add(rad))
-        socq, _ = socle_quotient(n)
-        queue.extend(add(socq))
-        if not light and complete:
-            # knit: tau N, tau^-1 N and the middle terms of the two
-            # almost split sequences at N
-            if n not in knit_in and _is_projective_vertex(n, basis) is None:
-                seq = almost_split_sequence(n, basis, cache)
-                queue.extend(add(seq.middle))
-                queue.extend(add(seq.tau))
-                ending[n] = (known.get(seq.tau, seq.tau), seq.middle)
-                if seq.tau in known:
-                    knit_out.add(known[seq.tau])
-            dual_n = dual_module(n, op)
-            if (complete and n not in knit_out
-                    and _is_projective_vertex(dual_n, op_basis) is None):
-                # D of the sequence ending at D N: 0 -> N -> E -> tau^-1 N -> 0
-                seq = almost_split_sequence(dual_n, op_basis, cache)
-                tau_inv = dual_module(seq.tau, bq)
-                middle = dual_module(seq.middle, bq)
-                queue.extend(add(middle))
-                queue.extend(add(tau_inv))
-                if tau_inv in known:
-                    knit_in.add(known[tau_inv])
-                    ending.setdefault(known[tau_inv], (n, middle))
+        if light:
+            queue.extend(add(radical_submodule(n)[0]))
+            queue.extend(add(socle_quotient(n)[0]))
+        else:
+            # knit the AR-quiver neighbours of N: its predecessors are the
+            # summands of rad N for a projective N and of the middle term
+            # of the sequence ending at N otherwise, and dually for its
+            # successors.  A module in knit_in is some tau^-1 M, so it is
+            # not projective; one in knit_out is some tau M, not injective.
+            if n not in knit_in:
+                if _is_projective_vertex(n, basis) is not None:
+                    queue.extend(add(radical_submodule(n)[0]))
+                else:
+                    seq = almost_split_sequence(n, basis, cache)
+                    queue.extend(add(seq.middle))
+                    queue.extend(add(seq.tau))
+                    ending[n] = (known.get(seq.tau, seq.tau), seq.middle)
+                    if seq.tau in known:
+                        knit_out.add(known[seq.tau])
+            if complete and n not in knit_out:
+                dual_n = dual_module(n, op)
+                if _is_projective_vertex(dual_n, op_basis) is not None:
+                    queue.extend(add(socle_quotient(n)[0]))
+                else:
+                    # D of the sequence ending at D N: 0 -> N -> E -> tau^-1 N -> 0
+                    seq = almost_split_sequence(dual_n, op_basis, cache)
+                    tau_inv = dual_module(seq.tau, bq)
+                    middle = dual_module(seq.middle, bq)
+                    queue.extend(add(middle))
+                    queue.extend(add(tau_inv))
+                    if tau_inv in known:
+                        knit_in.add(known[tau_inv])
+                        ending.setdefault(known[tau_inv], (n, middle))
         if processed > 4 * count_cap:
             complete = False
             notes.append("closure did not stabilize")

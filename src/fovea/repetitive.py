@@ -196,15 +196,17 @@ def repetitive_voltage(bq: BoundQuiver, basis: PathBasis | None = None) -> Volta
     A nonzero morphism moves up at most one layer, and the composite of two
     layer-raising maps is zero, so a nonzero product that starts at layer
     zero stays inside layers 0 and 1; by shift invariance every nonzero
-    product is a shift of such a one.  The truncation to layers -1..1
-    therefore holds rad, rad^2 and the nilpotency degree of the whole
-    category.  Arrows are a rad/rad^2 basis taken at layer zero (shift
-    invariance makes that choice global); relations are the canonical
-    kernel of path evaluation, where a path that reaches layer 2 or beyond
-    is zero because Hom((0, i), (m, j)) = 0 for m >= 2.
+    product is a shift of such a one.  Nothing maps down a layer, so the
+    full subcategory of T_1 on layers 0 and 1 holds every such product:
+    its rad and rad^2 blocks from layer 0 and its nilpotency degree are
+    those of the whole category.  Arrows are a rad/rad^2 basis taken at
+    layer zero (shift invariance makes that choice global); relations are
+    the canonical kernel of path evaluation, where a path that reaches
+    layer 2 or beyond is zero because Hom((0, i), (m, j)) = 0 for m >= 2.
     """
     basis = basis or path_basis(bq)
-    cat = RepetitiveTruncation(bq, 1, basis).category
+    cat = RepetitiveTruncation(bq, 1, basis).category.full_subcategory(
+        (m, i) for m in (0, 1) for i in bq.vertices)
     rad, rad2, nildeg = radical_filtration(cat)
     nilbound = nildeg + 1
 

@@ -193,8 +193,14 @@ def _suite_repetitive(report: Report, q):
     renamed = rename_vertices(trunc0.export(), {f"{v}@0": v for v in bq.vertices})
     vr.add("repetitive.n0-byte-exact", True, format_quiver(renamed) == norm)
 
-    for n, trunc in ((1, trunc1), (2, trunc2)):
-        wdim = path_basis(lift_window(rv, Window(-n, n))).total_dim
+    for n, trunc, exported, pb in ((1, trunc1, exported1, pb1), (2, trunc2, exported2, pb2)):
+        # a window with T_n's presentation, up to names, presents T_n, whose
+        # basis presentation_basis already checked against T_n's category
+        window = lift_window(rv, Window(-n, n))
+        if _presentation_key(window) == _presentation_key(exported):
+            wdim = pb.total_dim
+        else:
+            wdim = path_basis(window).total_dim
         vr.add(f"repetitive.window-matches-truncation[n={n}]", trunc.total_dim, wdim)
     w0 = lift_window(rv, Window(0, 0))
     w0_renamed = rename_vertices(w0, {f"{v}@0": v for v in bq.vertices})
@@ -206,3 +212,17 @@ def _suite_repetitive(report: Report, q):
     vr.add("repetitive.orbit-dim", 2 * base_dim, orbit_basis.total_dim)
     vr.add("repetitive.orbit-selfinjective", True, is_selfinjective(orbit, orbit_basis))
     report.absorb(vr)
+
+
+def _presentation_key(bq: BoundQuiver) -> tuple:
+    """bq up to arrow names and the order of its relations: each arrow is
+    named by its endpoints and its rank among the arrows parallel to it."""
+    names = {}
+    parallel: dict[tuple[str, str], int] = {}
+    for a in bq.arrows:
+        ends = (a.source, a.target)
+        names[a.name] = (*ends, parallel.get(ends, 0))
+        parallel[ends] = parallel.get(ends, 0) + 1
+    relations = sorted(tuple((c, tuple(names[x] for x in path)) for c, path in rel)
+                       for rel in bq.relations)
+    return (bq.field.p, bq.nilbound, bq.vertices, sorted(names.values()), relations)

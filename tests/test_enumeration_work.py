@@ -6,8 +6,10 @@ module alone, with no rad^2 search left in the package, each sequence built once
 its ends and certified by hom dimensions between listed modules; an
 enumeration decomposes each candidate once; no call enumerates a quiver
 twice, whatever the closure; the repetitive suite builds its repetitive
-category once and each path basis once, extracts only layer zero and the
-normal forms, and filters only the three layers a morphism can reach;
+category once and each path basis once, checks its windows against the
+truncations' presentations without a path basis of their own, extracts
+only layer zero and the normal forms, and filters only layers 0 and 1 of
+T_1, where every product from layer 0 lands;
 the radical filtration spans only the blocks where a product can land; a
 path basis spans only the vertex pairs that hold a relation vector; a hom
 space builds its maps only when they are read; a decomposition reads
@@ -356,9 +358,10 @@ def test_repetitive_suite_builds_each_path_basis_once(monkeypatch):
 
     monkeypatch.setattr(PathBasis, "__init__", recording)
     assert run_suite("repetitive", "a3.bq").passed
-    # the base, three exports, the two normal forms' checks, two windows,
-    # the degree-0 window, the orbit algebra and its opposite
-    assert len(built) <= 11
+    # the base, three exports, the two normal forms' checks, the degree-0
+    # window and the orbit algebra; the windows on layers -n..n present T_n
+    # up to names and reuse its export's basis
+    assert len(built) <= 8
 
 
 def test_hom_dimension_builds_no_maps(monkeypatch):

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fovea.linalg import (
     Field,
@@ -186,6 +187,63 @@ def test_negative_power_is_an_error():
         Matrix(GF, [[1, 1], [0, 1]]).power(-1)
     with pytest.raises(LinAlgError, match="non-square"):
         Matrix(GF, [[1, 1]]).power(2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Matrix._raw(GF, 1, 2, ((1, 2),)),
+    lambda: Matrix.zeros(QQ, 2, 3),
+    lambda: Matrix.identity(GF, 2),
+    lambda: Matrix.from_rows(QQ, 0, 2, []),
+    lambda: Matrix(GF, [[1, 2], [3, 4]]),
+    lambda: Subspace.span(GF, 3, [[1, 2, 3], [2, 4, 6]]),
+    lambda: Subspace.coordinate(QQ, 3, [0, 2]),
+], ids=["raw", "zeros", "identity", "from-rows", "init", "span", "coordinate"])
+@pytest.mark.parametrize("name", ["field", "rows", "cols", "entries", "ambient", "_pivots", "other"])
+def test_kernel_objects_refuse_assignment(make, name):
+    obj = make()
+    before = {slot: getattr(obj, slot) for slot in type(obj).__slots__}
+    with pytest.raises(AttributeError):
+        setattr(obj, name, None)
+    assert {slot: getattr(obj, slot) for slot in type(obj).__slots__} == before
+
+
+def naive_product(a: Matrix, b: Matrix) -> Matrix:
+    f = a.field
+    rows = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = f.zero
+            for k in range(a.cols):
+                acc = f.add(acc, f.mul(a.entries[i][k], b.entries[k][j]))
+            row.append(acc)
+        rows.append(row)
+    return Matrix.from_rows(f, a.rows, b.cols, rows)
+
+
+@st.composite
+def product_pairs(draw):
+    field = draw(st.sampled_from([Field.gf(7), GF, QQ]))
+    n, k, m = (draw(st.integers(0, 4)) for _ in range(3))
+    if field.p is None:
+        entry = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    else:
+        entry = st.integers(0, field.p - 1)
+
+    def matrix(rows, cols):
+        return Matrix.from_rows(field, rows, cols, [[draw(entry) for _ in range(cols)]
+                                                    for _ in range(rows)])
+    return matrix(n, k), matrix(k, m)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(product_pairs())
+def test_product_equals_the_naive_triple_loop(pair):
+    a, b = pair
+    product = a @ b
+    assert product == naive_product(a, b)
+    assert product.shape == (a.rows, b.cols)
+    assert all(type(x) is type(a.field.zero) for row in product.entries for x in row)
 
 
 def test_quotient_projection_kernel_is_the_subspace():

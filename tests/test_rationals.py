@@ -112,7 +112,7 @@ def test_all_suites_pass_over_the_rationals():
 
 
 CROSS_FIELD_CALLS = [
-    *(("kg0", name) for name in ("a2.bq", "a3.bq", "loop2.bq", "point.bq")),
+    *(("kg0", name) for name in ("a2.bq", "a3.bq", "kronecker.bq", "loop2.bq", "point.bq")),
     *(("repetitive", name) for name in ("a2.bq", "a3.bq", "kronecker.bq", "loop2.bq")),
     *((suite, "trivial-a2.vq") for suite in ("cover-axioms", "pushdown", "phi-identities", "kg0")),
     *((suite, "nakayama2.vq") for suite in ("kg0", "cover-axioms", "phi-identities", "pushdown")),

@@ -431,3 +431,27 @@ def test_selfinjectivity_equals_the_reference_on_the_algebra_and_its_orbit_algeb
         for v in algebra.vertices:
             assert is_isomorphic_indec(_nakayama_injective(algebra, v, basis),
                                        injective(algebra, v))
+
+
+def test_a_window_unlike_its_truncation_reports_its_own_dimension(monkeypatch):
+    import fovea.suites
+    lift = fovea.suites.lift_window
+    dims = {}
+
+    def dropping_a_relation(vq, window):
+        bq = lift(vq, window)
+        if window.lo == -window.hi:
+            bq = BoundQuiver(bq.vertices, bq.arrows, bq.relations[1:], bq.field, bq.nilbound)
+            dims[window.hi] = path_basis(bq).total_dim
+        return bq
+
+    monkeypatch.setattr(fovea.suites, "lift_window", dropping_a_relation)
+    report = fovea.suites.run_suite("repetitive", "kronecker.bq")
+    checks = {c["id"]: c for c in report.checks}
+    for n in (1, 2):
+        check = checks[f"repetitive.window-matches-truncation[n={n}]"]
+        assert check["actual"] == dims[n]
+        assert check["pass"] == (check["expected"] == dims[n])
+    # without its first relation, kronecker's window on -1..1 is one bigger
+    assert not checks["repetitive.window-matches-truncation[n=1]"]["pass"]
+    assert not report.passed
