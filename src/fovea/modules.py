@@ -1354,11 +1354,9 @@ def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int
             queue.extend(add(radical_submodule(n)[0]))
             queue.extend(add(socle_quotient(n)[0]))
         else:
-            # knit the AR-quiver neighbours of N: its predecessors are the
-            # summands of rad N for a projective N and of the middle term
-            # of the sequence ending at N otherwise, and dually for its
-            # successors.  A module in knit_in is some tau^-1 M, so it is
-            # not projective; one in knit_out is some tau M, not injective.
+            # knit the AR-quiver neighbours of N; a module in knit_in is
+            # some tau^-1 M, so not projective, and one in knit_out is some
+            # tau M, so not injective
             if n not in knit_in:
                 if _is_projective_vertex(n, basis) is not None:
                     queue.extend(add(radical_submodule(n)[0]))
