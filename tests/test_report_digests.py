@@ -33,10 +33,12 @@ each call's error line.  kD4 is Dynkin, so the cover is locally
 representation-finite, yet pushdown, phi-identities and kg0 exit 1 today:
 the window loop hits its fixed count cap before two windows agree.  That
 known failure is recorded as it stands.  KG0_DIGESTS pins kg0 on the
-Kronecker cover (arrows 1 -> 2 of degrees 0 and 1) and on rep-Kronecker,
-whose bases run the full enumeration closure to its caps.  Both sets were
-recorded before the full closure took radicals only of projectives and
-socle quotients only of injectives.
+Kronecker cover (arrows 1 -> 2 of degrees 0 and 1), on rep-Kronecker and
+on rep-loop2 (`REP_LOOP2_TEXT`, the repetitive voltage quiver of
+loop2.bq), whose bases ran the full enumeration closure to its caps.  Both
+sets were recorded before the full closure took radicals only of
+projectives and socle quotients only of injectives, except rep-loop2's
+kg0, recorded before kg0 read the separated quiver.
 """
 
 import contextlib
@@ -161,12 +163,19 @@ REP_KRONECKER_TEXT = (
     "relation a2*a0*a3\nrelation a2*a1*a2\nrelation a2*a1*a3\nrelation a3*a0*a2\n"
     "relation a3*a0*a3\nrelation a3*a1*a2\nrelation a3*a1*a3\n"
     "relation a2*a0 + 32748 a3*a1\nrelation a2*a1\nrelation a3*a0\n")
+REP_LOOP2_TEXT = (
+    "field gf 32749\nnilbound 3\nvertex v\narrow a0: v -> v deg 0\narrow a1: v -> v deg 1\n"
+    "relation a0*a0\nrelation a0*a0*a0\nrelation a0*a1 + 32748 a1*a0\nrelation a0*a0*a1\n"
+    "relation a0*a1*a0\nrelation a1*a0*a0\nrelation a1*a1\nrelation a0*a1*a1\n"
+    "relation a1*a0*a1\nrelation a1*a1*a0\nrelation a1*a1*a1\n")
 # input file -> (text, exit code, report sha256) of kg0
 KG0_DIGESTS = {
     "kronecker-cover.vq": (KRONECKER_COVER_TEXT, 0,
                            "f428abc108324a3fc7ffb3ca9cc6911d61582111d74eaa552bc86b12778aacff"),
     "rep-kronecker.vq": (REP_KRONECKER_TEXT, 0,
                          "c5c12dcd0526d8d57a03b36f18a6f9afdc8459c29411b704d6987e58732d2660"),
+    "rep-loop2.vq": (REP_LOOP2_TEXT, 0,
+                     "79696430609c4c4f94b57ddda95fff3c6a63fa3fe4667c92f48eea9aaedbebe9"),
 }
 
 
@@ -234,6 +243,10 @@ def test_rep_kd4_report_matches_its_recorded_digest(monkeypatch, tmp_path, suite
 
 def test_rep_kronecker_text_is_the_repetitive_voltage_quiver():
     assert format_quiver(repetitive_voltage(load_quiver("kronecker.bq")[2])) == REP_KRONECKER_TEXT
+
+
+def test_rep_loop2_text_is_the_repetitive_voltage_quiver():
+    assert format_quiver(repetitive_voltage(load_quiver("loop2.bq")[2])) == REP_LOOP2_TEXT
 
 
 @pytest.mark.parametrize("name", sorted(KG0_DIGESTS))
