@@ -39,6 +39,7 @@ from .modules import (
     format_module,
     hom_dim,
     parse_module,
+    _separated_quiver_is_dynkin,
 )
 from .quiver import ParseError, QuiverError, VoltageQuiver, format_quiver
 from .repetitive import repetitive_truncation, selfinjective_orbit
@@ -215,10 +216,13 @@ def _fun_pushdown(args) -> int:
 
 def _complete_list(q, args):
     """The one enumeration a verb reads, at the CLI's caps; an incomplete
-    list is refused, since a simple functor built on it is not simple."""
-    enum = enumerate_indecomposables(q, dim_cap=args.dim_cap, count_cap=args.count_cap,
-                                     seed=args.seed)
-    if not enum.complete:
+    list is refused, since a simple functor built on it is not simple.  A
+    representation-infinite q, read off its separated quiver, is refused
+    without enumerating."""
+    enum = (enumerate_indecomposables(q, dim_cap=args.dim_cap, count_cap=args.count_cap,
+                                      seed=args.seed)
+            if _separated_quiver_is_dynkin(q) else None)
+    if enum is None or not enum.complete:
         raise FunctorError("a simple functor's profile is undecidable from an incomplete list")
     return enum
 

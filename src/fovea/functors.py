@@ -23,6 +23,7 @@ from .modules import (
     is_isomorphic_indec,
     projective,
     right_almost_split,
+    _separated_quiver_is_dynkin,
 )
 from .covering import (
     LayeredModMap,
@@ -586,16 +587,19 @@ def kg_level0_report(subject, dim_cap: int = 12, count_cap: int = 24,
     """Level-0 statements checked numerically.
 
     For a plain algebra this reports the finite-type verdict from the
-    enumeration closure.  For a graded cover it additionally checks, over
-    a functor battery: equality of lengths with the pushed-down functor,
-    twist invariance of lengths, and that nonzero twists move length
-    profiles, whose labels carry layers.
+    enumeration closure.  A base whose separated quiver is not Dynkin is
+    representation-infinite, so no closure can complete: it stays
+    undecidable without enumerating.  For a graded cover it additionally
+    checks, over a functor battery: equality of lengths with the
+    pushed-down functor, twist invariance of lengths, and that nonzero
+    twists move length profiles, whose labels carry layers.
     """
     report = VerifyReport("kg0")
     algebra = isinstance(subject, BoundQuiver)
-    base_enum = enumerate_indecomposables(subject if algebra else subject.base,
-                                          dim_cap=dim_cap, count_cap=count_cap, seed=seed)
-    verdict = LEVEL_ZERO if base_enum.complete else UNDECIDABLE
+    base = subject if algebra else subject.base
+    base_enum = (enumerate_indecomposables(base, dim_cap=dim_cap, count_cap=count_cap, seed=seed)
+                 if _separated_quiver_is_dynkin(base) else None)
+    verdict = LEVEL_ZERO if base_enum is not None and base_enum.complete else UNDECIDABLE
     if algebra:
         report.verdicts["algebra"] = verdict
     else:

@@ -1245,6 +1245,70 @@ def _is_nakayama(bq: BoundQuiver) -> bool:
     return all(len(bq.in_arrows[v]) <= 1 and len(bq.out_arrows[v]) <= 1 for v in bq.vertices)
 
 
+def _separated_quiver_is_dynkin(bq: BoundQuiver) -> bool:
+    """Whether the separated quiver of the Gabriel quiver of A is a union
+    of Dynkin diagrams (types A, D, E).
+
+    When it is not, A/rad^2 A is representation-infinite (Gabriel 1972;
+    Auslander-Reiten-Smalo ch. X, Thm 2.6), hence so is A, over any field:
+    no caps can make `enumerate_indecomposables` complete.  The Gabriel
+    quiver keeps the arrows outside the pivots of an echelon form of the
+    relations' length-1 parts, whose span is (I + rad^2)/rad^2; nilbound 1
+    kills every arrow.  The separated quiver has a vertex v+ and v- for
+    each vertex v and an edge s+ -- t- for each Gabriel arrow s -> t; a
+    component is Dynkin when it is a tree with at most one branch vertex,
+    of degree 3, whose arms of p, q, r vertices (the branch counted in
+    each) have 1/p + 1/q + 1/r > 1.
+    """
+    if bq.nilbound == 1:
+        return True             # no Gabriel arrow: A is semisimple
+    f = bq.field
+    column = {a.name: k for k, a in enumerate(bq.arrows)}
+    echelon: dict = {}
+    for rel in bq.relations:
+        row: dict = {}
+        for c, path in rel:
+            if len(path) == 1:
+                k = column[path[0]]
+                row[k] = f.add(row.get(k, f.zero), c)
+        _echelon_reduce(echelon, {k: c for k, c in row.items() if c}, f.p)
+    adjacent: dict = {}
+    for a in (a for k, a in enumerate(bq.arrows) if k not in echelon):
+        s, t = (a.source, "+"), (a.target, "-")
+        adjacent.setdefault(s, []).append(t)
+        adjacent.setdefault(t, []).append(s)
+    seen = set()
+    for start in adjacent:
+        if start in seen:
+            continue
+        component = [start]
+        seen.add(start)
+        for u in component:
+            for w in adjacent[u]:
+                if w not in seen:
+                    seen.add(w)
+                    component.append(w)
+        edges = sum(len(adjacent[u]) for u in component) // 2
+        if edges != len(component) - 1:
+            return False        # a cycle or a double edge
+        branches = [u for u in component if len(adjacent[u]) > 2]
+        if not branches:
+            continue            # type A
+        if len(branches) > 1 or len(adjacent[branches[0]]) > 3:
+            return False
+        arms = []
+        for w in adjacent[branches[0]]:
+            prev, cur, length = branches[0], w, 2
+            while len(adjacent[cur]) == 2:
+                prev, cur = cur, next(x for x in adjacent[cur] if x != prev)
+                length += 1
+            arms.append(length)
+        p, q, r = arms
+        if q * r + p * r + p * q <= p * q * r:
+            return False
+    return True
+
+
 def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int = 80,
                               seed: int = DEFAULT_SEED,
                               basis: PathBasis | None = None) -> Enumeration:

@@ -701,13 +701,6 @@ class StructureCategory:
         skip = self.identity_index[x] if x == y else None
         return Subspace.coordinate(self.field, n, (i for i in range(n) if i != skip))
 
-    def full_subcategory(self, objects) -> "StructureCategory":
-        """The full subcategory on some objects, in the given order."""
-        objects = tuple(objects)
-        dims = {(x, y): self.dims[(x, y)] for x in objects for y in objects}
-        return StructureCategory(self.field, objects, dims, self._compose,
-                                 {x: self.identity_index[x] for x in objects})
-
 
 def structure_category(bq: BoundQuiver, basis: PathBasis | None = None) -> StructureCategory:
     basis = basis or path_basis(bq)

@@ -32,13 +32,7 @@ from .quiver import (
 
 
 class RepetitiveTruncation:
-    """The layers -n..n of the repetitive category of an algebra.
-
-    Objects are (layer, vertex).  Hom bases: within a layer the path
-    classes of the algebra; one layer up the dual basis of the path
-    classes the other way; the compositions (u then phi)(b) = phi(b u) and
-    (phi then w)(c) = phi(w c) wire the dual layer to the algebra action.
-    """
+    """The layers -n..n of the repetitive category of an algebra."""
 
     def __init__(self, bq: BoundQuiver, n: int, basis: PathBasis | None = None):
         if n < 0:
@@ -46,45 +40,7 @@ class RepetitiveTruncation:
         self.base = bq
         self.n = n
         self.basis = basis or path_basis(bq)
-        f = bq.field
-        objs = [(m, i) for m in range(-n, n + 1) for i in bq.vertices]
-        dims = {}
-        for (m, i) in objs:
-            for (r, j) in objs:
-                if r == m:
-                    dims[((m, i), (r, j))] = self.basis.dim(i, j)
-                elif r == m + 1:
-                    dims[((m, i), (r, j))] = self.basis.dim(j, i)
-                else:
-                    dims[((m, i), (r, j))] = 0
-        identity_index = {}
-        for (m, i) in objs:
-            coords = self.basis.identity_coords(i)
-            identity_index[(m, i)] = next(k for k, c in enumerate(coords) if c)
-        self.category = StructureCategory(f, objs, dims, self._compose, identity_index)
-
-    def _compose(self, x, y, z, u, v):
-        (m, i), (r, j), (s, k) = x, y, z
-        f = self.base.field
-        b = self.basis
-        if r == m and s == m:
-            return b.compose(i, j, k, u, v)
-        if r == m and s == m + 1:
-            # u in A(i,j), v a functional on A(k,j); result functional on A(k,i)
-            out = []
-            for c in _unit_vectors(f, b.dim(k, i)):
-                w = b.compose(k, i, j, c, u)
-                out.append(_pair(f, w, v))
-            return tuple(out)
-        if r == m + 1 and s == m + 1:
-            # u a functional on A(j,i), v in A(j,k); result functional on A(k,i)
-            out = []
-            for c in _unit_vectors(f, b.dim(k, i)):
-                w = b.compose(j, k, i, v, c)
-                out.append(_pair(f, w, u))
-            return tuple(out)
-        # anything spanning two or more connecting layers vanishes
-        return tuple(f.zero for _ in range(self.category.dim(x, z)))
+        self.category = _repetitive_category(self.basis, range(-n, n + 1))
 
     @property
     def total_dim(self) -> int:
@@ -126,6 +82,55 @@ class RepetitiveTruncation:
                 rv = repetitive_voltage(self.base, self.basis)
             out = _lift_truncation(rv, self.n, name)
         return out, presentation_basis(self.category, out)
+
+
+def _repetitive_category(basis: PathBasis, layers) -> StructureCategory:
+    """The full subcategory of the repetitive category on consecutive layers.
+
+    Objects are (layer, vertex).  Hom bases: within a layer the path
+    classes of the algebra; one layer up the dual basis of the path
+    classes the other way; the compositions (u then phi)(b) = phi(b u) and
+    (phi then w)(c) = phi(w c) wire the dual layer to the algebra action.
+    """
+    bq = basis.bq
+    f = bq.field
+    objs = [(m, i) for m in layers for i in bq.vertices]
+    dims = {}
+    for (m, i) in objs:
+        for (r, j) in objs:
+            if r == m:
+                dims[((m, i), (r, j))] = basis.dim(i, j)
+            elif r == m + 1:
+                dims[((m, i), (r, j))] = basis.dim(j, i)
+            else:
+                dims[((m, i), (r, j))] = 0
+    identity_index = {}
+    for (m, i) in objs:
+        coords = basis.identity_coords(i)
+        identity_index[(m, i)] = next(k for k, c in enumerate(coords) if c)
+
+    def compose(x, y, z, u, v):
+        (m, i), (r, j), (s, k) = x, y, z
+        if r == m and s == m:
+            return basis.compose(i, j, k, u, v)
+        if r == m and s == m + 1:
+            # u in A(i,j), v a functional on A(k,j); result functional on A(k,i)
+            out = []
+            for c in _unit_vectors(f, basis.dim(k, i)):
+                w = basis.compose(k, i, j, c, u)
+                out.append(_pair(f, w, v))
+            return tuple(out)
+        if r == m + 1 and s == m + 1:
+            # u a functional on A(j,i), v in A(j,k); result functional on A(k,i)
+            out = []
+            for c in _unit_vectors(f, basis.dim(k, i)):
+                w = basis.compose(j, k, i, v, c)
+                out.append(_pair(f, w, u))
+            return tuple(out)
+        # anything spanning two or more connecting layers vanishes
+        return (f.zero,) * dims[(x, z)]
+
+    return StructureCategory(f, objs, dims, compose, identity_index)
 
 
 def _unit_vectors(f, n):
@@ -197,16 +202,15 @@ def repetitive_voltage(bq: BoundQuiver, basis: PathBasis | None = None) -> Volta
     layer-raising maps is zero, so a nonzero product that starts at layer
     zero stays inside layers 0 and 1; by shift invariance every nonzero
     product is a shift of such a one.  Nothing maps down a layer, so the
-    full subcategory of T_1 on layers 0 and 1 holds every such product:
-    its rad and rad^2 blocks from layer 0 and its nilpotency degree are
-    those of the whole category.  Arrows are a rad/rad^2 basis taken at
+    full subcategory on layers 0 and 1 holds every such product: its rad
+    and rad^2 blocks from layer 0 and its nilpotency degree are those of
+    the whole category.  Arrows are a rad/rad^2 basis taken at
     layer zero (shift invariance makes that choice global); relations are
     the canonical kernel of path evaluation, where a path that reaches
     layer 2 or beyond is zero because Hom((0, i), (m, j)) = 0 for m >= 2.
     """
     basis = basis or path_basis(bq)
-    cat = RepetitiveTruncation(bq, 1, basis).category.full_subcategory(
-        (m, i) for m in (0, 1) for i in bq.vertices)
+    cat = _repetitive_category(basis, (0, 1))
     rad, rad2, nildeg = radical_filtration(cat)
     nilbound = nildeg + 1
 

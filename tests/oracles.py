@@ -92,3 +92,51 @@ def naturality_hom_dim(vertices, arrows, m_dims, m_mats, n_dims, n_mats, p=None)
     if not rows:
         return total
     return total - dumb_rank(rows, p)
+
+
+def separated_tits_form_is_positive_definite(vertices, arrows, relations, nilbound, p=None):
+    """Whether the Tits form of the separated quiver of the Gabriel quiver
+    is positive definite, which holds exactly for unions of Dynkin diagrams.
+
+    arrows are (name, source, target) and relations lists of (coefficient,
+    path) terms.  Between x and y there are as many Gabriel arrows as
+    arrows x -> y minus the rank of the relations' length-1 parts there;
+    none when nilbound is 1.  Definiteness is read off the leading
+    principal minors of 2 I - adjacency on the vertices (v, out), (v, in).
+    """
+    gabriel = {}
+    for x in vertices:
+        for y in vertices:
+            names = [name for name, s, t in arrows if (s, t) == (x, y)]
+            rows = []
+            for rel in relations:
+                row = [0] * len(names)
+                for c, path in rel:
+                    if len(path) == 1 and path[0] in names:
+                        row[names.index(path[0])] += c
+                rows.append(row)
+            rank = dumb_rank(rows, p) if names and rows else 0
+            gabriel[(x, y)] = 0 if nilbound == 1 else len(names) - rank
+    nodes = [(v, side) for v in vertices for side in ("out", "in")]
+    form = [[Fraction(2 if a == b else 0) for b in nodes] for a in nodes]
+    for (x, y), count in gabriel.items():
+        i, j = nodes.index((x, "out")), nodes.index((y, "in"))
+        form[i][j] -= count
+        form[j][i] -= count
+    for k in range(1, len(nodes) + 1):
+        minor = [row[:k] for row in form[:k]]
+        det = Fraction(1)
+        for c in range(k):
+            pivot = next((r for r in range(c, k) if minor[r][c]), None)
+            if pivot is None:
+                return False
+            if pivot != c:
+                minor[c], minor[pivot] = minor[pivot], minor[c]
+                det = -det
+            det *= minor[c][c]
+            for r in range(c + 1, k):
+                factor = minor[r][c] / minor[c][c]
+                minor[r] = [a - factor * b for a, b in zip(minor[r], minor[c])]
+        if det <= 0:
+            return False
+    return True

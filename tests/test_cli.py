@@ -8,6 +8,7 @@ import fovea.covering
 from fovea.cli import main
 from fovea.modules import Enumeration, format_module, projective
 from fovea.quiver import parse_quiver, path_basis
+from test_report_digests import KG0_DIGESTS
 
 
 def run(capsys, *argv):
@@ -221,6 +222,19 @@ def test_repetitive_suite_on_the_exterior_algebra_is_quick(tmp_path):
     done = subprocess.run([sys.executable, "-m", "fovea", "suite", "repetitive", str(path)],
                           capture_output=True, text=True, cwd="src", timeout=20)
     assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "PASS"
+
+
+@pytest.mark.parametrize("name", ["rep-loop2.vq", "rep-kronecker.vq"])
+def test_kg0_on_a_representation_infinite_base_is_quick(tmp_path, name):
+    # the base's separated quiver is not Dynkin, so kg0 calls it undecidable
+    # without running the enumeration closure to its caps (1.0 s on rep-loop2)
+    path = tmp_path / name
+    path.write_text(KG0_DIGESTS[name][0])
+    done = subprocess.run([sys.executable, "-m", "fovea", "suite", "kg0", str(path)],
+                          capture_output=True, text=True, cwd="src", timeout=5)
+    assert done.returncode == 0, done.stderr
+    assert "verdict base: undecidable at desk scale" in done.stdout.splitlines()
     assert done.stdout.splitlines()[-1] == "PASS"
 
 

@@ -8,8 +8,10 @@ enumeration decomposes each candidate once; no call enumerates a quiver
 twice, whatever the closure; the repetitive suite builds its repetitive
 category once and each path basis once, checks its windows against the
 truncations' presentations without a path basis of their own, extracts
-only layer zero and the normal forms, and filters only layers 0 and 1 of
-T_1, where every product from layer 0 lands;
+only layer zero and the normal forms, and builds for its voltage quiver
+only layers 0 and 1, where every product from layer 0 lands; kg0 and the
+simple-functor verbs enumerate no base whose separated quiver is not
+Dynkin;
 the radical filtration spans only the blocks where a product can land; a
 path basis spans only the vertex pairs that hold a relation vector; a hom
 space builds its maps only when they are read; a decomposition reads
@@ -32,6 +34,7 @@ dimension reads no canonical basis.
 import inspect
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +45,7 @@ import fovea.modules
 import fovea.quiver
 import fovea.repetitive
 import fovea.suites
+from fovea.cli import main
 from fovea.covering import layered_hom_dim, layered_injective, push_down
 from fovea.functors import default_battery
 from fovea.linalg import Matrix, Subspace, inverse
@@ -70,7 +74,7 @@ from fovea.quiver import (
 from fovea.repetitive import RepetitiveTruncation
 from fovea.suites import run_suite
 from test_quiver import dense_path_basis
-from test_report_digests import _workloads
+from test_report_digests import KG0_DIGESTS, _workloads
 from test_repetitive import dense_radical_filtration
 
 D4 = parse_quiver(
@@ -153,11 +157,15 @@ def test_kg0_knits_local_almost_split_sequences(monkeypatch, tmp_path, name, tex
         return seq
 
     monkeypatch.setattr(fovea.modules, "almost_split_sequence", recording)
-    if text is not None:
+    if name == "kronecker.bq":
+        # kg0 reads the Kronecker algebra's infinite type off its separated
+        # quiver and enumerates nothing, so knit at kg0's caps directly
+        enum = enumerate_indecomposables(load_quiver(name)[2], dim_cap=12, count_cap=24)
+        assert not enum.complete
+    else:
         (tmp_path / name).write_text(text)
         name = str(tmp_path / name)
-    report = run_suite("kg0", name)
-    assert report.passed
+        assert run_suite("kg0", name).passed
     # no rad^2 search and no map-level certificate is left to call
     assert not [name for name in RETIRED if hasattr(fovea.modules, name)]
     assert not hasattr(fovea.modules.PairCache, "radical")
@@ -212,6 +220,37 @@ def _record_enumerations(monkeypatch) -> list:
             monkeypatch.setattr(module, "enumerate_indecomposables", recording)
     assert fovea.covering.enumerate_indecomposables is recording
     return calls
+
+
+KG0_ENUMERATIONS = {"kronecker.bq": 0, "kronecker-cover.vq": 0, "rep-kronecker.vq": 0,
+                    "rep-loop2.vq": 0, "a2.bq": 1, "a3.bq": 1, "loop2.bq": 1, "point.bq": 1}
+
+
+@pytest.mark.parametrize("name", KG0_ENUMERATIONS)
+def test_kg0_enumerates_only_a_base_with_a_dynkin_separated_quiver(monkeypatch, tmp_path, name):
+    """A base whose separated quiver is not Dynkin is representation-infinite,
+    so kg0 calls it undecidable without enumerating; any other base is
+    enumerated once."""
+    calls = _record(monkeypatch, fovea.modules, "enumerate_indecomposables")
+    if name in KG0_DIGESTS:
+        (tmp_path / name).write_text(KG0_DIGESTS[name][0])
+        name = str(tmp_path / name)
+    report = run_suite("kg0", name)
+    assert report.passed
+    assert len(calls) == KG0_ENUMERATIONS[Path(name).name]
+    assert all(enum.complete for _args, enum in calls)
+
+
+@pytest.mark.parametrize("argv", [["simple", "kronecker.bq", "--at", "S1"],
+                                  ["eval", "kronecker.bq", "--functor", "S@S1", "--at", "S1"]],
+                         ids=["simple", "eval"])
+def test_a_simple_functor_on_a_representation_infinite_algebra_enumerates_nothing(
+        monkeypatch, capsys, argv):
+    calls = _record(monkeypatch, fovea.modules, "enumerate_indecomposables")
+    assert main(argv) == 1
+    assert capsys.readouterr().err == \
+        "fovea: a simple functor's profile is undecidable from an incomplete list\n"
+    assert calls == []
 
 
 def test_battery_enumerates_each_window_once(monkeypatch):
@@ -288,9 +327,10 @@ def test_repetitive_suite_extracts_only_layer_zero_and_the_normal_forms(monkeypa
 
 
 @pytest.mark.parametrize("name", ["a3.bq", "kronecker.bq", "loop2.bq"])
-def test_repetitive_voltage_filters_one_three_layer_truncation(monkeypatch, name):
+def test_repetitive_voltage_builds_only_layers_0_and_1(monkeypatch, name):
     bq = load_quiver(name)[2]
     sizes = []
+    truncations = _record(monkeypatch, fovea.repetitive, "RepetitiveTruncation")
 
     def recording(cat):
         sizes.append(len(cat.objects))
@@ -298,10 +338,16 @@ def test_repetitive_voltage_filters_one_three_layer_truncation(monkeypatch, name
 
     monkeypatch.setattr(fovea.repetitive, "radical_filtration", recording)
     fovea.repetitive.repetitive_voltage(bq)
-    # a nonzero product from layer 0 stays in layers 0 and 1, so the
-    # truncation to layers -1..1 is all the filtration needs
-    assert len(sizes) == 1
-    assert sizes[0] <= 3 * len(bq.vertices)
+    # a nonzero product from layer 0 stays in layers 0 and 1, so those two
+    # layers are all the filtration needs, and no truncation is built
+    assert sizes == [2 * len(bq.vertices)]
+    assert truncations == []
+
+
+def test_repetitive_suite_builds_three_truncations(monkeypatch):
+    truncations = _record(monkeypatch, fovea.repetitive, "RepetitiveTruncation")
+    assert run_suite("repetitive", "a3.bq").passed
+    assert sorted(t.n for _args, t in truncations) == [0, 1, 2]
 
 
 def test_radical_filtration_spans_only_nonzero_blocks(monkeypatch):
