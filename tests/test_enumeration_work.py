@@ -303,8 +303,11 @@ def test_repetitive_suite_builds_the_repetitive_category_once(monkeypatch):
         if name.startswith("fovea") and getattr(module, "repetitive_voltage", None) is repetitive_voltage:
             monkeypatch.setattr(module, "repetitive_voltage", recording)
     assert fovea.suites.repetitive_voltage is recording
+    truncations = _record(monkeypatch, fovea.repetitive, "RepetitiveTruncation")
     assert run_suite("repetitive", "a3.bq").passed
     assert len(calls) == 1
+    # T_0, T_1 and T_2, and none for the repetitive category itself
+    assert sorted(t.n for _args, t in truncations) == [0, 1, 2]
 
 
 def test_repetitive_suite_extracts_only_layer_zero_and_the_normal_forms(monkeypatch):
@@ -342,12 +345,6 @@ def test_repetitive_voltage_builds_only_layers_0_and_1(monkeypatch, name):
     # layers are all the filtration needs, and no truncation is built
     assert sizes == [2 * len(bq.vertices)]
     assert truncations == []
-
-
-def test_repetitive_suite_builds_three_truncations(monkeypatch):
-    truncations = _record(monkeypatch, fovea.repetitive, "RepetitiveTruncation")
-    assert run_suite("repetitive", "a3.bq").passed
-    assert sorted(t.n for _args, t in truncations) == [0, 1, 2]
 
 
 def test_radical_filtration_spans_only_nonzero_blocks(monkeypatch):

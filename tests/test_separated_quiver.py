@@ -16,11 +16,12 @@ from hypothesis import given, settings, strategies as st
 
 from fovea.linalg import Field
 from fovea.modules import _separated_quiver_is_dynkin, enumerate_indecomposables
-from fovea.naming import fixture_names, load_quiver
+from fovea.naming import load_quiver
 from fovea.quiver import BoundQuiver, parse_quiver
 
 from oracles import separated_tits_form_is_positive_definite
 from test_modules import KXY
+from test_report_digests import _workloads
 from test_repetitive import _catalogued_algebras
 
 
@@ -89,11 +90,16 @@ def test_nilbound_one_leaves_no_gabriel_arrow():
     assert _separated_quiver_is_dynkin(_quiver("1>2 1>2 1>1 1>1", nilbound=1))
 
 
-def test_the_fixtures_and_the_catalogued_algebras():
-    """Among the packaged algebras only the Kronecker algebra is flagged,
-    and none of the 64 catalogued algebras the benchmark draws from."""
-    algebras = {name: load_quiver(name)[2] for name in fixture_names() if name.endswith(".bq")}
-    assert [name for name, bq in algebras.items()
+def test_among_the_recorded_kg0_inputs_only_the_kronecker_algebra_is_flagged():
+    """The benchmark's 73 kg0 inputs: the 5 algebra fixtures, the 64
+    catalogued algebras and the bases of 4 covers."""
+    bases = {}
+    for suite, name, text in _workloads().recorded_calls():
+        if suite == "kg0":
+            q = parse_quiver(text) if text else load_quiver(name)[2]
+            bases[name] = q if isinstance(q, BoundQuiver) else q.base
+    assert len(bases) == 73
+    assert [name for name, bq in bases.items()
             if not _separated_quiver_is_dynkin(bq)] == ["kronecker.bq"]
     catalogued = [param.values[0] for param in _catalogued_algebras()]
     assert len(catalogued) == 64
