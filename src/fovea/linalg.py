@@ -53,12 +53,15 @@ def _is_prime(n: int) -> bool:
 class Field:
     """GF(p) for a prime p, or the rationals when p is None."""
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "zero", "one")
 
     def __init__(self, p: int | None = None):
         if p is not None and not _is_prime(p):
             raise LinAlgError(f"field order {p} is not prime")
         object.__setattr__(self, "p", p)
+        # field elements are immutable, so every read can share these
+        object.__setattr__(self, "zero", Fraction(0) if p is None else 0)
+        object.__setattr__(self, "one", Fraction(1) if p is None else 1)
 
     @classmethod
     def rationals(cls) -> "Field":
@@ -71,14 +74,6 @@ class Field:
     @property
     def is_rational(self) -> bool:
         return self.p is None
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.p is None else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.p is None else 1
 
     def coerce(self, v):
         if self.p is None:
@@ -237,7 +232,14 @@ class Matrix:
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + (-other)
+        if self.shape != other.shape:
+            raise LinAlgError("shape mismatch in -")
+        f, p = self.field, self.field.p
+        return Matrix._raw(
+            f, self.rows, self.cols,
+            tuple(tuple([a - b for a, b in zip(r1, r2)] if p is None else
+                        [(a - b) % p for a, b in zip(r1, r2)])
+                  for r1, r2 in zip(self.entries, other.entries)))
 
     def __neg__(self) -> "Matrix":
         f = self.field
@@ -386,7 +388,7 @@ def _gauss_jordan(rows: list, ncols: int, p) -> list:
 
 
 def rank(m: Matrix) -> int:
-    return rref(m).rank
+    return len(_gauss_jordan([list(r) for r in m.entries], m.cols, m.field.p))
 
 
 def row_space(m: Matrix) -> Matrix:
@@ -522,13 +524,13 @@ def solve(a: Matrix, b: Matrix) -> Matrix | None:
         return Matrix.zeros(f, 0, b.cols) if b.is_zero() else None
     if b.cols == 0:
         return Matrix.zeros(f, a.cols, 0)
-    red = rref(hstack([a, b]))
+    rows = [[*ra, *rb] for ra, rb in zip(a.entries, b.entries)]
     n = a.cols
     x = [(f.zero,) * b.cols] * n
-    for i, p in enumerate(red.pivots):
+    for row, p in zip(rows, _gauss_jordan(rows, n + b.cols, f.p)):
         if p >= n:
             return None
-        x[p] = red.matrix.entries[i][n:]
+        x[p] = tuple(row[n:])
     return Matrix._raw(f, n, b.cols, tuple(x))
 
 

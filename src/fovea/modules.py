@@ -70,11 +70,12 @@ class Module:
         self.mats = {}
         for a in bq.arrows:
             m = mats.get(a.name)
-            shape = (self.dims[a.source], self.dims[a.target])
+            rows, cols = self.dims[a.source], self.dims[a.target]
             if m is None:
-                m = Matrix.zeros(f, *shape)
-            if m.shape != shape:
-                raise ModuleError(f"matrix for {a.name} has shape {m.shape}, expected {shape}")
+                m = Matrix.zeros(f, rows, cols)
+            elif m.rows != rows or m.cols != cols:
+                raise ModuleError(f"matrix for {a.name} has shape {m.shape}, "
+                                  f"expected {(rows, cols)}")
             self.mats[a.name] = m
         if check:
             self._check_relations()
@@ -103,7 +104,7 @@ class Module:
     def total_dim(self) -> int:
         return sum(self.dims.values())
 
-    @property
+    @cached_property
     def support(self):
         return tuple(v for v in self.bq.vertices if self.dims[v] > 0)
 
@@ -131,6 +132,25 @@ class Module:
         # a module is never changed after construction
         return self._hash
 
+    @cached_property
+    def _naturality_parts(self) -> tuple[tuple, tuple]:
+        """What `hom_space` reads of M, per arrow a: x -> y in quiver
+        order.  As source: (a's index, x, y, the nonzero (row, entry)
+        pairs of each column of M(a)) for each a with M(y) nonzero.  As
+        target: the nonzero (column, -entry) pairs of each row of M(a)."""
+        p = self.bq.field.p
+        source, target = [], []
+        for index, a in enumerate(self.bq.arrows):
+            mat = self.mats[a.name]
+            ma = mat.entries
+            if self.dims[a.target]:
+                source.append((index, a.source, a.target,
+                               tuple(tuple((k, row[j]) for k, row in enumerate(ma) if row[j])
+                                     for j in range(mat.cols))))
+            target.append(tuple(tuple((l, -c if p is None else -c % p)
+                                      for l, c in enumerate(row) if c) for row in ma))
+        return tuple(source), tuple(target)
+
     def sort_key(self):
         return (self.total_dim,
                 tuple(self.dims[v] for v in self.bq.vertices),
@@ -153,11 +173,12 @@ class ModMap:
         self.comps = {}
         for v in source.bq.vertices:
             m = comps.get(v)
-            shape = (target.dims[v], source.dims[v])
+            rows, cols = target.dims[v], source.dims[v]
             if m is None:
-                m = Matrix.zeros(f, *shape)
-            if m.shape != shape:
-                raise ModuleError(f"component at {v} has shape {m.shape}, expected {shape}")
+                m = Matrix.zeros(f, rows, cols)
+            elif m.rows != rows or m.cols != cols:
+                raise ModuleError(f"component at {v} has shape {m.shape}, "
+                                  f"expected {(rows, cols)}")
             self.comps[v] = m
         if check and not self.is_natural():
             raise ModuleError("components do not commute with the arrow actions")
@@ -285,10 +306,12 @@ class HomBasis:
 
     def from_coords(self, coeffs) -> ModMap:
         fld = self.source.bq.field
+        p = fld.p
         vec = [fld.zero] * self.rows.cols
         for c, row in zip(coeffs, self.rows.entries):
             if c:
-                vec = [fld.add(a, fld.mul(c, b)) for a, b in zip(vec, row)]
+                vec = ([a + c * b for a, b in zip(vec, row)] if p is None else
+                       [(a + c * b) % p for a, b in zip(vec, row)])
         return ModMap.from_vector(self.source, self.target, vec)
 
     def __iter__(self):
@@ -309,31 +332,25 @@ def hom_space(m: Module, n: Module) -> HomBasis:
     """
     if n.bq is not m.bq and m.bq != n.bq:
         raise ModuleError("hom between modules over different quivers")
+    mdims, ndims = m.dims, n.dims
     offsets = {}
     total = 0
     for v in m.bq.vertices:
         offsets[v] = total
-        total += n.dims[v] * m.dims[v]
-    p = m.bq.field.p
+        total += ndims[v] * mdims[v]
     echelon = {}
-    for row in _naturality_rows(m, n, offsets, total - 1, p):
-        _echelon_reduce(echelon, row, p)
-    return HomBasis._deferred(m, n, total, echelon)
-
-
-def _naturality_rows(m: Module, n: Module, offsets: dict, last: int, p):
-    """The nonzero equations of hom_space's system, as {column: entry}."""
-    for a in m.bq.arrows:
-        x, y = a.source, a.target
-        mx, my, nx = m.dims[x], m.dims[y], n.dims[x]
+    if not total:
+        return HomBasis._deferred(m, n, 0, echelon)
+    p = m.bq.field.p
+    last = total - 1
+    target = n._naturality_parts[1]
+    for index, x, y, m_cols in m._naturality_parts[0]:
         # equation (i, j), for i < dim N(x) and j < dim M(y), reads column
-        # j of M(a) (mx entries) and row i of N(a) (dim N(y) entries)
-        if not my or not nx or not (mx or n.dims[y]):
+        # j of M(a) (dim M(x) entries) and row i of N(a) (dim N(y) entries)
+        n_rows = target[index]
+        if not n_rows or not (mdims[x] or ndims[y]):
             continue
-        ma = m.mats[a.name].entries
-        m_cols = [[(k, row[j]) for k, row in enumerate(ma) if row[j]] for j in range(my)]
-        n_rows = [[(l, -c if p is None else -c % p) for l, c in enumerate(row) if c]
-                  for row in n.mats[a.name].entries]
+        mx, my = mdims[x], len(m_cols)
         ox, oy = last - offsets[x], last - offsets[y]
         for i, n_row in enumerate(n_rows):
             base = ox - i * mx
@@ -349,7 +366,8 @@ def _naturality_rows(m: Module, n: Module, offsets: dict, last: int, p):
                             continue
                     row[col] = c
                 if row:
-                    yield row
+                    _echelon_reduce(echelon, row, p)
+    return HomBasis._deferred(m, n, total, echelon)
 
 
 def hom_dim(m: Module, n: Module) -> int:
@@ -365,6 +383,31 @@ def column_space_basis(m: Matrix) -> Matrix:
     return row_space(m.transpose()).transpose()
 
 
+def _leads(cols: Matrix) -> list[int] | None:
+    """The row of each column's leading 1 when every other column is 0 in
+    that row, as in the canonical bases of `kernel_basis` and `row_space`
+    read as columns; None otherwise.  Such columns are independent, and a
+    vector of their span has its coordinates at the leads."""
+    entries, one = cols.entries, cols.field.one
+    leads = []
+    for col in zip(*entries):
+        i = next((i for i, x in enumerate(col) if x), None)
+        if i is None or col[i] != one or sum(map(bool, entries[i])) != 1:
+            return None
+        leads.append(i)
+    return leads if len(leads) == cols.cols else None
+
+
+def _solve_in_basis(cols: Matrix, b: Matrix) -> Matrix | None:
+    """solve(cols, b) for independent columns: b's rows at the `_leads`
+    of cols, checked by one product, when they have leads."""
+    leads = _leads(cols)
+    if leads is None:
+        return solve(cols, b)
+    x = Matrix._raw(cols.field, cols.cols, b.cols, tuple(b.entries[i] for i in leads))
+    return x if cols @ x == b else None
+
+
 def submodule(m: Module, columns: dict) -> tuple[Module, ModMap]:
     """Module structure on per-vertex column spans closed under the action."""
     f = m.bq.field
@@ -373,7 +416,7 @@ def submodule(m: Module, columns: dict) -> tuple[Module, ModMap]:
     for a in m.bq.arrows:
         x, y = a.source, a.target
         image = m.mats[a.name] @ columns[y]
-        coords = solve(columns[x], image)
+        coords = _solve_in_basis(columns[x], image)
         if coords is None:
             raise ModuleError("columns are not closed under the arrow action")
         mats[a.name] = coords
@@ -464,6 +507,8 @@ def socle_quotient(m: Module) -> tuple[Module, ModMap]:
 
 def _sum_module(bq: BoundQuiver, modules: list[Module]) -> Module:
     """The direct sum as a module, block diagonal, without its maps."""
+    if len(modules) == 1:
+        return modules[0]
     dims = {v: sum(m.dims[v] for m in modules) for v in bq.vertices}
     mats = {a.name: block_diag(bq.field, [m.mats[a.name] for m in modules]) for a in bq.arrows}
     return Module(bq, dims, mats, check=False)
@@ -613,15 +658,25 @@ def radical_hom(m: Module, n: Module,
 
 class PairCache:
     """Memo for hom spaces over a stable set of modules, keyed on the
-    modules themselves (they are immutable and hashable)."""
+    modules themselves (they are immutable and hashable), and for the
+    modules a builder such as `projective` reads off a path basis."""
 
     def __init__(self):
         self._hom: dict = {}
+        self._built: dict = {}
 
     def hom(self, m: Module, n: Module) -> HomBasis:
         out = self._hom.get((m, n))
         if out is None:
             out = self._hom[(m, n)] = hom_space(m, n)
+        return out
+
+    def built(self, build, x: str, basis: PathBasis) -> Module:
+        """build(basis.bq, x, basis), made once per builder, vertex and basis."""
+        key = (build, x, basis)
+        out = self._built.get(key)
+        if out is None:
+            out = self._built[key] = build(basis.bq, x, basis)
         return out
 
 
@@ -1052,12 +1107,17 @@ def _sequence_failures(n: Module, tau: Module | None, e_parts: list[tuple[Module
     failures = []
     end = cache.hom(n, n)
     own = through(n)
+    # End(N) = K 1 has radical 0: its trace form is [dim N], nonzero when
+    # the prime exceeds dim N (end_radical refuses a smaller one)
+    p = n.bq.field.p
+    trivial = end.dim == 1 and (p is None or p > n.total_dim)
     if own == end.dim:
         failures.append("the map is a split epimorphism")
-    elif own != end_radical(n, end).dim:
+    elif own != (0 if trivial else end_radical(n, end).dim):
         failures.append("a radical endomorphism does not factor")
+    support = set(n.support)
     for x in ind_list:
-        if x is n or not any(x.dims[v] and n.dims[v] for v in n.bq.vertices):
+        if x is n or support.isdisjoint(x.support):
             continue    # disjoint supports: Hom(X, N) = 0
         dim = cache.hom(x, n).dim
         if dim and through(x) != dim:
@@ -1086,8 +1146,8 @@ def _top_generators(m: Module) -> list[tuple[str, Matrix]]:
     for v in m.bq.vertices:
         d = m.dims[v]
         block = _out_block(m, v)
-        rad = Subspace.span(f, d, () if block is None else block.transpose().entries)
-        for r in rad.quotient().representatives:
+        pivots = () if block is None else _gauss_jordan(list(map(list, zip(*block.entries))), d, f.p)
+        for r in (r for r in range(d) if r not in pivots):
             gens.append((v, Matrix._raw(f, d, 1, tuple((f.one if i == r else f.zero,)
                                                       for i in range(d)))))
     return gens
@@ -1098,11 +1158,18 @@ def _induced(m: Module, gens: list[tuple[str, Matrix]], basis: PathBasis) -> dic
     in gens that sends the top of that summand to the column: the path
     class q: z -> x goes to M(q) applied to it (Hom(P_x, M) = M(x))."""
     f = m.bq.field
+    p, zero = f.p, f.zero
+    vecs = [(x, [row[0] for row in col.entries]) for x, col in gens]
     comps = {}
     for z in m.bq.vertices:
-        rows = [row for x, col in gens for q in basis.representatives(z, x)
-                for row in (m.path_matrix(q, z) @ col).transpose().entries]
-        comps[z] = Matrix.from_rows(f, len(rows), m.dims[z], rows).transpose()
+        paths = {x: [m.path_matrix(q, z).entries for q in basis.representatives(z, x)]
+                 for x, _ in gens}
+        # the image of each class, M(q) col, is one column of the component
+        cols = [tuple(sum(map(_mul, row, vec), zero) if p is None else sum(map(_mul, row, vec)) % p
+                      for row in q)
+                for x, vec in vecs for q in paths[x]]
+        comps[z] = Matrix._raw(f, m.dims[z], len(cols),
+                               tuple(zip(*cols)) if cols else ((),) * m.dims[z])
     return comps
 
 
@@ -1139,7 +1206,7 @@ def almost_split_sequence(n: Module, basis: PathBasis | None = None,
     vertices = bq.vertices
     gens0 = _top_generators(n)
     xs0 = [x for x, _ in gens0]
-    p0 = _sum_module(bq, [projective(bq, x, basis) for x in xs0])
+    p0 = _sum_module(bq, [cache.built(projective, x, basis) for x in xs0])
     pi = ModMap(p0, n, _induced(n, gens0, basis), check=False)
     k, iota = submodule(p0, {z: kernel_basis(pi.comps[z]).transpose() for z in vertices})
     if k.is_zero():
@@ -1160,7 +1227,7 @@ def almost_split_sequence(n: Module, basis: PathBasis | None = None,
         cuts = starts[x1]
         classes.append([image[cuts[i]:cuts[i + 1]] for i in range(len(xs0))])
     # tau N(y) is the kernel of the transpose of Hom(P0, P_y) -> Hom(P1, P_y)
-    nu_p1 = _sum_module(bq, [_nakayama_injective(bq, x, basis) for x in xs1])
+    nu_p1 = _sum_module(bq, [cache.built(_nakayama_injective, x, basis) for x in xs1])
     cols = {}
     for y in vertices:
         rows = []
@@ -1172,9 +1239,25 @@ def almost_split_sequence(n: Module, basis: PathBasis | None = None,
         cols[y] = kernel_basis(nu_f).transpose()
     tau, _ = submodule(nu_p1, cols)
 
-    # Ext^1(N, tau N) is Hom(K, tau N) modulo the maps through P0
+    # Ext^1(N, tau N) is Hom(K, tau N) modulo the maps through P0.  Those
+    # are spanned by the maps P0 -> tau N sending the top of one summand
+    # P_x to a unit vector t of tau N(x), which take the class q: z -> x
+    # of that summand to column t of tau N(q)
     hom = cache.hom(k, tau)
-    through = [hom.coords(phi @ iota) for phi in cache.hom(p0, tau).maps]
+    through = []
+    for i, x0 in enumerate(xs0):
+        images = {z: [tau.path_matrix(q, z).entries for q in basis.representatives(z, x0)]
+                  for z in vertices}
+        blocks = {z: Matrix._raw(f, starts[z][i + 1] - starts[z][i], k.dims[z],
+                                 iota.comps[z].entries[starts[z][i]:starts[z][i + 1]])
+                  for z in vertices}
+        for t in range(tau.dims[x0]):
+            comps = {}
+            for z in vertices:
+                columns = [tuple(row[t] for row in pm) for pm in images[z]]
+                rows = tuple(zip(*columns)) if columns else ((),) * tau.dims[z]
+                comps[z] = Matrix._raw(f, tau.dims[z], len(columns), rows) @ blocks[z]
+            through.append(hom.coords(ModMap(k, tau, comps, check=False)))
     inner = Subspace.span(f, hom.dim, through)
     # its socle over End(N): the classes xi with xi r through P0 for every
     # r in rad End(N), where r acts on K through a lift P0 -> P0 of r pi
@@ -1185,7 +1268,7 @@ def almost_split_sequence(n: Module, basis: PathBasis | None = None,
         for coords in end_radical(n, end).rows.entries:
             r = end.from_coords(coords)
             r0 = _induced(p0, [(x, solve(pi.comps[x], r.comps[x] @ v)) for x, v in gens0], basis)
-            r_k = ModMap(k, k, {z: solve(iota.comps[z], r0[z] @ iota.comps[z])
+            r_k = ModMap(k, k, {z: _solve_in_basis(iota.comps[z], r0[z] @ iota.comps[z])
                                 for z in vertices}, check=False)
             action = Matrix(f, [hom.coords(h @ r_k) for h in hom.maps]).transpose()
             conditions.extend((quot @ action).entries)
@@ -1197,24 +1280,35 @@ def almost_split_sequence(n: Module, basis: PathBasis | None = None,
 
     # E is the pushout of P0 along xi, in coordinates tau N(z) + N(z): with
     # s a section of pi, an arrow moves s(n) to s(N(a) n) plus iota(k),
-    # and iota(k) is -xi(k) in E
+    # and iota(k) is -xi(k) in E.  As iota(k) = P0(a) s(n) - s(N(a) n) is
+    # killed by pi, k is read off at the `_leads` of the kernel basis iota,
+    # so -xi(k) is push(iota(k)) for push = -xi placed at the leads
     section = {z: solve(pi.comps[z], Matrix.identity(f, n.dims[z])) for z in vertices}
+    push = {}
+    for z in vertices:
+        leads, xz = _leads(iota.comps[z]), xi.comps[z].entries
+        rows = []
+        for r in xz:
+            row = [f.zero] * p0.dims[z]
+            for i, c in zip(leads, r):
+                row[i] = f.neg(c)
+            rows.append(tuple(row))
+        push[z] = Matrix._raw(f, tau.dims[z], p0.dims[z], tuple(rows))
     mats = {}
     for a in bq.arrows:
         z, w = a.source, a.target
-        slip = p0.mats[a.name] @ section[w] - section[z] @ n.mats[a.name]
-        corner = -(xi.comps[z] @ solve(iota.comps[z], slip))
+        corner = push[z] @ (p0.mats[a.name] @ section[w] - section[z] @ n.mats[a.name])
         top = [r + c for r, c in zip(tau.mats[a.name].entries, corner.entries)]
         bottom = [(f.zero,) * tau.dims[w] + r for r in n.mats[a.name].entries]
-        mats[a.name] = Matrix.from_rows(f, tau.dims[z] + n.dims[z], tau.dims[w] + n.dims[w],
-                                        top + bottom)
+        mats[a.name] = Matrix._raw(f, tau.dims[z] + n.dims[z], tau.dims[w] + n.dims[w],
+                                   tuple(top + bottom))
     e = Module(bq, {z: tau.dims[z] + n.dims[z] for z in vertices}, mats, check=False)
     f_comps, g_comps = {}, {}
     for z in vertices:
         dt, dn = tau.dims[z], n.dims[z]
         ident = Matrix.identity(f, dt + dn).entries
-        f_comps[z] = Matrix.from_rows(f, dt + dn, dt, [row[:dt] for row in ident])
-        g_comps[z] = Matrix.from_rows(f, dn, dt + dn, ident[dt:])
+        f_comps[z] = Matrix._raw(f, dt + dn, dt, tuple(row[:dt] for row in ident))
+        g_comps[z] = Matrix._raw(f, dn, dt + dn, ident[dt:])
     return AlmostSplitSequence(tau, e, ModMap(tau, e, f_comps, check=False),
                                ModMap(e, n, g_comps, check=False))
 

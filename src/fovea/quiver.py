@@ -103,7 +103,7 @@ class BoundQuiver:
         return self.arrow_map[p[0]].source, self.arrow_map[p[-1]].target
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, BoundQuiver)
             and self.vertices == other.vertices
             and self.arrows == other.arrows
