@@ -39,6 +39,12 @@ loop2.bq), whose bases ran the full enumeration closure to its caps.  Both
 sets were recorded before the full closure took radicals only of
 projectives and socle quotients only of injectives, except rep-loop2's
 kg0, recorded before kg0 read the separated quiver.
+
+REP_A2_DIGESTS and REP_A3_DIGESTS pin the four cover suites on rep-a2 and
+rep-a3 (`REP_A2_TEXT`, `REP_A3_TEXT`, the repetitive voltage quivers of the
+a2.bq and a3.bq fixtures).  Both lifts are locally Nakayama, so their orbit
+lists are closed-form, but every suite lifts windows of them; the records
+were taken before `lift_window` shifted one template per window width.
 """
 
 import contextlib
@@ -151,6 +157,25 @@ REP_KD4_DIGESTS = {
     "kg0": (1, EMPTY_SHA256, WINDOW_CAP_ERROR),
 }
 
+REP_A2_TEXT = ("field gf 32749\nnilbound 3\nvertex 1 2\n"
+               "arrow a0: 1 -> 2 deg 0\narrow a1: 2 -> 1 deg 1\n"
+               "relation a0*a1*a0\nrelation a1*a0*a1\n")
+REP_A2_DIGESTS = {
+    "cover-axioms": (0, "0e5d5a1ac6bb0ead7a0491e1ffab4a5dabd03b50ae5109169acec52c519d49d9"),
+    "pushdown": (0, "90498edd69ab2262750c507336b84f7df712c795787bb93c9d163707b8dc9fde"),
+    "phi-identities": (0, "686576bced49bc3224817f5201aa2bd272ae6231daa795a0431511bc9ca6e263"),
+    "kg0": (0, "d120afdfe03cd6bc2c102f5f0a7261abcd60e6fca5cac0b37523044253a2580d"),
+}
+REP_A3_TEXT = ("field gf 32749\nnilbound 4\nvertex 1 2 3\n"
+               "arrow a0: 1 -> 2 deg 0\narrow a1: 2 -> 3 deg 0\narrow a2: 3 -> 1 deg 1\n"
+               "relation a0*a1*a2*a0\nrelation a1*a2*a0*a1\nrelation a2*a0*a1*a2\n")
+REP_A3_DIGESTS = {
+    "cover-axioms": (0, "c87122a3ed09184239454ead5658eff51254008652e2ef2771eaa5dc7e958297"),
+    "pushdown": (0, "e6a3038ace9e50e608deca5bcea258827052d10589c28b4c3bcc14e53f2f070f"),
+    "phi-identities": (0, "8d1e78d0d94422ddb844caa987311eaca2e4c0cad7445348541a6b6ef149965b"),
+    "kg0": (0, "76da105239d434843891089dfbac8056af65f1c1dba4b320e8ca37b0a713ddfb"),
+}
+
 KRONECKER_COVER_TEXT = ("field gf 32749\nnilbound 2\nvertex 1 2\n"
                         "arrow a: 1 -> 2 deg 0\narrow b: 1 -> 2 deg 1\n")
 REP_KRONECKER_TEXT = (
@@ -239,6 +264,23 @@ def test_rep_kd4_text_is_the_repetitive_voltage_quiver():
 def test_rep_kd4_report_matches_its_recorded_digest(monkeypatch, tmp_path, suite):
     got = _run_suite_on_text(monkeypatch, tmp_path, suite, "rep-kd4.vq", REP_KD4_TEXT)
     assert got == REP_KD4_DIGESTS[suite]
+
+
+@pytest.mark.parametrize("fixture,text", [("a2.bq", REP_A2_TEXT), ("a3.bq", REP_A3_TEXT)])
+def test_rep_nakayama_text_is_the_repetitive_voltage_quiver(fixture, text):
+    assert format_quiver(repetitive_voltage(load_quiver(fixture)[2])) == text
+
+
+@pytest.mark.parametrize("suite", sorted(REP_A2_DIGESTS))
+def test_rep_a2_report_matches_its_recorded_digest(monkeypatch, tmp_path, suite):
+    got = _run_suite_on_text(monkeypatch, tmp_path, suite, "rep-a2.vq", REP_A2_TEXT)
+    assert got == REP_A2_DIGESTS[suite] + ("",)
+
+
+@pytest.mark.parametrize("suite", sorted(REP_A3_DIGESTS))
+def test_rep_a3_report_matches_its_recorded_digest(monkeypatch, tmp_path, suite):
+    got = _run_suite_on_text(monkeypatch, tmp_path, suite, "rep-a3.vq", REP_A3_TEXT)
+    assert got == REP_A3_DIGESTS[suite] + ("",)
 
 
 def test_rep_kronecker_text_is_the_repetitive_voltage_quiver():
