@@ -623,8 +623,12 @@ def _trace_pairing(hom: HomBasis, back: HomBasis) -> Matrix:
     flipped = [[vec[o + i * c + j] for o, r, c in blocks for j in range(c) for i in range(r)]
                for vec in back.rows.entries]
     vecs, zero, p = hom.rows.entries, f.zero, f.p
-    return Matrix._raw(f, back.dim, hom.dim, tuple(tuple(sum(map(_mul, v, g), zero) if p is None
-                       else sum(map(_mul, v, g)) % p for v in vecs) for g in flipped))
+    if p is None:   # a Fraction product costs far more than a zero test
+        vecs = [[(k, x) for k, x in enumerate(v) if x] for v in vecs]
+        return Matrix._raw(f, back.dim, hom.dim, tuple(tuple(
+            sum([x * g[k] for k, x in v if g[k]], zero) for v in vecs) for g in flipped))
+    return Matrix._raw(f, back.dim, hom.dim, tuple(tuple(sum(map(_mul, v, g)) % p for v in vecs)
+                                                   for g in flipped))
 
 
 class RadicalHom:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import weakref
 from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
+from itertools import accumulate
 
 from .linalg import (
     Field,
@@ -66,13 +67,7 @@ class BoundQuiver:
         for a in self.arrows:
             if a.source not in vset or a.target not in vset:
                 raise QuiverError(f"arrow {a.name} has a dangling endpoint")
-        self.arrow_map = {a.name: a for a in self.arrows}
-        self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
-        self.out_arrows = {v: [] for v in self.vertices}
-        self.in_arrows = {v: [] for v in self.vertices}
-        for a in self.arrows:
-            self.out_arrows[a.source].append(a)
-            self.in_arrows[a.target].append(a)
+        self._index()
         rels = []
         for rel in relations:
             terms = tuple((field.coerce(c), tuple(p)) for c, p in rel)
@@ -97,6 +92,26 @@ class BoundQuiver:
                     raise QuiverError("relation terms are not parallel")
             rels.append(terms)
         self.relations = tuple(rels)
+
+    @classmethod
+    def _unchecked(cls, vertices, arrows, relations, field, nilbound):
+        """A quiver from parts already known to pass __init__'s checks
+        (tuples of Arrows, relations with coerced coefficients), set up as
+        __init__ sets it up."""
+        out = cls.__new__(cls)
+        out.vertices, out.arrows, out.field, out.nilbound = vertices, arrows, field, nilbound
+        out._index()
+        out.relations = relations
+        return out
+
+    def _index(self):
+        self.arrow_map = {a.name: a for a in self.arrows}
+        self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
+        self.out_arrows = {v: [] for v in self.vertices}
+        self.in_arrows = {v: [] for v in self.vertices}
+        for a in self.arrows:
+            self.out_arrows[a.source].append(a)
+            self.in_arrows[a.target].append(a)
 
     def relation_endpoints(self, rel):
         _, p = rel[0]
@@ -123,8 +138,11 @@ class BoundQuiver:
 class VoltageQuiver:
     """A bound quiver with integer arrow degrees and homogeneous relations.
 
-    It owns the memos of its window lifts (weak) and of its orbit list of
-    indecomposables up to shift; they take no part in equality or hashing.
+    It owns three memos, which take no part in equality or hashing: its
+    window lifts (`_lifts`, weak), the lift of [0, w] for each width w as
+    (name, layer) parts (`_templates`, which `lift_window` shifts onto
+    every window of that width), and its orbit list of indecomposables up
+    to shift (`_orbits`).
     """
 
     def __init__(self, base: BoundQuiver, degree: dict[str, int]):
@@ -136,6 +154,7 @@ class VoltageQuiver:
                 raise QuiverError("relation is not homogeneous in total degree")
         self.field = base.field
         self._lifts = weakref.WeakValueDictionary()
+        self._templates = {}
         self._orbits = None
 
     def __eq__(self, other):
@@ -560,40 +579,62 @@ def layer_arrow(a: str, n: int) -> str:
 
 
 def lift_window(vq: VoltageQuiver, window: Window) -> BoundQuiver:
-    """The finite convex piece of the graded lift over the given layers."""
+    """The finite convex piece of the graded lift over the given layers.
+
+    The integers act freely on the lift by shifting layers, so [lo, hi] is
+    the shift by lo of [0, hi - lo], whose parts are built once per width
+    and kept as (name, layer) pairs.  The first window of a width is
+    checked by BoundQuiver and no later one is: (name, layer) -> name@layer
+    is injective (a layer's digits hold no "@"), and a shift keeps arrow
+    endpoints, composable relation paths and parallel relation terms.  The
+    order is that of a direct construction: by layer, then base order.
+    """
     cached = vq._lifts.get(window)
     if cached is not None:
         return cached
-    bq = vq.base
-    vertices = [layer_vertex(v, n) for n in window.layers for v in bq.vertices]
-    arrows = []
-    for n in window.layers:
-        for a in bq.arrows:
-            if n + vq.degree[a.name] in window:
-                arrows.append((layer_arrow(a.name, n), layer_vertex(a.source, n),
-                               layer_vertex(a.target, n + vq.degree[a.name])))
-    relations = []
-    for rel in bq.relations:
-        for n in window.layers:
-            lifted_terms = []
-            fits = True
-            for coeff, p in rel:
-                lifted = []
-                layer = n
-                for arr in p:
-                    if layer not in window or layer + vq.degree[arr] not in window:
-                        fits = False
-                        break
-                    lifted.append(layer_arrow(arr, layer))
-                    layer += vq.degree[arr]
-                if not fits:
-                    break
-                lifted_terms.append((coeff, tuple(lifted)))
-            if fits:
-                relations.append(tuple(lifted_terms))
-    out = BoundQuiver(vertices, arrows, relations, bq.field, bq.nilbound)
+    bq, width = vq.base, window.hi - window.lo
+    if width in vq._templates:
+        out = BoundQuiver._unchecked(*_shift_template(vq._templates[width], window.lo),
+                                     bq.field, bq.nilbound)
+    else:
+        vq._templates[width] = _lift_template(vq, width)
+        out = BoundQuiver(*_shift_template(vq._templates[width], window.lo), bq.field, bq.nilbound)
     vq._lifts[window] = out
     return out
+
+
+def _lift_template(vq: VoltageQuiver, width: int):
+    """The lift of [0, width] as parts: vertices (vertex, layer), arrows
+    (arrow, layer, source and target positions), and relations whose terms
+    are (coefficient, arrow positions).  A relation lifts to layer n exactly
+    when every layer its terms pass through, n plus a partial degree sum,
+    lies in [0, width]."""
+    bq, deg, layers = vq.base, vq.degree, range(width + 1)
+    vertices = tuple((v, n) for n in layers for v in bq.vertices)
+    at = {part: i for i, part in enumerate(vertices)}
+    arrows = tuple((a.name, n, at[(a.source, n)], at[(a.target, n + deg[a.name])])
+                   for n in layers for a in bq.arrows if 0 <= n + deg[a.name] <= width)
+    arrow_at = {(a, n): i for i, (a, n, _, _) in enumerate(arrows)}
+    relations = []
+    for rel in bq.relations:
+        walks = [(c, p, tuple(accumulate((deg[a] for a in p), initial=0))) for c, p in rel]
+        sums = [o for _, _, offsets in walks for o in offsets]
+        for n in range(-min(sums), width - max(sums) + 1):
+            relations.append(tuple((c, tuple([arrow_at[(a, n + o)] for a, o in zip(p, offsets)]))
+                                   for c, p, offsets in walks))
+    return vertices, arrows, tuple(relations)
+
+
+def _shift_template(template, lo: int):
+    """Vertices, arrows and relations of the template's lift, every layer
+    moved up by lo."""
+    vparts, aparts, rparts = template
+    vertices = tuple([f"{v}@{n + lo}" for v, n in vparts])
+    arrows = tuple([Arrow(f"{a}@{n + lo}", vertices[s], vertices[t]) for a, n, s, t in aparts])
+    names = [a.name for a in arrows]
+    relations = tuple([tuple([(c, tuple([names[j] for j in p])) for c, p in rel])
+                       for rel in rparts])
+    return vertices, arrows, relations
 
 
 def is_convex(bq: BoundQuiver, subset, basis: PathBasis | None = None) -> bool:

@@ -11,20 +11,16 @@ algebras (the trivial extension at k = 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .linalg import Matrix, kernel_basis
-from .modules import _nakayama_injective, enumerate_indecomposables, is_isomorphic_indec, projective
+from .modules import _nakayama_injective, is_isomorphic_indec, projective
 from .quiver import (
     BoundQuiver,
     PathBasis,
     QuiverError,
     StructureCategory,
     VoltageQuiver,
-    Window,
     arrow_elements,
     extract_presentation,
-    lift_window,
     path_basis,
     presentation_basis,
     radical_filtration,
@@ -321,45 +317,3 @@ def is_selfinjective(bq: BoundQuiver, basis: PathBasis | None = None) -> bool:
             return False
         remaining.remove(match)
     return not remaining
-
-
-@dataclass
-class ProbeReport:
-    stabilized: bool
-    extents: list[tuple[int, int]] = dc_field(default_factory=list)
-    verdict: str = ""
-
-
-def support_finiteness_probe(vq: VoltageQuiver, radius: int = 8,
-                             dim_cap: int = 48, count_cap: int = 96) -> ProbeReport:
-    """A heuristic certificate for local support-finiteness.
-
-    Enumerates indecomposables over growing windows and watches the union
-    of supports of those through the base vertex at layer zero; two
-    consecutive stable extents give a "stabilized" verdict, caps or growth
-    give "not stabilized".  Never a proof, only evidence.
-    """
-    v0 = vq.base.vertices[0]
-    probe_vertex = f"{v0}@0"
-    extents = []
-    r = max(vq.base.nilbound, 1)
-    while r <= radius:
-        w = Window(-r, r)
-        bq = lift_window(vq, w)
-        enum = enumerate_indecomposables(bq, dim_cap=dim_cap, count_cap=count_cap)
-        if not enum.complete:
-            return ProbeReport(False, extents, "not stabilized (enumeration hit a cap)")
-        lo = hi = 0
-        for m in enum.modules:
-            if m.dims.get(probe_vertex, 0) == 0:
-                continue
-            for name, d in m.dims.items():
-                if d:
-                    layer = int(name.rpartition("@")[2])
-                    lo = min(lo, layer)
-                    hi = max(hi, layer)
-        extents.append((lo, hi))
-        if len(extents) >= 2 and extents[-1] == extents[-2] and hi - lo < 2 * r:
-            return ProbeReport(True, extents, "stabilized")
-        r *= 2
-    return ProbeReport(False, extents, "not stabilized within the probe radius")

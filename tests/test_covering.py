@@ -2,7 +2,6 @@ import pytest
 
 import fovea.covering
 import fovea.modules
-import fovea.repetitive
 from fovea.covering import (
     CoveringError,
     LayeredModule,
@@ -43,7 +42,7 @@ from fovea.quiver import (
     parse_quiver,
     path_basis,
 )
-from fovea.repetitive import repetitive_voltage, support_finiteness_probe
+from fovea.repetitive import repetitive_voltage
 from fovea.suites import run_suite
 
 LINE_K2 = parse_quiver(
@@ -324,31 +323,6 @@ def test_branching_window_takes_the_full_closure(monkeypatch):
     for x, y in zip(enum.modules, full.modules):
         assert x.dims == y.dims and is_isomorphic_indec(x, y)
     assert any(m.total_dim == 5 for m in enum.modules)
-
-
-def test_the_probe_reads_only_full_window_lists_on_the_d4_cover(monkeypatch):
-    """The probe once took the light closure on every window: on [-2, 2]
-    of the D4 cover it read 39 classes as complete where there are 55, and
-    answered "stabilized".  Every list it reads now holds the classes
-    window_enumeration lists."""
-    vq = parse_quiver(D4_COVER_TEXT)
-    read = []
-    enumerate_ = fovea.repetitive.enumerate_indecomposables
-
-    def recording(bq, *args, **kwargs):
-        enum = enumerate_(bq, *args, **kwargs)
-        read.append(enum)
-        return enum
-
-    monkeypatch.setattr(fovea.repetitive, "enumerate_indecomposables", recording)
-    report = support_finiteness_probe(vq)
-    complete = [enum for enum in read if enum.complete]
-    assert complete
-    for enum in complete:
-        r = max(int(v.rpartition("@")[2]) for v in enum.bq.vertices)
-        assert len(enum.modules) == len(window_enumeration(vq, Window(-r, r)).modules)
-    assert not report.stabilized
-    assert report.verdict == "not stabilized (enumeration hit a cap)"
 
 
 def test_density_search_on_a_capped_window_reports_not_found(monkeypatch):

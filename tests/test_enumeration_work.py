@@ -27,8 +27,9 @@ builds each hom space once; an isomorphism test reads one trace
 pairing; a locally Nakayama cover's orbit list enumerates nothing; a
 layered module is pushed down once; an evaluation builds no Hom(X, M)
 where Hom(X, N) is zero; a path basis reads every pair with relation
-vectors off a sparse echelon form, with no dense elimination; and a hom
-dimension reads no canonical basis.
+vectors off a sparse echelon form, with no dense elimination; a hom
+dimension reads no canonical basis; and window lifts of one width are
+shifts of one template, checked by BoundQuiver once.
 """
 
 import inspect
@@ -725,3 +726,19 @@ def test_path_basis_runs_no_dense_elimination(monkeypatch, make_bq):
     assert any(sub.dim for sub in pb.ideal.values())
     assert eliminations == []
     assert all(vectors == [] for vectors in spans)
+
+
+def test_lifts_of_one_width_check_one_template(monkeypatch):
+    # each of the 40 lifts was built and checked by BoundQuiver on its own
+    _, _, vq = load_quiver("nakayama2.vq")
+    checked = []
+    init = fovea.quiver.BoundQuiver.__init__
+
+    def counting(self, *args, **kwargs):
+        checked.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(fovea.quiver.BoundQuiver, "__init__", counting)
+    lifts = [lift_window(vq, Window(lo, lo + lo % 3)) for lo in range(-20, 20)]
+    assert len(set(lifts)) == 40
+    assert len(checked) <= 3

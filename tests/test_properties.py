@@ -498,3 +498,29 @@ def test_witnesses_composed_on_read_equal_the_eager_ones():
         total, to_sum, from_sum = dec.witnesses()
         assert from_sum @ to_sum == ModMap.identity(m)
         assert to_sum @ from_sum == ModMap.identity(total)
+
+
+def dense_trace_pairing(hom, back):
+    """[tr(g_j f_i)] as a dot product over every pair of entries, zeros
+    included, as `_trace_pairing` computed it over every field."""
+    m, n, f = hom.source, hom.target, hom.source.bq.field
+    blocks, offset = [], 0
+    for v in m.bq.vertices:
+        blocks.append((offset, m.dims[v], n.dims[v]))
+        offset += m.dims[v] * n.dims[v]
+    flipped = [[vec[o + i * c + j] for o, r, c in blocks for j in range(c) for i in range(r)]
+               for vec in back.rows.entries]
+    return Matrix._raw(f, back.dim, hom.dim, tuple(
+        tuple(f.coerce(sum((x * y for x, y in zip(v, g)), f.zero)) for v in hom.rows.entries)
+        for g in flipped))
+
+
+@CHECKS
+@given(st.one_of(module_pairs(), scrambled_sums().map(lambda m: (m, m))))
+def test_trace_pairing_equals_the_dense_pairing(pair):
+    m, n = pair
+    p = m.bq.field.p
+    hom, back = hom_space(m, n), hom_space(n, m)
+    if p is not None and p <= m.total_dim and hom.dim and back.dim:
+        return      # the pairing refuses the prime
+    assert _trace_pairing(hom, back).entries == dense_trace_pairing(hom, back).entries

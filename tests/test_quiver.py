@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fovea.linalg import Subspace
+from fovea.linalg import Field, Subspace
 from fovea.naming import fixture_names, load_quiver
 from fovea.quiver import (
     BoundQuiver,
@@ -9,6 +10,8 @@ from fovea.quiver import (
     VoltageQuiver,
     Window,
     check_admissible,
+    layer_arrow,
+    layer_vertex,
     format_quiver,
     is_convex,
     lift_window,
@@ -194,6 +197,7 @@ def test_lift_window_is_memoised_on_its_quiver():
     first = lift_window(vq, Window(0, 2))
     assert lift_window(vq, Window(0, 2)) is first
     assert lift_window(vq, Window(0, 1)) is not first
+    assert sorted(vq._templates) == [1, 2]
     # the memos take no part in equality or hashing
     other = parse_quiver(LINE_K2)
     assert other == vq and hash(other) == hash(vq)
@@ -215,6 +219,95 @@ def test_lift_window_degree_zero_layer():
     vq = parse_quiver(LINE_K2)
     w = lift_window(vq, Window(0, 0))
     assert w.vertices == ("v@0",) and not w.arrows
+
+
+def reference_lift_window(vq: VoltageQuiver, window: Window) -> BoundQuiver:
+    """The window built layer by layer from the base, as `lift_window` did
+    before it shifted one template per width."""
+    bq = vq.base
+    vertices = [layer_vertex(v, n) for n in window.layers for v in bq.vertices]
+    arrows = []
+    for n in window.layers:
+        for a in bq.arrows:
+            if n + vq.degree[a.name] in window:
+                arrows.append((layer_arrow(a.name, n), layer_vertex(a.source, n),
+                               layer_vertex(a.target, n + vq.degree[a.name])))
+    relations = []
+    for rel in bq.relations:
+        for n in window.layers:
+            lifted_terms = []
+            fits = True
+            for coeff, p in rel:
+                lifted = []
+                layer = n
+                for arr in p:
+                    if layer not in window or layer + vq.degree[arr] not in window:
+                        fits = False
+                        break
+                    lifted.append(layer_arrow(arr, layer))
+                    layer += vq.degree[arr]
+                if not fits:
+                    break
+                lifted_terms.append((coeff, tuple(lifted)))
+            if fits:
+                relations.append(tuple(lifted_terms))
+    return BoundQuiver(vertices, arrows, relations, bq.field, bq.nilbound)
+
+
+@st.composite
+def graded_quivers(draw):
+    """Up to three vertices and five arrows, loops and parallel arrows
+    included, of degrees -2..2, with monomial and binomial relations whose
+    terms are parallel walks of one total degree."""
+    field = draw(st.sampled_from([Field.gf(7), Field.gf(32749), Field.rationals()]))
+    vertices = [f"v{i}" for i in range(draw(st.integers(1, 3)))]
+    arrows = [(f"a{i}", draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices)))
+              for i in range(draw(st.integers(0, 5)))]
+    degree = {name: draw(st.integers(-2, 2)) for name, _, _ in arrows}
+
+    def walk(source, length):
+        path = []
+        for _ in range(length):
+            out = [a for a in arrows if a[1] == source]
+            if not out:
+                return None
+            name, _, source = draw(st.sampled_from(out))
+            path.append(name)
+        return tuple(path), source
+
+    relations = []
+    for _ in range(draw(st.integers(0, 3)) if arrows else 0):
+        source = draw(st.sampled_from(vertices))
+        first = walk(source, draw(st.integers(2, 3)))
+        if first is None:
+            continue
+        path, target = first
+        coeff = draw(st.integers(1, 6))
+        twin = walk(source, len(path)) if draw(st.booleans()) else None
+        if twin and twin[1] == target and twin[0] != path and \
+                sum(degree[a] for a in twin[0]) == sum(degree[a] for a in path):
+            relations.append(((1, path), (coeff, twin[0])))
+        else:
+            relations.append(((coeff, path),))
+    base = BoundQuiver(vertices, arrows, relations, field, draw(st.integers(1, 4)))
+    return VoltageQuiver(base, degree)
+
+
+def _layout(bq):
+    return (bq.vertices, bq.arrows, bq.relations, list(bq.arrow_map.items()),
+            list(bq.vertex_index.items()), list(bq.out_arrows.items()),
+            list(bq.in_arrows.items()), bq.field, bq.nilbound)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(graded_quivers(), st.lists(st.tuples(st.integers(-6, 6), st.integers(0, 6)),
+                                  min_size=1, max_size=6))
+def test_lift_window_equals_the_reference(vq, windows):
+    for lo, width in windows:
+        window = Window(lo, lo + width)
+        got = lift_window(vq, window)
+        assert _layout(got) == _layout(reference_lift_window(vq, window))
+        assert got == reference_lift_window(vq, window)
 
 
 def test_empty_window_is_an_error():

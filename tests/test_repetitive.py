@@ -29,7 +29,6 @@ from fovea.repetitive import (
     repetitive_truncation,
     repetitive_voltage,
     selfinjective_orbit,
-    support_finiteness_probe,
 )
 from test_report_digests import _workloads
 
@@ -170,20 +169,6 @@ def test_orbit_exponent_must_be_positive():
         selfinjective_orbit(A2, 0)
 
 
-def test_probe_stabilizes_on_repetitive_covers():
-    assert support_finiteness_probe(repetitive_voltage(POINT)).stabilized
-    assert support_finiteness_probe(repetitive_voltage(A2)).stabilized
-
-
-def test_probe_rejects_growing_supports():
-    stress = parse_quiver(
-        "field gf 32749\nnilbound 4\nvertex 1 2\n"
-        "arrow a: 1 -> 2 deg 0\narrow b: 1 -> 2 deg 1\n")
-    report = support_finiteness_probe(stress, radius=4, dim_cap=24, count_cap=48)
-    assert not report.stabilized
-    assert "not stabilized" in report.verdict
-
-
 def test_truncation_is_shift_invariant():
     trunc = repetitive_truncation(A2, 2)
     cat = trunc.category
@@ -201,13 +186,6 @@ def test_cover_axioms_hold_on_the_repetitive_cover_of_a2():
     from fovea.covering import verify_covering_axioms
     rv = repetitive_voltage(A2)
     assert verify_covering_axioms(rv).ok
-
-
-def test_probe_stabilizes_on_the_two_cycle_cover():
-    nak = parse_quiver(
-        "field gf 32749\nnilbound 2\nvertex 1 2\n"
-        "arrow a: 1 -> 2 deg 0\narrow b: 2 -> 1 deg 1\nrelation a*b\nrelation b*a\n")
-    assert support_finiteness_probe(nak).stabilized
 
 
 def test_all_suites_pass_on_the_trivial_cover():
