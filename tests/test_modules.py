@@ -413,7 +413,7 @@ def test_a_representation_infinite_local_algebra_is_not_certified_finite():
 
 def test_enumeration_over_the_rationals_on_a_local_algebra_is_quick():
     # the trace pairings of decompose multiplied every pair of entries as
-    # Fractions, zeros included: 3.8 s in a fresh process
+    # Fractions, zeros included: about 3.8 s in-process
     code = ("from fovea.quiver import parse_quiver\n"
             "from fovea.modules import enumerate_indecomposables\n"
             "bq = parse_quiver('field q\\nnilbound 2\\nvertex v\\n"
