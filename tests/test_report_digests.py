@@ -38,7 +38,12 @@ on rep-loop2 (`REP_LOOP2_TEXT`, the repetitive voltage quiver of
 loop2.bq), whose bases ran the full enumeration closure to its caps.  Both
 sets were recorded before the full closure took radicals only of
 projectives and socle quotients only of injectives, except rep-loop2's
-kg0, recorded before kg0 read the separated quiver.
+kg0, recorded before kg0 read the separated quiver.  INFINITE_COVER_DIGESTS
+pins cover-axioms, pushdown and phi-identities on the same three covers,
+with each call's error line: their bases are representation-infinite, so
+the window loop hits its fixed count cap in pushdown and phi-identities;
+the records were taken while cover-axioms still doubled its window until
+three sum tables agreed.
 
 REP_A2_DIGESTS and REP_A3_DIGESTS pin the four cover suites on rep-a2 and
 rep-a3 (`REP_A2_TEXT`, `REP_A3_TEXT`, the repetitive voltage quivers of the
@@ -202,6 +207,17 @@ KG0_DIGESTS = {
     "rep-loop2.vq": (REP_LOOP2_TEXT, 0,
                      "79696430609c4c4f94b57ddda95fff3c6a63fa3fe4667c92f48eea9aaedbebe9"),
 }
+# (suite, input file) -> (exit code, report sha256, standard error) on the same three covers
+INFINITE_COVER_DIGESTS = {
+    ("cover-axioms", "kronecker-cover.vq"):
+        (0, "bd8bced041158462b147af05dcc56f9b07fe2b8ed9d888431a440d3ca2eb8791", ""),
+    ("cover-axioms", "rep-kronecker.vq"):
+        (0, "2a7c7eb5fedd8d5c060e922b680b4ef039fd15d3c9a51b19b3a705dfbbc31838", ""),
+    ("cover-axioms", "rep-loop2.vq"):
+        (0, "30886401b65b35c636183c19af4d85d7eff34d878446fbf88c43f281c82ff4d4", ""),
+    **{(suite, name): (1, EMPTY_SHA256, WINDOW_CAP_ERROR)
+       for suite in ("pushdown", "phi-identities") for name in KG0_DIGESTS},
+}
 
 
 def _run_suite_on_text(monkeypatch, tmp_path, suite, name, text):
@@ -295,6 +311,14 @@ def test_rep_loop2_text_is_the_repetitive_voltage_quiver():
 def test_kg0_on_a_kronecker_cover_matches_its_recorded_digest(monkeypatch, tmp_path, name):
     text, rc, sha = KG0_DIGESTS[name]
     assert _run_suite_on_text(monkeypatch, tmp_path, "kg0", name, text) == (rc, sha, "")
+
+
+@pytest.mark.parametrize("suite,name", sorted(INFINITE_COVER_DIGESTS))
+def test_cover_suite_on_a_kronecker_cover_matches_its_recorded_digest(monkeypatch, tmp_path,
+                                                                      suite, name):
+    text = KG0_DIGESTS[name][0]
+    got = _run_suite_on_text(monkeypatch, tmp_path, suite, name, text)
+    assert got == INFINITE_COVER_DIGESTS[(suite, name)]
 
 
 def _workloads():
