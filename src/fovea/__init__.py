@@ -50,7 +50,6 @@ from .covering import (
     layered_projective,
     layered_simple,
     lift_morphism,
-    orbit_algebra,
     push_down,
     push_down_map,
     verify_covering_axioms,

@@ -55,7 +55,6 @@ def _common(p: argparse.ArgumentParser):
     p.add_argument("--field", default=os.environ.get("FOVEA_FIELD"),
                    help="field override: gf:<p> or q (default from FOVEA_FIELD)")
     p.add_argument("--seed", type=int, default=0, help="seed for decompositions")
-    p.add_argument("--window", type=int, default=None, help="window / search radius")
     p.add_argument("--dim-cap", type=int, default=12,
                    help="dimension cap for enumeration over an algebra input (covers: fixed 64)")
     p.add_argument("--count-cap", type=int, default=24,
@@ -312,8 +311,7 @@ def _rep(args) -> int:
 def _suite(args) -> int:
     try:
         report = run_suite(args.name, args.input, field_override=args.field,
-                           seed=args.seed, window=args.window,
-                           dim_cap=args.dim_cap, count_cap=args.count_cap)
+                           seed=args.seed, dim_cap=args.dim_cap, count_cap=args.count_cap)
     except SuiteError as e:
         sys.stderr.write(f"fovea: {e}\n")
         return USAGE_EXIT

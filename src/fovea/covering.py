@@ -17,6 +17,7 @@ from .modules import (
     ModMap,
     Module,
     _is_nakayama,
+    _separated_quiver_is_dynkin,
     enumerate_indecomposables,
     hom_space,
     injective,
@@ -27,7 +28,6 @@ from .modules import (
     socle_quotient,
 )
 from .quiver import (
-    BoundQuiver,
     VoltageQuiver,
     Window,
     layer_arrow,
@@ -225,12 +225,22 @@ def orbit_enumeration(vq: VoltageQuiver) -> list[LayeredModule]:
     classes contain a narrower one's, so equal counts mean equal sets).
     The shift acts freely, so distinct orbits push down to non-isomorphic
     modules (Gabriel; Dowbor-Skowronski); a failure of that is an error.
+    Push-down also keeps indecomposables indecomposable and meets every
+    indecomposable of a representation-finite base (Gabriel 1981, §3), so
+    where the base enumerates completely (it cannot when its separated
+    quiver is not Dynkin) the window list must have its count; a window
+    loop that stopped short of an arrow's lift is an error.
     """
     if vq._orbits is None:
         if _is_nakayama(vq.base):
             reps = _nakayama_orbits(vq)
         else:
             reps = _window_orbits(vq)
+            if _separated_quiver_is_dynkin(vq.base):
+                base = enumerate_indecomposables(vq.base, dim_cap=64, count_cap=128)
+                if base.complete and len(base.modules) != len(reps):
+                    raise CoveringError(f"the windows list {len(reps)} orbit classes, but the "
+                                        f"base has {len(base.modules)} indecomposables")
         pushed = [push_down(r) for r in reps]
         if any(is_isomorphic_indec(x, y) for i, x in enumerate(pushed) for y in pushed[:i]):
             raise CoveringError("distinct orbits push down to isomorphic modules")
@@ -287,17 +297,25 @@ def layered_simple(vq: VoltageQuiver, v: str, n: int) -> LayeredModule:
     return LayeredModule.make(vq, Window(n, n), {(v, n): 1}, {})
 
 
-def _standard(vq: VoltageQuiver, v: str, n: int, kind: str) -> LayeredModule:
-    """Projective or injective at a lifted vertex, from one lift.
+def _radius(vq: VoltageQuiver) -> int:
+    """r = (nilbound - 1 + longest relation term) * max|deg|: the lift of
+    [n - r, n + r] holds every path of the lift through layer n exactly.
 
-    Its support is reached from (v, n) by paths shorter than nilbound, so
-    it lies within (nilbound - 1) * max|deg| layers of n.  A window keeps
-    a relation only with all of its terms, so the radius also covers the
-    longest relation term; the lift of that radius holds the module exactly.
+    A nonzero path is shorter than nilbound, so it stays within
+    (nilbound - 1) * max|deg| layers of each of its vertices.  A window
+    keeps a relation only with all of its terms, and the terms of a
+    relation that meets such a path start on it, so r also covers the
+    longest term.
     """
     step = max((abs(d) for d in vq.degree.values()), default=0)
     longest = max((len(p) for rel in vq.base.relations for _, p in rel), default=0)
-    r = (max(vq.base.nilbound, 1) - 1 + longest) * step
+    return (max(vq.base.nilbound, 1) - 1 + longest) * step
+
+
+def _standard(vq: VoltageQuiver, v: str, n: int, kind: str) -> LayeredModule:
+    """Projective or injective at a lifted vertex, from the lift of
+    [n - r, n + r] (`_radius`), which holds every path from or to (v, n)."""
+    r = _radius(vq)
     w = Window(n - r, n + r)
     bq = lift_window(vq, w)
     if kind == "projective":
@@ -317,11 +335,6 @@ def layered_injective(vq: VoltageQuiver, v: str, n: int) -> LayeredModule:
 
 # ---------------------------------------------------------------------------
 # push-down
-
-
-def orbit_algebra(vq: VoltageQuiver) -> BoundQuiver:
-    """The base presentation with degrees forgotten."""
-    return vq.base
 
 
 def push_down(x: LayeredModule) -> Module:
@@ -453,44 +466,28 @@ def lift_morphism(x: LayeredModule, y: LayeredModule, alpha: ModMap) -> dict[int
 # verification reports
 
 
-def verify_covering_axioms(vq: VoltageQuiver, max_radius: int = 64) -> VerifyReport:
+def verify_covering_axioms(vq: VoltageQuiver) -> VerifyReport:
     """Check dim A(u,v) against layer sums of lifted hom dimensions.
 
-    The window is doubled until every pair's sums stabilize twice in a
-    row; failure to stabilize signals a non-locally-bounded input.
+    R((u,k),(v,0)) is spanned by the lifts of the paths between u and v of
+    degree -k that are shorter than nilbound, so it is zero once |k| exceeds
+    (nilbound - 1) * max|deg| <= r (`_radius`).  Each such path runs through
+    layer 0, so the lift of [-r, r] holds it with every relation that meets
+    it, and one path basis of that window gives both sums exactly.
     """
     report = VerifyReport("cover-axioms")
     base = vq.base
     pb_base = path_basis(base)
-    pairs = [(u, v) for u in base.vertices for v in base.vertices]
-
-    def sums(radius: int):
-        w = Window(-radius, radius)
-        pb = path_basis(lift_window(vq, w))
-        left = {}
-        right = {}
-        for (u, v) in pairs:
-            left[(u, v)] = sum(pb.dim(layer_vertex(u, k), layer_vertex(v, 0))
-                               for k in w.layers)
-            right[(u, v)] = sum(pb.dim(layer_vertex(u, 0), layer_vertex(v, k))
-                                for k in w.layers)
-        return left, right
-
-    radius = max(base.nilbound, 1)
-    history = []
-    while radius <= max_radius:
-        history.append(sums(radius))
-        if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
-            break
-        radius *= 2
-    else:
-        raise CoveringError("hom dimensions failed to stabilize; input not locally bounded?")
-
-    left, right = history[-1]
-    for (u, v) in pairs:
-        expected = pb_base.dim(u, v)
-        report.add(f"covering.dim-sum-left[{u},{v}]", expected, left[(u, v)])
-        report.add(f"covering.dim-sum-right[{u},{v}]", expected, right[(u, v)])
+    r = _radius(vq)
+    w = Window(-r, r)
+    pb = path_basis(lift_window(vq, w))
+    for u in base.vertices:
+        for v in base.vertices:
+            expected = pb_base.dim(u, v)
+            report.add(f"covering.dim-sum-left[{u},{v}]", expected,
+                       sum(pb.dim(layer_vertex(u, k), layer_vertex(v, 0)) for k in w.layers))
+            report.add(f"covering.dim-sum-right[{u},{v}]", expected,
+                       sum(pb.dim(layer_vertex(u, 0), layer_vertex(v, k)) for k in w.layers))
     report.assert_true("covering.objects-surjective", True,
                        "every base vertex is hit by construction")
     report.assert_true("covering.action-free", True,
@@ -501,8 +498,7 @@ def verify_covering_axioms(vq: VoltageQuiver, max_radius: int = 64) -> VerifyRep
 
 
 def verify_pushdown(vq: VoltageQuiver, x: LayeredModule, y: LayeredModule,
-                    density_target: Module | None = None,
-                    shift_radius: int = 8) -> VerifyReport:
+                    density_target: Module | None = None) -> VerifyReport:
     """Covering identities for one pair of finite-support lifted modules."""
     report = VerifyReport("pushdown")
     fx, fy = push_down(x), push_down(y)
@@ -524,7 +520,7 @@ def verify_pushdown(vq: VoltageQuiver, x: LayeredModule, y: LayeredModule,
             xt, yt = x.trim(), y.trim()
             k = yt.window.lo - xt.window.lo
             xt = xt.twist(k)
-            found = (abs(k) <= shift_radius and xt.window == yt.window
+            found = (xt.window == yt.window
                      and xt.module.dims == yt.module.dims
                      and is_isomorphic_indec(xt.module, yt.module))
             report.assert_true("pushdown.iso-implies-twist", found,

@@ -827,7 +827,7 @@ def arrow_elements(cat: StructureCategory, rad: dict, rad2: dict):
     return out
 
 
-def extract_presentation(cat: StructureCategory, vertex_name=None, arrow_prefix: str = "a",
+def extract_presentation(cat: StructureCategory, vertex_name=None,
                          verify: bool = True) -> BoundQuiver:
     """Turn a structure-constant category into a bound quiver presentation.
 
@@ -851,7 +851,7 @@ def extract_presentation(cat: StructureCategory, vertex_name=None, arrow_prefix:
     for x in objs:
         for y in objs:
             for elem in reps_by_pair.get((x, y), []):
-                name = f"{arrow_prefix}{counter}"
+                name = f"a{counter}"
                 counter += 1
                 arrows.append((name, vmap[x], vmap[y]))
                 arrow_elems[name] = (x, y, elem)

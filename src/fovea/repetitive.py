@@ -42,11 +42,11 @@ class RepetitiveTruncation:
     def total_dim(self) -> int:
         return self.category.total_dim
 
-    def export(self, layer_sep: str = "@") -> BoundQuiver:
+    def export(self) -> BoundQuiver:
         """A bound quiver presentation with vertices named vertex@layer."""
-        return self.export_with_basis(layer_sep)[0]
+        return self.export_with_basis()[0]
 
-    def export_with_basis(self, layer_sep: str = "@", rv: VoltageQuiver | None = None
+    def export_with_basis(self, rv: VoltageQuiver | None = None
                           ) -> tuple[BoundQuiver, PathBasis]:
         """export() together with the path basis its dimension check built.
 
@@ -69,7 +69,7 @@ class RepetitiveTruncation:
           other column lies in the radical.
         """
         def name(o):
-            return f"{o[1]}{layer_sep}{o[0]}"
+            return f"{o[1]}@{o[0]}"
 
         if self.n == 0:
             out = extract_presentation(self.category, verify=False, vertex_name=name)

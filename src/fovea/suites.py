@@ -58,20 +58,17 @@ class SuiteError(ValueError):
 
 
 def run_suite(name: str, input_spec: str, field_override: str | None = None,
-              seed: int = 0, window: int | None = None,
-              dim_cap: int = 12, count_cap: int = 24) -> Report:
+              seed: int = 0, dim_cap: int = 12, count_cap: int = 24) -> Report:
     if name not in SUITES:
         raise SuiteError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
-    if window is not None and window < 0:
-        raise SuiteError("window must be nonnegative")
     display, digest, q = load_quiver(input_spec, field_override)
     report = Report(suite=name, field=q.field.spec() if isinstance(q, BoundQuiver)
                     else q.base.field.spec(), seed=seed)
     report.add_input(display, digest)
     if name == "cover-axioms":
-        _suite_cover_axioms(report, q, window)
+        report.absorb(verify_covering_axioms(_require_voltage(q, name)))
     elif name == "pushdown":
-        _suite_pushdown(report, q, window, seed)
+        _suite_pushdown(report, q, seed)
     elif name == "phi-identities":
         _suite_phi_identities(report, q)
     elif name == "kg0":
@@ -87,13 +84,7 @@ def _require_voltage(q, name):
     return q
 
 
-def _suite_cover_axioms(report: Report, q, window):
-    vq = _require_voltage(q, "cover-axioms")
-    vr = verify_covering_axioms(vq, max_radius=window or 64)
-    report.absorb(vr)
-
-
-def _suite_pushdown(report: Report, q, window, seed: int = 0):
+def _suite_pushdown(report: Report, q, seed: int = 0):
     vq = _require_voltage(q, "pushdown")
     battery, _tests = default_battery(vq)
     mods = []
@@ -105,8 +96,7 @@ def _suite_pushdown(report: Report, q, window, seed: int = 0):
     for i, x in enumerate(mods):
         for j, y in enumerate(mods):
             vr = verify_pushdown(vq, x, y,
-                                 density_target=push_down(x) if (i, j) == (0, 0) else None,
-                                 shift_radius=window or 8)
+                                 density_target=push_down(x) if (i, j) == (0, 0) else None)
             report.absorb(vr, prefix=f"pair[{i},{j}].")
     # the pushed-down twist classes exhaust the indecomposables of the base
     base_enum = enumerate_indecomposables(vq.base, seed=seed)

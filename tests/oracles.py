@@ -140,3 +140,31 @@ def separated_tits_form_is_positive_definite(vertices, arrows, relations, nilbou
         if det <= 0:
             return False
     return True
+
+
+def doubling_covering_sums(vq, max_radius=64):
+    """The layer sums (left, right) of cover-axioms, read off windows
+    [-radius, radius] that double from nilbound until three in a row give
+    the same sums: the reference for the one exact radius
+    (`covering._radius`).  Unlike the rest of this module it reads the
+    package's path bases, since what it checks is the choice of window."""
+    from fovea.quiver import Window, layer_vertex, lift_window, path_basis
+
+    pairs = [(u, v) for u in vq.base.vertices for v in vq.base.vertices]
+
+    def sums(radius):
+        w = Window(-radius, radius)
+        pb = path_basis(lift_window(vq, w))
+        left = {(u, v): sum(pb.dim(layer_vertex(u, k), layer_vertex(v, 0)) for k in w.layers)
+                for u, v in pairs}
+        right = {(u, v): sum(pb.dim(layer_vertex(u, 0), layer_vertex(v, k)) for k in w.layers)
+                 for u, v in pairs}
+        return left, right
+
+    radius, history = max(vq.base.nilbound, 1), []
+    while radius <= max_radius:
+        history.append(sums(radius))
+        if len(history) >= 3 and history[-1] == history[-2] == history[-3]:
+            return history[-1]
+        radius *= 2
+    raise AssertionError("hom dimensions failed to stabilize")

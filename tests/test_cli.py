@@ -159,13 +159,17 @@ def test_rep_rejects_bad_parameters_as_usage_errors(capsys, argv, message):
     assert code == 2 and out == "" and err == f"fovea: {message}\n"
 
 
-@pytest.mark.parametrize("suite", ["pushdown", "cover-axioms"])
-def test_suite_rejects_a_negative_window_as_a_usage_error(capsys, suite):
-    code, out, err = run(capsys, "suite", suite, "line-k2.vq", "--window", "-1")
-    assert code == 2 and out == "" and err == "fovea: window must be nonnegative\n"
-    # --window 0 means the default
-    assert run(capsys, "suite", suite, "line-k2.vq", "--window", "0") == \
-        run(capsys, "suite", suite, "line-k2.vq")
+@pytest.mark.parametrize("argv", [("suite", "cover-axioms", "line-k2.vq"),
+                                  ("hom", "a2.bq", "--from", "S1", "--to", "S1")],
+                         ids=["suite", "hom"])
+def test_window_is_not_an_option(capsys, argv):
+    """The cover suites read their windows off the input, so no verb takes
+    --window."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--window", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --window 3" in err
 
 
 @pytest.mark.parametrize("argv, message", [

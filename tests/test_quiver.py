@@ -255,15 +255,16 @@ def reference_lift_window(vq: VoltageQuiver, window: Window) -> BoundQuiver:
 
 
 @st.composite
-def graded_quivers(draw):
+def graded_quivers(draw, max_degree=2, binomials=True):
     """Up to three vertices and five arrows, loops and parallel arrows
-    included, of degrees -2..2, with monomial and binomial relations whose
-    terms are parallel walks of one total degree."""
+    included, of degrees -max_degree..max_degree, with monomial relations
+    and, given binomials, binomial ones whose terms are parallel walks of
+    one total degree."""
     field = draw(st.sampled_from([Field.gf(7), Field.gf(32749), Field.rationals()]))
     vertices = [f"v{i}" for i in range(draw(st.integers(1, 3)))]
     arrows = [(f"a{i}", draw(st.sampled_from(vertices)), draw(st.sampled_from(vertices)))
               for i in range(draw(st.integers(0, 5)))]
-    degree = {name: draw(st.integers(-2, 2)) for name, _, _ in arrows}
+    degree = {name: draw(st.integers(-max_degree, max_degree)) for name, _, _ in arrows}
 
     def walk(source, length):
         path = []
@@ -283,7 +284,7 @@ def graded_quivers(draw):
             continue
         path, target = first
         coeff = draw(st.integers(1, 6))
-        twin = walk(source, len(path)) if draw(st.booleans()) else None
+        twin = walk(source, len(path)) if binomials and draw(st.booleans()) else None
         if twin and twin[1] == target and twin[0] != path and \
                 sum(degree[a] for a in twin[0]) == sum(degree[a] for a in path):
             relations.append(((1, path), (coeff, twin[0])))

@@ -22,6 +22,8 @@ from fovea.quiver import parse_quiver, path_basis
 from fovea.suites import run_suite
 
 from oracles import naturality_hom_dim
+from test_covering import D4_COVER_TEXT
+from test_report_digests import REP_A2_TEXT, REP_A3_PRIME_TEXT, REP_A3_TEXT
 
 A2Q = parse_quiver("field q\nnilbound 2\nvertex 1 2\narrow a: 1 -> 2\n")
 LOOPQ = parse_quiver("field q\nnilbound 2\nvertex v\narrow a: v -> v\nrelation a*a\n")
@@ -111,21 +113,36 @@ def test_all_suites_pass_over_the_rationals():
         assert run_suite(name, fixture, field_override="q").passed
 
 
+# the covers written as text in tests/test_report_digests.py and tests/test_covering.py
+COVER_TEXTS = {"d4.vq": D4_COVER_TEXT, "rep-a3p.vq": REP_A3_PRIME_TEXT,
+               "rep-a2.vq": REP_A2_TEXT, "rep-a3.vq": REP_A3_TEXT}
 CROSS_FIELD_CALLS = [
     *(("kg0", name) for name in ("a2.bq", "a3.bq", "kronecker.bq", "loop2.bq", "point.bq")),
     *(("repetitive", name) for name in ("a2.bq", "a3.bq", "kronecker.bq", "loop2.bq")),
     *((suite, "trivial-a2.vq") for suite in ("cover-axioms", "pushdown", "phi-identities", "kg0")),
     *((suite, "nakayama2.vq") for suite in ("kg0", "cover-axioms", "phi-identities", "pushdown")),
     *((suite, "line-k2.vq") for suite in ("pushdown", "cover-axioms", "phi-identities", "kg0")),
+    *(("cover-axioms", name) for name in COVER_TEXTS),
+    # of the other cover suites on these covers, a subset that takes about
+    # 3 s: all three on rep-a2 and rep-a3, and pushdown on D4, whose orbit
+    # list is checked against the base's count; phi-identities and kg0 on D4
+    # and all three on rep-A3' (5 s more) are left out
+    *((suite, name) for name in ("rep-a2.vq", "rep-a3.vq")
+      for suite in ("pushdown", "phi-identities", "kg0")),
+    ("pushdown", "d4.vq"),
 ]
 
 
 @pytest.mark.parametrize("suite,name", CROSS_FIELD_CALLS,
                          ids=[f"{s} {n}" for s, n in CROSS_FIELD_CALLS])
-def test_suite_reports_agree_over_both_prime_fields_and_the_rationals(suite, name):
+def test_suite_reports_agree_over_both_prime_fields_and_the_rationals(monkeypatch, tmp_path,
+                                                                      suite, name):
     """Only the field line of a report may depend on the field: every
     verdict and every check record (id, expected, actual, pass) is the
     same over GF(32749), GF(101) and Q."""
+    if name in COVER_TEXTS:
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / name).write_text(COVER_TEXTS[name])
     reports = [run_suite(suite, name, field_override=field).to_dict()
                for field in ("gf:32749", "gf:101", "q")]
     assert len({report.pop("field") for report in reports}) == 3
