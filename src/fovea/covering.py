@@ -220,27 +220,19 @@ def orbit_enumeration(vq: VoltageQuiver) -> list[LayeredModule]:
     Each is trimmed and shifted to lowest layer 0.  A lifted vertex (v, n)
     has exactly the arrows of v, so the lift is locally Nakayama exactly
     when the base is (`_is_nakayama`); then the list is read off the lifted
-    projectives (`_nakayama_orbits`).  On any other lift, windows [0, w]
-    grow by nilbound until two in a row give the same classes (a window's
-    classes contain a narrower one's, so equal counts mean equal sets).
-    The shift acts freely, so distinct orbits push down to non-isomorphic
-    modules (Gabriel; Dowbor-Skowronski); a failure of that is an error.
-    Push-down also keeps indecomposables indecomposable and meets every
-    indecomposable of a representation-finite base (Gabriel 1981, §3), so
-    where the base enumerates completely (it cannot when its separated
-    quiver is not Dynkin) the window list must have its count; a window
-    loop that stopped short of an arrow's lift is an error.
+    projectives (`_nakayama_orbits`).  Any other list is certified by
+    Gabriel's count (Gabriel 1981, §3; Dowbor-Skowronski): the shift acts
+    freely, so if A is representation-finite, push-down is a bijection from
+    the shift orbits of indecomposable R-modules onto the indecomposable
+    A-modules, and if A is representation-infinite, R has infinitely many
+    orbits.  So `_window_orbits` refuses a base whose separated quiver is
+    not Dynkin and grows windows until their classes reach the base's
+    count.  That loop ends: each window is enumerated at fixed caps, and a
+    list past the count holds two orbits with isomorphic push-downs, which
+    is an error here.
     """
     if vq._orbits is None:
-        if _is_nakayama(vq.base):
-            reps = _nakayama_orbits(vq)
-        else:
-            reps = _window_orbits(vq)
-            if _separated_quiver_is_dynkin(vq.base):
-                base = enumerate_indecomposables(vq.base, dim_cap=64, count_cap=128)
-                if base.complete and len(base.modules) != len(reps):
-                    raise CoveringError(f"the windows list {len(reps)} orbit classes, but the "
-                                        f"base has {len(base.modules)} indecomposables")
+        reps = _nakayama_orbits(vq) if _is_nakayama(vq.base) else _window_orbits(vq)
         pushed = [push_down(r) for r in reps]
         if any(is_isomorphic_indec(x, y) for i, x in enumerate(pushed) for y in pushed[:i]):
             raise CoveringError("distinct orbits push down to isomorphic modules")
@@ -277,9 +269,16 @@ def _nakayama_orbits(vq: VoltageQuiver) -> list[LayeredModule]:
 
 def _window_orbits(vq: VoltageQuiver) -> list[LayeredModule]:
     """The orbit list of any lift, read off windows [0, w] that grow until
-    two in a row give the same classes."""
-    step = max(vq.base.nilbound, 1)
-    w, prev = step, None
+    their classes reach the base's count."""
+    if not _separated_quiver_is_dynkin(vq.base):
+        raise CoveringError("the base's separated quiver is not Dynkin, so the cover has "
+                            "infinitely many orbits: no window list reaches Gabriel's count")
+    base = enumerate_indecomposables(vq.base, dim_cap=64, count_cap=128)
+    if not base.complete:
+        raise CoveringError("base enumeration is incomplete: " + "; ".join(base.notes) + "; "
+                            "Gabriel's count reads a cover's base at the fixed caps dim 64, "
+                            "count 128: --dim-cap and --count-cap bound algebra inputs only")
+    w = step = max(vq.base.nilbound, 1)
     while True:
         reps: list[LayeredModule] = []
         for m in window_enumeration(vq, Window(0, w)).modules:
@@ -288,9 +287,9 @@ def _window_orbits(vq: VoltageQuiver) -> list[LayeredModule]:
             if not any(r.window == lm.window and is_isomorphic_indec(r.module, lm.module)
                        for r in reps):
                 reps.append(lm)
-        if prev is not None and len(prev) == len(reps):
+        if len(reps) >= len(base.modules):
             return reps
-        w, prev = w + step, reps
+        w += step
 
 
 def layered_simple(vq: VoltageQuiver, v: str, n: int) -> LayeredModule:

@@ -8,7 +8,8 @@ import fovea.covering
 from fovea.cli import main
 from fovea.modules import Enumeration, format_module, projective
 from fovea.quiver import parse_quiver, path_basis
-from test_report_digests import KG0_DIGESTS
+from test_covering import D4_COVER_TEXT
+from test_report_digests import KG0_DIGESTS, REP_A3_PRIME_TEXT, REP_KD4_TEXT
 
 
 def run(capsys, *argv):
@@ -240,6 +241,35 @@ def test_kg0_on_a_representation_infinite_base_is_quick(tmp_path, name):
     assert done.returncode == 0, done.stderr
     assert "verdict base: undecidable at desk scale" in done.stdout.splitlines()
     assert done.stdout.splitlines()[-1] == "PASS"
+
+
+BRANCHING_COVERS = {"d4.vq": D4_COVER_TEXT, "rep-a3p.vq": REP_A3_PRIME_TEXT,
+                    "rep-kd4.vq": REP_KD4_TEXT}
+
+
+@pytest.mark.parametrize("suite", ["pushdown", "phi-identities", "kg0"])
+@pytest.mark.parametrize("name", BRANCHING_COVERS)
+def test_cover_suites_on_a_branching_cover_are_quick(tmp_path, name, suite):
+    # the orbit list stops on the first window that reaches the base's
+    # count; rep-kD4's windows used to grow to the count cap and exit 1
+    path = tmp_path / name
+    path.write_text(BRANCHING_COVERS[name])
+    done = subprocess.run([sys.executable, "-m", "fovea", "suite", suite, str(path)],
+                          capture_output=True, text=True, cwd="src", timeout=20)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "PASS"
+
+
+def test_pushdown_on_a_representation_infinite_base_fails_at_once(tmp_path):
+    # the base's separated quiver is not Dynkin, so the orbit list is refused
+    # without enumerating; its windows used to run to the count cap
+    path = tmp_path / "rep-loop2.vq"
+    path.write_text(KG0_DIGESTS["rep-loop2.vq"][0])
+    done = subprocess.run([sys.executable, "-m", "fovea", "suite", "pushdown", str(path)],
+                          capture_output=True, text=True, cwd="src", timeout=5)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert "separated quiver is not Dynkin" in done.stderr
 
 
 def test_mod_round_trip(capsys, tmp_path):

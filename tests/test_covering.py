@@ -56,6 +56,7 @@ LOOP_COVER = parse_quiver(LOOP_COVER_TEXT)
 D4_COVER_TEXT = ("field gf 32749\nnilbound 2\nvertex 0 1 2 3\n"
                  "arrow a: 1 -> 0 deg 0\narrow b: 2 -> 0 deg 0\narrow c: 3 -> 0 deg 1\n")
 D4_COVER = parse_quiver(D4_COVER_TEXT)
+DEGREE_10_D4_TEXT = D4_COVER_TEXT.replace("c: 3 -> 0 deg 1", "c: 3 -> 0 deg 10")
 
 S0 = layered_simple(LINE_K2, "v", 0)
 M0 = layered_injective(LINE_K2, "v", 0)
@@ -333,7 +334,9 @@ def test_density_search_on_a_capped_window_reports_not_found(monkeypatch):
 
 
 def _graded(name):
-    texts = {"loop-cover": LOOP_COVER_TEXT, "d4": D4_COVER_TEXT}
+    from test_report_digests import REP_A3_PRIME_TEXT, REP_KD4_TEXT    # it imports this module
+    texts = {"loop-cover": LOOP_COVER_TEXT, "d4": D4_COVER_TEXT, "d4-deg10": DEGREE_10_D4_TEXT,
+             "rep-a3p": REP_A3_PRIME_TEXT, "rep-kd4": REP_KD4_TEXT}
     return parse_quiver(texts[name]) if name in texts else load_quiver(name)[2]
 
 
@@ -385,19 +388,25 @@ def test_window_lists_are_shifts_of_the_orbit_list(name, window):
                        window_enumeration(vq, window).modules)
 
 
-@pytest.mark.parametrize("name", ["line-k2.vq", "nakayama2.vq", "trivial-a2.vq",
-                                  "loop-cover", "d4"])
-def test_orbit_push_downs_biject_with_the_base_enumeration(name):
+@pytest.mark.parametrize("name, count", [
+    ("line-k2.vq", 2), ("nakayama2.vq", 4), ("trivial-a2.vq", 3), ("loop-cover", 3), ("d4", 12),
+    ("rep-kd4", 24), ("d4-deg10", 12)])
+def test_orbit_push_downs_biject_with_the_base_enumeration(name, count):
+    """Gabriel's count: over a representation-finite base, push-down is a
+    bijection from the orbit list onto the base's indecomposables.  The D4
+    cover with c of degree 10 reaches it only on a window that holds a lift
+    of c."""
     vq = _graded(name)
     base = enumerate_indecomposables(vq.base)
-    assert base.complete
+    assert base.complete and len(base.modules) == count
     _assert_one_to_one([push_down(r) for r in orbit_enumeration(vq)], base.modules)
 
 
 def reference_orbit_enumeration(vq):
-    """The orbit list read off whole windows, the reference for the closed
-    form: windows [0, w] grow by nilbound until two in a row give the same
-    classes; each class is trimmed and shifted to lowest layer 0."""
+    """The orbit list read off whole windows by an older stopping rule, the
+    reference for the closed form and for Gabriel's count: windows [0, w]
+    grow by nilbound until two in a row give the same classes; each class
+    is trimmed and shifted to lowest layer 0."""
     step = max(vq.base.nilbound, 1)
     w, prev = step, None
     while True:
@@ -413,6 +422,19 @@ def reference_orbit_enumeration(vq):
         if prev is not None and len(prev) == len(reps):
             return reps
         w, prev = w + step, reps
+
+
+@pytest.mark.parametrize("name", ["d4", "rep-a3p"])
+def test_window_orbit_list_is_the_reference_list(name):
+    """Gabriel's count stops on the first window that reaches the base's
+    count, one window before the two-in-a-row rule; the lists are equal
+    module for module and in the same order."""
+    reps = orbit_enumeration(_graded(name))
+    ref = reference_orbit_enumeration(_graded(name))
+    assert len(reps) == len(ref) == 12
+    for x, y in zip(reps, ref):
+        assert x.window == y.window and x.module.dims == y.module.dims
+        assert x.module.mats == y.module.mats
 
 
 def _nakayama_cover(name):

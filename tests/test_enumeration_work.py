@@ -24,7 +24,9 @@ kernel takes one elimination; a hom space takes no dense elimination;
 a decomposition builds no End of a thin piece whose nonzero arrows
 connect it and composes no witness that nobody reads; an enumeration
 builds each hom space once; an isomorphism test reads one trace
-pairing; a locally Nakayama cover's orbit list enumerates nothing; a
+pairing; a locally Nakayama cover's orbit list enumerates nothing, an
+infinite cover's is refused before enumerating, and any other enumerates
+its base and one window on the covers tested; a
 layered module is pushed down once; an evaluation builds no Hom(X, M)
 where Hom(X, N) is zero; a path basis reads every pair with relation
 vectors off a sparse echelon form, with no dense elimination; a hom
@@ -47,7 +49,7 @@ import fovea.quiver
 import fovea.repetitive
 import fovea.suites
 from fovea.cli import main
-from fovea.covering import layered_hom_dim, layered_injective, push_down
+from fovea.covering import CoveringError, layered_hom_dim, layered_injective, push_down
 from fovea.functors import default_battery
 from fovea.linalg import Matrix, Subspace, inverse
 from fovea.modules import (
@@ -75,7 +77,8 @@ from fovea.quiver import (
 from fovea.repetitive import RepetitiveTruncation
 from fovea.suites import run_suite
 from test_quiver import dense_path_basis
-from test_report_digests import KG0_DIGESTS, _workloads
+from test_covering import D4_COVER_TEXT
+from test_report_digests import KG0_DIGESTS, REP_A3_PRIME_TEXT, REP_KD4_TEXT, _workloads
 from test_repetitive import dense_radical_filtration
 
 D4 = parse_quiver(
@@ -270,11 +273,7 @@ def test_battery_enumerates_each_window_once(monkeypatch):
         assert all(not any("@" in v for v in bq.vertices) for bq in calls), label
 
 
-@pytest.mark.parametrize("name", ["line-k2.vq", "nakayama2.vq", "trivial-a2.vq", "loop-cover"])
-def test_nakayama_orbit_list_enumerates_no_window(monkeypatch, name):
-    """A locally Nakayama cover's orbit list is read off its lifted
-    projectives: inside orbit_enumeration nothing is enumerated."""
-    calls = _record_enumerations(monkeypatch)
+def _record_windows(monkeypatch) -> list:
     windows = []
     window_enumeration = fovea.covering.window_enumeration
 
@@ -283,6 +282,15 @@ def test_nakayama_orbit_list_enumerates_no_window(monkeypatch, name):
         return window_enumeration(vq, window)
 
     monkeypatch.setattr(fovea.covering, "window_enumeration", recording)
+    return windows
+
+
+@pytest.mark.parametrize("name", ["line-k2.vq", "nakayama2.vq", "trivial-a2.vq", "loop-cover"])
+def test_nakayama_orbit_list_enumerates_no_window(monkeypatch, name):
+    """A locally Nakayama cover's orbit list is read off its lifted
+    projectives: inside orbit_enumeration nothing is enumerated."""
+    calls = _record_enumerations(monkeypatch)
+    windows = _record_windows(monkeypatch)
     if name == "loop-cover":
         vq = parse_quiver("field gf 32749\nnilbound 3\nvertex v\n"
                           "arrow a: v -> v deg 0\nrelation a*a*a\n")
@@ -290,6 +298,30 @@ def test_nakayama_orbit_list_enumerates_no_window(monkeypatch, name):
         vq = load_quiver(name)[2]
     assert fovea.covering.orbit_enumeration(vq)
     assert calls == [] and windows == []
+
+
+@pytest.mark.parametrize("name", sorted(KG0_DIGESTS))
+def test_an_infinite_cover_orbit_list_enumerates_nothing(monkeypatch, name):
+    """The base's separated quiver is not Dynkin, so the cover has
+    infinitely many orbits (Gabriel's count): the list is refused before
+    any enumeration."""
+    calls = _record_enumerations(monkeypatch)
+    with pytest.raises(CoveringError, match="separated quiver is not Dynkin"):
+        fovea.covering.orbit_enumeration(parse_quiver(KG0_DIGESTS[name][0]))
+    assert calls == []
+
+
+@pytest.mark.parametrize("text", [D4_COVER_TEXT, REP_A3_PRIME_TEXT, REP_KD4_TEXT],
+                         ids=["d4", "rep-a3p", "rep-kd4"])
+def test_a_window_orbit_list_enumerates_one_window(monkeypatch, text):
+    """The first window [0, nilbound] already reaches the base's count, so
+    the base and that window are all that orbit_enumeration enumerates."""
+    calls = _record_enumerations(monkeypatch)
+    windows = _record_windows(monkeypatch)
+    vq = parse_quiver(text)
+    assert fovea.covering.orbit_enumeration(vq)
+    assert windows == [Window(0, vq.base.nilbound)]
+    assert calls[0] is vq.base and len(calls) == 2
 
 
 def test_repetitive_suite_builds_the_repetitive_category_once(monkeypatch):

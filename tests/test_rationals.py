@@ -23,7 +23,7 @@ from fovea.suites import run_suite
 
 from oracles import naturality_hom_dim
 from test_covering import D4_COVER_TEXT
-from test_report_digests import REP_A2_TEXT, REP_A3_PRIME_TEXT, REP_A3_TEXT
+from test_report_digests import REP_A2_TEXT, REP_A3_PRIME_TEXT, REP_A3_TEXT, REP_KD4_TEXT
 
 A2Q = parse_quiver("field q\nnilbound 2\nvertex 1 2\narrow a: 1 -> 2\n")
 LOOPQ = parse_quiver("field q\nnilbound 2\nvertex v\narrow a: v -> v\nrelation a*a\n")
@@ -115,7 +115,7 @@ def test_all_suites_pass_over_the_rationals():
 
 # the covers written as text in tests/test_report_digests.py and tests/test_covering.py
 COVER_TEXTS = {"d4.vq": D4_COVER_TEXT, "rep-a3p.vq": REP_A3_PRIME_TEXT,
-               "rep-a2.vq": REP_A2_TEXT, "rep-a3.vq": REP_A3_TEXT}
+               "rep-a2.vq": REP_A2_TEXT, "rep-a3.vq": REP_A3_TEXT, "rep-kd4.vq": REP_KD4_TEXT}
 CROSS_FIELD_CALLS = [
     *(("kg0", name) for name in ("a2.bq", "a3.bq", "kronecker.bq", "loop2.bq", "point.bq")),
     *(("repetitive", name) for name in ("a2.bq", "a3.bq", "kronecker.bq", "loop2.bq")),
@@ -124,12 +124,15 @@ CROSS_FIELD_CALLS = [
     *((suite, "line-k2.vq") for suite in ("pushdown", "cover-axioms", "phi-identities", "kg0")),
     *(("cover-axioms", name) for name in COVER_TEXTS),
     # of the other cover suites on these covers, a subset that takes about
-    # 3 s: all three on rep-a2 and rep-a3, and pushdown on D4, whose orbit
-    # list is checked against the base's count; phi-identities and kg0 on D4
-    # and all three on rep-A3' (5 s more) are left out
+    # 7 s: all three on rep-a2 and rep-a3, pushdown on D4, and pushdown and
+    # phi-identities on rep-kD4, whose orbit lists stop on the base's count;
+    # phi-identities and kg0 on D4, kg0 on rep-kD4 and all three on rep-A3'
+    # (8 s more) are left out
     *((suite, name) for name in ("rep-a2.vq", "rep-a3.vq")
       for suite in ("pushdown", "phi-identities", "kg0")),
     ("pushdown", "d4.vq"),
+    ("pushdown", "rep-kd4.vq"),
+    ("phi-identities", "rep-kd4.vq"),
 ]
 
 
