@@ -110,20 +110,29 @@ def test_eval_of_a_simple_functor_honours_the_caps():
 
 @pytest.mark.parametrize("verb", [["eval", "--at", "S@1@0"], ["length"]], ids=["eval", "length"])
 def test_an_incomplete_cover_list_names_the_fixed_window_caps(capsys, monkeypatch, tmp_path, verb):
-    # the Kronecker cover's windows hit the count cap after some seconds;
-    # here every window enumeration stops on it at once
+    # the Kronecker cover's orbit list is refused on its separated quiver,
+    # whatever the caps
+    cover = tmp_path / "kcover.vq"
+    cover.write_text(KG0_DIGESTS["kronecker-cover.vq"][0])
+    code, out, err = run(capsys, verb[0], str(cover), "--functor", "S@S@1@0", *verb[1:],
+                         "--dim-cap", "2")
+    assert code == 1 and out == ""
+    assert err == ("fovea: the base's separated quiver is not Dynkin, so the cover has "
+                   "infinitely many orbits: no window list reaches Gabriel's count\n")
+
+    # on the D4 cover every enumeration here stops on the count cap at once,
+    # the base's first, and the error names the fixed caps, not --dim-cap
     def capped(bq, *args, **kwargs):
         return Enumeration(bq, [], False, ["count cap 128 hit"])
 
     monkeypatch.setattr(fovea.covering, "enumerate_indecomposables", capped)
-    cover = tmp_path / "kcover.vq"
-    cover.write_text("field gf 32749\nnilbound 2\nvertex 1 2\n"
-                     "arrow a: 1 -> 2 deg 0\narrow b: 1 -> 2 deg 1\n")
+    cover = tmp_path / "d4.vq"
+    cover.write_text(D4_COVER_TEXT)
     code, out, err = run(capsys, verb[0], str(cover), "--functor", "S@S@1@0", *verb[1:],
                          "--dim-cap", "2")
     assert code == 1 and out == ""
-    assert err == ("fovea: window enumeration is incomplete: count cap 128 hit; a cover's "
-                   "windows are enumerated at the fixed caps dim 64, count 128: "
+    assert err == ("fovea: base enumeration is incomplete: count cap 128 hit; Gabriel's count "
+                   "reads a cover's base at the fixed caps dim 64, count 128: "
                    "--dim-cap and --count-cap bound algebra inputs only\n")
 
 

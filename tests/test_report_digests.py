@@ -30,9 +30,11 @@ decomposes candidates over branching quivers; the records were taken before
 REP_KD4_DIGESTS pins the same four suites on rep-kD4 (`REP_KD4_TEXT`, the
 repetitive voltage quiver of kD4: arrows 1, 2, 3 -> 0, no relations), with
 each call's error line.  kD4 is Dynkin, so the cover is locally
-representation-finite, yet pushdown, phi-identities and kg0 exit 1 today:
-the window loop hits its fixed count cap before two windows agree.  That
-known failure is recorded as it stands.  KG0_DIGESTS pins kg0 on the
+representation-finite: its first window [0, 3] reaches Gabriel's count,
+the base's 24 indecomposables.  pushdown, phi-identities and kg0 were
+recorded as exit 1 while the window loop waited for two windows to agree
+and hit its fixed count cap first; they were re-recorded when the loop
+stopped on Gabriel's count.  KG0_DIGESTS pins kg0 on the
 Kronecker cover (arrows 1 -> 2 of degrees 0 and 1), on rep-Kronecker and
 on rep-loop2 (`REP_LOOP2_TEXT`, the repetitive voltage quiver of
 loop2.bq), whose bases ran the full enumeration closure to its caps.  Both
@@ -40,10 +42,12 @@ sets were recorded before the full closure took radicals only of
 projectives and socle quotients only of injectives, except rep-loop2's
 kg0, recorded before kg0 read the separated quiver.  INFINITE_COVER_DIGESTS
 pins cover-axioms, pushdown and phi-identities on the same three covers,
-with each call's error line: their bases are representation-infinite, so
-the window loop hits its fixed count cap in pushdown and phi-identities;
-the records were taken while cover-axioms still doubled its window until
-three sum tables agreed.
+with each call's error line: their bases' separated quivers are not
+Dynkin, so the covers have infinitely many orbits and pushdown and
+phi-identities refuse the orbit list without enumerating (their error
+lines were re-recorded when that replaced a window loop that ran to its
+fixed count cap); the records were taken while cover-axioms still doubled
+its window until three sum tables agreed.
 
 REP_A2_DIGESTS and REP_A3_DIGESTS pin the four cover suites on rep-a2 and
 rep-a3 (`REP_A2_TEXT`, `REP_A3_TEXT`, the repetitive voltage quivers of the
@@ -150,16 +154,15 @@ REP_KD4_TEXT = (
     "relation a4*a0\nrelation a4*a2\nrelation a5*a0*a3\nrelation a5*a1*a4\n"
     "relation a5*a2*a5\nrelation a5*a0\nrelation a5*a1\n")
 EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
-WINDOW_CAP_ERROR = (
-    "fovea: window enumeration is incomplete: count cap 128 hit; a cover's windows are "
-    "enumerated at the fixed caps dim 64, count 128: --dim-cap and --count-cap bound "
-    "algebra inputs only\n")
+SEPARATED_QUIVER_ERROR = (
+    "fovea: the base's separated quiver is not Dynkin, so the cover has infinitely many "
+    "orbits: no window list reaches Gabriel's count\n")
 # (exit code, report sha256, standard error)
 REP_KD4_DIGESTS = {
     "cover-axioms": (0, "3a520f4a506dc89b8330e1203a6e32f89c13d0d19ecd3a3309436d8e22740630", ""),
-    "pushdown": (1, EMPTY_SHA256, WINDOW_CAP_ERROR),
-    "phi-identities": (1, EMPTY_SHA256, WINDOW_CAP_ERROR),
-    "kg0": (1, EMPTY_SHA256, WINDOW_CAP_ERROR),
+    "pushdown": (0, "2801a9248d4e522469b2ee545e695abdb329b8ac3b466e13c2fe33d684c08fea", ""),
+    "phi-identities": (0, "b1b560a788299ecf597b8b6345f7bc68c31bf9f7b66e2601e56caf4af565d696", ""),
+    "kg0": (0, "ce97fea452e30f4bc2428010ed04c0904d2f82bf8bde16c6f82713ae102172c4", ""),
 }
 
 REP_A2_TEXT = ("field gf 32749\nnilbound 3\nvertex 1 2\n"
@@ -215,7 +218,7 @@ INFINITE_COVER_DIGESTS = {
         (0, "2a7c7eb5fedd8d5c060e922b680b4ef039fd15d3c9a51b19b3a705dfbbc31838", ""),
     ("cover-axioms", "rep-loop2.vq"):
         (0, "30886401b65b35c636183c19af4d85d7eff34d878446fbf88c43f281c82ff4d4", ""),
-    **{(suite, name): (1, EMPTY_SHA256, WINDOW_CAP_ERROR)
+    **{(suite, name): (1, EMPTY_SHA256, SEPARATED_QUIVER_ERROR)
        for suite in ("pushdown", "phi-identities") for name in KG0_DIGESTS},
 }
 
