@@ -120,8 +120,8 @@ def test_an_incomplete_cover_list_names_the_fixed_window_caps(capsys, monkeypatc
     assert err == ("fovea: the base's separated quiver is not Dynkin, so the cover has "
                    "infinitely many orbits: no window list reaches Gabriel's count\n")
 
-    # on the D4 cover every enumeration here stops on the count cap at once,
-    # the base's first, and the error names the fixed caps, not --dim-cap
+    # on the D4 cover every enumeration here stops on the count cap at once;
+    # the base's comes first, and its error names the fixed caps
     def capped(bq, *args, **kwargs):
         return Enumeration(bq, [], False, ["count cap 128 hit"])
 
@@ -260,7 +260,7 @@ BRANCHING_COVERS = {"d4.vq": D4_COVER_TEXT, "rep-a3p.vq": REP_A3_PRIME_TEXT,
 @pytest.mark.parametrize("name", BRANCHING_COVERS)
 def test_cover_suites_on_a_branching_cover_are_quick(tmp_path, name, suite):
     # the orbit list stops on the first window that reaches the base's
-    # count; rep-kD4's windows used to grow to the count cap and exit 1
+    # count, far inside the fixed count cap (rep-kD4: 24 classes)
     path = tmp_path / name
     path.write_text(BRANCHING_COVERS[name])
     done = subprocess.run([sys.executable, "-m", "fovea", "suite", suite, str(path)],
@@ -271,7 +271,7 @@ def test_cover_suites_on_a_branching_cover_are_quick(tmp_path, name, suite):
 
 def test_pushdown_on_a_representation_infinite_base_fails_at_once(tmp_path):
     # the base's separated quiver is not Dynkin, so the orbit list is refused
-    # without enumerating; its windows used to run to the count cap
+    # without enumerating
     path = tmp_path / "rep-loop2.vq"
     path.write_text(KG0_DIGESTS["rep-loop2.vq"][0])
     done = subprocess.run([sys.executable, "-m", "fovea", "suite", "pushdown", str(path)],
