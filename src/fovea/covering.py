@@ -268,8 +268,14 @@ def _nakayama_orbits(vq: VoltageQuiver) -> list[LayeredModule]:
 
 
 def _window_orbits(vq: VoltageQuiver) -> list[LayeredModule]:
-    """The orbit list of any lift, read off windows [0, w] that grow until
-    their classes reach the base's count."""
+    """The orbit list of any lift, read off windows [0, w] that grow by
+    nilbound until their classes reach the base's count.
+
+    The first window is the first multiple of nilbound that is at least
+    max|deg|.  A narrower window holds no lift of an arrow c of largest
+    |deg|, so every module listed there pushes down to one on which c acts
+    as zero.  The projective at the target of c holds the path c, so its
+    orbit is missing and the window cannot reach the count."""
     if not _separated_quiver_is_dynkin(vq.base):
         raise CoveringError("the base's separated quiver is not Dynkin, so the cover has "
                             "infinitely many orbits: no window list reaches Gabriel's count")
@@ -278,7 +284,8 @@ def _window_orbits(vq: VoltageQuiver) -> list[LayeredModule]:
         raise CoveringError("base enumeration is incomplete: " + "; ".join(base.notes) + "; "
                             "Gabriel's count reads a cover's base at the fixed caps dim 64, "
                             "count 128: --dim-cap and --count-cap bound algebra inputs only")
-    w = step = max(vq.base.nilbound, 1)
+    step = max(vq.base.nilbound, 1)
+    w = step * max(1, -(-max(map(abs, vq.degree.values()), default=0) // step))
     while True:
         reps: list[LayeredModule] = []
         for m in window_enumeration(vq, Window(0, w)).modules:

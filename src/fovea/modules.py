@@ -10,6 +10,7 @@ bases are canonical and runs are reproducible.
 from __future__ import annotations
 
 import random
+from itertools import islice
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from operator import mul as _mul
@@ -599,8 +600,9 @@ def end_radical(m: Module, end: HomBasis | None = None) -> Subspace:
     return Subspace(m.bq.field, end.dim, kernel_basis(_trace_pairing(end, end)))
 
 
-def _trace_pairing(hom: HomBasis, back: HomBasis) -> Matrix:
-    """The matrix [tr(g_j f_i)] for f_i in Hom(M, N) and g_j in Hom(N, M).
+def _trace_rows(hom: HomBasis, back: HomBasis):
+    """The rows of [tr(g_j f_i)] for f_i in Hom(M, N) and g_j in Hom(N, M),
+    each built when the caller asks for it.
 
     Row j belongs to g_j and column i to f_i.  tr(g f) is the sum over v
     of g_v[a][b] f_v[b][a], so each entry is the dot product of a basis
@@ -620,15 +622,20 @@ def _trace_pairing(hom: HomBasis, back: HomBasis) -> Matrix:
         rows, cols = m.dims[v], n.dims[v]
         blocks.append((offset, rows, cols))
         offset += rows * cols
-    flipped = [[vec[o + i * c + j] for o, r, c in blocks for j in range(c) for i in range(r)]
-               for vec in back.rows.entries]
     vecs, zero, p = hom.rows.entries, f.zero, f.p
     if p is None:   # a Fraction product costs far more than a zero test
         vecs = [[(k, x) for k, x in enumerate(v) if x] for v in vecs]
-        return Matrix._raw(f, back.dim, hom.dim, tuple(tuple(
-            sum([x * g[k] for k, x in v if g[k]], zero) for v in vecs) for g in flipped))
-    return Matrix._raw(f, back.dim, hom.dim, tuple(tuple(sum(map(_mul, v, g)) % p for v in vecs)
-                                                   for g in flipped))
+    for vec in back.rows.entries:
+        g = [vec[o + i * c + j] for o, r, c in blocks for j in range(c) for i in range(r)]
+        if p is None:
+            yield tuple(sum([x * g[k] for k, x in v if g[k]], zero) for v in vecs)
+        else:
+            yield tuple(sum(map(_mul, v, g)) % p for v in vecs)
+
+
+def _trace_pairing(hom: HomBasis, back: HomBasis) -> Matrix:
+    """The whole matrix of `_trace_rows`."""
+    return Matrix._raw(hom.source.bq.field, back.dim, hom.dim, tuple(_trace_rows(hom, back)))
 
 
 class RadicalHom:
@@ -694,8 +701,8 @@ def is_isomorphic_indec(m: Module, n: Module, cache: PairCache | None = None) ->
     hom = cache.hom(m, n)
     if hom.dim == 0:
         return False
-    # some f with tr(g f) != 0 is outside rad(M, N)
-    return not _trace_pairing(hom, cache.hom(n, m)).is_zero()
+    # some f with tr(g f) != 0 is outside rad(M, N): stop at the first row holding one
+    return any(map(any, _trace_rows(hom, cache.hom(n, m))))
 
 
 def find_iso(m: Module, n: Module) -> ModMap | None:
@@ -723,33 +730,60 @@ def find_iso(m: Module, n: Module) -> ModMap | None:
 
 class DecompPiece:
     """A summand of a module with its witnesses include (piece -> whole) and
-    project (whole -> piece).  A split piece keeps its parent and its own
-    step and composes parent.include @ step and step @ parent.project when
-    first read; a step off the whole DecompPiece(m) is its own witness."""
+    project (whole -> piece).  A split piece keeps its parent and a step
+    that builds the maps between it and the parent.  When first read, the
+    parent's witnesses are read, then the step runs, and the two are
+    composed as parent.include @ step and step @ parent.project.  A step
+    off the whole DecompPiece(m), not yet read, is its own witness."""
 
     def __init__(self, module: Module, include: ModMap | None = None,
-                 project: ModMap | None = None, parent: DecompPiece | None = None):
+                 project: ModMap | None = None, parent: DecompPiece | None = None,
+                 step=None):
         self.module = module
-        self._include, self._project, self._parent = include, project, parent
+        self._include, self._project, self._parent, self._step = include, project, parent, step
 
     include = property(lambda self: self._witnesses()[0])
     project = property(lambda self: self._witnesses()[1])
 
     def _witnesses(self) -> tuple[ModMap, ModMap]:
-        parent, self._parent = self._parent, None
-        if parent is not None and parent._include is not None:
-            self._include = parent.include @ self._include
-            self._project = self._project @ parent.project
+        if self._step is not None:
+            parent, step = self._parent, self._step
+            self._parent = self._step = None
+            if parent._step is None and parent._include is None:
+                self._include, self._project = step()
+            else:
+                include, project = parent._witnesses()
+                down, up = step()
+                self._include, self._project = include @ down, up @ project
         elif self._include is None:
             self._include = self._project = ModMap.identity(self.module)
         return self._include, self._project
 
 
-@dataclass
 class Decomposition:
-    module: Module
-    pieces: list[DecompPiece]
-    classes: list[list[int]]   # piece indices grouped by isomorphism
+    """M as the direct sum of its pieces, sorted by `Module.sort_key`.  The
+    isomorphism classes are grouped when first read, through the pair cache
+    the decomposition was made with."""
+
+    def __init__(self, module: Module, pieces: list[DecompPiece],
+                 classes: list[list[int]] | None = None, cache: PairCache | None = None):
+        self.module, self.pieces = module, pieces
+        self._classes, self._cache = classes, cache
+
+    @property
+    def classes(self) -> list[list[int]]:
+        """Piece indices grouped by isomorphism, each group in piece order."""
+        if self._classes is None:
+            pieces, cache, classes = self.pieces, self._cache or PairCache(), []
+            for i, piece in enumerate(pieces):
+                for group in classes:
+                    if is_isomorphic_indec(pieces[group[0]].module, piece.module, cache):
+                        group.append(i)
+                        break
+                else:
+                    classes.append([i])
+            self._classes, self._cache = classes, None
+        return self._classes
 
     def summands(self) -> list[tuple[Module, int]]:
         return [(self.pieces[group[0]].module, len(group)) for group in self.classes]
@@ -812,7 +846,8 @@ def _fitting_split(piece: DecompPiece, psi: ModMap) -> tuple[DecompPiece, Decomp
     U_v^-1 are the two projections; U_v = [1] where dim M(v) = 1.  Reducing
     the rows of [psi_v^T | 1] leaves the canonical bases of the image (the
     first rank rows, left of the bar) and of the kernel (the others, right
-    of it); reducing [U_v | 1] leaves U_v^-1.
+    of it); reducing [U_v | 1] leaves U_v^-1.  The columns of U_v and the
+    rows of U_v^-1 become the pieces' witnesses only when those are read.
     """
     m = piece.module
     f = m.bq.field
@@ -852,18 +887,19 @@ def _fitting_split(piece: DecompPiece, psi: ModMap) -> tuple[DecompPiece, Decomp
                                       tuple(row[ky:] for row in block[kx:]))
     ker = Module(m.bq, kd, ker_mats, check=False)
     im = Module(m.bq, {v: len(c) for v, c in images.items()}, im_mats, check=False)
-    ker_cols, im_cols = ({v: Matrix._raw(f, len(vecs[v]), m.dims[v], vecs[v]).transpose()
-                          for v in m.support} for vecs in (kernels, images))
-    pk = {v: Matrix._raw(f, kd[v], m.dims[v], u_inv.get(v, unit).entries[:kd[v]])
-          for v in m.support}
-    pi = {v: Matrix._raw(f, im.dims[v], m.dims[v], u_inv.get(v, unit).entries[kd[v]:])
-          for v in m.support}
-    return (
-        DecompPiece(ker, ModMap(ker, m, ker_cols, check=False), ModMap(m, ker, pk, check=False),
-                    piece),
-        DecompPiece(im, ModMap(im, m, im_cols, check=False), ModMap(m, im, pi, check=False),
-                    piece),
-    )
+
+    def step(sub: Module, vecs: dict, kernel: bool) -> DecompPiece:
+        # sub -> M by its basis columns, M -> sub by its rows of U_v^-1
+        def maps() -> tuple[ModMap, ModMap]:
+            cols = {v: Matrix._raw(f, len(vecs[v]), m.dims[v], vecs[v]).transpose()
+                    for v in m.support}
+            rows = {v: u_inv.get(v, unit).entries for v in m.support}
+            rows = {v: Matrix._raw(f, sub.dims[v], m.dims[v], r[:kd[v]] if kernel else r[kd[v]:])
+                    for v, r in rows.items()}
+            return ModMap(sub, m, cols, check=False), ModMap(m, sub, rows, check=False)
+        return DecompPiece(sub, parent=piece, step=maps)
+
+    return step(ker, kernels, True), step(im, images, False)
 
 
 def _fitting_power(phi: ModMap) -> ModMap:
@@ -941,11 +977,14 @@ def _is_thin_brick(m: Module) -> bool:
 
 def decompose(m: Module, seed: int = DEFAULT_SEED, max_tries: int = 64,
               cache: PairCache | None = None) -> Decomposition:
-    """Full direct-sum decomposition with inclusion/projection witnesses,
-    composed when first read (`DecompPiece`).  A thin piece whose nonzero
-    arrows connect its support (`_is_thin_brick`) needs no End(P): its
-    endomorphisms are one scalar per vertex, equal at the two ends of a
-    nonzero arrow (a loop asks nothing), so End(P) = K over any field."""
+    """Full direct-sum decomposition.  Each piece's inclusion/projection
+    witnesses are built and composed when first read (`DecompPiece`), and
+    the isomorphism classes are grouped when first read (`Decomposition`),
+    so a caller that reads only the pieces' modules pays for neither.  A
+    thin piece whose nonzero arrows connect its support (`_is_thin_brick`)
+    needs no End(P): its endomorphisms are one scalar per vertex, equal at
+    the two ends of a nonzero arrow (a loop asks nothing), so End(P) = K
+    over any field."""
     if m.is_zero():
         return Decomposition(m, [], [])
     cache = cache or PairCache()
@@ -964,17 +1003,24 @@ def decompose(m: Module, seed: int = DEFAULT_SEED, max_tries: int = 64,
             continue
         # rad End(P) is the kernel of the trace form T, so phi lies in K 1 + rad
         # exactly when T phi is a multiple of T 1, and End(P) is local with
-        # residue field K when every column of T is; row i of T is T e_i
+        # residue field K when every column of T is; row i of T is T e_i, and
+        # T is read row by row only as far as the first that is not
         f = p.bq.field
-        form, one = _trace_pairing(end, end).entries, _traces(end)
-        if all(_is_multiple(row, one, f.p) for row in form):
+        rows, form, one = _trace_rows(end, end), [], _traces(end)
+        for row in rows:
+            form.append(row)
+            if not _is_multiple(row, one, f.p):
+                break
+        else:
             done.append(piece)
             continue
         split = None
-        for attempt in range(max_tries):
+        # a map in K 1 + rad End(P) has a single eigenvalue, so it cannot
+        # split: the unit attempts before the row that ended the scan are skipped
+        for attempt in range(len(form) - 1, max_tries):
             unit = attempt < end.dim
+            form.extend(islice(rows, attempt + 1 - len(form)) if unit else rows)
             coords = None if unit else [f.sample(rng) for _ in range(end.dim)]
-            # a map in K 1 + rad End(P) has a single eigenvalue, so it cannot split
             image = form[attempt] if unit else [f.coerce(sum(map(_mul, row, coords)))
                                                 for row in form]
             if _is_multiple(image, one, f.p):
@@ -997,17 +1043,8 @@ def decompose(m: Module, seed: int = DEFAULT_SEED, max_tries: int = 64,
             continue
         stack.extend(split)
 
-    order = sorted(range(len(done)), key=lambda i: done[i].module.sort_key())
-    done = [done[i] for i in order]
-    classes: list[list[int]] = []
-    for i, piece in enumerate(done):
-        for group in classes:
-            if is_isomorphic_indec(done[group[0]].module, piece.module, cache):
-                group.append(i)
-                break
-        else:
-            classes.append([i])
-    return Decomposition(m, done, classes)
+    done.sort(key=lambda piece: piece.module.sort_key())
+    return Decomposition(m, done, cache=cache)
 
 
 def is_indecomposable(m: Module) -> bool:
@@ -1111,13 +1148,14 @@ def _sequence_failures(n: Module, tau: Module | None, e_parts: list[tuple[Module
     failures = []
     end = cache.hom(n, n)
     own = through(n)
-    # End(N) = K 1 has radical 0: its trace form is [dim N], nonzero when
-    # the prime exceeds dim N (end_radical refuses a smaller one)
+    # rad End(N) is the kernel of the trace form T, of dimension dim End(N) -
+    # rank T.  End(N) = K 1 has radical 0: T is [dim N], nonzero when the
+    # prime exceeds dim N (the trace form refuses a smaller one)
     p = n.bq.field.p
     trivial = end.dim == 1 and (p is None or p > n.total_dim)
     if own == end.dim:
         failures.append("the map is a split epimorphism")
-    elif own != (0 if trivial else end_radical(n, end).dim):
+    elif own != (0 if trivial else end.dim - rank(_trace_pairing(end, end))):
         failures.append("a radical endomorphism does not factor")
     support = set(n.support)
     for x in ind_list:

@@ -99,9 +99,9 @@ def test_suites_on_the_degree_ten_a2_cover_pass(tmp_path, suite):
 
 @pytest.mark.parametrize("suite", ["pushdown", "kg0", "phi-identities"])
 def test_suites_on_the_degree_ten_d4_cover_pass(tmp_path, suite):
-    """Windows [0, 2] and [0, 4] of the D4 cover with c of degree 10 hold
-    no lift of c and agree on 7 classes; the windows grow on to the base's
-    12."""
+    """Windows of the D4 cover with c of degree 10 narrower than [0, 10]
+    hold no lift of c, so its orbit list is read off [0, 10], which holds
+    the base's 12 classes."""
     path = tmp_path / "d4-deg10.vq"
     path.write_text(DEGREE_10_D4_TEXT)
     assert run_suite("cover-axioms", str(path)).passed

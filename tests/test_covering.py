@@ -402,11 +402,12 @@ def test_orbit_push_downs_biject_with_the_base_enumeration(name, count):
     _assert_one_to_one([push_down(r) for r in orbit_enumeration(vq)], base.modules)
 
 
-def reference_orbit_enumeration(vq):
-    """The orbit list read off whole windows by an older stopping rule, the
+def reference_orbit_enumeration(vq, count=None):
+    """The orbit list read off whole windows by older stopping rules, the
     reference for the closed form and for Gabriel's count: windows [0, w]
-    grow by nilbound until two in a row give the same classes; each class
-    is trimmed and shifted to lowest layer 0."""
+    grow by nilbound from w = nilbound until two in a row give the same
+    classes or, given a count, until their classes reach it; each class is
+    trimmed and shifted to lowest layer 0."""
     step = max(vq.base.nilbound, 1)
     w, prev = step, None
     while True:
@@ -419,7 +420,7 @@ def reference_orbit_enumeration(vq):
             if not any(r.window == lm.window and is_isomorphic_indec(r.module, lm.module)
                        for r in reps):
                 reps.append(lm)
-        if prev is not None and len(prev) == len(reps):
+        if (len(reps) >= count) if count else (prev is not None and len(prev) == len(reps)):
             return reps
         w, prev = w + step, reps
 

@@ -12,13 +12,20 @@ over GF(7), GF(32749) and Q.  `decompose`, whose Fitting splits now reduce
 plain rows and whose g(phi) comes from Horner's rule, is checked against
 `reference_decompose` on the 300 `decompose` inputs of the benchmark's
 library session at seed 1, read through perfbench/workloads.py and not
-changed.
+changed.  `decompose` builds a piece's witnesses and groups the classes
+only when they are first read, and reads the trace form row by row only
+as far as its locality test and its attempts need: on those inputs a
+caller that reads only the pieces' modules builds no map between a piece
+and its whole and makes no isomorphism test, and the witnesses and
+classes read afterwards, the classes first and the witnesses from the
+last piece up, are the reference's.
 """
 
 from operator import mul
 
 from hypothesis import given, strategies as st
 
+import fovea.modules
 from fovea.linalg import Matrix, Subspace, poly_divmod, poly_mul, poly_pow_mod
 from fovea.modules import (
     ModMap,
@@ -26,6 +33,7 @@ from fovea.modules import (
     _minimal_polynomial,
     _trace_pairing,
     _traces,
+    decompose,
     end_radical,
     hom_space,
 )
@@ -147,3 +155,36 @@ def test_decompose_equals_the_reference_on_the_library_session():
     assert len(inputs) == 300
     for m in inputs:
         _assert_decomposes_as_the_reference(m)
+
+
+def test_decompose_builds_no_witness_and_no_class_that_is_not_read(monkeypatch):
+    """The library session reads only the pieces' modules: no split builds
+    a map between a piece and the module it came from, and no two pieces
+    are tested for isomorphism.  Read afterwards, the witnesses and the
+    classes are the reference's."""
+    inputs = [call.args[0] for call in _workloads().library_session(1, None)
+              if call.function == "decompose"]
+    assert len(inputs) == 300
+    maps, isomorphisms = [], []
+    init = ModMap.__init__
+    is_isomorphic_indec = fovea.modules.is_isomorphic_indec
+
+    def recording_init(self, source, target, *args, **kwargs):
+        maps.append((source, target))
+        init(self, source, target, *args, **kwargs)
+
+    def recording_isomorphism(*args, **kwargs):
+        isomorphisms.append(args)
+        return is_isomorphic_indec(*args, **kwargs)
+
+    monkeypatch.setattr(ModMap, "__init__", recording_init)
+    monkeypatch.setattr(fovea.modules, "is_isomorphic_indec", recording_isomorphism)
+    decs = [decompose(m) for m in inputs]
+    dims = [p.module.dims for dec in decs for p in dec.pieces]
+    assert len(dims) > len(decs)    # some inputs split
+    # every map built was an endomorphism tried for a split
+    assert maps and all(s is t for s, t in maps)
+    assert isomorphisms == []
+    for m, dec in zip(inputs, decs):
+        _assert_decomposes_as_the_reference(m, dec)
+    assert isomorphisms and any(s is not t for s, t in maps)

@@ -26,7 +26,8 @@ connect it and composes no witness that nobody reads; an enumeration
 builds each hom space once; an isomorphism test reads one trace
 pairing; a locally Nakayama cover's orbit list enumerates nothing, an
 infinite cover's is refused before enumerating, and any other enumerates
-its base and one window on the covers tested; a
+its base and one window on the covers tested, the first window wide
+enough for a lift of every arrow; a
 layered module is pushed down once; an evaluation builds no Hom(X, M)
 where Hom(X, N) is zero; a path basis reads every pair with relation
 vectors off a sparse echelon form, with no dense elimination; a hom
@@ -77,7 +78,7 @@ from fovea.quiver import (
 from fovea.repetitive import RepetitiveTruncation
 from fovea.suites import run_suite
 from test_quiver import dense_path_basis
-from test_covering import D4_COVER_TEXT
+from test_covering import D4_COVER_TEXT, DEGREE_10_D4_TEXT, reference_orbit_enumeration
 from test_report_digests import KG0_DIGESTS, REP_A3_PRIME_TEXT, REP_KD4_TEXT, _workloads
 from test_repetitive import dense_radical_filtration
 
@@ -322,6 +323,21 @@ def test_a_window_orbit_list_enumerates_one_window(monkeypatch, text):
     assert fovea.covering.orbit_enumeration(vq)
     assert windows == [Window(0, vq.base.nilbound)]
     assert calls[0] is vq.base and len(calls) == 2
+
+
+def test_a_window_orbit_list_starts_at_the_largest_degree(monkeypatch):
+    """Windows of the D4 cover with c of degree 10 narrower than [0, 10]
+    hold no lift of c and cannot reach the base's 12 classes: [0, 10] is
+    the one window enumerated, and its list is the one that windows grown
+    from [0, nilbound] reach the count on."""
+    windows = _record_windows(monkeypatch)
+    reps = fovea.covering.orbit_enumeration(parse_quiver(DEGREE_10_D4_TEXT))
+    assert windows == [Window(0, 10)]
+    ref = reference_orbit_enumeration(parse_quiver(DEGREE_10_D4_TEXT), count=12)
+    assert len(reps) == len(ref) == 12
+    for x, y in zip(reps, ref):
+        assert x.window == y.window and x.module.dims == y.module.dims
+        assert x.module.mats == y.module.mats
 
 
 def test_repetitive_suite_builds_the_repetitive_category_once(monkeypatch):

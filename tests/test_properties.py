@@ -437,18 +437,21 @@ def _decomposition_or_error(decomposer, m):
         return type(e), str(e)
 
 
-def _assert_decomposes_as_the_reference(m):
-    got = _decomposition_or_error(decompose, m)
+def _assert_decomposes_as_the_reference(m, got=None):
+    """decompose(m), or the decomposition got of m, equals the reference's.
+    The classes are read first and the witnesses from the last piece up,
+    the other way round from the order decompose made them in."""
+    got = _decomposition_or_error(decompose, m) if got is None else got
     want = _decomposition_or_error(reference_decompose, m)
     if isinstance(want, tuple):
         assert got == want
         return
     assert len(got.pieces) == len(want.pieces)
-    for mine, theirs in zip(got.pieces, want.pieces):
+    assert got.classes == want.classes
+    for mine, theirs in reversed(list(zip(got.pieces, want.pieces))):
         assert mine.module == theirs.module
         assert mine.include == theirs.include
         assert mine.project == theirs.project
-    assert got.classes == want.classes
 
 
 @CHECKS
