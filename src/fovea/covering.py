@@ -9,7 +9,7 @@ pushed-down modules decompose into finitely many twisted components.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .linalg import Matrix, solve
 from .modules import (
@@ -45,9 +45,10 @@ class CoveringError(ValueError):
 class LayeredModule:
     """A finite-support module over the graded lift of a voltage quiver.
 
-    It owns two memos of pure results, which take no part in equality or
-    hashing: its push-down (`push_down`) and its alignment per window
-    (`align`).  Both live as long as the instance.
+    It owns three memos of pure results, which take no part in equality or
+    hashing: its push-down (`push_down`), its alignment per window
+    (`align`) and its twist per shift (`twist`).  All live as long as the
+    instance; a twist's own memos are computed from the twist itself.
     """
 
     def __init__(self, vq: VoltageQuiver, window: Window, module: Module):
@@ -56,6 +57,7 @@ class LayeredModule:
         self.module = module
         self._pushed: Module | None = None
         self._aligned: dict[Window, Module] = {}
+        self._twists: dict[int, LayeredModule] = {}
 
     @classmethod
     def make(cls, vq: VoltageQuiver, window: Window, dims: dict, mats: dict,
@@ -114,7 +116,10 @@ class LayeredModule:
 
     def align(self, w: Window) -> Module:
         """The underlying module extended by zero onto a larger window,
-        built once per window and memoised on self."""
+        built once per window and memoised on self; on its own window,
+        the module itself."""
+        if w == self.window:
+            return self.module
         aligned = self._aligned.get(w)
         if aligned is None:
             if self.is_zero():
@@ -127,9 +132,16 @@ class LayeredModule:
         return aligned
 
     def twist(self, k: int) -> "LayeredModule":
-        """The shift action: layer n of the result is layer n - k of self."""
+        """The shift action: layer n of the result is layer n - k of self,
+        built once per k and memoised on self."""
         if k == 0:
             return self
+        twisted = self._twists.get(k)
+        if twisted is None:
+            twisted = self._twists[k] = self._shifted(k)
+        return twisted
+
+    def _shifted(self, k: int) -> "LayeredModule":
         w = Window(self.window.lo + k, self.window.hi + k)
         bq = lift_window(self.vq, w)
         base = self.vq.base
@@ -158,16 +170,31 @@ class LayeredModule:
 
 @dataclass
 class LayeredModMap:
-    """A morphism of layered modules, stored over a common window."""
+    """A morphism of layered modules, stored over a common window.
+
+    Like `LayeredModule`, it memoises its twist per shift (`twist`) and its
+    push-down (`push_down_map`); the memos are made on first use and take
+    no part in equality.
+    """
 
     source: LayeredModule
     target: LayeredModule
     window: Window
     map: ModMap
+    _twists: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _pushed: ModMap | None = field(default=None, init=False, repr=False, compare=False)
 
     def twist(self, k: int) -> "LayeredModMap":
         if k == 0:
             return self
+        if self._twists is None:
+            self._twists = {}
+        twisted = self._twists.get(k)
+        if twisted is None:
+            twisted = self._twists[k] = self._shifted(k)
+        return twisted
+
+    def _shifted(self, k: int) -> "LayeredModMap":
         src = self.source.twist(k)
         tgt = self.target.twist(k)
         w = Window(self.window.lo + k, self.window.hi + k)
@@ -388,7 +415,14 @@ def push_down_map(fmap: LayeredModMap) -> ModMap:
 
     The source is push_down(source) under the canonical identification of
     the push-down of a twist with the push-down of the original module.
+    Built and checked once per map and memoised on it.
     """
+    if fmap._pushed is None:
+        fmap._pushed = _push_down_map(fmap)
+    return fmap._pushed
+
+
+def _push_down_map(fmap: LayeredModMap) -> ModMap:
     vq = fmap.source.vq
     base = vq.base
     src = push_down(fmap.source)

@@ -28,7 +28,8 @@ pairing; a locally Nakayama cover's orbit list enumerates nothing, an
 infinite cover's is refused before enumerating, and any other enumerates
 its base and one window on the covers tested, the first window wide
 enough for a lift of every arrow; a
-layered module is pushed down once; an evaluation builds no Hom(X, M)
+layered module is pushed down once; a layered module or map builds each
+nonzero twist once per shift, and a layered map is pushed down once; an evaluation builds no Hom(X, M)
 where Hom(X, N) is zero; a path basis reads every pair with relation
 vectors off a sparse echelon form, with no dense elimination; a hom
 dimension reads no canonical basis; and window lifts of one width are
@@ -50,7 +51,14 @@ import fovea.quiver
 import fovea.repetitive
 import fovea.suites
 from fovea.cli import main
-from fovea.covering import CoveringError, layered_hom_dim, layered_injective, push_down
+from fovea.covering import (
+    CoveringError,
+    LayeredModMap,
+    LayeredModule,
+    layered_hom_dim,
+    layered_injective,
+    push_down,
+)
 from fovea.functors import default_battery
 from fovea.linalg import Matrix, Subspace, inverse
 from fovea.modules import (
@@ -706,6 +714,43 @@ def test_push_down_is_built_once_per_layered_module(monkeypatch):
     arguments = {id(args[0]): args[0] for args, _ in calls}
     pushed = {id(result): result for _, result in calls}
     assert calls and len(pushed) <= len(arguments)
+
+
+def _record_method(monkeypatch, cls, name) -> list:
+    """Record (args, result) of every call of the method cls.name, self
+    first in args."""
+    calls = []
+    original = getattr(cls, name)
+
+    def recording(*args):
+        result = original(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(cls, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("suite, twist_builds, push_builds", [
+    ("kg0", 44, 8),
+    ("phi-identities", 21, 17),
+])
+def test_twists_and_map_push_downs_are_built_once_per_instance(
+        monkeypatch, suite, twist_builds, push_builds):
+    twists = _record_method(monkeypatch, LayeredModule, "twist")
+    map_twists = _record_method(monkeypatch, LayeredModMap, "twist")
+    pushed = _record(monkeypatch, fovea.covering, "push_down_map")
+    assert run_suite(suite, "nakayama2.vq").passed
+    # every call's arguments stay alive in the records, so no id is reused
+    for calls in (twists, map_twists, pushed):
+        first = {}
+        for args, result in calls:
+            key = (id(args[0]), *args[1:])
+            assert first.setdefault(key, result) is result
+    # kg0 built 235 twists and phi-identities 84 map push-downs while each
+    # call built its own
+    assert len({id(result) for args, result in twists if args[1]}) <= twist_builds
+    assert len({id(result) for _, result in pushed}) <= push_builds
 
 
 def test_evaluate_builds_no_hom_into_the_source_where_the_target_has_none(monkeypatch):

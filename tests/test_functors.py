@@ -4,9 +4,11 @@ from hypothesis import given, settings, strategies as st
 from fovea.covering import (
     LayeredModule,
     common_window,
+    layered_hom,
     layered_injective,
     layered_simple,
     push_down,
+    push_down_map,
 )
 from fovea.functors import (
     COVER,
@@ -518,11 +520,22 @@ def test_layered_memos_take_no_part_in_equality():
     push_down(warm)
     for k in (0, 1, 3):
         warm.align(Window(warm.window.lo - k, warm.window.hi + k))
+        warm.twist(k - 2)
     fresh = layered_injective(vq, "1", 0)
     assert fresh._pushed is None and not fresh._aligned
+    assert not fresh._twists and len(warm._twists) == 3
     assert warm == fresh and fresh == warm
     assert hash(warm) == hash(fresh)
     assert len({warm, fresh}) == 1
+    # a layered map's memos are made on first use and take no part either
+    warm_map = layered_hom(warm, warm)[0]
+    warm_map.twist(1)
+    push_down_map(warm_map)
+    fresh_map = layered_hom(fresh, fresh)[0]
+    assert fresh_map._twists is None and fresh_map._pushed is None
+    assert warm_map._twists and warm_map._pushed is not None
+    assert warm_map == fresh_map and fresh_map == warm_map
+    assert repr(warm_map) == repr(fresh_map)
 
 
 @pytest.mark.parametrize("make_lm", [
