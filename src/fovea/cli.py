@@ -56,9 +56,11 @@ def _common(p: argparse.ArgumentParser):
                    help="field override: gf:<p> or q (default from FOVEA_FIELD)")
     p.add_argument("--seed", type=int, default=0, help="seed for decompositions")
     p.add_argument("--dim-cap", type=int, default=12,
-                   help="dimension cap for enumeration over an algebra input (covers: fixed 64)")
+                   help="dimension cap for enumeration over an algebra input and over a "
+                        "cover's base in kg0 and phi (a cover's windows: fixed 64)")
     p.add_argument("--count-cap", type=int, default=24,
-                   help="count cap for enumeration over an algebra input (covers: fixed 128)")
+                   help="count cap for enumeration over an algebra input and over a "
+                        "cover's base in kg0 and phi (a cover's windows: fixed 128)")
 
 
 # the verbs in help order

@@ -352,7 +352,7 @@ def _standard(vq: VoltageQuiver, v: str, n: int, kind: str) -> LayeredModule:
     w = Window(n - r, n + r)
     bq = lift_window(vq, w)
     if kind == "projective":
-        mod = projective(bq, layer_vertex(v, n), path_basis(bq))
+        mod = projective(bq, layer_vertex(v, n))
     else:
         mod = injective(bq, layer_vertex(v, n))
     return LayeredModule(vq, w, mod).trim()

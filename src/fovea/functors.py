@@ -38,12 +38,10 @@ from .covering import (
 )
 from .quiver import (
     BoundQuiver,
-    PathBasis,
     VoltageQuiver,
     Window,
     is_convex,
     layer_vertex,
-    lift_window,
     path_basis,
     sub_quiver,
 )
@@ -261,9 +259,9 @@ def fp_hom_dim(t1: FpFunctor, t2: FpFunctor) -> int:
 
 
 def simple_functor(bq: BoundQuiver, n: Module, enum: Enumeration,
-                   basis: PathBasis | None = None, check: bool = True) -> FpFunctor:
+                   check: bool = True) -> FpFunctor:
     """Hom(-, N) modulo its radical, presented by the almost split map."""
-    g = right_almost_split(n, enum.modules, basis=basis, check=check)
+    g = right_almost_split(n, enum.modules, check=check)
     t = fp_functor(bq, g)
     if check:
         for x in enum.modules:
@@ -289,7 +287,7 @@ def _layered_simple_presentation(vq: VoltageQuiver, n: LayeredModule) -> Layered
     is then the sequence over the window algebra.
     """
     w = _widened(vq, n.window)
-    g = right_almost_split(n.align(w), [], basis=path_basis(lift_window(vq, w)), check=False)
+    g = right_almost_split(n.align(w), [], check=False)
     src = LayeredModule(vq, w, g.source).trim()
     return LayeredModMap(src, n, w, ModMap(src.align(w), n.align(w), g.comps, check=False))
 
@@ -512,23 +510,23 @@ def restrict_functor(t: FpFunctor, subset) -> FpFunctor:
 class Coinduction:
     """Hom_B(restricted projectives, -): the right adjoint of restriction."""
 
-    def __init__(self, bq: BoundQuiver, subset, basis: PathBasis | None = None):
+    def __init__(self, bq: BoundQuiver, subset):
         if not is_convex(bq, subset):
             raise FunctorError("subset is not convex")
         self.bq = bq
         self.sub = sub_quiver(bq, subset)
-        self.basis = basis or path_basis(bq)
-        self._proj = {z: projective(bq, z, self.basis) for z in bq.vertices}
+        basis = path_basis(bq)
+        self._proj = {z: projective(bq, z) for z in bq.vertices}
         self._res_proj = {z: restrict_module(self._proj[z], self.sub) for z in bq.vertices}
         self._res_proj_arrow = {}
         for a in bq.arrows:
             comps = {}
             for u in self.sub.vertices:
                 cols = []
-                for rep in self.basis.representatives(u, a.source):
-                    rho = self.basis.reduce_path(u, a.source, rep)
-                    cols.append(self.basis.compose(u, a.source, a.target, rho,
-                                                   self.basis.reduce_path(a.source, a.target, (a.name,))))
+                for rep in basis.representatives(u, a.source):
+                    rho = basis.reduce_path(u, a.source, rep)
+                    cols.append(basis.compose(u, a.source, a.target, rho,
+                                              basis.reduce_path(a.source, a.target, (a.name,))))
                 if cols and self._res_proj[a.source].dims[u]:
                     comps[u] = Matrix(bq.field, cols).transpose()
                 else:

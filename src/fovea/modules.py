@@ -34,9 +34,10 @@ from .linalg import (
     _echelon_reduce,
     _gauss_jordan,
 )
-from .quiver import BoundQuiver, PathBasis, opposite_quiver, path_basis
+from .quiver import BoundQuiver, opposite_quiver, path_basis
 
 DEFAULT_SEED = 0
+MAX_TRIES = 64      # endomorphisms `decompose` tries on one piece before it gives up
 
 
 class ModuleError(ValueError):
@@ -550,9 +551,9 @@ def simple(bq: BoundQuiver, x: str) -> Module:
     return Module(bq, {x: 1}, {}, check=False)
 
 
-def projective(bq: BoundQuiver, x: str, basis: PathBasis | None = None) -> Module:
+def projective(bq: BoundQuiver, x: str) -> Module:
     """P_x(z) is the path space from z to x, acting by precomposition."""
-    basis = basis or path_basis(bq)
+    basis = path_basis(bq)
     f = bq.field
     dims = {z: basis.dim(z, x) for z in bq.vertices}
     mats = {}
@@ -569,20 +570,27 @@ def projective(bq: BoundQuiver, x: str, basis: PathBasis | None = None) -> Modul
     return Module(bq, dims, mats, check=False)
 
 
-def dual_module(m: Module, op: BoundQuiver | None = None) -> Module:
+def dual_module(m: Module) -> Module:
     """Vector-space dual, a module over the opposite presentation."""
-    op = op or opposite_quiver(m.bq)
     dims = dict(m.dims)
     mats = {a.name: m.mats[a.name].transpose() for a in m.bq.arrows}
-    return Module(op, dims, mats, check=False)
+    return Module(opposite_quiver(m.bq), dims, mats, check=False)
 
 
-def injective(bq: BoundQuiver, x: str, op_basis: PathBasis | None = None) -> Module:
-    """I_x, computed as the dual of the projective over the opposite quiver."""
-    op = opposite_quiver(bq)
-    op_basis = op_basis or path_basis(op)
-    p = projective(op, x, op_basis)
-    return dual_module(p, bq)
+def injective(bq: BoundQuiver, x: str) -> Module:
+    """I_x = D P(x, -), in the basis dual to the path classes x -> z; an
+    arrow a: z -> w acts as the dual of q -> q a."""
+    basis = path_basis(bq)
+    f = bq.field
+    dims = {z: basis.dim(x, z) for z in bq.vertices}
+    mats = {}
+    for a in bq.arrows:
+        z, w = a.source, a.target
+        a_class = basis.reduce_path(z, w, (a.name,))
+        rows = [basis.compose(x, z, w, unit, a_class)
+                for unit in Matrix.identity(f, dims[z]).entries]
+        mats[a.name] = Matrix.from_rows(f, dims[z], dims[w], rows)
+    return Module(bq, dims, mats, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +678,7 @@ def radical_hom(m: Module, n: Module,
 class PairCache:
     """Memo for hom spaces over a stable set of modules, keyed on the
     modules themselves (they are immutable and hashable), and for the
-    modules a builder such as `projective` reads off a path basis."""
+    modules a builder such as `projective` makes at a vertex."""
 
     def __init__(self):
         self._hom: dict = {}
@@ -682,12 +690,12 @@ class PairCache:
             out = self._hom[(m, n)] = hom_space(m, n)
         return out
 
-    def built(self, build, x: str, basis: PathBasis) -> Module:
-        """build(basis.bq, x, basis), made once per builder, vertex and basis."""
-        key = (build, x, basis)
+    def built(self, build, bq: BoundQuiver, x: str) -> Module:
+        """build(bq, x), made once per builder, quiver and vertex."""
+        key = (build, bq, x)
         out = self._built.get(key)
         if out is None:
-            out = self._built[key] = build(basis.bq, x, basis)
+            out = self._built[key] = build(bq, x)
         return out
 
 
@@ -975,8 +983,7 @@ def _is_thin_brick(m: Module) -> bool:
     return 0 < len(reached) == len(m.support)
 
 
-def decompose(m: Module, seed: int = DEFAULT_SEED, max_tries: int = 64,
-              cache: PairCache | None = None) -> Decomposition:
+def decompose(m: Module, seed: int = DEFAULT_SEED, cache: PairCache | None = None) -> Decomposition:
     """Full direct-sum decomposition.  Each piece's inclusion/projection
     witnesses are built and composed when first read (`DecompPiece`), and
     the isomorphism classes are grouped when first read (`Decomposition`),
@@ -1017,7 +1024,7 @@ def decompose(m: Module, seed: int = DEFAULT_SEED, max_tries: int = 64,
         split = None
         # a map in K 1 + rad End(P) has a single eigenvalue, so it cannot
         # split: the unit attempts before the row that ended the scan are skipped
-        for attempt in range(len(form) - 1, max_tries):
+        for attempt in range(len(form) - 1, MAX_TRIES):
             unit = attempt < end.dim
             form.extend(islice(rows, attempt + 1 - len(form)) if unit else rows)
             coords = None if unit else [f.sample(rng) for _ in range(end.dim)]
@@ -1035,7 +1042,7 @@ def decompose(m: Module, seed: int = DEFAULT_SEED, max_tries: int = 64,
             # field larger than K nothing above splits, and some element
             # then generates End(P)/rad
             rad = end_radical(p, end)
-            if not any(_generates_a_residue_field(end, rad, rng) for _ in range(max_tries)):
+            if not any(_generates_a_residue_field(end, rad, rng) for _ in range(MAX_TRIES)):
                 raise DecompositionError(
                     "could not split a module with non-local endomorphism algebra; "
                     "the field may be too small")
@@ -1077,7 +1084,7 @@ def is_isomorphic(m: Module, n: Module) -> bool:
 # almost split maps
 
 
-def _is_projective_vertex(n: Module, basis: PathBasis) -> str | None:
+def _is_projective_vertex(n: Module) -> str | None:
     """The vertex x with N isomorphic to P_x, or None.
 
     That holds iff N has top S_x and the dimension vector of P_x, since the
@@ -1086,7 +1093,7 @@ def _is_projective_vertex(n: Module, basis: PathBasis) -> str | None:
     dimension dims[v] minus the rank of the out-arrow block, and no
     submodule needs to be built.
     """
-    vertices = n.bq.vertices
+    vertices, basis = n.bq.vertices, path_basis(n.bq)
     dims_of_p = {x: {z: basis.dim(z, x) for z in vertices} for x in vertices}
     if n.dims not in dims_of_p.values():
         return None
@@ -1100,9 +1107,7 @@ def _is_projective_vertex(n: Module, basis: PathBasis) -> str | None:
     return x if n.dims == dims_of_p[x] else None
 
 
-def right_almost_split(n: Module, ind_list: list[Module],
-                       basis: PathBasis | None = None,
-                       check: bool = True) -> ModMap:
+def right_almost_split(n: Module, ind_list: list[Module], check: bool = True) -> ModMap:
     """The right minimal almost split map into an indecomposable N.
 
     For a projective N this is the inclusion of its radical; otherwise it
@@ -1114,11 +1119,10 @@ def right_almost_split(n: Module, ind_list: list[Module],
     """
     if n.is_zero():
         raise AlmostSplitError("almost split map into the zero module")
-    basis = basis or path_basis(n.bq)
-    if _is_projective_vertex(n, basis) is not None:
+    if _is_projective_vertex(n) is not None:
         tau, g = None, radical_submodule(n)[1]
     else:
-        seq = almost_split_sequence(n, basis)
+        seq = almost_split_sequence(n)
         tau, g = seq.tau, seq.g
     if check:
         others = [x for x in ind_list if not (x.dims == n.dims and is_isomorphic_indec(x, n))]
@@ -1195,11 +1199,11 @@ def _top_generators(m: Module) -> list[tuple[str, Matrix]]:
     return gens
 
 
-def _induced(m: Module, gens: list[tuple[str, Matrix]], basis: PathBasis) -> dict[str, Matrix]:
+def _induced(m: Module, gens: list[tuple[str, Matrix]]) -> dict[str, Matrix]:
     """Components of the map to M from the sum of one P_x per (x, column)
     in gens that sends the top of that summand to the column: the path
     class q: z -> x goes to M(q) applied to it (Hom(P_x, M) = M(x))."""
-    f = m.bq.field
+    f, basis = m.bq.field, path_basis(m.bq)
     p, zero = f.p, f.zero
     vecs = [(x, [row[0] for row in col.entries]) for x, col in gens]
     comps = {}
@@ -1215,23 +1219,7 @@ def _induced(m: Module, gens: list[tuple[str, Matrix]], basis: PathBasis) -> dic
     return comps
 
 
-def _nakayama_injective(bq: BoundQuiver, x: str, basis: PathBasis) -> Module:
-    """nu P_x = I_x = D P(x, -), in the basis dual to the path classes
-    x -> z; an arrow a: z -> w acts as the dual of q -> q a."""
-    f = bq.field
-    dims = {z: basis.dim(x, z) for z in bq.vertices}
-    mats = {}
-    for a in bq.arrows:
-        z, w = a.source, a.target
-        a_class = basis.reduce_path(z, w, (a.name,))
-        rows = [basis.compose(x, z, w, unit, a_class)
-                for unit in Matrix.identity(f, dims[z]).entries]
-        mats[a.name] = Matrix.from_rows(f, dims[z], dims[w], rows)
-    return Module(bq, dims, mats, check=False)
-
-
-def almost_split_sequence(n: Module, basis: PathBasis | None = None,
-                          cache: PairCache | None = None) -> AlmostSplitSequence:
+def almost_split_sequence(n: Module, cache: PairCache | None = None) -> AlmostSplitSequence:
     """The almost split sequence ending at an indecomposable non-projective
     N, built from N alone (Auslander-Reiten-Smalo, ch. IV-V).
 
@@ -1244,12 +1232,12 @@ def almost_split_sequence(n: Module, basis: PathBasis | None = None,
     cache = cache or PairCache()
     bq = n.bq
     f = bq.field
-    basis = basis or path_basis(bq)
+    basis = path_basis(bq)
     vertices = bq.vertices
     gens0 = _top_generators(n)
     xs0 = [x for x, _ in gens0]
-    p0 = _sum_module(bq, [cache.built(projective, x, basis) for x in xs0])
-    pi = ModMap(p0, n, _induced(n, gens0, basis), check=False)
+    p0 = _sum_module(bq, [cache.built(projective, bq, x) for x in xs0])
+    pi = ModMap(p0, n, _induced(n, gens0), check=False)
     k, iota = submodule(p0, {z: kernel_basis(pi.comps[z]).transpose() for z in vertices})
     if k.is_zero():
         raise AlmostSplitError("no almost split sequence ends at a projective module")
@@ -1269,7 +1257,7 @@ def almost_split_sequence(n: Module, basis: PathBasis | None = None,
         cuts = starts[x1]
         classes.append([image[cuts[i]:cuts[i + 1]] for i in range(len(xs0))])
     # tau N(y) is the kernel of the transpose of Hom(P0, P_y) -> Hom(P1, P_y)
-    nu_p1 = _sum_module(bq, [cache.built(_nakayama_injective, x, basis) for x in xs1])
+    nu_p1 = _sum_module(bq, [cache.built(injective, bq, x) for x in xs1])
     cols = {}
     for y in vertices:
         rows = []
@@ -1309,7 +1297,7 @@ def almost_split_sequence(n: Module, basis: PathBasis | None = None,
         quot = inner.quotient().projection
         for coords in end_radical(n, end).rows.entries:
             r = end.from_coords(coords)
-            r0 = _induced(p0, [(x, solve(pi.comps[x], r.comps[x] @ v)) for x, v in gens0], basis)
+            r0 = _induced(p0, [(x, solve(pi.comps[x], r.comps[x] @ v)) for x, v in gens0])
             r_k = ModMap(k, k, {z: _solve_in_basis(iota.comps[z], r0[z] @ iota.comps[z])
                                 for z in vertices}, check=False)
             action = Matrix(f, [hom.coords(h @ r_k) for h in hom.maps]).transpose()
@@ -1446,8 +1434,7 @@ def _separated_quiver_is_dynkin(bq: BoundQuiver) -> bool:
 
 
 def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int = 80,
-                              seed: int = DEFAULT_SEED,
-                              basis: PathBasis | None = None) -> Enumeration:
+                              seed: int = DEFAULT_SEED) -> Enumeration:
     """Close the simples, projectives and injectives under the module
     operations that generate the AR quiver at desk scale.
 
@@ -1473,9 +1460,6 @@ def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int
     (`_sequence_failures`).  Each sequence is built once, from whichever
     end the knitting reaches first.
     """
-    basis = basis or path_basis(bq)
-    op = opposite_quiver(bq)
-    op_basis = path_basis(op)
     light = _is_nakayama(bq)
     notes: list[str] = []
     found: list[Module] = []
@@ -1542,9 +1526,9 @@ def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int
     for v in bq.vertices:
         queue.extend(add(simple(bq, v)))
     for v in bq.vertices:
-        queue.extend(add(projective(bq, v, basis)))
+        queue.extend(add(projective(bq, v)))
     for v in bq.vertices:
-        queue.extend(add(injective(bq, v, op_basis)))
+        queue.extend(add(injective(bq, v)))
 
     processed = 0
     while queue and complete:
@@ -1558,24 +1542,24 @@ def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int
             # some tau^-1 M, so not projective, and one in knit_out is some
             # tau M, so not injective
             if n not in knit_in:
-                if _is_projective_vertex(n, basis) is not None:
+                if _is_projective_vertex(n) is not None:
                     queue.extend(add(radical_submodule(n)[0]))
                 else:
-                    seq = almost_split_sequence(n, basis, cache)
+                    seq = almost_split_sequence(n, cache)
                     queue.extend(add(seq.middle))
                     queue.extend(add(seq.tau))
                     ending[n] = (known.get(seq.tau, seq.tau), seq.middle)
                     if seq.tau in known:
                         knit_out.add(known[seq.tau])
             if complete and n not in knit_out:
-                dual_n = dual_module(n, op)
-                if _is_projective_vertex(dual_n, op_basis) is not None:
+                dual_n = dual_module(n)
+                if _is_projective_vertex(dual_n) is not None:
                     queue.extend(add(socle_quotient(n)[0]))
                 else:
                     # D of the sequence ending at D N: 0 -> N -> E -> tau^-1 N -> 0
-                    seq = almost_split_sequence(dual_n, op_basis, cache)
-                    tau_inv = dual_module(seq.tau, bq)
-                    middle = dual_module(seq.middle, bq)
+                    seq = almost_split_sequence(dual_n, cache)
+                    tau_inv = dual_module(seq.tau)
+                    middle = dual_module(seq.middle)
                     queue.extend(add(middle))
                     queue.extend(add(tau_inv))
                     if tau_inv in known:
@@ -1593,10 +1577,10 @@ def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int
             return []
         return parts[m] if m in parts else [(known[m], 1)]
 
-    if complete and light and len(found) != basis.total_dim:
+    if complete and light and len(found) != path_basis(bq).total_dim:
         complete = False
         notes.append(f"light closure lists {len(found)} classes, "
-                     f"not dim A = {basis.total_dim}")
+                     f"not dim A = {path_basis(bq).total_dim}")
     if complete and not light:
         for n in found:
             tau, e = ending[n] if n in ending else (None, radical_submodule(n)[0])

@@ -16,7 +16,7 @@ from pathlib import Path
 from .covering import LayeredModule, layered_injective, layered_projective, layered_simple
 from .functors import FpFunctor, hom_functor, simple_functor, simple_functor_cover
 from .modules import Module, enumerate_indecomposables, parse_module, projective, simple, injective
-from .quiver import BoundQuiver, PathBasis, VoltageQuiver, parse_quiver, path_basis
+from .quiver import BoundQuiver, VoltageQuiver, parse_quiver
 
 
 class FixtureError(ValueError):
@@ -56,17 +56,16 @@ def load_quiver(spec: str, field_override: str | None = None):
     return name, hashlib.sha256(raw).hexdigest(), parse_quiver(text)
 
 
-def resolve_module(bq: BoundQuiver, spec: str, basis: PathBasis | None = None) -> Module:
+def resolve_module(bq: BoundQuiver, spec: str) -> Module:
     spec = spec.strip()
     if spec.startswith("@"):
         path = Path(spec[1:])
         return parse_module(bq, path.read_text())
-    basis = basis or path_basis(bq)
     kind, vertex = _split_kind(spec, bq.vertices)
     if kind == "S":
         return simple(bq, vertex)
     if kind == "P":
-        return projective(bq, vertex, basis)
+        return projective(bq, vertex)
     if kind == "I":
         return injective(bq, vertex)
     raise FixtureError(f"unknown module spec {spec!r}")

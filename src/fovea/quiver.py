@@ -49,7 +49,14 @@ class BoundQuiver:
     Relations are tuples of (coefficient, path) terms; a path is a tuple
     of arrow names in traversal order, so in "a*b" the arrow a is walked
     first and t(a) = s(b).
+
+    It owns two memos, which take no part in equality or hashing: its path
+    basis (`path_basis`) and its opposite (`opposite_quiver`).  Neither
+    holds this quiver strongly, so both die with it, cycle collector or no.
     """
+
+    _basis = None
+    _opposite = None    # the opposite quiver, or a weakref to the quiver it is the opposite of
 
     def __init__(self, vertices, arrows, relations, field: Field, nilbound: int):
         self.vertices = tuple(vertices)
@@ -398,9 +405,8 @@ class PathBasis:
     """
 
     def __init__(self, bq: BoundQuiver, path_cap: int = 200_000):
-        self.bq = bq
-        f = bq.field
-        m = bq.nilbound
+        f = self.field = bq.field
+        m = self.nilbound = bq.nilbound
         paths, self.path_index = _paths_by_pair(bq, m - 1, path_cap)
         self.paths = paths
 
@@ -463,9 +469,9 @@ class PathBasis:
 
     def reduce_path(self, x: str, y: str, path: tuple[str, ...]) -> tuple:
         """Coordinates of a path's class in the representative basis."""
-        f = self.bq.field
+        f = self.field
         plist = self.paths[(x, y)]
-        if len(path) >= self.bq.nilbound:
+        if len(path) >= self.nilbound:
             return tuple(f.zero for _ in range(self.dim(x, y)))
         vec = [f.zero] * len(plist)
         vec[self.path_index[(x, y)][path]] = f.one
@@ -473,7 +479,7 @@ class PathBasis:
 
     def compose(self, x: str, y: str, z: str, a_coords, b_coords) -> tuple:
         """Class of (a then b) for a in hom(x,y), b in hom(y,z) coordinates."""
-        f = self.bq.field
+        f = self.field
         out = [f.zero] * self.dim(x, z)
         reps_xy = self.representatives(x, y)
         reps_yz = self.representatives(y, z)
@@ -498,8 +504,11 @@ class PathBasis:
         return self.reduce_path(x, x, ())
 
 
-def path_basis(bq: BoundQuiver, path_cap: int = 200_000) -> PathBasis:
-    return PathBasis(bq, path_cap)
+def path_basis(bq: BoundQuiver) -> PathBasis:
+    """bq's PathBasis, built on first call and kept on bq."""
+    if bq._basis is None:
+        bq._basis = PathBasis(bq)
+    return bq._basis
 
 
 @dataclass
@@ -637,13 +646,13 @@ def _shift_template(template, lo: int):
     return vertices, arrows, relations
 
 
-def is_convex(bq: BoundQuiver, subset, basis: PathBasis | None = None) -> bool:
+def is_convex(bq: BoundQuiver, subset) -> bool:
     """True iff no nonzero hom chain leaves the subset and re-enters it."""
     subset = set(subset)
     unknown = subset - set(bq.vertices)
     if unknown:
         raise QuiverError(f"unknown vertices {sorted(unknown)}")
-    basis = basis or path_basis(bq)
+    basis = path_basis(bq)
     edges = {
         v: {w for w in bq.vertices if w != v and basis.dim(v, w) > 0}
         for v in bq.vertices
@@ -685,9 +694,17 @@ def sub_quiver(bq: BoundQuiver, subset) -> BoundQuiver:
 
 
 def opposite_quiver(bq: BoundQuiver) -> BoundQuiver:
-    arrows = [(a.name, a.target, a.source) for a in bq.arrows]
-    relations = [tuple((c, tuple(reversed(p))) for c, p in rel) for rel in bq.relations]
-    return BoundQuiver(bq.vertices, arrows, relations, bq.field, bq.nilbound)
+    """bq with every arrow and relation path reversed, built once and kept
+    on bq; its own opposite is bq itself while bq lives, held weakly."""
+    op = bq._opposite
+    if isinstance(op, weakref.ref):
+        op = op()
+    if op is None:
+        arrows = tuple(Arrow(a.name, a.target, a.source) for a in bq.arrows)
+        relations = tuple(tuple((c, p[::-1]) for c, p in rel) for rel in bq.relations)
+        op = BoundQuiver._unchecked(bq.vertices, arrows, relations, bq.field, bq.nilbound)
+        bq._opposite, op._opposite = op, weakref.ref(bq)
+    return op
 
 
 def rename_vertices(bq: BoundQuiver, mapping: dict[str, str]) -> BoundQuiver:
@@ -743,8 +760,8 @@ class StructureCategory:
         return Subspace.coordinate(self.field, n, (i for i in range(n) if i != skip))
 
 
-def structure_category(bq: BoundQuiver, basis: PathBasis | None = None) -> StructureCategory:
-    basis = basis or path_basis(bq)
+def structure_category(bq: BoundQuiver) -> StructureCategory:
+    basis = path_basis(bq)
     dims = {(x, y): basis.dim(x, y) for x in bq.vertices for y in bq.vertices}
     identity_index = {}
     for x in bq.vertices:
@@ -917,6 +934,6 @@ def presentation_basis(cat: StructureCategory, bq: BoundQuiver) -> PathBasis:
     return got
 
 
-def normalize_presentation(bq: BoundQuiver, basis: PathBasis | None = None) -> BoundQuiver:
+def normalize_presentation(bq: BoundQuiver) -> BoundQuiver:
     """Canonical presentation of the algebra presented by bq."""
-    return extract_presentation(structure_category(bq, basis))
+    return extract_presentation(structure_category(bq))

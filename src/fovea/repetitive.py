@@ -12,10 +12,9 @@ algebras (the trivial extension at k = 1).
 from __future__ import annotations
 
 from .linalg import Matrix, kernel_basis
-from .modules import _nakayama_injective, is_isomorphic_indec, projective
+from .modules import injective, is_isomorphic_indec, projective
 from .quiver import (
     BoundQuiver,
-    PathBasis,
     QuiverError,
     StructureCategory,
     VoltageQuiver,
@@ -30,29 +29,24 @@ from .quiver import (
 class RepetitiveTruncation:
     """The layers -n..n of the repetitive category of an algebra."""
 
-    def __init__(self, bq: BoundQuiver, n: int, basis: PathBasis | None = None):
+    def __init__(self, bq: BoundQuiver, n: int):
         if n < 0:
             raise QuiverError("truncation radius must be nonnegative")
         self.base = bq
         self.n = n
-        self.basis = basis or path_basis(bq)
-        self.category = _repetitive_category(self.basis, range(-n, n + 1))
+        self.category = _repetitive_category(bq, range(-n, n + 1))
 
     @property
     def total_dim(self) -> int:
         return self.category.total_dim
 
-    def export(self) -> BoundQuiver:
-        """A bound quiver presentation with vertices named vertex@layer."""
-        return self.export_with_basis()[0]
-
-    def export_with_basis(self, rv: VoltageQuiver | None = None
-                          ) -> tuple[BoundQuiver, PathBasis]:
-        """export() together with the path basis its dimension check built.
+    def export(self, rv: VoltageQuiver | None = None) -> BoundQuiver:
+        """A bound quiver presentation with vertices named vertex@layer,
+        whose path basis is checked against the category's dimensions.
 
         Layer 0 alone is extracted from the category.  For n >= 1 the
         presentation is lifted off the repetitive voltage quiver rv (built
-        from the base and its basis when not given), byte for byte the one
+        from the base when not given), byte for byte the one
         extract_presentation would give:
 
         - Hom and composition depend only on r - m.
@@ -74,13 +68,12 @@ class RepetitiveTruncation:
         if self.n == 0:
             out = extract_presentation(self.category, verify=False, vertex_name=name)
         else:
-            if rv is None:
-                rv = repetitive_voltage(self.base, self.basis)
-            out = _lift_truncation(rv, self.n, name)
-        return out, presentation_basis(self.category, out)
+            out = _lift_truncation(rv or repetitive_voltage(self.base), self.n, name)
+        presentation_basis(self.category, out)
+        return out
 
 
-def _repetitive_category(basis: PathBasis, layers) -> StructureCategory:
+def _repetitive_category(bq: BoundQuiver, layers) -> StructureCategory:
     """The full subcategory of the repetitive category on consecutive layers.
 
     Objects are (layer, vertex).  Hom bases: within a layer the path
@@ -88,8 +81,7 @@ def _repetitive_category(basis: PathBasis, layers) -> StructureCategory:
     classes the other way; the compositions (u then phi)(b) = phi(b u) and
     (phi then w)(c) = phi(w c) wire the dual layer to the algebra action.
     """
-    bq = basis.bq
-    f = bq.field
+    basis, f = path_basis(bq), bq.field
     objs = [(m, i) for m in layers for i in bq.vertices]
     dims = {}
     for (m, i) in objs:
@@ -186,12 +178,11 @@ def _lift_truncation(rv: VoltageQuiver, n: int, vertex_name) -> BoundQuiver:
     return BoundQuiver(vertices, arrows, relations, base.field, base.nilbound)
 
 
-def repetitive_truncation(bq: BoundQuiver, n: int,
-                          basis: PathBasis | None = None) -> RepetitiveTruncation:
-    return RepetitiveTruncation(bq, n, basis)
+def repetitive_truncation(bq: BoundQuiver, n: int) -> RepetitiveTruncation:
+    return RepetitiveTruncation(bq, n)
 
 
-def repetitive_voltage(bq: BoundQuiver, basis: PathBasis | None = None) -> VoltageQuiver:
+def repetitive_voltage(bq: BoundQuiver) -> VoltageQuiver:
     """The repetitive category as a graded presentation with shift degree 1.
 
     A nonzero morphism moves up at most one layer, and the composite of two
@@ -205,8 +196,7 @@ def repetitive_voltage(bq: BoundQuiver, basis: PathBasis | None = None) -> Volta
     the canonical kernel of path evaluation, where a path that reaches
     layer 2 or beyond is zero because Hom((0, i), (m, j)) = 0 for m >= 2.
     """
-    basis = basis or path_basis(bq)
-    cat = _repetitive_category(basis, (0, 1))
+    cat = _repetitive_category(bq, (0, 1))
     rad, rad2, nildeg = radical_filtration(cat)
     nilbound = nildeg + 1
 
@@ -301,11 +291,10 @@ def _orbit_quotient(rv: VoltageQuiver, k: int) -> BoundQuiver:
     return BoundQuiver(vertices, arrows, relations, base.field, base.nilbound)
 
 
-def is_selfinjective(bq: BoundQuiver, basis: PathBasis | None = None) -> bool:
+def is_selfinjective(bq: BoundQuiver) -> bool:
     """Each indecomposable projective is injective (and conversely); I_x = D A(x, -)."""
-    basis = basis or path_basis(bq)
-    projs = {v: projective(bq, v, basis) for v in bq.vertices}
-    injs = {v: _nakayama_injective(bq, v, basis) for v in bq.vertices}
+    projs = {v: projective(bq, v) for v in bq.vertices}
+    injs = {v: injective(bq, v) for v in bq.vertices}
     remaining = list(bq.vertices)
     for v, p in projs.items():
         match = None

@@ -157,40 +157,36 @@ def _suite_repetitive(report: Report, q):
         raise SuiteError("suite repetitive needs a finite-dimensional algebra input")
     bq: BoundQuiver = q
     vr = VerifyReport("repetitive")
-    # one path basis per quiver: the base's is passed to everything built on
-    # the base, and each export's is the one its dimension check built
-    basis = path_basis(bq)
-    base_dim = basis.total_dim
-    trunc0 = repetitive_truncation(bq, 0, basis)
-    trunc1 = repetitive_truncation(bq, 1, basis)
-    trunc2 = repetitive_truncation(bq, 2, basis)
+    base_dim = path_basis(bq).total_dim
+    trunc0 = repetitive_truncation(bq, 0)
+    trunc1 = repetitive_truncation(bq, 1)
+    trunc2 = repetitive_truncation(bq, 2)
     vr.add("repetitive.dim-n0", base_dim, trunc0.total_dim)
     vr.add("repetitive.dim-n1", 5 * base_dim, trunc1.total_dim)
     vr.add("repetitive.dim-n2", 9 * base_dim, trunc2.total_dim)
 
     # the exports for n >= 1 are lifted off the one repetitive voltage quiver
-    rv = repetitive_voltage(bq, basis)
-    exported1, pb1 = trunc1.export_with_basis(rv=rv)
+    rv = repetitive_voltage(bq)
+    exported1 = trunc1.export(rv)
     vr.add("repetitive.export-admissible", True, check_admissible(exported1).ok)
 
-    exported2, pb2 = trunc2.export_with_basis(rv=rv)
+    exported2 = trunc2.export(rv)
     inner = [v for v in exported2.vertices if v.endswith(("@-1", "@0", "@1"))]
-    vr.add("repetitive.truncation-convex", True, is_convex(exported2, inner, pb2))
+    vr.add("repetitive.truncation-convex", True, is_convex(exported2, inner))
+    pb1, pb2 = path_basis(exported1), path_basis(exported2)
     agree = all(pb1.dim(x, y) == pb2.dim(x, y) for x in inner for y in inner)
     vr.add("repetitive.truncation-hom-dims-agree", True, agree)
 
-    norm = format_quiver(normalize_presentation(bq, basis))
+    norm = format_quiver(normalize_presentation(bq))
     renamed = rename_vertices(trunc0.export(), {f"{v}@0": v for v in bq.vertices})
     vr.add("repetitive.n0-byte-exact", True, format_quiver(renamed) == norm)
 
-    for n, trunc, exported, pb in ((1, trunc1, exported1, pb1), (2, trunc2, exported2, pb2)):
+    for n, trunc, exported in ((1, trunc1, exported1), (2, trunc2, exported2)):
         # a window with T_n's presentation, up to names, presents T_n, whose
-        # basis presentation_basis already checked against T_n's category
+        # basis the export already checked against T_n's category
         window = lift_window(rv, Window(-n, n))
-        if _presentation_key(window) == _presentation_key(exported):
-            wdim = pb.total_dim
-        else:
-            wdim = path_basis(window).total_dim
+        same = _presentation_key(window) == _presentation_key(exported)
+        wdim = path_basis(exported if same else window).total_dim
         vr.add(f"repetitive.window-matches-truncation[n={n}]", trunc.total_dim, wdim)
     w0 = lift_window(rv, Window(0, 0))
     w0_renamed = rename_vertices(w0, {f"{v}@0": v for v in bq.vertices})
@@ -198,9 +194,8 @@ def _suite_repetitive(report: Report, q):
     vr.add("repetitive.window0-is-base", True, w0_norm == norm)
 
     orbit = _orbit_quotient(rv, 1)
-    orbit_basis = path_basis(orbit)
-    vr.add("repetitive.orbit-dim", 2 * base_dim, orbit_basis.total_dim)
-    vr.add("repetitive.orbit-selfinjective", True, is_selfinjective(orbit, orbit_basis))
+    vr.add("repetitive.orbit-dim", 2 * base_dim, path_basis(orbit).total_dim)
+    vr.add("repetitive.orbit-selfinjective", True, is_selfinjective(orbit))
     report.absorb(vr)
 
 

@@ -35,7 +35,6 @@ from fovea.modules import (
     radical_hom,
     right_almost_split,
 )
-from fovea.quiver import BoundQuiver, PathBasis, opposite_quiver, path_basis
 
 
 class RadicalCache(PairCache):
@@ -132,22 +131,16 @@ def verify_right_almost_split(g: ModMap, n: Module, ind_list: list[Module],
     return failures
 
 
-def dual_map(f: ModMap, op: BoundQuiver | None = None) -> ModMap:
-    op = op or opposite_quiver(f.source.bq)
-    src = dual_module(f.target, op)
-    tgt = dual_module(f.source, op)
+def dual_map(f: ModMap) -> ModMap:
+    src = dual_module(f.target)
+    tgt = dual_module(f.source)
     return ModMap(src, tgt, {v: c.transpose() for v, c in f.comps.items()}, check=False)
 
 
-def left_almost_split(n: Module, ind_list: list[Module],
-                      op: BoundQuiver | None = None,
-                      op_basis: PathBasis | None = None,
-                      check: bool = True) -> ModMap:
+def left_almost_split(n: Module, ind_list: list[Module], check: bool = True) -> ModMap:
     """The left minimal almost split map out of N: the dual of the right
     one into D N over the opposite quiver.  The list is read only with
     check=True."""
-    op = op or opposite_quiver(n.bq)
-    op_basis = op_basis or path_basis(op)
-    dual_list = [dual_module(x, op) for x in ind_list] if check else []
-    g = right_almost_split(dual_module(n, op), dual_list, basis=op_basis, check=check)
-    return dual_map(g, n.bq)
+    dual_list = [dual_module(x) for x in ind_list] if check else []
+    g = right_almost_split(dual_module(n), dual_list, check=check)
+    return dual_map(g)

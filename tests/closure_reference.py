@@ -31,18 +31,14 @@ from fovea.modules import (
     simple,
     socle_quotient,
 )
-from fovea.quiver import BoundQuiver, PathBasis, opposite_quiver, path_basis
+from fovea.quiver import BoundQuiver, path_basis
 
 
 def reference_enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int = 80,
-                                        seed: int = DEFAULT_SEED,
-                                        basis: PathBasis | None = None) -> Enumeration:
+                                        seed: int = DEFAULT_SEED) -> Enumeration:
     """Close the simples, projectives and injectives under radicals,
     socle quotients and, off the Nakayama case, tau^{+-1} and the middle
     terms of the almost split sequences at every listed module."""
-    basis = basis or path_basis(bq)
-    op = opposite_quiver(bq)
-    op_basis = path_basis(op)
     light = _is_nakayama(bq)
     notes: list[str] = []
     found: list[Module] = []
@@ -98,9 +94,9 @@ def reference_enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, coun
     for v in bq.vertices:
         queue.extend(add(simple(bq, v)))
     for v in bq.vertices:
-        queue.extend(add(projective(bq, v, basis)))
+        queue.extend(add(projective(bq, v)))
     for v in bq.vertices:
-        queue.extend(add(injective(bq, v, op_basis)))
+        queue.extend(add(injective(bq, v)))
 
     processed = 0
     while queue and complete:
@@ -109,19 +105,19 @@ def reference_enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, coun
         queue.extend(add(radical_submodule(n)[0]))
         queue.extend(add(socle_quotient(n)[0]))
         if not light and complete:
-            if n not in knit_in and _is_projective_vertex(n, basis) is None:
-                seq = almost_split_sequence(n, basis, cache)
+            if n not in knit_in and _is_projective_vertex(n) is None:
+                seq = almost_split_sequence(n, cache)
                 queue.extend(add(seq.middle))
                 queue.extend(add(seq.tau))
                 ending[n] = (known.get(seq.tau, seq.tau), seq.middle)
                 if seq.tau in known:
                     knit_out.add(known[seq.tau])
-            dual_n = dual_module(n, op)
+            dual_n = dual_module(n)
             if (complete and n not in knit_out
-                    and _is_projective_vertex(dual_n, op_basis) is None):
-                seq = almost_split_sequence(dual_n, op_basis, cache)
-                tau_inv = dual_module(seq.tau, bq)
-                middle = dual_module(seq.middle, bq)
+                    and _is_projective_vertex(dual_n) is None):
+                seq = almost_split_sequence(dual_n, cache)
+                tau_inv = dual_module(seq.tau)
+                middle = dual_module(seq.middle)
                 queue.extend(add(middle))
                 queue.extend(add(tau_inv))
                 if tau_inv in known:
@@ -137,10 +133,10 @@ def reference_enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, coun
             return []
         return parts[m] if m in parts else [(known[m], 1)]
 
-    if complete and light and len(found) != basis.total_dim:
+    if complete and light and len(found) != path_basis(bq).total_dim:
         complete = False
         notes.append(f"light closure lists {len(found)} classes, "
-                     f"not dim A = {basis.total_dim}")
+                     f"not dim A = {path_basis(bq).total_dim}")
     if complete and not light:
         for n in found:
             tau, e = ending[n] if n in ending else (None, radical_submodule(n)[0])

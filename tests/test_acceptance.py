@@ -157,15 +157,13 @@ def test_criterion_04_almost_split_suites():
         for bq, count in ((A2, 3), (A3, 6)):
             enum = enumerate_indecomposables(bq)
             ok &= enum.complete and len(enum.modules) == count
-            pb = path_basis(bq)
             for n in enum.modules:
-                g = right_almost_split(n, enum.modules, basis=pb, check=False)
+                g = right_almost_split(n, enum.modules, check=False)
                 ok &= verify_right_almost_split(g, n, enum.modules) == []
-        pb2 = path_basis(A2)
         s1, s2 = simple(A2, "1"), simple(A2, "2")
-        p2 = projective(A2, "2", pb2)
-        enum2 = enumerate_indecomposables(A2, basis=pb2)
-        g = right_almost_split(s2, enum2.modules, basis=pb2)
+        p2 = projective(A2, "2")
+        enum2 = enumerate_indecomposables(A2)
+        g = right_almost_split(s2, enum2.modules)
         fac = map_factor(g)
         ok &= g.source.dims == p2.dims
         ok &= fac.kernel.dims == s1.dims
@@ -288,10 +286,9 @@ def test_criterion_11_restriction_extension():
         w2 = lift_window(LINE_K2, Window(0, 2))
         subset = ["v@0", "v@1"]
         sub = sub_quiver(w2, subset)
-        pbsub = path_basis(sub)
-        sub_enum = enumerate_indecomposables(sub, basis=pbsub)
+        sub_enum = enumerate_indecomposables(sub)
         co = Coinduction(w2, subset)
-        functors = [hom_functor(sub, projective(sub, "v@1", pbsub)),
+        functors = [hom_functor(sub, projective(sub, "v@1")),
                     hom_functor(sub, simple(sub, "v@0")),
                     hom_functor(sub, simple(sub, "v@1"))]
         extended = [extend_functor(s, w2, subset, co) for s in functors]

@@ -64,7 +64,7 @@ def _is_split_epi(g: ModMap) -> bool:
 @given(tree_algebras(), st.data())
 def test_almost_split_sequence_properties(bq, data):
     pb = path_basis(bq)
-    enum = enumerate_indecomposables(bq, basis=pb)
+    enum = enumerate_indecomposables(bq)
     assert enum.complete
     # a Dynkin indecomposable is determined by its dimension vector, so N
     # is projective iff it has the dimension vector of some P_x
@@ -73,7 +73,7 @@ def test_almost_split_sequence_properties(bq, data):
     if not ends:
         return
     n = data.draw(st.sampled_from(ends))
-    seq = almost_split_sequence(n, pb)
+    seq = almost_split_sequence(n)
     tau, e, f, g = seq.tau, seq.middle, seq.f, seq.g
 
     # modules and module maps
@@ -109,12 +109,11 @@ def test_the_extension_class_is_killed_by_the_radical_of_the_endomorphisms():
     factors through a projective, so Ext^1(N, tau N) is 2-dimensional and
     only its socle line gives an almost split sequence."""
     bq = parse_quiver(LOOP4)
-    pb = path_basis(bq)
-    enum = enumerate_indecomposables(bq, basis=pb)
+    enum = enumerate_indecomposables(bq)
     assert enum.complete and [m.total_dim for m in enum.modules] == [1, 2, 3, 4]
     n = enum.modules[1]
     assert hom_space(n, n).dim == 2
-    seq = almost_split_sequence(n, pb)
+    seq = almost_split_sequence(n)
     assert verify_right_almost_split(seq.g, n, enum.modules) == []
     assert sorted(p.total_dim for p, c in decompose(seq.middle).summands() for _ in range(c)) == [1, 3]
 
@@ -147,13 +146,12 @@ def test_the_socle_class_is_found_in_a_scrambled_basis(field):
 
 def test_sequences_over_a_cyclic_nakayama_algebra():
     bq = parse_quiver(CYCLIC)
-    pb = path_basis(bq)
-    enum = enumerate_indecomposables(bq, basis=pb)
+    enum = enumerate_indecomposables(bq)
     assert enum.complete and len(enum.modules) == 8
     for n in enum.modules:
         if n.total_dim == 4:        # the two projective-injectives
             continue
-        seq = almost_split_sequence(n, pb)
+        seq = almost_split_sequence(n)
         assert not _is_split_epi(seq.g)
         assert verify_right_almost_split(seq.g, n, enum.modules) == []
         summands = decompose(seq.middle).summands()

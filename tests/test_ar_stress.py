@@ -9,7 +9,7 @@ from fovea.modules import (
     projective,
     right_almost_split,
 )
-from fovea.quiver import parse_quiver, path_basis
+from fovea.quiver import parse_quiver
 from fovea.repetitive import selfinjective_orbit
 
 from almost_split_reference import irr_space
@@ -36,19 +36,17 @@ def test_d4_has_twelve_indecomposables():
 
 def test_d4_mesh_into_the_exceptional_module():
     enum = enumerate_indecomposables(D4, dim_cap=12, count_cap=24)
-    pb = path_basis(D4)
     exceptional = next(m for m in enum.modules
                        if tuple(m.dims[v] for v in D4.vertices) == (2, 1, 1, 1))
     total = sum(irr_space(x, exceptional, enum.modules).dim for x in enum.modules)
     assert total == 3
-    right_almost_split(exceptional, enum.modules, basis=pb, check=True)
+    right_almost_split(exceptional, enum.modules, check=True)
 
 
 def test_d4_factorization_postcondition_everywhere():
     enum = enumerate_indecomposables(D4, dim_cap=12, count_cap=24)
-    pb = path_basis(D4)
     for n in enum.modules:
-        right_almost_split(n, enum.modules, basis=pb, check=True)
+        right_almost_split(n, enum.modules, check=True)
 
 
 def test_trivial_extension_module_category():
@@ -56,10 +54,9 @@ def test_trivial_extension_module_category():
     enum = enumerate_indecomposables(t6)
     assert enum.complete
     assert sorted(m.total_dim for m in enum.modules) == [1, 1, 2, 2, 3, 3]
-    pb = path_basis(t6)
     for n in enum.modules:
-        g = right_almost_split(n, enum.modules, basis=pb, check=True)
-        if _is_projective_vertex(n, pb) is None:
+        g = right_almost_split(n, enum.modules, check=True)
+        if _is_projective_vertex(n) is None:
             fac = map_factor(g)
             assert fac.cokernel.is_zero() and not fac.kernel.is_zero()
     for n in enum.modules:
@@ -70,9 +67,8 @@ def test_trivial_extension_module_category():
 def test_nakayama_two_cycle_module_category():
     enum = enumerate_indecomposables(NAKAYAMA)
     assert enum.complete and len(enum.modules) == 4
-    pb = path_basis(NAKAYAMA)
     for n in enum.modules:
-        right_almost_split(n, enum.modules, basis=pb, check=True)
+        right_almost_split(n, enum.modules, check=True)
     # Hom(-, P) for a projective with socle S2: the simple S1 maps nowhere
     # into it, the other three classes contribute one dimension each
     biggest = max(enum.modules, key=lambda m: m.total_dim)
@@ -83,14 +79,13 @@ def test_nakayama_two_cycle_module_category():
 def test_projectivity_is_read_off_the_module():
     # oracle: search the projectives for one isomorphic to the module
     for bq in (D4, selfinjective_orbit(A2, 1), NAKAYAMA, LOOP_TAIL):
-        pb = path_basis(bq)
-        projectives = {v: projective(bq, v, pb) for v in bq.vertices}
+        projectives = {v: projective(bq, v) for v in bq.vertices}
         enum = enumerate_indecomposables(bq, dim_cap=12, count_cap=24)
         assert enum.complete
         found = 0
         for n in enum.modules:
             expected = next((v for v, p in projectives.items()
                              if is_isomorphic_indec(n, p)), None)
-            assert _is_projective_vertex(n, pb) == expected
+            assert _is_projective_vertex(n) == expected
             found += expected is not None
         assert found == len(bq.vertices)

@@ -283,7 +283,7 @@ def test_pushdown_on_a_representation_infinite_base_fails_at_once(tmp_path):
 
 def test_mod_round_trip(capsys, tmp_path):
     a2 = parse_quiver(open("src/fovea/fixtures/a2.bq").read())
-    text = format_module(projective(a2, "2", path_basis(a2)))
+    text = format_module(projective(a2, "2"))
     mod_file = tmp_path / "p2.mod"
     mod_file.write_text(text)
     code, out, _ = run(capsys, "mod", "a2.bq", str(mod_file))
@@ -326,7 +326,7 @@ def test_fixtures_listed(capsys):
 
 def test_eval_at_file_module(capsys, tmp_path):
     a2 = parse_quiver(open("src/fovea/fixtures/a2.bq").read())
-    text = format_module(projective(a2, "2", path_basis(a2)))
+    text = format_module(projective(a2, "2"))
     mod_file = tmp_path / "p2.mod"
     mod_file.write_text(text)
     code, out, _ = run(capsys, "eval", "a2.bq", "--functor", "S@S2",

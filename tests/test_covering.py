@@ -349,7 +349,7 @@ def _grown_standard(vq, v, n, kind):
         w = Window(n - r, n + r)
         bq = lift_window(vq, w)
         if kind == "projective":
-            mod = projective(bq, layer_vertex(v, n), path_basis(bq))
+            mod = projective(bq, layer_vertex(v, n))
         else:
             mod = injective(bq, layer_vertex(v, n))
         lm = LayeredModule(vq, w, mod).trim()

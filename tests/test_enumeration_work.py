@@ -32,8 +32,9 @@ layered module is pushed down once; a layered module or map builds each
 nonzero twist once per shift, and a layered map is pushed down once; an evaluation builds no Hom(X, M)
 where Hom(X, N) is zero; a path basis reads every pair with relation
 vectors off a sparse echelon form, with no dense elimination; a hom
-dimension reads no canonical basis; and window lifts of one width are
-shifts of one template, checked by BoundQuiver once.
+dimension reads no canonical basis; window lifts of one width are
+shifts of one template, checked by BoundQuiver once; and the cover suites
+build each quiver's path basis at most once.
 """
 
 import inspect
@@ -80,7 +81,6 @@ from fovea.quiver import (
     Window,
     lift_window,
     parse_quiver,
-    path_basis,
     radical_filtration,
 )
 from fovea.repetitive import RepetitiveTruncation
@@ -464,9 +464,26 @@ def test_repetitive_suite_builds_each_path_basis_once(monkeypatch):
     assert len(built) <= 8
 
 
+def test_cover_suites_build_each_path_basis_once(monkeypatch, tmp_path):
+    built = []
+    init = PathBasis.__init__
+
+    def recording(self, bq, *args, **kwargs):
+        built.append(bq)
+        init(self, bq, *args, **kwargs)
+
+    monkeypatch.setattr(PathBasis, "__init__", recording)
+    for suite in ("pushdown", "phi-identities", "kg0"):
+        assert run_suite(suite, "nakayama2.vq").passed, suite
+    (tmp_path / "d4.vq").write_text(D4_COVER_TEXT)
+    assert run_suite("kg0", str(tmp_path / "d4.vq")).passed
+    # every quiver stays alive in the records, so no id is reused; 48
+    # bases of 31 quivers while callers passed bases along
+    assert built and len({id(bq) for bq in built}) == len(built)
+
+
 def test_hom_dimension_builds_no_maps(monkeypatch):
-    pb = path_basis(D4)
-    modules = [projective(D4, "0", pb), injective(D4, "1"), simple(D4, "0")]
+    modules = [projective(D4, "0"), injective(D4, "1"), simple(D4, "0")]
     built = []
     from_vector = ModMap.from_vector.__func__
 
@@ -485,9 +502,8 @@ def test_hom_dimension_builds_no_maps(monkeypatch):
 
 def _scrambled_d4():
     """P0 + P0 + S1 + S0 + I1 over D4 in a random basis."""
-    pb = path_basis(D4)
     f = D4.field
-    pieces = [projective(D4, "0", pb), projective(D4, "0", pb), simple(D4, "1"),
+    pieces = [projective(D4, "0"), projective(D4, "0"), simple(D4, "1"),
               simple(D4, "0"), injective(D4, "1")]
     m, _, _ = direct_sum(pieces)
     rng = random.Random(8)
@@ -658,9 +674,8 @@ def test_kernel_basis_runs_one_elimination(monkeypatch):
 
 
 def test_hom_space_runs_no_dense_elimination(monkeypatch):
-    pb = path_basis(D4)
     scrambled = _scrambled_d4()
-    modules = [projective(D4, "0", pb), injective(D4, "1"), simple(D4, "0"), scrambled,
+    modules = [projective(D4, "0"), injective(D4, "1"), simple(D4, "0"), scrambled,
                Module.zero(D4)]
     calls = []
     for name in ("rref", "kernel_basis"):
@@ -677,8 +692,7 @@ def test_hom_space_runs_no_dense_elimination(monkeypatch):
 
 
 def test_isomorphism_test_reads_one_trace_pairing(monkeypatch):
-    pb = path_basis(D4)
-    p0 = projective(D4, "0", pb)
+    p0 = projective(D4, "0")
     assert set(p0.dims.values()) == {1}
     f = D4.field
     change = {v: Matrix(f, [[k + 2]]) for k, v in enumerate(D4.vertices)}

@@ -53,7 +53,6 @@ from fovea.quiver import (
     layer_vertex,
     lift_window,
     parse_quiver,
-    path_basis,
     sub_quiver,
 )
 from test_covering import D4_COVER
@@ -65,10 +64,9 @@ LINE_K2 = parse_quiver(
 KRONECKER = parse_quiver(
     "field gf 32749\nnilbound 2\nvertex 1 2\narrow a: 1 -> 2\narrow b: 1 -> 2\n")
 
-PB2 = path_basis(A2)
-ENUM2 = enumerate_indecomposables(A2, basis=PB2)
+ENUM2 = enumerate_indecomposables(A2)
 S1, S2 = simple(A2, "1"), simple(A2, "2")
-P2 = projective(A2, "2", PB2)
+P2 = projective(A2, "2")
 
 S0 = layered_simple(LINE_K2, "v", 0)
 M0 = layered_injective(LINE_K2, "v", 0)
@@ -305,10 +303,9 @@ def test_restrict_extend_round_trip():
     w2 = lift_window(LINE_K2, Window(0, 2))
     subset = ["v@0", "v@1"]
     sub = sub_quiver(w2, subset)
-    pbsub = path_basis(sub)
-    sub_enum = enumerate_indecomposables(sub, basis=pbsub)
+    sub_enum = enumerate_indecomposables(sub)
     co = Coinduction(w2, subset)
-    for target in (projective(sub, "v@1", pbsub), simple(sub, "v@0")):
+    for target in (projective(sub, "v@1"), simple(sub, "v@0")):
         s = hom_functor(sub, target)
         extended = extend_functor(s, w2, subset, co)
         back = restrict_functor(extended, subset)
@@ -320,9 +317,8 @@ def test_extension_preserves_fp_hom_dimensions():
     w2 = lift_window(LINE_K2, Window(0, 2))
     subset = ["v@0", "v@1"]
     sub = sub_quiver(w2, subset)
-    pbsub = path_basis(sub)
     co = Coinduction(w2, subset)
-    functors = [hom_functor(sub, projective(sub, "v@1", pbsub)),
+    functors = [hom_functor(sub, projective(sub, "v@1")),
                 hom_functor(sub, simple(sub, "v@0")),
                 hom_functor(sub, simple(sub, "v@1"))]
     extended = [extend_functor(s, w2, subset, co) for s in functors]

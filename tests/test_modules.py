@@ -46,9 +46,8 @@ D4 = parse_quiver(
 KRONECKER = parse_quiver(
     "field gf 32749\nnilbound 2\nvertex 1 2\narrow a: 1 -> 2\narrow b: 1 -> 2\n")
 
-PB2 = path_basis(A2)
 S1, S2 = simple(A2, "1"), simple(A2, "2")
-P2 = projective(A2, "2", PB2)
+P2 = projective(A2, "2")
 
 
 def oracle_hom(m, n):
@@ -72,7 +71,7 @@ def test_projective_at_two_is_the_interval():
 
 
 def test_projective_at_one_is_simple():
-    assert projective(A2, "1", PB2).dims == S1.dims
+    assert projective(A2, "1").dims == S1.dims
 
 
 def test_simple_dims_are_indicators():
@@ -219,7 +218,7 @@ def test_irr_space_examples():
 
 def test_right_almost_split_at_the_non_projective_simple():
     ind = enumerate_indecomposables(A2).modules
-    g = right_almost_split(S2, ind, basis=PB2)
+    g = right_almost_split(S2, ind)
     assert g.source.dims == P2.dims
     fac = map_factor(g)
     assert fac.kernel.dims == S1.dims and fac.cokernel.is_zero()
@@ -227,19 +226,19 @@ def test_right_almost_split_at_the_non_projective_simple():
 
 def test_right_almost_split_at_a_projective_is_the_radical():
     ind = enumerate_indecomposables(A2).modules
-    g = right_almost_split(P2, ind, basis=PB2)
+    g = right_almost_split(P2, ind)
     assert g.source.dims == S1.dims
 
 
 def test_right_almost_split_at_a_simple_projective_is_zero():
     ind = enumerate_indecomposables(A2).modules
-    g = right_almost_split(S1, ind, basis=PB2)
+    g = right_almost_split(S1, ind)
     assert g.source.is_zero()
 
 
 def test_a2_almost_split_sequence_is_exact():
     ind = enumerate_indecomposables(A2).modules
-    g = right_almost_split(S2, ind, basis=PB2)
+    g = right_almost_split(S2, ind)
     fac = map_factor(g)
     # 0 -> S1 -> P2 -> S2 -> 0
     assert fac.kernel.dims == S1.dims
@@ -252,9 +251,8 @@ def test_a2_almost_split_sequence_is_exact():
 def test_factorization_postcondition_over_complete_lists(bq):
     enum = enumerate_indecomposables(bq)
     assert enum.complete
-    pb = path_basis(bq)
     for n in enum.modules:
-        g = right_almost_split(n, enum.modules, basis=pb, check=True)
+        g = right_almost_split(n, enum.modules, check=True)
         assert verify_right_almost_split(g, n, enum.modules) == []
 
 
@@ -313,19 +311,18 @@ def test_right_almost_split_refuses_a_wrong_sequence(monkeypatch, wrong, message
     one; the doubled middle term still gives an almost split map, only not
     a minimal one, and the reference accepts it."""
     enum = enumerate_indecomposables(D4)
-    pb = path_basis(D4)
     exceptional = next(m for m in enum.modules if m.total_dim == 5)
-    right_almost_split(exceptional, enum.modules, basis=pb)
+    right_almost_split(exceptional, enum.modules)
     almost_split_sequence = fovea.modules.almost_split_sequence
 
     def replaced(n, *args, **kwargs):
         return wrong(almost_split_sequence(n, *args, **kwargs), n)
 
     monkeypatch.setattr(fovea.modules, "almost_split_sequence", replaced)
-    g = right_almost_split(exceptional, enum.modules, basis=pb, check=False)
+    g = right_almost_split(exceptional, enum.modules, check=False)
     assert (verify_right_almost_split(g, exceptional, enum.modules) == []) == almost_split
     with pytest.raises(fovea.modules.AlmostSplitError, match=message):
-        right_almost_split(exceptional, enum.modules, basis=pb)
+        right_almost_split(exceptional, enum.modules)
 
 
 LOOP3 = parse_quiver("field gf 32749\nnilbound 3\nvertex v\narrow a: v -> v\nrelation a*a*a\n")
@@ -342,9 +339,8 @@ def test_a_light_list_short_of_dim_a_classes_is_not_complete(monkeypatch, bq):
     enum = enumerate_indecomposables(bq)
     assert enum.complete and len(enum.modules) == path_basis(bq).total_dim
     # a class the closure reaches only as a radical or a socle quotient
-    pb = path_basis(bq)
     standard = [make(bq, v) for make in (simple, injective) for v in bq.vertices]
-    standard += [projective(bq, v, pb) for v in bq.vertices]
+    standard += [projective(bq, v) for v in bq.vertices]
     dropped = next(m for m in enum.modules
                    if not any(is_isomorphic(m, s) for s in standard))
 
@@ -472,7 +468,7 @@ def test_is_isomorphic_full_modules():
 def test_dual_module_is_a_module_over_the_opposite():
     d = dual_module(P2)
     assert d.total_dim == P2.total_dim
-    dd = dual_module(d, A2)
+    dd = dual_module(d)
     assert dd == P2
 
 
@@ -525,8 +521,7 @@ def test_decompose_recovers_multiplicities_after_a_change_of_basis():
     from fovea.linalg import Matrix, inverse
     rng = random.Random(29)
     f = A3.field
-    pb3 = path_basis(A3)
-    pieces = [projective(A3, "3", pb3), projective(A3, "2", pb3),
+    pieces = [projective(A3, "3"), projective(A3, "2"),
               simple(A3, "2"), simple(A3, "2")]
     m, _, _ = direct_sum(pieces)
     # conjugate by a random invertible change of basis at every vertex

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +9,7 @@ from fovea.naming import fixture_names, load_quiver
 from fovea.quiver import (
     BoundQuiver,
     ParseError,
+    PathBasis,
     QuiverError,
     VoltageQuiver,
     Window,
@@ -206,6 +210,29 @@ def test_lift_window_is_memoised_on_its_quiver():
     assert other == vq and hash(other) == hash(vq)
 
 
+def test_path_basis_and_opposite_are_memoised_on_their_quiver():
+    bq = parse_quiver(LOOP_TEXT)
+    other = parse_quiver(LOOP_TEXT)
+    before = hash(bq)
+    assert path_basis(bq) is path_basis(bq)
+    op = opposite_quiver(bq)
+    assert opposite_quiver(bq) is op and opposite_quiver(op) is bq
+    path_basis(op)
+    # the memos take no part in equality or hashing
+    assert bq == other and hash(bq) == hash(other) == before
+    assert op == opposite_quiver(other) and hash(op) == hash(opposite_quiver(other))
+    # nor do they keep the quiver alive through a reference cycle
+    gc.disable()
+    try:
+        dead = weakref.ref(bq)
+        del bq
+        assert dead() is None
+        # the opposite outlives it and builds an equal quiver as its opposite
+        assert opposite_quiver(op) == other
+    finally:
+        gc.enable()
+
+
 def test_lift_window_0_2_keeps_one_relation():
     vq = parse_quiver(LINE_K2)
     w = lift_window(vq, Window(0, 2))
@@ -368,7 +395,7 @@ def test_path_explosion_guard():
         "field gf 32749\nnilbound 6\nvertex v\narrow a: v -> v\narrow b: v -> v\n")
     from fovea.quiver import PathExplosionError
     with pytest.raises(PathExplosionError):
-        path_basis(bq, path_cap=20)
+        PathBasis(bq, path_cap=20)
     with pytest.raises(PathExplosionError):
         check_admissible(bq, path_cap=20)
 

@@ -36,8 +36,7 @@ def test_path_basis_over_q():
 
 
 def test_hom_dims_over_q():
-    pb = path_basis(A2Q)
-    p2 = projective(A2Q, "2", pb)
+    p2 = projective(A2Q, "2")
     assert hom_dim(p2, p2) == 1
     assert hom_dim(simple(A2Q, "1"), p2) == 1
 
@@ -50,8 +49,7 @@ def test_decompose_repeated_summand_over_q():
 
 
 def test_decompose_mixed_sum_over_q():
-    pb = path_basis(A2Q)
-    m, _, _ = direct_sum([projective(A2Q, "2", pb), simple(A2Q, "1")])
+    m, _, _ = direct_sum([projective(A2Q, "2"), simple(A2Q, "1")])
     assert sorted(x.total_dim for x, _ in decompose(m).summands()) == [1, 2]
 
 

@@ -2,7 +2,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from fovea.linalg import Matrix, Subspace, kernel_basis
-from fovea.modules import _nakayama_injective, injective, is_isomorphic_indec, projective
+from fovea.modules import (
+    _is_projective_vertex,
+    dual_module,
+    injective,
+    is_isomorphic_indec,
+    projective,
+)
 from fovea.naming import fixture_names, load_quiver
 from fovea.quiver import (
     BoundQuiver,
@@ -30,7 +36,15 @@ from fovea.repetitive import (
     repetitive_voltage,
     selfinjective_orbit,
 )
-from test_report_digests import _workloads
+from test_covering import D4_COVER_TEXT
+from test_quiver import graded_quivers
+from test_report_digests import (
+    REP_A2_TEXT,
+    REP_A3_TEXT,
+    REP_KRONECKER_TEXT,
+    REP_LOOP2_TEXT,
+    _workloads,
+)
 
 POINT = parse_quiver("field gf 32749\nnilbound 1\nvertex v\n")
 A2 = parse_quiver("field gf 32749\nnilbound 2\nvertex 1 2\narrow a: 1 -> 2\n")
@@ -154,10 +168,9 @@ def test_orbit_socle_pairing_bookkeeping():
     # socle vertices permute the vertex set (the pairing is nondegenerate)
     from fovea.modules import projective, socle_submodule
     orb = selfinjective_orbit(A2, 1)
-    pb = path_basis(orb)
     socle_vertices = []
     for v in orb.vertices:
-        p = projective(orb, v, pb)
+        p = projective(orb, v)
         soc, _ = socle_submodule(p)
         assert soc.total_dim == 1
         socle_vertices.append(soc.support[0])
@@ -268,9 +281,8 @@ def wide_repetitive_voltage(bq):
     takes rad, rad^2 and the nilpotency degree on 2d + 3 layers, and
     evaluates every orbit path inside that truncation.
     """
-    basis = path_basis(bq)
-    _, _, nildeg_a = radical_filtration(structure_category(bq, basis))
-    cat = RepetitiveTruncation(bq, max(2 * nildeg_a + 2, 2), basis).category
+    _, _, nildeg_a = radical_filtration(structure_category(bq))
+    cat = RepetitiveTruncation(bq, max(2 * nildeg_a + 2, 2)).category
     rad, rad2, nildeg = radical_filtration(cat)
     nilbound = nildeg + 1
     reps = arrow_elements(cat, rad, rad2)
@@ -378,14 +390,12 @@ def test_lifted_truncations_are_the_extracted_presentations_on_random_bound_quiv
     _assert_lifted_exports_are_extracted_ones(bq)
 
 
-def reference_is_selfinjective(bq, basis=None):
+def reference_is_selfinjective(bq):
     """`is_selfinjective` as it was before it read the injectives off the
     algebra's own basis: each I_x is the dual of a projective over the
     opposite quiver, through a second path basis."""
-    basis = basis or path_basis(bq)
-    op_basis = path_basis(opposite_quiver(bq))
-    projs = {v: projective(bq, v, basis) for v in bq.vertices}
-    injs = {v: injective(bq, v, op_basis) for v in bq.vertices}
+    projs = {v: projective(bq, v) for v in bq.vertices}
+    injs = {v: dual_module(projective(opposite_quiver(bq), v)) for v in bq.vertices}
     remaining = list(bq.vertices)
     for v, p in projs.items():
         match = None
@@ -405,10 +415,50 @@ def test_selfinjectivity_equals_the_reference_on_the_algebra_and_its_orbit_algeb
     assert is_selfinjective(orbit)
     for algebra in (bq, orbit):
         assert is_selfinjective(algebra) == reference_is_selfinjective(algebra)
-        basis = path_basis(algebra)
-        for v in algebra.vertices:
-            assert is_isomorphic_indec(_nakayama_injective(algebra, v, basis),
-                                       injective(algebra, v))
+
+
+def _assert_injectives_are_dual_opposite_projectives(bq):
+    for v in bq.vertices:
+        assert injective(bq, v) == dual_module(projective(opposite_quiver(bq), v)), v
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_injectives_are_the_duals_of_the_opposite_projectives_on_the_fixtures(name):
+    q = load_quiver(name)[2]
+    _assert_injectives_are_dual_opposite_projectives(q.base if isinstance(q, VoltageQuiver) else q)
+
+
+@pytest.mark.parametrize("make_vq", [
+    *[pytest.param(lambda name=name: load_quiver(name)[2], id=name)
+      for name in fixture_names() if name.endswith(".vq")],
+    *[pytest.param(lambda text=text: parse_quiver(text), id=label) for label, text in (
+        ("rep-a2", REP_A2_TEXT), ("rep-a3", REP_A3_TEXT), ("rep-kronecker", REP_KRONECKER_TEXT),
+        ("rep-loop2", REP_LOOP2_TEXT), ("d4-cover", D4_COVER_TEXT))],
+])
+def test_injectives_are_the_duals_of_the_opposite_projectives_on_lifted_windows(make_vq):
+    vq = make_vq()
+    for lo, hi in ((-2, 2), (0, 3), (-3, 1)):
+        _assert_injectives_are_dual_opposite_projectives(lift_window(vq, Window(lo, hi)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(graded_quivers())
+def test_injectives_are_the_duals_of_the_opposite_projectives_on_random_bound_quivers(vq):
+    """Both bases of I_x are dual to path classes x -> z, one read off the
+    quiver's paths and one off their reversals in the opposite quiver.  So
+    they are equal when reversing keeps the (length, arrow index) order of
+    the paths from x, as on every quiver without two paths whose first and
+    last arrows order them differently; two loops a, b with a*b and b*a
+    nonzero break it.  Either way D I_x is P_x over the opposite quiver:
+    it has P_x's dimension vector and top S_x."""
+    bq = vq.base
+    op = opposite_quiver(bq)
+    for v in bq.vertices:
+        new, old = injective(bq, v), dual_module(projective(op, v))
+        assert new.dims == old.dims and _is_projective_vertex(dual_module(new)) == v
+        if all([p[::-1] for p in path_basis(bq).paths[(v, z)]] == path_basis(op).paths[(z, v)]
+               for z in bq.vertices):
+            assert new == old, v
 
 
 def test_a_window_unlike_its_truncation_reports_its_own_dimension(monkeypatch):
