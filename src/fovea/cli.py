@@ -8,6 +8,7 @@ every verb to deterministic JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -52,7 +53,7 @@ CHECK_FAIL_EXIT = 1
 
 def _common(p: argparse.ArgumentParser):
     p.add_argument("--json", action="store_true", help="emit deterministic JSON")
-    p.add_argument("--field", default=os.environ.get("FOVEA_FIELD"),
+    p.add_argument("--field", default=None,
                    help="field override: gf:<p> or q (default from FOVEA_FIELD)")
     p.add_argument("--seed", type=int, default=0, help="seed for decompositions")
     p.add_argument("--dim-cap", type=int, default=12,
@@ -176,6 +177,15 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
         _common(p)
 
     return parser
+
+
+@functools.cache
+def _parser(verb: str | None) -> argparse.ArgumentParser:
+    """The parser of one verb (None: the full parser), built on first use
+    and kept for the process: at most 13 of them.  A parser holds no
+    computed result, and `main` reads --field's default from the
+    environment on each call."""
+    return build_parser(verb)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -343,7 +353,9 @@ def _fixtures(args) -> int:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     verb = argv[0] if argv and argv[0] in _VERBS else None
-    args = build_parser(verb).parse_args(argv)
+    args = _parser(verb).parse_args(argv)
+    if args.field is None:
+        args.field = os.environ.get("FOVEA_FIELD")
     for cap, what in ((args.dim_cap, "dimension cap"), (args.count_cap, "count cap")):
         if cap < 0:
             sys.stderr.write(f"fovea: {what} must be nonnegative\n")

@@ -24,6 +24,7 @@ from .modules import (
     is_indecomposable,
     is_isomorphic,
     is_isomorphic_indec,
+    kernel_submodule,
     projective,
     socle_quotient,
 )
@@ -172,9 +173,9 @@ class LayeredModule:
 class LayeredModMap:
     """A morphism of layered modules, stored over a common window.
 
-    Like `LayeredModule`, it memoises its twist per shift (`twist`) and its
-    push-down (`push_down_map`); the memos are made on first use and take
-    no part in equality.
+    Like `LayeredModule`, it memoises its twist per shift (`twist`), its
+    push-down (`push_down_map`) and its kernel (`kernel`); the memos are
+    made on first use and take no part in equality.
     """
 
     source: LayeredModule
@@ -183,6 +184,7 @@ class LayeredModMap:
     map: ModMap
     _twists: dict | None = field(default=None, init=False, repr=False, compare=False)
     _pushed: ModMap | None = field(default=None, init=False, repr=False, compare=False)
+    _kernel: LayeredModule | None = field(default=None, init=False, repr=False, compare=False)
 
     def twist(self, k: int) -> "LayeredModMap":
         if k == 0:
@@ -205,6 +207,14 @@ class LayeredModMap:
         mm = ModMap(src.align(w), tgt.align(w), comps, check=False)
         return LayeredModMap(src, tgt, w, mm)
 
+    def kernel(self) -> LayeredModule:
+        """ker f over the lift, trimmed to its support; built once and kept
+        on self."""
+        if self._kernel is None:
+            self._kernel = LayeredModule(self.source.vq, self.window,
+                                         kernel_submodule(self.map)[0]).trim()
+        return self._kernel
+
     def scale(self, c) -> "LayeredModMap":
         return LayeredModMap(self.source, self.target, self.window, self.map.scale(c))
 
@@ -226,8 +236,18 @@ def layered_hom(x: LayeredModule, y: LayeredModule) -> list[LayeredModMap]:
 
 
 def layered_hom_dim(x: LayeredModule, y: LayeredModule) -> int:
+    """dim Hom over the lift, off a forward elimination; 0 at once where
+    the supports are disjoint.  A lifted vertex name carries its layer, so
+    the names compare exactly and nothing is aligned for that."""
+    if set(x.module.support).isdisjoint(y.module.support):
+        return 0
     w = common_window(x, y)
     return hom_space(x.align(w), y.align(w)).dim
+
+
+# what the error of an incomplete enumeration at the fixed caps adds
+_FLAG_CAPS = ("--dim-cap and --count-cap bound the enumeration of an algebra input, "
+              "and of a cover's base in kg0 and phi, not this one")
 
 
 def window_enumeration(vq: VoltageQuiver, window: Window) -> Enumeration:
@@ -236,8 +256,8 @@ def window_enumeration(vq: VoltageQuiver, window: Window) -> Enumeration:
     enum = enumerate_indecomposables(lift_window(vq, window), dim_cap=64, count_cap=128)
     if not enum.complete:
         raise CoveringError("window enumeration is incomplete: " + "; ".join(enum.notes) + "; a "
-                            "cover's windows are enumerated at the fixed caps dim 64, count 128: "
-                            "--dim-cap and --count-cap bound algebra inputs only")
+                            "cover's windows are enumerated at the fixed caps dim 64, count 128; "
+                            + _FLAG_CAPS)
     return enum
 
 
@@ -310,7 +330,7 @@ def _window_orbits(vq: VoltageQuiver) -> list[LayeredModule]:
     if not base.complete:
         raise CoveringError("base enumeration is incomplete: " + "; ".join(base.notes) + "; "
                             "Gabriel's count reads a cover's base at the fixed caps dim 64, "
-                            "count 128: --dim-cap and --count-cap bound algebra inputs only")
+                            "count 128; " + _FLAG_CAPS)
     step = max(vq.base.nilbound, 1)
     w = step * max(1, -(-max(map(abs, vq.degree.values()), default=0) // step))
     while True:

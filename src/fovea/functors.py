@@ -29,6 +29,7 @@ from .covering import (
     LayeredModMap,
     LayeredModule,
     common_window,
+    layered_hom_dim,
     layered_injective,
     layered_simple,
     lift_morphism,
@@ -163,8 +164,35 @@ def evaluate(t: FpFunctor, x) -> EvalResult:
     return EvalResult(hom_n.dim - image.dim, hom_n, image)
 
 
+def _hom_dim(x, y) -> int:
+    """dim Hom(X, Y) off a forward elimination, on either side."""
+    return layered_hom_dim(x, y) if isinstance(x, LayeredModule) else hom_space(x, y).dim
+
+
 def evaluate_dim(t: FpFunctor, x) -> int:
-    return evaluate(t, x).dim
+    """dim F(X) for F = coker Hom(-, f), f: M -> N, from hom dimensions.
+
+    Hom(X, -) is left exact (Auslander-Reiten-Smalo IV), so with K = ker f
+    the sequence 0 -> Hom(X, K) -> Hom(X, M) -> Hom(X, N) -> F(X) -> 0 is
+    exact and dim F(X) = dim Hom(X, N) - dim Hom(X, M) + dim Hom(X, K).
+    Each dimension is read off a forward elimination: no basis is solved
+    for and no map is composed or coordinatised.  K is built on first use
+    and kept on the presentation map (`ModMap.kernel`,
+    `LayeredModMap.kernel`).  On the covering side a dimension is 0
+    without any alignment where the supports are disjoint
+    (`layered_hom_dim`).  `evaluate` computes the same value from the
+    cokernel itself.
+    """
+    if t.side == COVER:
+        if not isinstance(x, LayeredModule):
+            raise FunctorError("covering-side functor evaluated at a non-layered module")
+    elif isinstance(x, LayeredModule):
+        raise FunctorError("algebra-side functor evaluated at a layered module")
+    n = _hom_dim(x, t.pres.target)
+    if n == 0:
+        return 0
+    m = _hom_dim(x, t.pres.source)
+    return n - m + _hom_dim(x, t.pres.kernel()) if m else n
 
 
 @dataclass
@@ -184,44 +212,49 @@ class FpHomResult:
     trivial_coords: Subspace       # subspace inducing the zero map
 
 
+def _on_one_window(t1: FpFunctor, t2: FpFunctor) -> tuple[ModMap, ModMap]:
+    """The two presentation morphisms, over one window on the covering side."""
+    if t1.side != t2.side:
+        raise FunctorError("functor sides differ")
+    if t1.side == COVER:
+        w = common_window(t1.pres.source, t1.pres.target, t2.pres.source, t2.pres.target)
+        return _present_on_window(t1, w), _present_on_window(t2, w)
+    return t1.pres, t2.pres
+
+
+def _condition_rows(f1: ModMap, f2: ModMap, hom_n1n2: HomBasis, hom_m1m2: HomBasis) -> list:
+    """For each basis map h of Hom(N1, N2), the class of h f1 in
+    Hom(M1, N2) / f2 Hom(M1, M2): a combination of them induces a map of
+    functors exactly when its class is 0."""
+    hom_m1n2 = hom_space(f1.source, f2.target)
+    w_rows = [list(hom_m1n2.coords(f2 @ k)) for k in hom_m1m2.maps]
+    quot = Subspace.span(f1.source.bq.field, hom_m1n2.dim, w_rows).quotient()
+    return [list(quot.apply(hom_m1n2.coords(h @ f1))) for h in hom_n1n2.maps]
+
+
 def fp_hom(t1: FpFunctor, t2: FpFunctor) -> FpHomResult:
     """Natural transformations between presented functors.
 
     A map is an h: N1 -> N2 with h f1 factoring through f2; it is zero
     exactly when h itself factors through f2.  Both conditions are linear.
     """
-    if t1.side != t2.side:
-        raise FunctorError("functor sides differ")
-    if t1.side == COVER:
-        w = common_window(t1.pres.source, t1.pres.target, t2.pres.source, t2.pres.target)
-        f1, f2 = _present_on_window(t1, w), _present_on_window(t2, w)
-    else:
-        f1, f2 = t1.pres, t2.pres
+    f1, f2 = _on_one_window(t1, t2)
     m1, n1 = f1.source, f1.target
     m2, n2 = f2.source, f2.target
     fld = n1.bq.field
 
     hom_n1n2 = hom_space(n1, n2)
-    hom_m1n2 = hom_space(m1, n2)
-    hom_m1m2 = hom_space(m1, m2)
-    hom_n1m2 = hom_space(n1, m2)
-
-    w_rows = [list(hom_m1n2.coords(f2 @ k)) for k in hom_m1m2.maps]
-    w_space = Subspace.span(fld, hom_m1n2.dim, w_rows)
-    quot = w_space.quotient()
-
-    cond_rows = []
-    for h in hom_n1n2.maps:
-        coords = hom_m1n2.coords(h @ f1)
-        cond_rows.append(list(quot.apply(coords)))
     if hom_n1n2.dim == 0:
-        good = Subspace.span(fld, 0, [])
-    elif not cond_rows[0]:
+        zero = Subspace.span(fld, 0, [])
+        return FpHomResult(0, [], hom_n1n2, zero, zero)
+    hom_m1m2 = hom_space(m1, m2)
+    cond_rows = _condition_rows(f1, f2, hom_n1n2, hom_m1m2)
+    if not cond_rows[0]:
         good = Subspace.span(fld, hom_n1n2.dim, Matrix.identity(fld, hom_n1n2.dim).entries)
     else:
         good = Subspace(fld, hom_n1n2.dim, kernel_basis(Matrix(fld, cond_rows).transpose()))
 
-    trivial_rows = [list(hom_n1n2.coords(f2 @ u)) for u in hom_n1m2.maps]
+    trivial_rows = [list(hom_n1n2.coords(f2 @ u)) for u in hom_space(n1, m2).maps]
     trivial = Subspace.span(fld, hom_n1n2.dim, trivial_rows)
 
     dim = good.dim - trivial.dim
@@ -251,7 +284,32 @@ def _solve_lift(f1: ModMap, f2: ModMap, h: ModMap, hom_m1m2: HomBasis) -> ModMap
 
 
 def fp_hom_dim(t1: FpFunctor, t2: FpFunctor) -> int:
-    return fp_hom(t1, t2).dim
+    """dim Hom(F1, F2), as `fp_hom` counts it, without its maps.
+
+    Hom(N1, -) and Hom(M1, -) are left exact, so with K2 = ker f2 the maps
+    N1 -> N2 inducing zero, f2 Hom(N1, M2), have dimension
+    dim Hom(N1, M2) - dim Hom(N1, K2), and the quotient of Hom(M1, N2) by
+    f2 Hom(M1, M2), where `_condition_rows` lie, has dimension
+    dim Hom(M1, N2) - dim Hom(M1, M2) + dim Hom(M1, K2).  These are read
+    off forward eliminations as in `evaluate_dim`; K2 is kept on t2's
+    presentation map.  Where that quotient is 0 every map N1 -> N2
+    induces a map of functors; otherwise the ones that do are the kernel
+    of the condition rows, whose rank is taken.  No quotient
+    representative and no lift is built.
+    """
+    f1, f2 = _on_one_window(t1, t2)
+    hom_n1n2 = hom_space(f1.target, f2.target)
+    if hom_n1n2.dim == 0:
+        return 0
+    m1, n1 = t1.pres.source, t1.pres.target
+    m2, n2 = t2.pres.source, t2.pres.target
+    hom_m1m2 = _hom_dim(m1, m2)
+    good = hom_n1n2.dim
+    if _hom_dim(m1, n2) - hom_m1m2 + (_hom_dim(m1, t2.pres.kernel()) if hom_m1m2 else 0):
+        cond_rows = _condition_rows(f1, f2, hom_n1n2, hom_space(f1.source, f2.source))
+        good -= rank(Matrix(f1.source.bq.field, cond_rows))
+    hom_n1m2 = _hom_dim(n1, m2)
+    return good - (hom_n1m2 - _hom_dim(n1, t2.pres.kernel()) if hom_n1m2 else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,13 @@ class Module:
 
 
 class ModMap:
-    """A homomorphism of modules: one matrix per vertex, natural in arrows."""
+    """A homomorphism of modules: one matrix per vertex, natural in arrows.
+
+    It memoises its kernel (`kernel`), made on first use; the memo takes no
+    part in equality or hashing.
+    """
+
+    _kernel: "Module | None" = None     # set on the instance by `kernel`
 
     def __init__(self, source: Module, target: Module, comps: dict, check: bool = True):
         if source.bq != target.bq:
@@ -226,6 +232,13 @@ class ModMap:
 
     def is_zero(self) -> bool:
         return all(m.is_zero() for m in self.comps.values())
+
+    def kernel(self) -> "Module":
+        """ker f as a submodule of the source (`kernel_submodule`), built
+        once and kept on self."""
+        if self._kernel is None:
+            self._kernel = kernel_submodule(self)[0]
+        return self._kernel
 
     def power(self, n: int) -> "ModMap":
         if self.source is not self.target and self.source != self.target:
@@ -457,11 +470,16 @@ def image_submodule(f: ModMap) -> tuple[Module, ModMap]:
     return submodule(f.target, {v: column_space_basis(f.comps[v]) for v in f.target.bq.vertices})
 
 
+def kernel_submodule(f: ModMap) -> tuple[Module, ModMap]:
+    """The kernel of a module map as a submodule of its source."""
+    return submodule(f.source, {v: kernel_basis(f.comps[v]).transpose()
+                                for v in f.source.bq.vertices})
+
+
 def map_factor(f: ModMap) -> Factorization:
     """Kernel, image and cokernel of a module map, with exactness witnesses."""
     m, n = f.source, f.target
-    ker_cols = {v: kernel_basis(f.comps[v]).transpose() for v in m.bq.vertices}
-    kernel, kernel_incl = submodule(m, ker_cols)
+    kernel, kernel_incl = kernel_submodule(f)
 
     image, image_incl = image_submodule(f)
     epi_comps = {v: solve(image_incl.comps[v], f.comps[v]) for v in m.bq.vertices}
@@ -1238,7 +1256,7 @@ def almost_split_sequence(n: Module, cache: PairCache | None = None) -> AlmostSp
     xs0 = [x for x, _ in gens0]
     p0 = _sum_module(bq, [cache.built(projective, bq, x) for x in xs0])
     pi = ModMap(p0, n, _induced(n, gens0), check=False)
-    k, iota = submodule(p0, {z: kernel_basis(pi.comps[z]).transpose() for z in vertices})
+    k, iota = kernel_submodule(pi)
     if k.is_zero():
         raise AlmostSplitError("no almost split sequence ends at a projective module")
     # rows of the i-th summand P_(x0_i)(z) inside P0(z)

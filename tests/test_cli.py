@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import fovea.cli
 import fovea.covering
 from fovea.cli import main
 from fovea.modules import Enumeration, format_module, projective
@@ -132,8 +133,9 @@ def test_an_incomplete_cover_list_names_the_fixed_window_caps(capsys, monkeypatc
                          "--dim-cap", "2")
     assert code == 1 and out == ""
     assert err == ("fovea: base enumeration is incomplete: count cap 128 hit; Gabriel's count "
-                   "reads a cover's base at the fixed caps dim 64, count 128: "
-                   "--dim-cap and --count-cap bound algebra inputs only\n")
+                   "reads a cover's base at the fixed caps dim 64, count 128; "
+                   "--dim-cap and --count-cap bound the enumeration of an algebra input, "
+                   "and of a cover's base in kg0 and phi, not this one\n")
 
 
 def test_eval_of_a_representable_functor_reads_no_list(capsys):
@@ -357,6 +359,50 @@ def test_field_env_default(capsys, monkeypatch):
     code = main(["hom", "a2.bq", "--from", "P2", "--to", "S2", "--json"])
     out = capsys.readouterr().out
     assert code == 0 and json.loads(out) == {"dim": 1}
+
+
+def test_a_kept_parser_reads_the_field_environment_on_each_call(capsys, monkeypatch):
+    argv = ["suite", "kg0", "a2.bq", "--json"]
+    monkeypatch.delenv("FOVEA_FIELD", raising=False)
+    assert main(argv) == 0 and json.loads(capsys.readouterr().out)["field"] == "gf:32749"
+    monkeypatch.setenv("FOVEA_FIELD", "q")
+    assert main(argv) == 0 and json.loads(capsys.readouterr().out)["field"] == "q"
+
+
+def _main_output(capsys, argv) -> tuple:
+    try:
+        code = main(list(argv))
+    except SystemExit as exit:
+        code = exit.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--help",), ("--version",), ("suite", "--help"), ("rep", "build", "--help"),
+    ("suite", "kg0", "a2.bq", "--dim-cap", "-1"),
+    ("eval", "a2.bq", "--functor", "H@S1", "--at", "S1", "--count-cap", "-2"),
+    ("eval", "a2.bq", "--functor", "H@S1"), ("nonsense",),
+], ids=["help", "version", "suite-help", "rep-build-help", "negative-dim-cap",
+        "negative-count-cap", "missing-option", "unknown-verb"])
+def test_a_kept_parser_prints_what_a_fresh_one_prints(capsys, monkeypatch, argv):
+    """Each verb's parser is built once per process and kept; the second
+    call through it prints the same bytes, with the same exit code, as a
+    parser built afresh."""
+    builds = []
+    build_parser = fovea.cli.build_parser
+
+    def recording(verb=None):
+        builds.append(verb)
+        return build_parser(verb)
+
+    monkeypatch.setattr(fovea.cli, "build_parser", recording)
+    fovea.cli._parser.cache_clear()
+    fresh = _main_output(capsys, argv)
+    kept = _main_output(capsys, argv)
+    assert len(builds) == 1
+    assert kept == fresh
+    assert fresh[0] in (0, 2) and (fresh[1] or fresh[2])
 
 
 def test_fun_hom_simple_phi_aliases(capsys):

@@ -30,7 +30,9 @@ its base and one window on the covers tested, the first window wide
 enough for a lift of every arrow; a
 layered module is pushed down once; a layered module or map builds each
 nonzero twist once per shift, and a layered map is pushed down once; an evaluation builds no Hom(X, M)
-where Hom(X, N) is zero; a path basis reads every pair with relation
+where Hom(X, N) is zero, reads no hom basis, and on the covering side
+aligns nothing where the supports of X and N are disjoint; a dimension of
+functor maps builds no map of functors and no lift; a path basis reads every pair with relation
 vectors off a sparse echelon form, with no dense elimination; a hom
 dimension reads no canonical basis; window lifts of one width are
 shifts of one template, checked by BoundQuiver once; and the cover suites
@@ -796,8 +798,34 @@ def test_hom_dimensions_read_no_basis(monkeypatch):
 def test_kg0_reads_few_hom_bases(monkeypatch):
     readouts = _record(monkeypatch, fovea.linalg, "_echelon_kernel")
     assert run_suite("kg0", "nakayama2.vq").passed
-    # 410 while every hom space was solved to its canonical basis
-    assert 0 < len(readouts) <= 112
+    # 410 while every hom space was solved to its canonical basis; 110
+    # while each evaluation read the bases of Hom(X, M) and Hom(X, N)
+    assert 0 < len(readouts) <= 6
+
+
+def test_phi_identities_lifts_no_functor_map(monkeypatch):
+    """fp_hom_dim counts the maps of functors without building them."""
+    readouts = _record(monkeypatch, fovea.linalg, "_echelon_kernel")
+    lifts = _record(monkeypatch, fovea.functors, "_solve_lift")
+    assert run_suite("phi-identities", "line-k2.vq").passed
+    # 22 lifts and 328 bases while fp_hom_dim built fp_hom's maps and
+    # each evaluation read the bases of Hom(X, M) and Hom(X, N); 184 while
+    # fp_hom_dim read the condition rows where their quotient space is 0
+    assert lifts == []
+    assert 0 < len(readouts) <= 103
+
+
+def test_a_cover_evaluation_off_the_target_aligns_nothing(monkeypatch):
+    """Lifted vertex names carry their layer, so disjoint supports are seen
+    on the names, and the value 0 is returned before any alignment."""
+    vq = load_quiver("nakayama2.vq")[2]
+    battery, _ = default_battery(vq)
+    far = fovea.functors.window_indecomposables(vq, Window(6, 8))
+    assert far and all(set(x.module.support).isdisjoint(t.pres.target.module.support)
+                       for t in battery for x in far)
+    aligns = _record_method(monkeypatch, LayeredModule, "align")
+    assert all(fovea.functors.evaluate_dim(t, x) == 0 for t in battery for x in far)
+    assert aligns == []
 
 
 @pytest.mark.parametrize("make_bq", [
