@@ -3,7 +3,7 @@ functor categories over their module categories."""
 
 __version__ = "0.1.0"
 
-from .linalg import Field, Matrix, Subspace, kernel_basis, rref, solve, subspace_ops
+from .linalg import Field, Matrix, Subspace, kernel_basis, rref, solve
 from .quiver import (
     BoundQuiver,
     VoltageQuiver,

@@ -331,7 +331,7 @@ def _suite(args) -> int:
         sys.stdout.write(report.to_json())
     else:
         sys.stdout.write(report.to_text())
-    return 0 if report.passed else CHECK_FAIL_EXIT
+    return 0 if report.ok else CHECK_FAIL_EXIT
 
 
 def _mod(args) -> int:

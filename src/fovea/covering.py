@@ -36,7 +36,7 @@ from .quiver import (
     lift_window,
     path_basis,
 )
-from .reports import VerifyReport
+from .reports import Report
 
 
 class CoveringError(ValueError):
@@ -526,7 +526,7 @@ def lift_morphism(x: LayeredModule, y: LayeredModule, alpha: ModMap) -> dict[int
 # verification reports
 
 
-def verify_covering_axioms(vq: VoltageQuiver) -> VerifyReport:
+def verify_covering_axioms(vq: VoltageQuiver) -> Report:
     """Check dim A(u,v) against layer sums of lifted hom dimensions.
 
     R((u,k),(v,0)) is spanned by the lifts of the paths between u and v of
@@ -535,7 +535,7 @@ def verify_covering_axioms(vq: VoltageQuiver) -> VerifyReport:
     layer 0, so the lift of [-r, r] holds it with every relation that meets
     it, and one path basis of that window gives both sums exactly.
     """
-    report = VerifyReport("cover-axioms")
+    report = Report("cover-axioms")
     base = vq.base
     pb_base = path_basis(base)
     r = _radius(vq)
@@ -558,9 +558,9 @@ def verify_covering_axioms(vq: VoltageQuiver) -> VerifyReport:
 
 
 def verify_pushdown(vq: VoltageQuiver, x: LayeredModule, y: LayeredModule,
-                    density_target: Module | None = None) -> VerifyReport:
+                    density_target: Module | None = None) -> Report:
     """Covering identities for one pair of finite-support lifted modules."""
-    report = VerifyReport("pushdown")
+    report = Report("pushdown")
     fx, fy = push_down(x), push_down(y)
     hom_a = hom_space(fx, fy).dim
     total_left = sum(layered_hom_dim(x.twist(k), y) for k in twist_shift_range(x, y))

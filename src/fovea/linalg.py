@@ -681,25 +681,6 @@ class QuotientMap:
                                                   for i in range(n)))
 
 
-@dataclass(frozen=True)
-class SubspaceOps:
-    """Dimension bookkeeping for a pair of subspaces of a shared ambient."""
-
-    a: Subspace
-    b: Subspace
-    sum_dim: int
-    intersection_dim: int
-    quotient_dim: int
-
-
-def subspace_ops(field: Field, ambient: int, gens_a, gens_b) -> SubspaceOps:
-    a = Subspace.span(field, ambient, gens_a)
-    b = Subspace.span(field, ambient, gens_b)
-    s = a.sum(b)
-    inter = a.dim + b.dim - s.dim
-    return SubspaceOps(a, b, s.dim, inter, s.dim - b.dim)
-
-
 # ---------------------------------------------------------------------------
 # dense polynomial helpers (ascending coefficients); used for module splitting
 
@@ -857,20 +838,15 @@ def poly_is_irreducible(f: Field, poly) -> bool:
     return True
 
 
-def candidate_factors(f: Field, poly, rng, tries: int = 8) -> list:
-    """Proper monic divisors of poly, best effort.
+def candidate_factors(f: Field, poly, rng, tries: int = 8):
+    """Proper monic divisors of poly, best effort, each computed only
+    when the caller reads it.
 
     Over GF(p): square-free split, distinct-degree gcds, and a few
     equal-degree splitting rounds.  Over Q: square-free split plus
     rational roots.  Completeness is not needed; callers just try each
-    returned divisor as a Fitting-split candidate.
+    divisor as a Fitting-split candidate.
     """
-    return list(_candidate_factors(f, poly, rng, tries))
-
-
-def _candidate_factors(f: Field, poly, rng, tries: int = 8):
-    """The divisors of `candidate_factors`, in its order and with its rng
-    draws, computed only as far as the caller reads."""
     poly = poly_monic(f, poly_trim(list(poly)))
     n = poly_deg(poly)
     seen: set[tuple] = set()

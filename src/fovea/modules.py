@@ -20,11 +20,11 @@ from .linalg import (
     Matrix,
     Subspace,
     block_diag,
+    candidate_factors,
     hstack,
     inverse,
     kernel_basis,
     poly_is_irreducible,
-    _candidate_factors,
     rank,
     row_space,
     solve,
@@ -84,11 +84,16 @@ class Module:
 
     def _check_relations(self):
         for rel in self.bq.relations:
-            x, y = self.bq.relation_endpoints(rel)
-            acc = Matrix.zeros(self.bq.field, self.dims[x], self.dims[y])
+            x = self.bq.relation_endpoints(rel)[0]
+            acc = None
             for coeff, p in rel:
-                acc = acc + self.path_matrix(p, x).scale(coeff)
-            if not acc.is_zero():
+                # a path through a zero-dimensional vertex acts as 0: the
+                # vertices of p are x and the arrows' targets, whose
+                # dimensions are the matrices' column counts
+                if self.dims[x] and all(self.mats[a].cols for a in p):
+                    term = self.path_matrix(p, x).scale(coeff)
+                    acc = term if acc is None else acc + term
+            if acc is not None and not acc.is_zero():
                 raise ModuleError("module violates a relation")
 
     def path_matrix(self, path, source=None) -> Matrix:
@@ -615,17 +620,6 @@ def injective(bq: BoundQuiver, x: str) -> Module:
 # radicals of hom spaces
 
 
-def end_radical(m: Module, end: HomBasis | None = None) -> Subspace:
-    """Radical of End(M) via the trace form of the action on M.
-
-    Exact for the rationals and for GF(p) with p > dim M, which is the
-    operating regime of this toolkit (the default prime is far larger
-    than any fixture dimension).
-    """
-    end = end or hom_space(m, m)
-    return Subspace(m.bq.field, end.dim, kernel_basis(_trace_pairing(end, end)))
-
-
 def _trace_rows(hom: HomBasis, back: HomBasis):
     """The rows of [tr(g_j f_i)] for f_i in Hom(M, N) and g_j in Hom(N, M),
     each built when the caller asks for it.
@@ -684,6 +678,9 @@ def radical_hom(m: Module, n: Module,
     That is the rule "g f lies in rad End(M) for every g", because the
     radical of End(M) is the kernel of its trace form, tr(g f psi) =
     tr(psi g f) by cyclicity of the trace, and End(M) Hom(N, M) = Hom(N, M).
+    With N = M it is rad End(M).  Exact for the rationals and for GF(p)
+    with p > dim M, which is the operating regime of this toolkit (the
+    default prime is far larger than any fixture dimension).
     """
     f = m.bq.field
     hom = hom if hom is not None else hom_space(m, n)
@@ -944,7 +941,7 @@ def _try_split(piece: DecompPiece, phi: ModMap) -> tuple[DecompPiece, DecompPiec
         return split
     f = piece.module.bq.field
     rng = random.Random(0xF17)
-    for g in _candidate_factors(f, _minimal_polynomial(phi), rng):
+    for g in candidate_factors(f, _minimal_polynomial(phi), rng):
         split = _fitting_split(piece, _fitting_power(_poly_of_map(g, phi)))
         if split is not None:
             return split
@@ -1059,7 +1056,7 @@ def decompose(m: Module, seed: int = DEFAULT_SEED, cache: PairCache | None = Non
             # End(P) is local iff End(P)/rad is a field; over a residue
             # field larger than K nothing above splits, and some element
             # then generates End(P)/rad
-            rad = end_radical(p, end)
+            rad = radical_hom(p, p, end, end).coords
             if not any(_generates_a_residue_field(end, rad, rng) for _ in range(MAX_TRIES)):
                 raise DecompositionError(
                     "could not split a module with non-local endomorphism algebra; "
@@ -1313,7 +1310,7 @@ def almost_split_sequence(n: Module, cache: PairCache | None = None) -> AlmostSp
     conditions = []
     if end.dim > 1:
         quot = inner.quotient().projection
-        for coords in end_radical(n, end).rows.entries:
+        for coords in radical_hom(n, n, end, end).coords.rows.entries:
             r = end.from_coords(coords)
             r0 = _induced(p0, [(x, solve(pi.comps[x], r.comps[x] @ v)) for x, v in gens0])
             r_k = ModMap(k, k, {z: _solve_in_basis(iota.comps[z], r0[z] @ iota.comps[z])
@@ -1643,7 +1640,7 @@ def parse_module(bq: BoundQuiver, text: str, check: bool = True) -> Module:
                 v, _, d = part.partition("=")
                 if v not in bq.vertex_index:
                     raise ModuleParseError(lineno, f"unknown vertex {v!r}")
-                if not d.isdigit():
+                if not d.isdecimal():
                     raise ModuleParseError(lineno, f"bad dimension {part!r}")
                 dims[v] = int(d)
         elif head == "mat":

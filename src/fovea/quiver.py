@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import weakref
 from collections import namedtuple
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import accumulate
 
 from .linalg import (
@@ -511,29 +511,27 @@ def path_basis(bq: BoundQuiver) -> PathBasis:
     return bq._basis
 
 
-@dataclass
-class AdmissibleReport:
-    ok: bool
-    violations: list[str] = dc_field(default_factory=list)
-
-
-def check_admissible(bq: BoundQuiver, path_cap: int = 200_000) -> AdmissibleReport:
+def check_admissible(bq: BoundQuiver, path_cap: int = 200_000):
     """Verify the relation ideal is admissible for the declared bound.
 
     Checks that every relation term has length >= 2 and that every path of
     length nilbound lies in the ideal generated by the relations alone
     (membership is tested inside the span of relation shifts whose terms
     fit below nilbound + the longest relation term; at desk scale this is
-    exact for every shipped presentation).
+    exact for every shipped presentation).  Returns a Report with one
+    failing record per violation, its text the record's actual value.
     """
+    # imported here: reports renders modules, and modules import this module
+    from .reports import Report
     f = bq.field
-    violations = []
+    report = Report("admissible")
     max_term = 0
     for rel in bq.relations:
         for _, p in rel:
             max_term = max(max_term, len(p))
             if len(p) < 2:
-                violations.append(f"relation term {'*'.join(p)} has length < 2")
+                report.assert_true("admissible.term-length", False,
+                                   f"relation term {'*'.join(p)} has length < 2")
     m = bq.nilbound
     cap_len = m + max_term
     paths, index = _paths_by_pair(bq, cap_len, path_cap)
@@ -570,9 +568,9 @@ def check_admissible(bq: BoundQuiver, path_cap: int = 200_000) -> AdmissibleRepo
             if len(p) != m:
                 continue
             if not _echelon_reduce(ideals[(x, y)], {index[(x, y)][p]: f.one}, f.p, insert=False):
-                violations.append(
-                    f"path {'*'.join(p)} of length {m} is not in the relation ideal")
-    return AdmissibleReport(not violations, violations)
+                text = f"path {'*'.join(p)} of length {m} is not in the relation ideal"
+                report.assert_true("admissible.nilbound-path", False, text)
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -44,10 +44,18 @@ class CheckRecord:
 
 
 @dataclass
-class VerifyReport:
-    """The outcome of one library check: records plus named verdicts."""
+class Report:
+    """The outcome of a check or a suite: records plus named verdicts.
+
+    A suite's report also names its field, seed and inputs; a library
+    check leaves them empty.  Records are rendered as id/expected/actual/
+    pass entries only when the report is serialized.
+    """
 
     name: str
+    field: str = ""
+    seed: int = 0
+    inputs: list[dict] = dc_field(default_factory=list)
     records: list[CheckRecord] = dc_field(default_factory=list)
     verdicts: dict[str, str] = dc_field(default_factory=dict)
 
@@ -59,61 +67,43 @@ class VerifyReport:
     def assert_true(self, check: str, value: bool, detail=None):
         self.records.append(CheckRecord(check, True, detail if detail is not None else bool(value), bool(value)))
 
+    def absorb(self, other: "Report", prefix: str = ""):
+        self.verdicts.update(other.verdicts)
+        self.records.extend(CheckRecord(prefix + r.check, r.expected, r.actual, r.ok)
+                            for r in other.records)
+
     @property
     def ok(self) -> bool:
         return all(r.ok for r in self.records)
 
-
-@dataclass
-class Report:
-    suite: str
-    field: str
-    seed: int
-    inputs: list[dict] = dc_field(default_factory=list)
-    checks: list[dict] = dc_field(default_factory=list)
-    verdicts: dict = dc_field(default_factory=dict)
-    version: str = __version__
-
-    def add_input(self, name: str, sha256: str):
-        self.inputs.append({"path": name, "sha256": sha256})
-
-    def absorb(self, verify: VerifyReport, prefix: str = ""):
-        self.verdicts.update(verify.verdicts)
-        for rec in verify.records:
-            self.checks.append({
-                "id": prefix + rec.check,
-                "expected": jsonable(rec.expected),
-                "actual": jsonable(rec.actual),
-                "pass": bool(rec.ok),
-            })
-
-    @property
-    def passed(self) -> bool:
-        return all(c["pass"] for c in self.checks)
+    def _checks(self) -> list[dict]:
+        checks = [{"id": r.check, "expected": jsonable(r.expected),
+                   "actual": jsonable(r.actual), "pass": bool(r.ok)} for r in self.records]
+        return sorted(checks, key=lambda c: c["id"])
 
     def to_dict(self) -> dict:
         return {
-            "suite": self.suite,
-            "version": self.version,
+            "suite": self.name,
+            "version": __version__,
             "field": self.field,
             "seed": self.seed,
             "inputs": self.inputs,
             "verdicts": jsonable(self.verdicts),
-            "checks": sorted(self.checks, key=lambda c: c["id"]),
-            "pass": self.passed,
+            "checks": self._checks(),
+            "pass": self.ok,
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def to_text(self) -> str:
-        lines = [f"suite {self.suite}  field {self.field}  seed {self.seed}"]
+        lines = [f"suite {self.name}  field {self.field}  seed {self.seed}"]
         for entry in self.inputs:
             lines.append(f"input {entry['path']}  sha256 {entry['sha256'][:16]}")
         for key in sorted(self.verdicts):
             lines.append(f"verdict {key}: {self.verdicts[key]}")
-        for c in sorted(self.checks, key=lambda c: c["id"]):
+        for c in self._checks():
             mark = "ok  " if c["pass"] else "FAIL"
             lines.append(f"{mark} {c['id']}  expected {c['expected']}  actual {c['actual']}")
-        lines.append("PASS" if self.passed else "FAIL")
+        lines.append("PASS" if self.ok else "FAIL")
         return "\n".join(lines) + "\n"

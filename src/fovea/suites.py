@@ -48,7 +48,7 @@ from .repetitive import (
     repetitive_truncation,
     repetitive_voltage,
 )
-from .reports import Report, VerifyReport
+from .reports import Report
 
 SUITES = ("cover-axioms", "pushdown", "phi-identities", "kg0", "repetitive")
 
@@ -62,9 +62,9 @@ def run_suite(name: str, input_spec: str, field_override: str | None = None,
     if name not in SUITES:
         raise SuiteError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     display, digest, q = load_quiver(input_spec, field_override)
-    report = Report(suite=name, field=q.field.spec() if isinstance(q, BoundQuiver)
-                    else q.base.field.spec(), seed=seed)
-    report.add_input(display, digest)
+    report = Report(name, field=q.field.spec() if isinstance(q, BoundQuiver)
+                    else q.base.field.spec(), seed=seed,
+                    inputs=[{"path": display, "sha256": digest}])
     if name == "cover-axioms":
         report.absorb(verify_covering_axioms(_require_voltage(q, name)))
     elif name == "pushdown":
@@ -72,7 +72,7 @@ def run_suite(name: str, input_spec: str, field_override: str | None = None,
     elif name == "phi-identities":
         _suite_phi_identities(report, q)
     elif name == "kg0":
-        _suite_kg0(report, q, dim_cap, count_cap, seed)
+        report.absorb(kg_level0_report(q, dim_cap=dim_cap, count_cap=count_cap, seed=seed))
     elif name == "repetitive":
         _suite_repetitive(report, q)
     return report
@@ -101,23 +101,20 @@ def _suite_pushdown(report: Report, q, seed: int = 0):
     # the pushed-down twist classes exhaust the indecomposables of the base
     base_enum = enumerate_indecomposables(vq.base, seed=seed)
     if base_enum.complete:
-        vr = VerifyReport("pushdown")
         pushed = [push_down(c) for c in orbit_enumeration(vq)]
         for k, p in enumerate(pushed):
-            vr.add(f"pushdown.class-indecomposable[{k}]", True, is_indecomposable(p))
+            report.add(f"pushdown.class-indecomposable[{k}]", True, is_indecomposable(p))
         matched = set()
         for p in pushed:
             for idx, m in enumerate(base_enum.modules):
                 if idx not in matched and p.dims == m.dims and is_isomorphic_indec(p, m):
                     matched.add(idx)
                     break
-        vr.add("pushdown.classes-exhaust-base", len(base_enum.modules), len(matched))
-        report.absorb(vr)
+        report.add("pushdown.classes-exhaust-base", len(base_enum.modules), len(matched))
 
 
 def _suite_phi_identities(report: Report, q):
     vq = _require_voltage(q, "phi-identities")
-    vr = VerifyReport("phi-identities")
     battery, tests = default_battery(vq)
     for i, t in enumerate(battery):
         hull = common_window(t.pres.source, t.pres.target)
@@ -126,7 +123,7 @@ def _suite_phi_identities(report: Report, q):
             lo = hull.lo - x.window.hi
             hi = hull.hi - x.window.lo
             rhs = sum(evaluate_dim(t, x.twist(k)) for k in range(lo, hi + 1))
-            vr.add(f"comparison.pull-back-sum[{i},{j}]", lhs, rhs)
+            report.add(f"comparison.pull-back-sum[{i},{j}]", lhs, rhs)
     for i, t1 in enumerate(battery[:4]):
         for j, t2 in enumerate(battery[:4]):
             report.absorb(phi_hom_identity(t1, t2), prefix=f"hom[{i},{j}].")
@@ -144,42 +141,36 @@ def _suite_phi_identities(report: Report, q):
                 res = phi_epi_cover(x, y, alpha, tests)
                 report.absorb(res.report, prefix=f"epi[{count}].")
                 count += 1
-    vr.add("comparison.epi-batch-size", True, count > 0)
-    report.absorb(vr)
-
-
-def _suite_kg0(report: Report, q, dim_cap, count_cap, seed: int = 0):
-    report.absorb(kg_level0_report(q, dim_cap=dim_cap, count_cap=count_cap, seed=seed))
+    report.add("comparison.epi-batch-size", True, count > 0)
 
 
 def _suite_repetitive(report: Report, q):
     if isinstance(q, VoltageQuiver):
         raise SuiteError("suite repetitive needs a finite-dimensional algebra input")
     bq: BoundQuiver = q
-    vr = VerifyReport("repetitive")
     base_dim = path_basis(bq).total_dim
     trunc0 = repetitive_truncation(bq, 0)
     trunc1 = repetitive_truncation(bq, 1)
     trunc2 = repetitive_truncation(bq, 2)
-    vr.add("repetitive.dim-n0", base_dim, trunc0.total_dim)
-    vr.add("repetitive.dim-n1", 5 * base_dim, trunc1.total_dim)
-    vr.add("repetitive.dim-n2", 9 * base_dim, trunc2.total_dim)
+    report.add("repetitive.dim-n0", base_dim, trunc0.total_dim)
+    report.add("repetitive.dim-n1", 5 * base_dim, trunc1.total_dim)
+    report.add("repetitive.dim-n2", 9 * base_dim, trunc2.total_dim)
 
     # the exports for n >= 1 are lifted off the one repetitive voltage quiver
     rv = repetitive_voltage(bq)
     exported1 = trunc1.export(rv)
-    vr.add("repetitive.export-admissible", True, check_admissible(exported1).ok)
+    report.add("repetitive.export-admissible", True, check_admissible(exported1).ok)
 
     exported2 = trunc2.export(rv)
     inner = [v for v in exported2.vertices if v.endswith(("@-1", "@0", "@1"))]
-    vr.add("repetitive.truncation-convex", True, is_convex(exported2, inner))
+    report.add("repetitive.truncation-convex", True, is_convex(exported2, inner))
     pb1, pb2 = path_basis(exported1), path_basis(exported2)
     agree = all(pb1.dim(x, y) == pb2.dim(x, y) for x in inner for y in inner)
-    vr.add("repetitive.truncation-hom-dims-agree", True, agree)
+    report.add("repetitive.truncation-hom-dims-agree", True, agree)
 
     norm = format_quiver(normalize_presentation(bq))
     renamed = rename_vertices(trunc0.export(), {f"{v}@0": v for v in bq.vertices})
-    vr.add("repetitive.n0-byte-exact", True, format_quiver(renamed) == norm)
+    report.add("repetitive.n0-byte-exact", True, format_quiver(renamed) == norm)
 
     for n, trunc, exported in ((1, trunc1, exported1), (2, trunc2, exported2)):
         # a window with T_n's presentation, up to names, presents T_n, whose
@@ -187,16 +178,15 @@ def _suite_repetitive(report: Report, q):
         window = lift_window(rv, Window(-n, n))
         same = _presentation_key(window) == _presentation_key(exported)
         wdim = path_basis(exported if same else window).total_dim
-        vr.add(f"repetitive.window-matches-truncation[n={n}]", trunc.total_dim, wdim)
+        report.add(f"repetitive.window-matches-truncation[n={n}]", trunc.total_dim, wdim)
     w0 = lift_window(rv, Window(0, 0))
     w0_renamed = rename_vertices(w0, {f"{v}@0": v for v in bq.vertices})
     w0_norm = format_quiver(normalize_presentation(w0_renamed))
-    vr.add("repetitive.window0-is-base", True, w0_norm == norm)
+    report.add("repetitive.window0-is-base", True, w0_norm == norm)
 
     orbit = _orbit_quotient(rv, 1)
-    vr.add("repetitive.orbit-dim", 2 * base_dim, path_basis(orbit).total_dim)
-    vr.add("repetitive.orbit-selfinjective", True, is_selfinjective(orbit))
-    report.absorb(vr)
+    report.add("repetitive.orbit-dim", 2 * base_dim, path_basis(orbit).total_dim)
+    report.add("repetitive.orbit-selfinjective", True, is_selfinjective(orbit))
 
 
 def _presentation_key(bq: BoundQuiver) -> tuple:

@@ -29,7 +29,6 @@ from fovea.modules import (
     PairCache,
     RadicalHom,
     dual_module,
-    end_radical,
     hom_space,
     is_isomorphic_indec,
     radical_hom,
@@ -125,7 +124,7 @@ def verify_right_almost_split(g: ModMap, n: Module, ind_list: list[Module],
             failures.append(f"a map from {x!r} does not factor (list incomplete?)")
     if back is not None:
         end = cache.hom(n, n)
-        rad = [end.from_coords(r) for r in end_radical(n, end).rows.entries]
+        rad = [end.from_coords(r) for r in radical_hom(n, n, end, end).coords.rows.entries]
         if rad and not _factors_through(rad, g, back):
             failures.append("a radical endomorphism does not factor")
     return failures

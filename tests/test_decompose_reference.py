@@ -34,8 +34,8 @@ from fovea.modules import (
     _trace_pairing,
     _traces,
     decompose,
-    end_radical,
     hom_space,
+    radical_hom,
 )
 
 from test_properties import (
@@ -128,7 +128,7 @@ def test_trace_form_skip_test_equals_the_radical_span(data):
     if m.is_zero() or (p is not None and p <= m.total_dim):
         return      # no trace form: both decompositions refuse the prime
     end = hom_space(m, m)
-    rad = end_radical(m, end)
+    rad = radical_hom(m, m, end, end).coords
     form = _trace_pairing(end, end).entries
     one = _traces(end)
     assert one == form_times(form, identity_coords(end), f)

@@ -180,7 +180,7 @@ def test_kg0_knits_local_almost_split_sequences(monkeypatch, tmp_path, name, tex
     else:
         (tmp_path / name).write_text(text)
         name = str(tmp_path / name)
-        assert run_suite("kg0", name).passed
+        assert run_suite("kg0", name).ok
     # no rad^2 search and no map-level certificate is left to call
     assert not [name for name in RETIRED if hasattr(fovea.modules, name)]
     assert not hasattr(fovea.modules.PairCache, "radical")
@@ -251,7 +251,7 @@ def test_kg0_enumerates_only_a_base_with_a_dynkin_separated_quiver(monkeypatch, 
         (tmp_path / name).write_text(KG0_DIGESTS[name][0])
         name = str(tmp_path / name)
     report = run_suite("kg0", name)
-    assert report.passed
+    assert report.ok
     assert len(calls) == KG0_ENUMERATIONS[Path(name).name]
     assert all(enum.complete for _args, enum in calls)
 
@@ -363,7 +363,7 @@ def test_repetitive_suite_builds_the_repetitive_category_once(monkeypatch):
             monkeypatch.setattr(module, "repetitive_voltage", recording)
     assert fovea.suites.repetitive_voltage is recording
     truncations = _record(monkeypatch, fovea.repetitive, "RepetitiveTruncation")
-    assert run_suite("repetitive", "a3.bq").passed
+    assert run_suite("repetitive", "a3.bq").ok
     assert len(calls) == 1
     # T_0, T_1 and T_2, and none for the repetitive category itself
     assert sorted(t.n for _args, t in truncations) == [0, 1, 2]
@@ -382,7 +382,7 @@ def test_repetitive_suite_extracts_only_layer_zero_and_the_normal_forms(monkeypa
                 getattr(module, "extract_presentation", None) is extract_presentation:
             monkeypatch.setattr(module, "extract_presentation", recording)
     assert fovea.repetitive.extract_presentation is recording
-    assert run_suite("repetitive", "a3.bq").passed
+    assert run_suite("repetitive", "a3.bq").ok
     # T_0 and the normal forms of the base and of the degree-0 window; T_1
     # and T_2 are lifted off the repetitive voltage quiver
     assert len(calls) <= 3
@@ -459,7 +459,7 @@ def test_repetitive_suite_builds_each_path_basis_once(monkeypatch):
         init(self, bq, *args, **kwargs)
 
     monkeypatch.setattr(PathBasis, "__init__", recording)
-    assert run_suite("repetitive", "a3.bq").passed
+    assert run_suite("repetitive", "a3.bq").ok
     # the base, three exports, the two normal forms' checks, the degree-0
     # window and the orbit algebra; the windows on layers -n..n present T_n
     # up to names and reuse its export's basis
@@ -476,9 +476,9 @@ def test_cover_suites_build_each_path_basis_once(monkeypatch, tmp_path):
 
     monkeypatch.setattr(PathBasis, "__init__", recording)
     for suite in ("pushdown", "phi-identities", "kg0"):
-        assert run_suite(suite, "nakayama2.vq").passed, suite
+        assert run_suite(suite, "nakayama2.vq").ok, suite
     (tmp_path / "d4.vq").write_text(D4_COVER_TEXT)
-    assert run_suite("kg0", str(tmp_path / "d4.vq")).passed
+    assert run_suite("kg0", str(tmp_path / "d4.vq")).ok
     # every quiver stays alive in the records, so no id is reused; 48
     # bases of 31 quivers while callers passed bases along
     assert built and len({id(bq) for bq in built}) == len(built)
@@ -598,13 +598,13 @@ def test_decompose_builds_the_radical_only_for_the_residue_field_fallback(monkey
                              "arrow a: 1 -> 2\narrow b: 1 -> 2\n")
     pencil = parse_module(kronecker, KRONECKER_PENCIL)
     radicals, spans, fallbacks = [], [], []
-    end_radical = fovea.modules.end_radical
+    radical_hom = fovea.modules.radical_hom
     span = Subspace.span.__func__
     generates = fovea.modules._generates_a_residue_field
 
     def recording_radical(*args, **kwargs):
         radicals.append(args)
-        return end_radical(*args, **kwargs)
+        return radical_hom(*args, **kwargs)
 
     def recording_span(cls, *args, **kwargs):
         spans.append(args)
@@ -614,7 +614,7 @@ def test_decompose_builds_the_radical_only_for_the_residue_field_fallback(monkey
         fallbacks.append(args)
         return generates(*args)
 
-    monkeypatch.setattr(fovea.modules, "end_radical", recording_radical)
+    monkeypatch.setattr(fovea.modules, "radical_hom", recording_radical)
     monkeypatch.setattr(Subspace, "span", classmethod(recording_span))
     monkeypatch.setattr(fovea.modules, "_generates_a_residue_field", recording_generates)
     for m in inputs:
@@ -704,7 +704,7 @@ def test_isomorphism_test_reads_one_trace_pairing(monkeypatch):
     assert twin != p0
     homs, radicals = [], []
     hom_space_ = fovea.modules.hom_space
-    end_radical = fovea.modules.end_radical
+    radical_hom = fovea.modules.radical_hom
 
     def recording_hom(m, n):
         homs.append((m, n))
@@ -712,10 +712,10 @@ def test_isomorphism_test_reads_one_trace_pairing(monkeypatch):
 
     def recording_radical(*args, **kwargs):
         radicals.append(args)
-        return end_radical(*args, **kwargs)
+        return radical_hom(*args, **kwargs)
 
     monkeypatch.setattr(fovea.modules, "hom_space", recording_hom)
-    monkeypatch.setattr(fovea.modules, "end_radical", recording_radical)
+    monkeypatch.setattr(fovea.modules, "radical_hom", recording_radical)
     assert fovea.modules.is_isomorphic_indec(p0, twin)
     # Hom(P, Q) and Hom(Q, P); End(P) is not needed
     assert len(homs) == 2 and radicals == []
@@ -725,7 +725,7 @@ def test_push_down_is_built_once_per_layered_module(monkeypatch):
     x = layered_injective(load_quiver("nakayama2.vq")[2], "1", 0)
     assert push_down(x) is push_down(x)
     calls = _record(monkeypatch, fovea.covering, "push_down")
-    assert run_suite("phi-identities", "nakayama2.vq").passed
+    assert run_suite("phi-identities", "nakayama2.vq").ok
     # 241 distinct push-downs of 20 layered modules while each call built one
     arguments = {id(args[0]): args[0] for args, _ in calls}
     pushed = {id(result): result for _, result in calls}
@@ -756,7 +756,7 @@ def test_twists_and_map_push_downs_are_built_once_per_instance(
     twists = _record_method(monkeypatch, LayeredModule, "twist")
     map_twists = _record_method(monkeypatch, LayeredModMap, "twist")
     pushed = _record(monkeypatch, fovea.covering, "push_down_map")
-    assert run_suite(suite, "nakayama2.vq").passed
+    assert run_suite(suite, "nakayama2.vq").ok
     # every call's arguments stay alive in the records, so no id is reused
     for calls in (twists, map_twists, pushed):
         first = {}
@@ -772,7 +772,7 @@ def test_twists_and_map_push_downs_are_built_once_per_instance(
 def test_evaluate_builds_no_hom_into_the_source_where_the_target_has_none(monkeypatch):
     calls = _record(monkeypatch, fovea.modules, "hom_space")
     assert fovea.functors.hom_space is fovea.modules.hom_space
-    assert run_suite("kg0", "nakayama2.vq").passed
+    assert run_suite("kg0", "nakayama2.vq").ok
     # 650 while every evaluation built Hom(X, M) and Hom(X, N)
     assert 0 < len(calls) <= 410
 
@@ -797,7 +797,7 @@ def test_hom_dimensions_read_no_basis(monkeypatch):
 
 def test_kg0_reads_few_hom_bases(monkeypatch):
     readouts = _record(monkeypatch, fovea.linalg, "_echelon_kernel")
-    assert run_suite("kg0", "nakayama2.vq").passed
+    assert run_suite("kg0", "nakayama2.vq").ok
     # 410 while every hom space was solved to its canonical basis; 110
     # while each evaluation read the bases of Hom(X, M) and Hom(X, N)
     assert 0 < len(readouts) <= 6
@@ -807,12 +807,13 @@ def test_phi_identities_lifts_no_functor_map(monkeypatch):
     """fp_hom_dim counts the maps of functors without building them."""
     readouts = _record(monkeypatch, fovea.linalg, "_echelon_kernel")
     lifts = _record(monkeypatch, fovea.functors, "_solve_lift")
-    assert run_suite("phi-identities", "line-k2.vq").passed
+    assert run_suite("phi-identities", "line-k2.vq").ok
     # 22 lifts and 328 bases while fp_hom_dim built fp_hom's maps and
     # each evaluation read the bases of Hom(X, M) and Hom(X, N); 184 while
-    # fp_hom_dim read the condition rows where their quotient space is 0
+    # fp_hom_dim read the condition rows where their quotient space is 0;
+    # 103 while phi_epi_cover evaluated both functors at every test module
     assert lifts == []
-    assert 0 < len(readouts) <= 103
+    assert 0 < len(readouts) <= 67
 
 
 def test_a_cover_evaluation_off_the_target_aligns_nothing(monkeypatch):

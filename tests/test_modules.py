@@ -65,6 +65,32 @@ def test_module_must_satisfy_relations():
     Module(LOOP, {"v": 2}, {"a": Matrix(LOOP.field, [[0, 1], [0, 0]])})
 
 
+def test_a_relation_through_a_zero_vertex_builds_no_square_matrix(monkeypatch):
+    """A path through a vertex where M is 0 acts as 0, so the relation
+    check multiplies nothing for it and builds no d x d accumulator."""
+    cycle = parse_quiver("field gf 7\nnilbound 3\nvertex 1 2\narrow a: 1 -> 2\n"
+                         "arrow b: 2 -> 1\nrelation a*b\n")
+    shapes = []
+    zeros, matmul = Matrix.zeros.__func__, Matrix.__matmul__
+
+    def recording_zeros(cls, field, rows, cols):
+        shapes.append((rows, cols))
+        return zeros(cls, field, rows, cols)
+
+    def recording_matmul(self, other):
+        shapes.append((self.rows, other.cols))
+        return matmul(self, other)
+
+    monkeypatch.setattr(Matrix, "zeros", classmethod(recording_zeros))
+    monkeypatch.setattr(Matrix, "__matmul__", recording_matmul)
+    m = parse_module(cycle, "dims 1=2000\n")
+    assert m.dims == {"1": 2000, "2": 0}
+    assert shapes and (2000, 2000) not in shapes
+    # where the path meets no zero vertex the relation is still checked
+    with pytest.raises(ModuleError):
+        parse_module(cycle, "dims 1=1 2=1\nmat a = [[1]]\nmat b = [[1]]\n")
+
+
 def test_projective_at_two_is_the_interval():
     assert P2.dims == {"1": 1, "2": 1}
     assert P2.mats["a"] == Matrix.identity(A2.field, 1)

@@ -2,8 +2,8 @@
 
 Each property runs over GF(7), GF(32749) and Q.  The references are the
 naive eliminator in `oracles.py`, plain convolution of coefficient lists,
-the trace form built from composite matrices, which `end_radical`
-computed before it read the form off the hom basis directly, and the
+the trace form built from composite matrices, which the End(M) radical
+was computed from before it was read off the hom basis directly, and the
 radical of Hom(M, N) built from composites g f reduced modulo rad End(M),
 which `radical_hom` computed before it read the trace pairing, and
 `reference_decompose`, the decomposition that split on phi^(dim M) and
@@ -29,7 +29,6 @@ from fovea.linalg import (
     Field,
     Matrix,
     Subspace,
-    _candidate_factors,
     candidate_factors,
     hstack,
     inverse,
@@ -50,7 +49,6 @@ from fovea.modules import (
     _trace_pairing,
     decompose,
     direct_sum,
-    end_radical,
     hom_space,
     image_submodule,
     is_isomorphic_indec,
@@ -166,12 +164,10 @@ def factor_cases(draw):
 @given(factor_cases())
 def test_lazy_candidates_are_the_candidate_list(case):
     field, poly, seed = case
-    eager = candidate_factors(field, poly, random.Random(seed))
-    lazy = _candidate_factors(field, poly, random.Random(seed))
-    assert list(lazy) == eager
+    eager = list(candidate_factors(field, poly, random.Random(seed)))
     # a reader that stops early sees a prefix of the same list
     for k in range(len(eager) + 1):
-        it = _candidate_factors(field, poly, random.Random(seed))
+        it = candidate_factors(field, poly, random.Random(seed))
         assert [g for _, g in zip(range(k), it)] == eager[:k]
     for g in eager:
         assert 0 < len(g) - 1 < len(poly_trim(poly)) - 1 and g[-1] == field.one
@@ -203,7 +199,7 @@ def modules(draw, bq=None, dims=None):
 
 
 def _composite_trace_form(m, end):
-    """The trace form as end_radical first computed it: trace of each composite."""
+    """The trace form of End(M) as first computed: trace of each composite."""
     f = m.bq.field
     n = end.dim
 
@@ -223,7 +219,7 @@ def test_trace_form_equals_the_composite_trace_form(m):
     end = hom_space(m, m)
     gram = _trace_pairing(end, end)
     assert gram == _composite_trace_form(m, end)
-    assert end_radical(m, end).rows == kernel_basis(gram)
+    assert radical_hom(m, m, end, end).coords.rows == kernel_basis(gram)
 
 
 @st.composite
@@ -252,7 +248,7 @@ def _composite_radical_hom(m, n):
     rad End(M) for every g: N -> M, in coordinates of the hom basis."""
     f = m.bq.field
     hom, back, end = hom_space(m, n), hom_space(n, m), hom_space(m, m)
-    quot = end_radical(m, end).quotient()
+    quot = Subspace(f, end.dim, kernel_basis(_composite_trace_form(m, end))).quotient()
     conditions = [[x for g in back.maps for x in quot.apply(end.coords(g @ h))]
                   for h in hom.maps]
     if not conditions or not conditions[0]:
@@ -341,7 +337,7 @@ def _reference_try_split(piece, phi):
         return split
     f = piece.module.bq.field
     rng = random.Random(0xF17)
-    for g in _candidate_factors(f, reference_minimal_polynomial(phi), rng):
+    for g in candidate_factors(f, reference_minimal_polynomial(phi), rng):
         split = _reference_fitting_split(piece, reference_poly_of_map(g, phi).power(n))
         if split is not None:
             return split
@@ -365,7 +361,7 @@ def reference_decompose(m, seed=0, max_tries=64):
         if end.dim == 1:
             done.append(piece)
             continue
-        rad = end_radical(p, end)
+        rad = radical_hom(p, p, end, end).coords
         if end.dim - rad.dim == 1:
             done.append(piece)
             continue

@@ -150,7 +150,7 @@ def test_admissible_loop_with_square_zero():
 def test_not_admissible_loop_without_relation():
     bq = parse_quiver("field gf 32749\nnilbound 3\nvertex v\narrow a: v -> v\n")
     report = check_admissible(bq)
-    assert not report.ok and report.violations
+    assert not report.ok and report.records
 
 
 def test_admissible_a3_rad_square_zero():
@@ -569,7 +569,8 @@ def test_sparse_path_basis_matches_the_dense_reference(make_bq):
 def test_pruned_admissibility_matches_the_dense_reference(make_bq):
     bq = make_bq()
     report = check_admissible(bq)
-    assert (report.ok, report.violations) == dense_check_admissible(bq)
+    violations = [r.actual for r in report.records if not r.ok]
+    assert (report.ok, violations) == dense_check_admissible(bq)
 
 
 def test_the_references_see_non_admissible_inputs():

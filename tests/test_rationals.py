@@ -108,7 +108,7 @@ def test_random_hom_dims_agree_with_the_oracle_over_both_fields():
 def test_all_suites_pass_over_the_rationals():
     for name, fixture in (("cover-axioms", "line-k2.vq"), ("pushdown", "line-k2.vq"),
                           ("kg0", "line-k2.vq"), ("repetitive", "a2.bq")):
-        assert run_suite(name, fixture, field_override="q").passed
+        assert run_suite(name, fixture, field_override="q").ok
 
 
 # the covers written as text in tests/test_report_digests.py and tests/test_covering.py

@@ -204,7 +204,7 @@ def test_cover_axioms_hold_on_the_repetitive_cover_of_a2():
 def test_all_suites_pass_on_the_trivial_cover():
     from fovea.suites import run_suite
     for name in ("cover-axioms", "pushdown", "phi-identities", "kg0"):
-        assert run_suite(name, "trivial-a2.vq").passed
+        assert run_suite(name, "trivial-a2.vq").ok
 
 
 def dense_radical_filtration(cat):
@@ -475,11 +475,11 @@ def test_a_window_unlike_its_truncation_reports_its_own_dimension(monkeypatch):
 
     monkeypatch.setattr(fovea.suites, "lift_window", dropping_a_relation)
     report = fovea.suites.run_suite("repetitive", "kronecker.bq")
-    checks = {c["id"]: c for c in report.checks}
+    checks = {c["id"]: c for c in report.to_dict()["checks"]}
     for n in (1, 2):
         check = checks[f"repetitive.window-matches-truncation[n={n}]"]
         assert check["actual"] == dims[n]
         assert check["pass"] == (check["expected"] == dims[n])
     # without its first relation, kronecker's window on -1..1 is one bigger
     assert not checks["repetitive.window-matches-truncation[n=1]"]["pass"]
-    assert not report.passed
+    assert not report.ok
