@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import __version__
-from .covering import layered_hom_dim, push_down
+from .covering import COVER_COUNT_CAP, COVER_DIM_CAP, base_enumeration, layered_hom_dim, push_down
 from .naming import (
     FixtureError,
     fixture_names,
@@ -36,11 +36,10 @@ from .linalg import LinAlgError
 from .modules import (
     ModuleError,
     ModuleParseError,
-    enumerate_indecomposables,
     format_module,
     hom_dim,
     parse_module,
-    _separated_quiver_is_dynkin,
+    _enumerate_unless_infinite,
 )
 from .quiver import ParseError, QuiverError, VoltageQuiver, format_quiver
 from .repetitive import repetitive_truncation, selfinjective_orbit
@@ -57,11 +56,11 @@ def _common(p: argparse.ArgumentParser):
                    help="field override: gf:<p> or q (default from FOVEA_FIELD)")
     p.add_argument("--seed", type=int, default=0, help="seed for decompositions")
     p.add_argument("--dim-cap", type=int, default=12,
-                   help="dimension cap for enumeration over an algebra input and over a "
-                        "cover's base in kg0 and phi (a cover's windows: fixed 64)")
+                   help="dimension cap for the enumerations of an algebra input; none on a "
+                        f"graded input (its base and windows: fixed {COVER_DIM_CAP})")
     p.add_argument("--count-cap", type=int, default=24,
-                   help="count cap for enumeration over an algebra input and over a "
-                        "cover's base in kg0 and phi (a cover's windows: fixed 128)")
+                   help="count cap for the enumerations of an algebra input; none on a "
+                        f"graded input (its base and windows: fixed {COVER_COUNT_CAP})")
 
 
 # the verbs in help order
@@ -230,10 +229,8 @@ def _complete_list(q, args):
     list is refused, since a simple functor built on it is not simple.  A
     representation-infinite q, read off its separated quiver, is refused
     without enumerating."""
-    enum = (enumerate_indecomposables(q, dim_cap=args.dim_cap, count_cap=args.count_cap,
-                                      seed=args.seed)
-            if _separated_quiver_is_dynkin(q) else None)
-    if enum is None or not enum.complete:
+    enum = _enumerate_unless_infinite(q, args.dim_cap, args.count_cap, args.seed)
+    if not enum.complete:
         raise FunctorError("a simple functor's profile is undecidable from an incomplete list")
     return enum
 
@@ -272,8 +269,7 @@ def _fun_phi(args) -> int:
         raise FixtureError("phi needs a graded (voltage) input")
     t = resolve_functor(q, args.functor)
     u = phi(t)
-    enum = enumerate_indecomposables(q.base, dim_cap=args.dim_cap,
-                                     count_cap=args.count_cap, seed=args.seed)
+    enum = base_enumeration(q, args.seed)
     profile = {label: evaluate_dim(u, x) for label, x in zip(enum.labels(), enum.modules)}
     text = "  ".join(f"{k}:{v}" for k, v in sorted(profile.items()))
     _emit(args, {"profile": profile, "complete": enum.complete}, text)
@@ -286,8 +282,7 @@ def _fun_length(args) -> int:
         cert = functor_length_cover(resolve_functor(q, args.functor))
     else:
         # one enumeration, with the caps given, serves the functor and its length
-        enum = enumerate_indecomposables(q, dim_cap=args.dim_cap,
-                                         count_cap=args.count_cap, seed=args.seed)
+        enum = _enumerate_unless_infinite(q, args.dim_cap, args.count_cap, args.seed)
         cert = functor_length(resolve_functor(q, args.functor, enum), enum)
     _emit(args, {"length": cert.length, "profile": cert.profile},
           f"length = {cert.length}")

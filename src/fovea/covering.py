@@ -10,12 +10,15 @@ pushed-down modules decompose into finitely many twisted components.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
-from .linalg import Matrix, solve
+from .linalg import Matrix, _place_blocks, solve
 from .modules import (
+    DEFAULT_SEED,
     Enumeration,
     ModMap,
     Module,
+    _enumerate_unless_infinite,
     _is_nakayama,
     _separated_quiver_is_dynkin,
     enumerate_indecomposables,
@@ -245,19 +248,33 @@ def layered_hom_dim(x: LayeredModule, y: LayeredModule) -> int:
     return hom_space(x.align(w), y.align(w)).dim
 
 
-# what the error of an incomplete enumeration at the fixed caps adds
-_FLAG_CAPS = ("--dim-cap and --count-cap bound the enumeration of an algebra input, "
-              "and of a cover's base in kg0 and phi, not this one")
+# the fixed caps of every enumeration on a graded input, its base's and its windows'
+COVER_DIM_CAP, COVER_COUNT_CAP = 64, 128
+# what the error of an incomplete enumeration at those caps adds
+_COVER_CAPS = (f"; a cover's base and windows are enumerated at the fixed caps "
+               f"dim {COVER_DIM_CAP}, count {COVER_COUNT_CAP}")
+
+
+def base_enumeration(vq: VoltageQuiver, seed: int = DEFAULT_SEED) -> Enumeration:
+    """The indecomposables of the base at the cover caps, memoised on vq per
+    seed: the one list that the orbit count, kg0, pushdown and phi read.
+    A base whose separated quiver is not Dynkin gets an empty, incomplete
+    list without enumerating (`_enumerate_unless_infinite`)."""
+    enum = vq._base_enums.get(seed)
+    if enum is None:
+        enum = vq._base_enums[seed] = _enumerate_unless_infinite(
+            vq.base, COVER_DIM_CAP, COVER_COUNT_CAP, seed)
+    return enum
 
 
 def window_enumeration(vq: VoltageQuiver, window: Window) -> Enumeration:
     """The indecomposables over a window of the lift.  An incomplete
     enumeration is an error, not a guess."""
-    enum = enumerate_indecomposables(lift_window(vq, window), dim_cap=64, count_cap=128)
+    enum = enumerate_indecomposables(lift_window(vq, window), dim_cap=COVER_DIM_CAP,
+                                     count_cap=COVER_COUNT_CAP)
     if not enum.complete:
-        raise CoveringError("window enumeration is incomplete: " + "; ".join(enum.notes) + "; a "
-                            "cover's windows are enumerated at the fixed caps dim 64, count 128; "
-                            + _FLAG_CAPS)
+        raise CoveringError("window enumeration is incomplete: " + "; ".join(enum.notes)
+                            + _COVER_CAPS)
     return enum
 
 
@@ -326,11 +343,10 @@ def _window_orbits(vq: VoltageQuiver) -> list[LayeredModule]:
     if not _separated_quiver_is_dynkin(vq.base):
         raise CoveringError("the base's separated quiver is not Dynkin, so the cover has "
                             "infinitely many orbits: no window list reaches Gabriel's count")
-    base = enumerate_indecomposables(vq.base, dim_cap=64, count_cap=128)
+    base = base_enumeration(vq)
     if not base.complete:
-        raise CoveringError("base enumeration is incomplete: " + "; ".join(base.notes) + "; "
-                            "Gabriel's count reads a cover's base at the fixed caps dim 64, "
-                            "count 128; " + _FLAG_CAPS)
+        raise CoveringError("base enumeration is incomplete: " + "; ".join(base.notes)
+                            + _COVER_CAPS)
     step = max(vq.base.nilbound, 1)
     w = step * max(1, -(-max(map(abs, vq.degree.values()), default=0) // step))
     while True:
@@ -365,25 +381,21 @@ def _radius(vq: VoltageQuiver) -> int:
     return (max(vq.base.nilbound, 1) - 1 + longest) * step
 
 
-def _standard(vq: VoltageQuiver, v: str, n: int, kind: str) -> LayeredModule:
-    """Projective or injective at a lifted vertex, from the lift of
-    [n - r, n + r] (`_radius`), which holds every path from or to (v, n)."""
+def _standard(vq: VoltageQuiver, v: str, n: int, make) -> LayeredModule:
+    """make (`projective` or `injective`) at a lifted vertex, from the lift
+    of [n - r, n + r] (`_radius`), which holds every path from or to (v, n)."""
     r = _radius(vq)
     w = Window(n - r, n + r)
     bq = lift_window(vq, w)
-    if kind == "projective":
-        mod = projective(bq, layer_vertex(v, n))
-    else:
-        mod = injective(bq, layer_vertex(v, n))
-    return LayeredModule(vq, w, mod).trim()
+    return LayeredModule(vq, w, make(bq, layer_vertex(v, n))).trim()
 
 
 def layered_projective(vq: VoltageQuiver, v: str, n: int) -> LayeredModule:
-    return _standard(vq, v, n, "projective")
+    return _standard(vq, v, n, projective)
 
 
 def layered_injective(vq: VoltageQuiver, v: str, n: int) -> LayeredModule:
-    return _standard(vq, v, n, "injective")
+    return _standard(vq, v, n, injective)
 
 
 # ---------------------------------------------------------------------------
@@ -401,32 +413,23 @@ def push_down(x: LayeredModule) -> Module:
     return x._pushed
 
 
+def _layer_offsets(x: LayeredModule, v: str) -> dict[int, int]:
+    """Where the block of each layer of x starts in push_down(x) at v."""
+    layers = list(x.window.layers)
+    return dict(zip(layers, accumulate((x.dim(v, n) for n in layers), initial=0)))
+
+
 def _push_down(x: LayeredModule) -> Module:
     vq = x.vq
     base = vq.base
-    f = base.field
-    layers = list(x.window.layers)
-    dims = {v: sum(x.dim(v, n) for n in layers) for v in base.vertices}
-    offsets: dict[str, dict[int, int]] = {v: {} for v in base.vertices}
-    for v in base.vertices:
-        off = 0
-        for n in layers:
-            offsets[v][n] = off
-            off += x.dim(v, n)
+    dims = {v: sum(x.dim(v, n) for n in x.window.layers) for v in base.vertices}
+    offsets = {v: _layer_offsets(x, v) for v in base.vertices}
     mats = {}
     for a in base.arrows:
         d = vq.degree[a.name]
-        grid = [[f.zero] * dims[a.target] for _ in range(dims[a.source])]
-        for n in layers:
-            m = x.mat(a.name, n)
-            if m is None or n + d not in x.window:
-                continue
-            r0 = offsets[a.source][n]
-            c0 = offsets[a.target][n + d]
-            for i in range(m.rows):
-                for j in range(m.cols):
-                    grid[r0 + i][c0 + j] = m.entries[i][j]
-        mats[a.name] = Matrix.from_rows(f, dims[a.source], dims[a.target], grid)
+        blocks = [(offsets[a.source][n], offsets[a.target][n + d], m) for n in x.window.layers
+                  if (m := x.mat(a.name, n)) is not None and n + d in x.window]
+        mats[a.name] = _place_blocks(base.field, dims[a.source], dims[a.target], blocks)
     return Module(base, dims, mats, check=True)
 
 
@@ -443,35 +446,17 @@ def push_down_map(fmap: LayeredModMap) -> ModMap:
 
 
 def _push_down_map(fmap: LayeredModMap) -> ModMap:
-    vq = fmap.source.vq
-    base = vq.base
+    base = fmap.source.vq.base
     src = push_down(fmap.source)
     tgt = push_down(fmap.target)
     comps = {}
     for v in base.vertices:
-        src_layers = [n for n in fmap.source.window.layers]
-        tgt_layers = [n for n in fmap.target.window.layers]
-        grid = [[base.field.zero] * src.dims[v] for _ in range(tgt.dims[v])]
         # row offset per target layer, column offset per source layer
-        roff = {}
-        off = 0
-        for n in tgt_layers:
-            roff[n] = off
-            off += fmap.target.dim(v, n)
-        coff = {}
-        off = 0
-        for n in src_layers:
-            coff[n] = off
-            off += fmap.source.dim(v, n)
-        for n in fmap.window.layers:
-            block = fmap.map.comps[layer_vertex(v, n)]
-            if block.rows == 0 or block.cols == 0:
-                continue
-            r0, c0 = roff[n], coff[n]
-            for i in range(block.rows):
-                for j in range(block.cols):
-                    grid[r0 + i][c0 + j] = block.entries[i][j]
-        comps[v] = Matrix.from_rows(base.field, tgt.dims[v], src.dims[v], grid)
+        roff = _layer_offsets(fmap.target, v)
+        coff = _layer_offsets(fmap.source, v)
+        blocks = [(roff[n], coff[n], b) for n in fmap.window.layers
+                  if (b := fmap.map.comps[layer_vertex(v, n)]).rows and b.cols]
+        comps[v] = _place_blocks(base.field, tgt.dims[v], src.dims[v], blocks)
     return ModMap(src, tgt, comps, check=True)
 
 

@@ -18,16 +18,16 @@ from .modules import (
     ModMap,
     Module,
     direct_sum,
-    enumerate_indecomposables,
     hom_space,
     is_isomorphic_indec,
     projective,
     right_almost_split,
-    _separated_quiver_is_dynkin,
+    _enumerate_unless_infinite,
 )
 from .covering import (
     LayeredModMap,
     LayeredModule,
+    base_enumeration,
     common_window,
     layered_hom_dim,
     layered_injective,
@@ -640,8 +640,10 @@ def kg_level0_report(subject, dim_cap: int = 12, count_cap: int = 24,
     """Level-0 statements checked numerically.
 
     For a plain algebra this reports the finite-type verdict from the
-    enumeration closure.  A base whose separated quiver is not Dynkin is
-    representation-infinite, so no closure can complete: it stays
+    enumeration closure at the caps given.  A graded cover reads its base's
+    one enumeration at the cover caps (`base_enumeration`), and the caps
+    given bound nothing there.  A base whose separated quiver is not Dynkin
+    is representation-infinite, so no closure can complete: it stays
     undecidable without enumerating.  For a graded cover it additionally
     checks, over a functor battery: equality of lengths with the
     pushed-down functor, twist invariance of lengths, and that nonzero
@@ -649,10 +651,9 @@ def kg_level0_report(subject, dim_cap: int = 12, count_cap: int = 24,
     """
     report = Report("kg0")
     algebra = isinstance(subject, BoundQuiver)
-    base = subject if algebra else subject.base
-    base_enum = (enumerate_indecomposables(base, dim_cap=dim_cap, count_cap=count_cap, seed=seed)
-                 if _separated_quiver_is_dynkin(base) else None)
-    verdict = LEVEL_ZERO if base_enum is not None and base_enum.complete else UNDECIDABLE
+    base_enum = (_enumerate_unless_infinite(subject, dim_cap, count_cap, seed) if algebra
+                 else base_enumeration(subject, seed))
+    verdict = LEVEL_ZERO if base_enum.complete else UNDECIDABLE
     if algebra:
         report.verdicts["algebra"] = verdict
     else:

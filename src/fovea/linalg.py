@@ -27,26 +27,36 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd as _int_gcd
 from operator import mul as _mul
-
-DEFAULT_PRIME = 32749
 
 
 class LinAlgError(ValueError):
     pass
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below this bound (Sorenson-Webster 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin; an order not below `_MR_BOUND` is
+    refused, not guessed."""
+    if n >= _MR_BOUND:
+        raise LinAlgError(f"field order {n} is not below {_MR_BOUND}, "
+                          "the bound up to which primality is decided exactly")
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1    # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        # a witnesses that n is composite unless a^d = 1 or some a^(d 2^r) = -1
+        xs = [pow(a, d << r, n) for r in range(s)]
+        if xs[0] != 1 and n - 1 not in xs:
             return False
-        d += 2
     return True
 
 
@@ -319,19 +329,21 @@ def vstack(mats) -> Matrix:
     return Matrix._raw(f, sum(m.rows for m in mats), c, entries)
 
 
+def _place_blocks(field: Field, rows: int, cols: int, blocks) -> Matrix:
+    """The rows x cols matrix that is zero but for each (r0, c0, m) of
+    blocks, with m's top left entry at (r0, c0)."""
+    grid = [[field.zero] * cols for _ in range(rows)]
+    for r0, c0, m in blocks:
+        for i, row in enumerate(m.entries):
+            grid[r0 + i][c0:c0 + m.cols] = row
+    return Matrix._raw(field, rows, cols, tuple(tuple(r) for r in grid))
+
+
 def block_diag(field: Field, mats) -> Matrix:
     mats = list(mats)
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    z = field.zero
-    grid = [[z] * cols for _ in range(rows)]
-    r0 = c0 = 0
-    for m in mats:
-        for i in range(m.rows):
-            grid[r0 + i][c0:c0 + m.cols] = list(m.entries[i])
-        r0 += m.rows
-        c0 += m.cols
-    return Matrix._raw(field, rows, cols, tuple(tuple(r) for r in grid))
+    corners = zip(accumulate((m.rows for m in mats), initial=0),
+                  accumulate((m.cols for m in mats), initial=0), mats)
+    return _place_blocks(field, sum(m.rows for m in mats), sum(m.cols for m in mats), corners)
 
 
 @dataclass(frozen=True)

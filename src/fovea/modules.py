@@ -22,7 +22,6 @@ from .linalg import (
     block_diag,
     candidate_factors,
     hstack,
-    inverse,
     kernel_basis,
     poly_is_irreducible,
     rank,
@@ -726,25 +725,6 @@ def is_isomorphic_indec(m: Module, n: Module, cache: PairCache | None = None) ->
         return False
     # some f with tr(g f) != 0 is outside rad(M, N): stop at the first row holding one
     return any(map(any, _trace_rows(hom, cache.hom(n, m))))
-
-
-def find_iso(m: Module, n: Module) -> ModMap | None:
-    """An explicit isomorphism between isomorphic indecomposables."""
-    if m.dims != n.dims:
-        return None
-    if m.is_zero():
-        return ModMap.zero(m, n)
-    hom = hom_space(m, n)
-    rad = radical_hom(m, n, hom=hom)
-    if hom.dim == rad.dim:
-        return None
-    reps = rad.coords.quotient().representatives
-    cand = hom.maps[reps[0]]
-    if all(inverse(cand.comps[v]) is not None for v in m.bq.vertices):
-        return cand
-    # a non-radical map between isomorphic indecomposables is invertible,
-    # so reaching this point means the inputs were not indecomposable
-    raise ModuleError("find_iso applied to a decomposable module")
 
 
 # ---------------------------------------------------------------------------
@@ -1607,6 +1587,17 @@ def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int
 
     found.sort(key=lambda m: m.sort_key())
     return Enumeration(bq, found, complete, notes)
+
+
+def _enumerate_unless_infinite(bq: BoundQuiver, dim_cap: int, count_cap: int,
+                               seed: int = DEFAULT_SEED) -> Enumeration:
+    """The enumeration every verb reads: `enumerate_indecomposables` at the
+    caps given, unless the separated quiver proves A representation-infinite
+    (`_separated_quiver_is_dynkin`), when no caps could complete it; then an
+    empty, incomplete list, and nothing is enumerated."""
+    if _separated_quiver_is_dynkin(bq):
+        return enumerate_indecomposables(bq, dim_cap=dim_cap, count_cap=count_cap, seed=seed)
+    return Enumeration(bq, [], False, ["separated quiver is not Dynkin: nothing enumerated"])
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from pathlib import Path
 
 from .covering import LayeredModule, layered_injective, layered_projective, layered_simple
 from .functors import FpFunctor, hom_functor, simple_functor, simple_functor_cover
-from .modules import Module, enumerate_indecomposables, parse_module, projective, simple, injective
+from .linalg import parse_field_spec
+from .modules import Module, parse_module, projective, simple, injective
 from .quiver import BoundQuiver, VoltageQuiver, parse_quiver
 
 
@@ -47,12 +48,22 @@ def read_input(spec: str) -> tuple[str, bytes]:
 
 
 def load_quiver(spec: str, field_override: str | None = None):
-    """Parse a quiver input, optionally overriding its field line."""
+    """Parse a quiver input, optionally overriding its field line.
+
+    A bad override is a usage error that names it.  The override replaces
+    each field line in place, or is appended as the last line, so every
+    other line keeps its number in a parse error.
+    """
     name, raw = read_input(spec)
     text = raw.decode("utf-8")
     if field_override:
-        lines = [ln for ln in text.splitlines() if not ln.strip().startswith("field")]
-        text = f"field {field_override.replace(':', ' ')}\n" + "\n".join(lines) + "\n"
+        try:
+            line = "field " + parse_field_spec(field_override).spec()
+        except ValueError as e:
+            raise FixtureError(f"field override {field_override!r}: {e}") from None
+        lines = [line if ln.split("#", 1)[0].split()[:1] == ["field"] else ln
+                 for ln in text.splitlines()]
+        text = "\n".join(lines if line in lines else lines + [line]) + "\n"
     return name, hashlib.sha256(raw).hexdigest(), parse_quiver(text)
 
 
@@ -114,7 +125,8 @@ def resolve_layered(vq: VoltageQuiver, spec: str) -> LayeredModule:
 
 
 def resolve_functor(carrier, spec: str, enum=None) -> FpFunctor:
-    """H@<module>: representable; S@<module>: simple functor."""
+    """H@<module>: representable; S@<module>: simple functor, which over an
+    algebra is built on the list of indecomposables given."""
     spec = spec.strip()
     kind, _, rest = spec.partition("@")
     kind = kind.upper()
@@ -130,6 +142,7 @@ def resolve_functor(carrier, spec: str, enum=None) -> FpFunctor:
             return hom_functor(carrier, target)
         if kind == "S":
             if enum is None:
-                enum = enumerate_indecomposables(carrier)
+                raise FixtureError(f"simple functor {spec!r} over an algebra needs its list "
+                                   "of indecomposables")
             return simple_functor(carrier, target, enum)
     raise FixtureError(f"unknown functor spec {spec!r}")

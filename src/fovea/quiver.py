@@ -145,11 +145,12 @@ class BoundQuiver:
 class VoltageQuiver:
     """A bound quiver with integer arrow degrees and homogeneous relations.
 
-    It owns three memos, which take no part in equality or hashing: its
+    It owns four memos, which take no part in equality or hashing: its
     window lifts (`_lifts`, weak), the lift of [0, w] for each width w as
     (name, layer) parts (`_templates`, which `lift_window` shifts onto
-    every window of that width), and its orbit list of indecomposables up
-    to shift (`_orbits`).
+    every window of that width), its orbit list of indecomposables up to
+    shift (`_orbits`), and the enumeration of its base at the cover caps
+    per seed (`_base_enums`, which `covering.base_enumeration` fills).
     """
 
     def __init__(self, base: BoundQuiver, degree: dict[str, int]):
@@ -163,6 +164,7 @@ class VoltageQuiver:
         self._lifts = weakref.WeakValueDictionary()
         self._templates = {}
         self._orbits = None
+        self._base_enums = {}
 
     def __eq__(self, other):
         return isinstance(other, VoltageQuiver) and self.base == other.base and self.degree == other.degree

@@ -8,6 +8,7 @@ stable strings so CI diffs stay readable.
 from __future__ import annotations
 
 from .covering import (
+    base_enumeration,
     orbit_enumeration,
     push_down,
     verify_covering_axioms,
@@ -25,7 +26,6 @@ from .functors import (
     psi_evaluate,
 )
 from .modules import (
-    enumerate_indecomposables,
     hom_space,
     is_indecomposable,
     is_isomorphic_indec,
@@ -99,7 +99,7 @@ def _suite_pushdown(report: Report, q, seed: int = 0):
                                  density_target=push_down(x) if (i, j) == (0, 0) else None)
             report.absorb(vr, prefix=f"pair[{i},{j}].")
     # the pushed-down twist classes exhaust the indecomposables of the base
-    base_enum = enumerate_indecomposables(vq.base, seed=seed)
+    base_enum = base_enumeration(vq, seed)
     if base_enum.complete:
         pushed = [push_down(c) for c in orbit_enumeration(vq)]
         for k, p in enumerate(pushed):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import fovea.cli
 import fovea.covering
 from fovea.cli import main
 from fovea.modules import Enumeration, format_module, projective
+from fovea.naming import FixtureError, load_quiver, resolve_functor
 from fovea.quiver import parse_quiver, path_basis
 from test_covering import D4_COVER_TEXT
 from test_report_digests import KG0_DIGESTS, REP_A3_PRIME_TEXT, REP_KD4_TEXT
@@ -121,8 +123,8 @@ def test_an_incomplete_cover_list_names_the_fixed_window_caps(capsys, monkeypatc
     assert err == ("fovea: the base's separated quiver is not Dynkin, so the cover has "
                    "infinitely many orbits: no window list reaches Gabriel's count\n")
 
-    # on the D4 cover every enumeration here stops on the count cap at once;
-    # the base's comes first, and its error names the fixed caps
+    # on the D4 cover every window enumeration here stops on the count cap at
+    # once, and its error names the fixed caps
     def capped(bq, *args, **kwargs):
         return Enumeration(bq, [], False, ["count cap 128 hit"])
 
@@ -132,10 +134,8 @@ def test_an_incomplete_cover_list_names_the_fixed_window_caps(capsys, monkeypatc
     code, out, err = run(capsys, verb[0], str(cover), "--functor", "S@S@1@0", *verb[1:],
                          "--dim-cap", "2")
     assert code == 1 and out == ""
-    assert err == ("fovea: base enumeration is incomplete: count cap 128 hit; Gabriel's count "
-                   "reads a cover's base at the fixed caps dim 64, count 128; "
-                   "--dim-cap and --count-cap bound the enumeration of an algebra input, "
-                   "and of a cover's base in kg0 and phi, not this one\n")
+    assert err == ("fovea: window enumeration is incomplete: count cap 128 hit; a cover's "
+                   "base and windows are enumerated at the fixed caps dim 64, count 128\n")
 
 
 def test_eval_of_a_representable_functor_reads_no_list(capsys):
@@ -148,6 +148,56 @@ def test_eval_of_a_representable_functor_reads_no_list(capsys):
 def test_field_override(capsys):
     code, out, _ = run(capsys, "hom", "a2.bq", "--field", "q", "--from", "P2", "--to", "S2")
     assert code == 0 and out.strip() == "dim = 1"
+
+
+def _with_field(capsys, monkeypatch, how, field, *argv):
+    """run with the field override given by flag or by environment."""
+    if how == "flag":
+        return run(capsys, *argv, "--field", field)
+    monkeypatch.setenv("FOVEA_FIELD", field)
+    return run(capsys, *argv)
+
+
+@pytest.mark.parametrize("how", ["flag", "env"])
+@pytest.mark.parametrize("text", [
+    "nilbound 2\nvertex 1 2\narrow a: 1 -> 3\n",
+    "nilbound 2\nvertex 1 2\narrow a 1 -> 2\nfield gf 7\n",
+], ids=["no-field-line", "above-the-field-line"])
+def test_a_field_override_keeps_the_line_of_a_parse_error(capsys, monkeypatch, tmp_path,
+                                                          text, how):
+    # the override replaces the file's field line in place or is appended,
+    # so every other line keeps its number
+    bad = tmp_path / "bad.bq"
+    bad.write_text(text)
+    monkeypatch.delenv("FOVEA_FIELD", raising=False)
+    plain = run(capsys, "suite", "kg0", str(bad))
+    assert plain[0] == 2 and plain[2].startswith("fovea: line 3: ")
+    assert _with_field(capsys, monkeypatch, how, "q", "suite", "kg0", str(bad)) == plain
+
+
+@pytest.mark.parametrize("how", ["flag", "env"])
+def test_a_bad_field_override_is_a_usage_error_that_names_it(capsys, monkeypatch, how):
+    code, out, err = _with_field(capsys, monkeypatch, how, "gf:6", "suite", "kg0", "a2.bq")
+    assert code == 2 and out == ""
+    assert err == "fovea: field override 'gf:6': field order 6 is not prime\n"
+
+
+@pytest.mark.parametrize("how", ["flag", "env"])
+def test_a_field_override_keeps_the_digest_of_the_raw_input(capsys, monkeypatch, tmp_path, how):
+    raw = b"field gf 7\nnilbound 2\nvertex 1 2\narrow a: 1 -> 2  # a comment\n"
+    path = tmp_path / "a2.bq"
+    path.write_bytes(raw)
+    code, out, _ = _with_field(capsys, monkeypatch, how, "gf:5", "suite", "kg0", str(path),
+                               "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["field"] == "gf:5"
+    assert payload["inputs"][0]["sha256"] == hashlib.sha256(raw).hexdigest()
+
+
+def test_a_simple_functor_over_an_algebra_needs_a_list():
+    # no verb reaches this: each builds S@ on its own enumeration
+    with pytest.raises(FixtureError, match="needs its list of indecomposables"):
+        resolve_functor(load_quiver("a2.bq")[2], "S@S1")
 
 
 def test_rep_build_and_orbit(capsys, tmp_path):

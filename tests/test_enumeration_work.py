@@ -35,11 +35,17 @@ aligns nothing where the supports of X and N are disjoint; a dimension of
 functor maps builds no map of functors and no lift; a path basis reads every pair with relation
 vectors off a sparse echelon form, with no dense elimination; a hom
 dimension reads no canonical basis; window lifts of one width are
-shifts of one template, checked by BoundQuiver once; and the cover suites
-build each quiver's path basis at most once.
+shifts of one template, checked by BoundQuiver once; the cover suites
+build each quiver's path basis at most once; kg0, pushdown,
+phi-identities and phi enumerate a cover's base once; every enumeration
+on a graded input runs at the cover caps and every one on an algebra
+input at the cap flags; length on the Kronecker algebra and phi on an
+infinite cover enumerate nothing; and an enumeration complete at smaller
+caps is the same list at the cover caps.
 """
 
 import inspect
+import json
 import random
 import sys
 from pathlib import Path
@@ -76,10 +82,13 @@ from fovea.modules import (
     parse_module,
     projective,
     simple,
+    _enumerate_unless_infinite,
+    _separated_quiver_is_dynkin,
 )
-from fovea.naming import load_quiver
+from fovea.naming import fixture_names, load_quiver
 from fovea.quiver import (
     PathBasis,
+    VoltageQuiver,
     Window,
     lift_window,
     parse_quiver,
@@ -266,6 +275,140 @@ def test_a_simple_functor_on_a_representation_infinite_algebra_enumerates_nothin
     assert capsys.readouterr().err == \
         "fovea: a simple functor's profile is undecidable from an incomplete list\n"
     assert calls == []
+
+
+@pytest.mark.parametrize("functor", ["H@S1", "S@S1"])
+def test_length_on_a_representation_infinite_algebra_enumerates_nothing(
+        monkeypatch, capsys, functor):
+    calls = _record(monkeypatch, fovea.modules, "enumerate_indecomposables")
+    assert main(["length", "kronecker.bq", "--functor", functor]) == 1
+    assert capsys.readouterr().err == \
+        "fovea: finite length is undecidable from an incomplete list\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", sorted(KG0_DIGESTS))
+def test_phi_on_an_infinite_cover_enumerates_nothing(monkeypatch, capsys, tmp_path, name):
+    """The base's list is empty and incomplete, and phi prints it so."""
+    calls = _record(monkeypatch, fovea.modules, "enumerate_indecomposables")
+    cover = tmp_path / name
+    cover.write_text(KG0_DIGESTS[name][0])
+    vertex = parse_quiver(KG0_DIGESTS[name][0]).base.vertices[0]
+    assert main(["phi", str(cover), "--functor", f"H@S@{vertex}@0", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"complete": False, "profile": {}}
+    assert calls == []
+
+
+def _record_caps(monkeypatch) -> list:
+    """(quiver, dim_cap, count_cap) of every enumeration made through any
+    fovea binding of enumerate_indecomposables, as `_record` counts them."""
+    caps = []
+    original = fovea.modules.enumerate_indecomposables
+    signature = inspect.signature(original)
+
+    def recording(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        caps.append(tuple(bound.arguments[k] for k in ("bq", "dim_cap", "count_cap")))
+        return original(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("fovea") and getattr(mod, original.__name__, None) is original:
+            monkeypatch.setattr(mod, original.__name__, recording)
+    return caps
+
+
+# the covers whose orbit lists are certified by Gabriel's count
+WINDOW_COVERS = {"d4.vq": D4_COVER_TEXT, "rep-a3p.vq": REP_A3_PRIME_TEXT,
+                 "rep-kd4.vq": REP_KD4_TEXT, "d4-deg10.vq": DEGREE_10_D4_TEXT}
+# every graded input that is not a packaged fixture, by file name
+PINNED_COVERS = {**WINDOW_COVERS, **{name: text for name, (text, *_) in KG0_DIGESTS.items()}}
+COVER_CAPS = (fovea.covering.COVER_DIM_CAP, fovea.covering.COVER_COUNT_CAP)
+
+
+def _input(tmp_path, name) -> tuple[str, object]:
+    """(argument, parsed quiver) of a packaged fixture or a pinned cover."""
+    if name not in PINNED_COVERS:
+        return name, load_quiver(name)[2]
+    (tmp_path / name).write_text(PINNED_COVERS[name])
+    return str(tmp_path / name), parse_quiver(PINNED_COVERS[name])
+
+
+@pytest.mark.parametrize("verb", [["suite", "kg0"], ["suite", "pushdown"],
+                                  ["suite", "phi-identities"], ["phi"]],
+                         ids=["kg0", "pushdown", "phi-identities", "phi"])
+@pytest.mark.parametrize("name", sorted(WINDOW_COVERS))
+def test_a_cover_verb_enumerates_its_base_once(monkeypatch, capsys, tmp_path, name, verb):
+    """The orbit count, kg0, pushdown and phi read the base's one list
+    (`base_enumeration`), so each verb enumerates the base once, at the
+    cover caps; kg0 and pushdown used to enumerate it again at other caps."""
+    caps = _record_caps(monkeypatch)
+    path, vq = _input(tmp_path, name)
+    functor = ["--functor", f"H@S@{vq.base.vertices[0]}@0"] if verb == ["phi"] else []
+    assert main([*verb, path, *functor]) == 0
+    capsys.readouterr()
+    assert [c for c in caps if c[0] == vq.base] == [(vq.base, *COVER_CAPS)]
+
+
+FLAG_CAPS = (20, 30)
+
+
+def _verbs(q, graded: bool) -> list[tuple[list[str], list[str]]]:
+    """(verb, options) of every verb that can enumerate on q."""
+    at = f"S@{q.base.vertices[0]}@0" if graded else f"S@{q.vertices[0]}"
+    verbs = [(["eval"], ["--functor", f"S@{at}", "--at", at]),
+             (["length"], ["--functor", f"S@{at}"]),
+             (["hom"], ["--from", at, "--to", at]),
+             (["suite", "kg0"], [])]
+    if graded:
+        return verbs + [(["phi"], ["--functor", f"H@{at}"]), (["pushdown"], ["--module", at]),
+                        (["suite", "pushdown"], []), (["suite", "phi-identities"], []),
+                        (["suite", "cover-axioms"], [])]
+    return verbs + [(["simple"], ["--at", at]), (["suite", "repetitive"], [])]
+
+
+@pytest.mark.parametrize("name", sorted(fixture_names()) + sorted(PINNED_COVERS))
+def test_every_enumeration_runs_at_the_caps_of_its_input(monkeypatch, capsys, tmp_path, name):
+    """The cap flags bound the enumerations of an algebra input, and
+    nothing on a graded input, whose base and windows are enumerated at
+    the cover caps."""
+    path, q = _input(tmp_path, name)
+    graded = isinstance(q, VoltageQuiver)
+    flags = ["--dim-cap", str(FLAG_CAPS[0]), "--count-cap", str(FLAG_CAPS[1])]
+    caps = _record_caps(monkeypatch)
+    seen = 0
+    for verb, options in _verbs(q, graded):
+        caps.clear()
+        assert main([*verb, path, *options, *flags]) != 2, verb
+        capsys.readouterr()
+        assert {c[1:] for c in caps} <= {COVER_CAPS if graded else FLAG_CAPS}, verb
+        seen += len(caps)
+    # only an input whose separated quiver is not Dynkin enumerates nothing
+    assert bool(seen) == _separated_quiver_is_dynkin(q.base if graded else q)
+
+
+def _algebras() -> dict:
+    """Every packaged algebra and the base of every graded input, by name."""
+    out = {}
+    for name in fixture_names():
+        q = load_quiver(name)[2]
+        out[name] = q.base if isinstance(q, VoltageQuiver) else q
+    for name, text in PINNED_COVERS.items():
+        out[name] = parse_quiver(text).base
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(_algebras()))
+def test_a_complete_enumeration_is_the_same_list_at_any_caps(name):
+    """Caps only abort a run, so a list complete at the flags' default or
+    the library's default caps is, module for module and in order, the
+    list at the cover caps: moving a list to the cover caps moves no byte."""
+    bq = _algebras()[name]
+    full = _enumerate_unless_infinite(bq, *COVER_CAPS)
+    for caps in ((12, 24), (40, 80)):
+        enum = _enumerate_unless_infinite(bq, *caps)
+        if enum.complete:
+            assert full.complete and enum.modules == full.modules, caps
 
 
 def test_battery_enumerates_each_window_once(monkeypatch):

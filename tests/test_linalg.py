@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from fovea.linalg import (
     LinAlgError,
     Matrix,
     Subspace,
+    _is_prime,
     inverse,
     kernel_basis,
     parse_field_spec,
@@ -291,3 +294,45 @@ def test_candidate_factors_split_products():
     poly_q = [qq.coerce(-1), qq.zero, qq.one]
     factors = list(candidate_factors(qq, poly_q, rng))
     assert any(len(fac) == 2 for fac in factors)
+
+
+def test_is_prime_agrees_with_a_sieve_below_200000():
+    n = 200_000
+    sieve = [False, False] + [True] * (n - 2)
+    for p in range(2, int(n ** 0.5) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(range(p * p, n, p))
+    assert [_is_prime(k) for k in range(n)] == sieve
+
+
+@pytest.mark.parametrize("p", [10**18 + 3, 2**61 - 1])
+def test_is_prime_accepts_large_primes(p):
+    assert _is_prime(p) and Field.gf(p).p == p
+
+
+@pytest.mark.parametrize("n", [561, 3_215_031_751, 3_825_123_056_546_413_051])
+def test_is_prime_rejects_pseudoprimes(n):
+    # a Carmichael number, and the least strong pseudoprimes to the bases
+    # 2, 3, 5, 7 and to the primes up to 23
+    assert not _is_prime(n)
+    with pytest.raises(LinAlgError, match="is not prime"):
+        Field.gf(n)
+
+
+def test_is_prime_refuses_an_order_it_cannot_decide_exactly():
+    bound = 3_317_044_064_679_887_385_961_981
+    assert not _is_prime(bound - 1)       # decided: it is even
+    with pytest.raises(LinAlgError, match=str(bound)):
+        Field.gf(bound + 2)
+
+
+def test_a_quiver_over_a_large_prime_field_parses_at_once():
+    # trial division up to the square root takes 5 * 10^8 steps on this order
+    code = ("from fovea.quiver import parse_quiver\n"
+            "q = parse_quiver('field gf 1000000000000000003\\nnilbound 2\\nvertex 1 2\\n'\n"
+            "                 'arrow a: 1 -> 2\\n')\n"
+            "print(q.field.spec())\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          cwd="src", timeout=5)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "gf:1000000000000000003\n"

@@ -576,14 +576,3 @@ def test_irreducible_spaces_dualize():
             up = irr_space(x, y, enum.modules).dim
             down = irr_space(duals[j], duals[i], duals).dim
             assert up == down
-
-
-def test_find_iso_produces_an_invertible_map():
-    from fovea.modules import find_iso
-    from fovea.linalg import Matrix, inverse
-    other = Module(A2, dict(P2.dims), {"a": Matrix(A2.field, [[7]])})
-    iso = find_iso(P2, other)
-    assert iso is not None
-    for v in A2.vertices:
-        assert inverse(iso.comps[v]) is not None
-    assert find_iso(P2, S1) is None
