@@ -260,11 +260,10 @@ def base_enumeration(vq: VoltageQuiver, seed: int = DEFAULT_SEED) -> Enumeration
     seed: the one list that the orbit count, kg0, pushdown and phi read.
     A base whose separated quiver is not Dynkin gets an empty, incomplete
     list without enumerating (`_enumerate_unless_infinite`)."""
-    enum = vq._base_enums.get(seed)
-    if enum is None:
-        enum = vq._base_enums[seed] = _enumerate_unless_infinite(
-            vq.base, COVER_DIM_CAP, COVER_COUNT_CAP, seed)
-    return enum
+    if seed not in vq._base_enums:
+        vq._base_enums[seed] = _enumerate_unless_infinite(vq.base, COVER_DIM_CAP,
+                                                          COVER_COUNT_CAP, seed)
+    return vq._base_enums[seed]
 
 
 def window_enumeration(vq: VoltageQuiver, window: Window) -> Enumeration:
@@ -343,7 +342,8 @@ def _window_orbits(vq: VoltageQuiver) -> list[LayeredModule]:
     if not _separated_quiver_is_dynkin(vq.base):
         raise CoveringError("the base's separated quiver is not Dynkin, so the cover has "
                             "infinitely many orbits: no window list reaches Gabriel's count")
-    base = base_enumeration(vq)
+    # the count and completeness are the same at every seed: a verb's own list serves
+    base = base_enumeration(vq, next(iter(vq._base_enums), DEFAULT_SEED))
     if not base.complete:
         raise CoveringError("base enumeration is incomplete: " + "; ".join(base.notes)
                             + _COVER_CAPS)

@@ -1591,10 +1591,10 @@ def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int
 
 def _enumerate_unless_infinite(bq: BoundQuiver, dim_cap: int, count_cap: int,
                                seed: int = DEFAULT_SEED) -> Enumeration:
-    """The enumeration every verb reads: `enumerate_indecomposables` at the
-    caps given, unless the separated quiver proves A representation-infinite
-    (`_separated_quiver_is_dynkin`), when no caps could complete it; then an
-    empty, incomplete list, and nothing is enumerated."""
+    """The enumeration of an algebra input or a cover's base that a verb
+    reads: `enumerate_indecomposables` at the caps given, unless the
+    separated quiver proves A representation-infinite (no caps could
+    complete it); then an empty, incomplete list, and nothing is enumerated."""
     if _separated_quiver_is_dynkin(bq):
         return enumerate_indecomposables(bq, dim_cap=dim_cap, count_cap=count_cap, seed=seed)
     return Enumeration(bq, [], False, ["separated quiver is not Dynkin: nothing enumerated"])

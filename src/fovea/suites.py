@@ -86,6 +86,8 @@ def _require_voltage(q, name):
 
 def _suite_pushdown(report: Report, q, seed: int = 0):
     vq = _require_voltage(q, "pushdown")
+    # read first, so that the orbit count below reads this seed's list
+    base_enum = base_enumeration(vq, seed)
     battery, _tests = default_battery(vq)
     mods = []
     for t in battery:
@@ -99,7 +101,6 @@ def _suite_pushdown(report: Report, q, seed: int = 0):
                                  density_target=push_down(x) if (i, j) == (0, 0) else None)
             report.absorb(vr, prefix=f"pair[{i},{j}].")
     # the pushed-down twist classes exhaust the indecomposables of the base
-    base_enum = base_enumeration(vq, seed)
     if base_enum.complete:
         pushed = [push_down(c) for c in orbit_enumeration(vq)]
         for k, p in enumerate(pushed):

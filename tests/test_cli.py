@@ -7,6 +7,7 @@ import pytest
 
 import fovea.cli
 import fovea.covering
+import fovea.modules
 from fovea.cli import main
 from fovea.modules import Enumeration, format_module, projective
 from fovea.naming import FixtureError, load_quiver, resolve_functor
@@ -123,8 +124,26 @@ def test_an_incomplete_cover_list_names_the_fixed_window_caps(capsys, monkeypatc
     assert err == ("fovea: the base's separated quiver is not Dynkin, so the cover has "
                    "infinitely many orbits: no window list reaches Gabriel's count\n")
 
-    # on the D4 cover every window enumeration here stops on the count cap at
-    # once, and its error names the fixed caps
+    # on the D4 cover every enumeration here stops on the count cap at once;
+    # the base's comes first, and its error names the fixed caps
+    def capped(bq, *args, **kwargs):
+        return Enumeration(bq, [], False, ["count cap 128 hit"])
+
+    monkeypatch.setattr(fovea.covering, "enumerate_indecomposables", capped)
+    monkeypatch.setattr(fovea.modules, "enumerate_indecomposables", capped)
+    cover = tmp_path / "d4.vq"
+    cover.write_text(D4_COVER_TEXT)
+    code, out, err = run(capsys, verb[0], str(cover), "--functor", "S@S@1@0", *verb[1:],
+                         "--dim-cap", "2")
+    assert code == 1 and out == ""
+    assert err == ("fovea: base enumeration is incomplete: count cap 128 hit; a cover's "
+                   "base and windows are enumerated at the fixed caps dim 64, count 128\n")
+
+
+@pytest.mark.parametrize("verb", [["eval", "--at", "S@1@0"], ["length"]], ids=["eval", "length"])
+def test_an_incomplete_window_list_names_the_fixed_caps(capsys, monkeypatch, tmp_path, verb):
+    # the D4 cover's base is enumerated in full, and every window
+    # enumeration stops on the count cap at once
     def capped(bq, *args, **kwargs):
         return Enumeration(bq, [], False, ["count cap 128 hit"])
 

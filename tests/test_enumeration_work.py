@@ -37,7 +37,7 @@ vectors off a sparse echelon form, with no dense elimination; a hom
 dimension reads no canonical basis; window lifts of one width are
 shifts of one template, checked by BoundQuiver once; the cover suites
 build each quiver's path basis at most once; kg0, pushdown,
-phi-identities and phi enumerate a cover's base once; every enumeration
+phi-identities and phi enumerate a cover's base once, at any seed; every enumeration
 on a graded input runs at the cover caps and every one on an algebra
 input at the cap flags; length on the Kronecker algebra and phi on an
 infinite cover enumerate nothing; and an enumeration complete at smaller
@@ -338,14 +338,16 @@ def _input(tmp_path, name) -> tuple[str, object]:
                                   ["suite", "phi-identities"], ["phi"]],
                          ids=["kg0", "pushdown", "phi-identities", "phi"])
 @pytest.mark.parametrize("name", sorted(WINDOW_COVERS))
-def test_a_cover_verb_enumerates_its_base_once(monkeypatch, capsys, tmp_path, name, verb):
+@pytest.mark.parametrize("seed", [[], ["--seed", "1"]], ids=["default-seed", "seed-1"])
+def test_a_cover_verb_enumerates_its_base_once(monkeypatch, capsys, tmp_path, name, verb, seed):
     """The orbit count, kg0, pushdown and phi read the base's one list
     (`base_enumeration`), so each verb enumerates the base once, at the
-    cover caps; kg0 and pushdown used to enumerate it again at other caps."""
+    cover caps and at any seed; kg0 and pushdown used to enumerate it again
+    at other caps."""
     caps = _record_caps(monkeypatch)
     path, vq = _input(tmp_path, name)
     functor = ["--functor", f"H@S@{vq.base.vertices[0]}@0"] if verb == ["phi"] else []
-    assert main([*verb, path, *functor]) == 0
+    assert main([*verb, path, *functor, *seed]) == 0
     capsys.readouterr()
     assert [c for c in caps if c[0] == vq.base] == [(vq.base, *COVER_CAPS)]
 
