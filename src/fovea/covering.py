@@ -196,19 +196,21 @@ class LayeredModMap:
             self._twists = {}
         twisted = self._twists.get(k)
         if twisted is None:
-            twisted = self._twists[k] = self._shifted(k)
+            w = Window(self.window.lo + k, self.window.hi + k)
+            twisted = self._twists[k] = LayeredModMap(self.source.twist(k), self.target.twist(k),
+                                                      w, self.align(w, k))
         return twisted
 
-    def _shifted(self, k: int) -> "LayeredModMap":
-        src = self.source.twist(k)
-        tgt = self.target.twist(k)
-        w = Window(self.window.lo + k, self.window.hi + k)
+    def align(self, w: Window, k: int = 0) -> ModMap:
+        """The map twisted by k and extended by zero onto w, between the
+        twisted modules aligned onto w (`LayeredModule.align`)."""
         comps = {}
         for v in self.source.vq.base.vertices:
             for n in w.layers:
-                comps[layer_vertex(v, n)] = self.map.comps[layer_vertex(v, n - k)]
-        mm = ModMap(src.align(w), tgt.align(w), comps, check=False)
-        return LayeredModMap(src, tgt, w, mm)
+                if n - k in self.window:
+                    comps[layer_vertex(v, n)] = self.map.comps[layer_vertex(v, n - k)]
+        return ModMap(self.source.twist(k).align(w), self.target.twist(k).align(w), comps,
+                      check=False)
 
     def kernel(self) -> LayeredModule:
         """ker f over the lift, trimmed to its support; built once and kept

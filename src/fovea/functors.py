@@ -42,7 +42,6 @@ from .quiver import (
     VoltageQuiver,
     Window,
     is_convex,
-    layer_vertex,
     path_basis,
     sub_quiver,
 )
@@ -58,14 +57,14 @@ COVER = "cover"
 
 
 class FpFunctor:
-    """Coker Hom(-, f) for a presentation morphism f: M -> N."""
+    """Coker Hom(-, f) for a presentation morphism f: M -> N, which fixes
+    the side and the carrier: a `LayeredModMap` is on the covering side of
+    its voltage quiver, a `ModMap` on the algebra side of its bound quiver."""
 
-    def __init__(self, side: str, carrier, pres):
-        if side not in (ALGEBRA, COVER):
-            raise FunctorError(f"unknown side {side!r}")
-        self.side = side
-        self.carrier = carrier
+    def __init__(self, pres):
         self.pres = pres
+        self.side = COVER if isinstance(pres, LayeredModMap) else ALGEBRA
+        self.carrier = pres.source.vq if self.side == COVER else pres.source.bq
 
     @property
     def source(self):
@@ -78,52 +77,34 @@ class FpFunctor:
     def twist(self, k: int) -> "FpFunctor":
         if self.side != COVER:
             raise FunctorError("twist only acts on the covering side")
-        return FpFunctor(COVER, self.carrier, self.pres.twist(k))
+        return FpFunctor(self.pres.twist(k))
 
     def __repr__(self):
         return f"FpFunctor({self.side}, pres {self.pres.source!r} -> {self.pres.target!r})"
 
 
-def _zero_presentation(carrier):
-    """The presentation 0 -> 0 of the zero functor on either side."""
+def _zero(carrier):
+    """The zero module over a voltage quiver's lift or over a bound quiver."""
     if isinstance(carrier, VoltageQuiver):
-        w = Window(0, 0)
-        zero = LayeredModule.make(carrier, w, {}, {})
-        return LayeredModMap(zero, zero, w, ModMap.zero(zero.align(w), zero.align(w)))
-    zero = Module.zero(carrier)
-    return ModMap.zero(zero, zero)
+        return LayeredModule.make(carrier, Window(0, 0), {}, {})
+    return Module.zero(carrier)
 
 
 def fp_functor(carrier, pres) -> FpFunctor:
     """Wrap a presentation morphism, collapsing degenerate shapes."""
-    side = COVER if isinstance(pres, LayeredModMap) else ALGEBRA
     if pres.target.is_zero():
-        pres = _zero_presentation(carrier)
-    return FpFunctor(side, carrier, pres)
+        return hom_functor(carrier, _zero(carrier))
+    return FpFunctor(pres)
 
 
 def hom_functor(carrier, target) -> FpFunctor:
     """The representable functor Hom(-, target) with zero presentation kernel."""
+    zero = _zero(carrier)
     if isinstance(target, LayeredModule):
-        zero = LayeredModule.make(carrier, Window(0, 0), {}, {})
         w = common_window(zero, target)
         mm = ModMap.zero(zero.align(w), target.align(w))
-        return FpFunctor(COVER, carrier, LayeredModMap(zero, target, w, mm))
-    zero = Module.zero(carrier)
-    return FpFunctor(ALGEBRA, carrier, ModMap.zero(zero, target))
-
-
-def _present_on_window(t: FpFunctor, w: Window) -> ModMap:
-    """The presentation morphism extended by zero onto a larger window."""
-    src = t.pres.source.align(w)
-    tgt = t.pres.target.align(w)
-    comps = {}
-    for v in t.carrier.base.vertices:
-        for n in w.layers:
-            name = layer_vertex(v, n)
-            if n in t.pres.window:
-                comps[name] = t.pres.map.comps[name]
-    return ModMap(src, tgt, comps, check=False)
+        return FpFunctor(LayeredModMap(zero, target, w, mm))
+    return FpFunctor(ModMap.zero(zero, target))
 
 
 @dataclass
@@ -154,7 +135,7 @@ def evaluate(t: FpFunctor, x) -> EvalResult:
     hom_n = hom_space(xm, target)
     if hom_n.dim == 0:
         return EvalResult(0, hom_n, Subspace.span(xm.bq.field, 0, ()))
-    f = _present_on_window(t, w) if t.side == COVER else t.pres
+    f = t.pres.align(w) if t.side == COVER else t.pres
     hom_m = hom_space(xm, f.source)
     rows = []
     for h in hom_m.maps:
@@ -218,7 +199,7 @@ def _on_one_window(t1: FpFunctor, t2: FpFunctor) -> tuple[ModMap, ModMap]:
         raise FunctorError("functor sides differ")
     if t1.side == COVER:
         w = common_window(t1.pres.source, t1.pres.target, t2.pres.source, t2.pres.target)
-        return _present_on_window(t1, w), _present_on_window(t2, w)
+        return t1.pres.align(w), t2.pres.align(w)
     return t1.pres, t2.pres
 
 
@@ -336,8 +317,9 @@ def _widened(vq: VoltageQuiver, w: Window) -> Window:
     return Window(w.lo - reach, w.hi + reach)
 
 
-def _layered_simple_presentation(vq: VoltageQuiver, n: LayeredModule) -> LayeredModMap:
-    """Right minimal almost split into a lifted module.
+def simple_functor_cover(vq: VoltageQuiver, n: LayeredModule) -> FpFunctor:
+    """Hom(-, N) modulo its radical for a lifted module N, presented by the
+    right minimal almost split map into N.
 
     Every summand of the middle term E of the almost split sequence ending
     at N maps to N, so its support meets N's, and tau N embeds in E; so
@@ -347,11 +329,8 @@ def _layered_simple_presentation(vq: VoltageQuiver, n: LayeredModule) -> Layered
     w = _widened(vq, n.window)
     g = right_almost_split(n.align(w), [], check=False)
     src = LayeredModule(vq, w, g.source).trim()
-    return LayeredModMap(src, n, w, ModMap(src.align(w), n.align(w), g.comps, check=False))
-
-
-def simple_functor_cover(vq: VoltageQuiver, n: LayeredModule) -> FpFunctor:
-    return FpFunctor(COVER, vq, _layered_simple_presentation(vq, n))
+    return FpFunctor(LayeredModMap(src, n, w, ModMap(src.align(w), n.align(w), g.comps,
+                                                     check=False)))
 
 
 @dataclass
@@ -416,7 +395,7 @@ def phi(t: FpFunctor) -> FpFunctor:
     """Push the presentation down to the base algebra."""
     if t.side != COVER:
         raise FunctorError("phi applies to covering-side functors")
-    return FpFunctor(ALGEBRA, t.carrier.base, push_down_map(t.pres))
+    return FpFunctor(push_down_map(t.pres))
 
 
 def psi_evaluate(u: FpFunctor, x: LayeredModule) -> int:
@@ -489,20 +468,11 @@ def phi_epi_cover(x: LayeredModule, y: LayeredModule, alpha: ModMap,
         col_maps = [components[k].twist(-k) for k in shifts]
         total, _incls, projs = layered_direct_sum(targets)
         w = common_window(total, x, *[c.source for c in col_maps])
-        comps = {}
-        for v in vq.base.vertices:
-            for n in w.layers:
-                name = layer_vertex(v, n)
-                blocks = []
-                for c in col_maps:
-                    if n in c.window:
-                        blocks.append(c.map.comps[name])
-                    else:
-                        blocks.append(Matrix.zeros(vq.base.field, c.target.dim(v, n), c.source.dim(v, n)))
-                comps[name] = vstack(blocks)
+        placed = [c.align(w) for c in col_maps]
+        comps = {v: vstack([p.comps[v] for p in placed]) for v in placed[0].comps}
         fbar_map = ModMap(x.align(w), total.align(w), comps, check=True)
         fbar = LayeredModMap(x, total, w, fbar_map)
-        t = FpFunctor(COVER, vq, fbar)
+        t = FpFunctor(fbar)
         pi = None
         for p in projs:
             pushed = push_down_map(p)
@@ -559,7 +529,7 @@ def restrict_functor(t: FpFunctor, subset) -> FpFunctor:
     if not is_convex(bq, subset):
         raise FunctorError("subset is not convex")
     sub = sub_quiver(bq, subset)
-    return FpFunctor(ALGEBRA, sub, restrict_map(t.pres, sub))
+    return FpFunctor(restrict_map(t.pres, sub))
 
 
 class Coinduction:
@@ -624,7 +594,7 @@ def extend_functor(s: FpFunctor, ambient: BoundQuiver, subset,
     if s.side != ALGEBRA:
         raise FunctorError("extension acts on algebra-side functors")
     coind = coind or Coinduction(ambient, subset)
-    return FpFunctor(ALGEBRA, ambient, coind.map(s.pres))
+    return FpFunctor(coind.map(s.pres))
 
 
 # ---------------------------------------------------------------------------

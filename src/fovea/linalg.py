@@ -36,6 +36,15 @@ class LinAlgError(ValueError):
     pass
 
 
+def parse_int(token: str) -> int:
+    """An optional sign, then ASCII digits; anything else, such as the
+    underscores and non-ASCII digits that int() accepts, is a ValueError."""
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(token)
+
+
 # Miller-Rabin with the first 13 primes as bases decides primality exactly
 # below this bound (Sorenson-Webster 2015)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -124,7 +133,7 @@ class Field:
         token = token.strip()
         num, slash, den = token.partition("/")
         try:
-            value = Fraction(int(num), int(den)) if slash else int(num)
+            value = Fraction(parse_int(num), parse_int(den)) if slash else parse_int(num)
         except ValueError:
             raise LinAlgError(f"not a number: {token!r}") from None
         except ZeroDivisionError:
@@ -158,7 +167,7 @@ def parse_field_spec(spec: str) -> Field:
     if s in ("q", "qq", "rationals"):
         return Field.rationals()
     if s.startswith("gf:"):
-        return Field.gf(int(s[3:]))
+        return Field.gf(parse_int(s[3:]))
     raise LinAlgError(f"unknown field spec {spec!r}")
 
 

@@ -23,6 +23,7 @@ from .linalg import (
     candidate_factors,
     hstack,
     kernel_basis,
+    parse_int,
     poly_is_irreducible,
     rank,
     row_space,
@@ -1631,9 +1632,12 @@ def parse_module(bq: BoundQuiver, text: str, check: bool = True) -> Module:
                 v, _, d = part.partition("=")
                 if v not in bq.vertex_index:
                     raise ModuleParseError(lineno, f"unknown vertex {v!r}")
-                if not d.isdecimal():
+                try:
+                    dims[v] = parse_int(d)
+                except ValueError:
+                    dims[v] = -1
+                if dims[v] < 0:
                     raise ModuleParseError(lineno, f"bad dimension {part!r}")
-                dims[v] = int(d)
         elif head == "mat":
             name, _, body = rest.partition("=")
             name = name.strip()

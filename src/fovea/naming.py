@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .covering import LayeredModule, layered_injective, layered_projective, layered_simple
 from .functors import FpFunctor, hom_functor, simple_functor, simple_functor_cover
-from .linalg import parse_field_spec
+from .linalg import parse_field_spec, parse_int
 from .modules import Module, parse_module, projective, simple, injective
 from .quiver import BoundQuiver, VoltageQuiver, parse_quiver
 
@@ -110,7 +110,7 @@ def resolve_layered(vq: VoltageQuiver, spec: str) -> LayeredModule:
     else:
         raise FixtureError(f"bad layered module spec {spec!r}")
     try:
-        layer = int(layer)
+        layer = parse_int(layer)
     except ValueError:
         raise FixtureError(f"bad layered module spec {spec!r}") from None
     if vertex not in base.vertex_index:

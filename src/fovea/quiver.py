@@ -24,6 +24,7 @@ from .linalg import (
     _echelon_subspace,
     kernel_basis,
     parse_field_spec,
+    parse_int,
 )
 
 Arrow = namedtuple("Arrow", ["name", "source", "target"])
@@ -232,7 +233,7 @@ def parse_quiver(text: str):
                 raise ParseError(lineno, str(e))
         elif head == "nilbound":
             try:
-                nilbound = int(rest)
+                nilbound = parse_int(rest)
             except ValueError:
                 raise ParseError(lineno, f"bad nilbound {rest!r}")
             if nilbound < 1:
@@ -262,7 +263,7 @@ def parse_quiver(text: str):
                 if parts[3] != "deg":
                     raise ParseError(lineno, f"expected 'deg', got {parts[3]!r}")
                 try:
-                    degrees[name] = int(parts[4])
+                    degrees[name] = parse_int(parts[4])
                 except ValueError:
                     raise ParseError(lineno, f"bad degree {parts[4]!r}")
                 saw_degree = True

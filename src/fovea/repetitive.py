@@ -18,8 +18,10 @@ from .quiver import (
     QuiverError,
     StructureCategory,
     VoltageQuiver,
+    Window,
     arrow_elements,
     extract_presentation,
+    lift_window,
     path_basis,
     presentation_basis,
     radical_filtration,
@@ -45,9 +47,9 @@ class RepetitiveTruncation:
         whose path basis is checked against the category's dimensions.
 
         Layer 0 alone is extracted from the category.  For n >= 1 the
-        presentation is lifted off the repetitive voltage quiver rv (built
-        from the base when not given), byte for byte the one
-        extract_presentation would give:
+        presentation is the window -n..n of the repetitive voltage quiver rv
+        (built from the base when not given), renamed: byte for byte the one
+        extract_presentation would give.
 
         - Hom and composition depend only on r - m.
         - Every nonzero product x -> y -> z has y in a layer between those
@@ -61,6 +63,10 @@ class RepetitiveTruncation:
           its own relation, listed in path order, in T_n as in rv.
         - The identity column at (x, x) never enters a kernel vector: every
           other column lies in the radical.
+        - The window lists its arrows by layer, then in rv's order, which
+          runs by source, and its relations per rv relation, which a stable
+          sort by endpoints puts in extract_presentation's order.  Arrows
+          are renamed a0, a1, ... one to one, which keeps every check.
         """
         def name(o):
             return f"{o[1]}@{o[0]}"
@@ -68,7 +74,14 @@ class RepetitiveTruncation:
         if self.n == 0:
             out = extract_presentation(self.category, verify=False, vertex_name=name)
         else:
-            out = _lift_truncation(rv or repetitive_voltage(self.base), self.n, name)
+            window = lift_window(rv or repetitive_voltage(self.base), Window(-self.n, self.n))
+            names = {a.name: f"a{k}" for k, a in enumerate(window.arrows)}
+            relations = sorted(window.relations, key=lambda rel: [
+                window.vertex_index[v] for v in window.relation_endpoints(rel)])
+            out = BoundQuiver._unchecked(
+                window.vertices, tuple(a._replace(name=names[a.name]) for a in window.arrows),
+                tuple(tuple((c, tuple(names[x] for x in p)) for c, p in rel) for rel in relations),
+                window.field, window.nilbound)
         presentation_basis(self.category, out)
         return out
 
@@ -134,48 +147,6 @@ def _pair(f, coords, functional):
         if a and b:
             acc = f.add(acc, f.mul(a, b))
     return acc
-
-
-def _lift_truncation(rv: VoltageQuiver, n: int, vertex_name) -> BoundQuiver:
-    """Layers -n..n of the graded lift of rv, in extract_presentation's order.
-
-    Arrows and relations are read by source object, then target object,
-    both in (layer, vertex) order; rv's arrows already run by (source,
-    degree, target) and its relations are regrouped that way.
-    """
-    base = rv.base
-    deg = rv.degree
-    layers = range(-n, n + 1)
-    vertices = [vertex_name((m, i)) for m in layers for i in base.vertices]
-    lifted = {}
-    arrows = []
-    for m in layers:
-        for i in base.vertices:
-            for a in base.out_arrows[i]:
-                if m + deg[a.name] <= n:
-                    name = f"a{len(arrows)}"
-                    lifted[(a.name, m)] = name
-                    arrows.append((name, vertex_name((m, i)),
-                                   vertex_name((m + deg[a.name], a.target))))
-
-    groups: dict[tuple, list] = {}
-    for rel in base.relations:
-        src, tgt = base.relation_endpoints(rel)
-        groups.setdefault((src, sum(deg[a] for a in rel[0][1]), tgt), []).append(rel)
-    index = base.vertex_index
-    order = sorted(groups, key=lambda k: (index[k[0]], k[1], index[k[2]]))
-
-    def lift(path, m):
-        out = []
-        for a in path:
-            out.append(lifted[(a, m)])
-            m += deg[a]
-        return tuple(out)
-
-    relations = [tuple((c, lift(p, m)) for c, p in rel)
-                 for m in layers for key in order if m + key[1] <= n
-                 for rel in groups[key]]
-    return BoundQuiver(vertices, arrows, relations, base.field, base.nilbound)
 
 
 def repetitive_truncation(bq: BoundQuiver, n: int) -> RepetitiveTruncation:

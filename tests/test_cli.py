@@ -265,7 +265,7 @@ def test_a_negative_cap_is_a_usage_error(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"fovea: {message}\n")
 
 
-@pytest.mark.parametrize("spec", ["S@v@x", "Sx", "S@v@1.5", "S", "M@v@"])
+@pytest.mark.parametrize("spec", ["S@v@x", "Sx", "S@v@1.5", "S", "M@v@", "S@v@\u0661", "S1_0"])
 def test_a_layered_spec_with_a_bad_layer_is_a_usage_error(capsys, spec):
     assert run(capsys, "pushdown", "line-k2.vq", "--module", spec) == \
         (2, "", f"fovea: bad layered module spec {spec!r}\n")

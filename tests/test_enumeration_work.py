@@ -8,7 +8,8 @@ enumeration decomposes each candidate once; no call enumerates a quiver
 twice, whatever the closure; the repetitive suite builds its repetitive
 category once and each path basis once, checks its windows against the
 truncations' presentations without a path basis of their own, extracts
-only layer zero and the normal forms, and builds for its voltage quiver
+only layer zero and the normal forms, exports T_1 and T_2 as the windows
+-1..1 and -2..2 of its one voltage quiver, and builds for that quiver
 only layers 0 and 1, where every product from layer 0 lands; kg0 and the
 simple-functor verbs enumerate no base whose separated quiver is not
 Dynkin;
@@ -531,6 +532,21 @@ def test_repetitive_suite_extracts_only_layer_zero_and_the_normal_forms(monkeypa
     # T_0 and the normal forms of the base and of the degree-0 window; T_1
     # and T_2 are lifted off the repetitive voltage quiver
     assert len(calls) <= 3
+
+
+def test_repetitive_suite_exports_the_windows_of_its_voltage_quiver(monkeypatch):
+    calls = []
+
+    def recording(vq, window):
+        calls.append((vq, window))
+        return lift_window(vq, window)
+
+    monkeypatch.setattr(fovea.repetitive, "lift_window", recording)
+    assert run_suite("repetitive", "a3.bq").ok
+    # one lift of the graded quiver: T_1 and T_2 are its windows, renamed
+    assert [w for _vq, w in calls] == [Window(-1, 1), Window(-2, 2)]
+    assert calls[0][0] is calls[1][0]
+    assert calls[0][0] == fovea.repetitive.repetitive_voltage(load_quiver("a3.bq")[2])
 
 
 @pytest.mark.parametrize("name", ["a3.bq", "kronecker.bq", "loop2.bq"])

@@ -564,11 +564,34 @@ def test_a_map_kernel_memo_takes_no_part_in_equality():
 ], ids=["nakayama2-injective", "line-k2-simple", "d4-injective"])
 def test_align_equals_a_fresh_zero_extension(make_lm):
     lm = make_lm()
-    lo, hi = lm.window.lo, lm.window.hi
-    for w in (Window(lo, hi), Window(lo - 1, hi), Window(lo, hi + 2), Window(lo - 3, hi + 1)):
+    for w in _four_windows(lm.window):
         first = lm.align(w)
         assert first == lm._on_window(w).module
         assert lm.align(w) is first
+    # a layered map is placed the same way: twisted by k, its components
+    # copied where n - k lies in its window and zero elsewhere
+    for t in (hom_functor(lm.vq, lm), simple_functor_cover(lm.vq, lm)):
+        pres = t.pres
+        for w in _four_windows(common_window(pres.source, pres.target)):
+            assert pres.align(w) == _placed_reference(pres, w, 0)
+            for k in (-1, 2):
+                wk = Window(w.lo + k, w.hi + k)
+                assert pres.align(wk, k) == pres.twist(k).align(wk) \
+                    == _placed_reference(pres, wk, k)
+                assert pres.twist(k) is pres.twist(k)
+
+
+def _four_windows(hull: Window) -> tuple:
+    lo, hi = hull.lo, hull.hi
+    return Window(lo, hi), Window(lo - 1, hi), Window(lo, hi + 2), Window(lo - 3, hi + 1)
+
+
+def _placed_reference(pres, w: Window, k: int) -> ModMap:
+    """The map twisted by k on w, built as `reference_evaluate` builds it."""
+    comps = {layer_vertex(v, n): pres.map.comps[layer_vertex(v, n - k)]
+             for v in pres.source.vq.base.vertices for n in w.layers if n - k in pres.window}
+    return ModMap(_fresh_align(pres.source.twist(k), w), _fresh_align(pres.target.twist(k), w),
+                  comps, check=False)
 
 
 # ---------------------------------------------------------------------------

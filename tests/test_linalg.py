@@ -33,6 +33,9 @@ def test_field_spec_round_trip():
     assert parse_field_spec("gf 32749") == GF
     with pytest.raises(LinAlgError):
         parse_field_spec("gf:6")
+    for order in ("1_0_1", "\u0661\u0660\u0661"):
+        with pytest.raises(ValueError, match="not an integer"):
+            parse_field_spec("gf:" + order)
 
 
 def test_field_parse_format():
@@ -49,6 +52,8 @@ def test_field_parse_format():
     ("1/y", "not a number: '1/y'"),
     ("", "not a number: ''"),
     ("1/2/3", "not a number: '1/2/3'"),
+    ("1_0", "not a number: '1_0'"),
+    ("\u0661/2", "not a number: '\u0661/2'"),
 ])
 def test_field_parse_rejects_non_numbers(field, token, message):
     with pytest.raises(LinAlgError) as info:

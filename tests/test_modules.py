@@ -524,6 +524,8 @@ def test_module_file_rejects_unknown_names():
     ("dims 1=1 2=1\n\nmat a = [[two]]\n", 3, "not a number: 'two'"),
     ("dims 1=-1\n", 1, "bad dimension '1=-1'"),
     ("dims 1\n", 1, "bad dimension '1'"),
+    ("dims 1=\u0661\n", 1, "bad dimension '1=\u0661'"),
+    ("dims 1=1 2=1\nmat a = [[1_0]]\n", 2, "not a number: '1_0'"),
     ("dims 1=1 2=1\nmat a = [[1],[2]]\n", 2, "matrix for a has shape (2, 1), expected (1, 1)"),
     ("dims 1=1 2=1\nmat a = [[1]]\ncols 2\n", 3, "unknown directive 'cols'"),
 ])

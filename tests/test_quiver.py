@@ -96,6 +96,19 @@ def test_parse_error_line_numbers():
         assert str(err.value).startswith(f"line {line}: ")
 
 
+@pytest.mark.parametrize("text,line,message", [
+    ("field gf 1_0_1\nnilbound 2\nvertex v\n", 1, "not an integer: '1_0_1'"),
+    ("field gf 32749\nnilbound +1_0\nvertex v\n", 2, "bad nilbound '+1_0'"),
+    ("field gf 32749\nnilbound 2\nvertex v\narrow a: v -> v deg \u0661\n", 4,
+     "bad degree '\u0661'"),
+], ids=["field-order", "nilbound", "degree"])
+def test_an_integer_token_is_a_sign_and_ascii_digits(text, line, message):
+    """int() alone reads '1_0_1' as 101 and an Arabic-Indic one as 1."""
+    with pytest.raises(ParseError) as err:
+        parse_quiver(text)
+    assert str(err.value) == f"line {line}: {message}"
+
+
 def test_parse_error_dangling_vertex():
     with pytest.raises(ParseError):
         parse_quiver("field gf 32749\nnilbound 2\nvertex 1\narrow a: 1 -> 9\n")
