@@ -227,8 +227,9 @@ def _fun_pushdown(args) -> int:
 def _complete_list(q, args):
     """The one enumeration a verb reads, at the CLI's caps; an incomplete
     list is refused, since a simple functor built on it is not simple.  A
-    representation-infinite q, read off its separated quiver, is refused
-    without enumerating."""
+    representation-infinite q, read off its separated quiver or, for a path
+    algebra, off its quiver (`_infinite_reason`), is refused without
+    enumerating."""
     enum = _enumerate_unless_infinite(q, args.dim_cap, args.count_cap, args.seed)
     if not enum.complete:
         raise FunctorError("a simple functor's profile is undecidable from an incomplete list")

@@ -19,8 +19,8 @@ from .modules import (
     ModMap,
     Module,
     _enumerate_unless_infinite,
+    _infinite_reason,
     _is_nakayama,
-    _separated_quiver_is_dynkin,
     enumerate_indecomposables,
     hom_space,
     injective,
@@ -260,8 +260,8 @@ _COVER_CAPS = (f"; a cover's base and windows are enumerated at the fixed caps "
 def base_enumeration(vq: VoltageQuiver, seed: int = DEFAULT_SEED) -> Enumeration:
     """The indecomposables of the base at the cover caps, memoised on vq per
     seed: the one list that the orbit count, kg0, pushdown and phi read.
-    A base whose separated quiver is not Dynkin gets an empty, incomplete
-    list without enumerating (`_enumerate_unless_infinite`)."""
+    A base proved representation-infinite (`_infinite_reason`) gets an
+    empty, incomplete list without enumerating (`_enumerate_unless_infinite`)."""
     if seed not in vq._base_enums:
         vq._base_enums[seed] = _enumerate_unless_infinite(vq.base, COVER_DIM_CAP,
                                                           COVER_COUNT_CAP, seed)
@@ -290,11 +290,11 @@ def orbit_enumeration(vq: VoltageQuiver) -> list[LayeredModule]:
     freely, so if A is representation-finite, push-down is a bijection from
     the shift orbits of indecomposable R-modules onto the indecomposable
     A-modules, and if A is representation-infinite, R has infinitely many
-    orbits.  So `_window_orbits` refuses a base whose separated quiver is
-    not Dynkin and grows windows until their classes reach the base's
-    count.  That loop ends: each window is enumerated at fixed caps, and a
-    list past the count holds two orbits with isomorphic push-downs, which
-    is an error here.
+    orbits.  So `_window_orbits` refuses a base that `_infinite_reason`
+    proves representation-infinite and grows windows until their classes
+    reach the base's count.  That loop ends: each window is enumerated at
+    fixed caps, and a list past the count holds two orbits with isomorphic
+    push-downs, which is an error here.
     """
     if vq._orbits is None:
         reps = _nakayama_orbits(vq) if _is_nakayama(vq.base) else _window_orbits(vq)
@@ -341,9 +341,10 @@ def _window_orbits(vq: VoltageQuiver) -> list[LayeredModule]:
     |deg|, so every module listed there pushes down to one on which c acts
     as zero.  The projective at the target of c holds the path c, so its
     orbit is missing and the window cannot reach the count."""
-    if not _separated_quiver_is_dynkin(vq.base):
-        raise CoveringError("the base's separated quiver is not Dynkin, so the cover has "
-                            "infinitely many orbits: no window list reaches Gabriel's count")
+    reason = _infinite_reason(vq.base)
+    if reason is not None:
+        raise CoveringError(f"the base's {reason}, so the cover has infinitely many "
+                            "orbits: no window list reaches Gabriel's count")
     # the count and completeness are the same at every seed: a verb's own list serves
     base = base_enumeration(vq, next(iter(vq._base_enums), DEFAULT_SEED))
     if not base.complete:

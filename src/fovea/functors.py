@@ -66,14 +66,6 @@ class FpFunctor:
         self.side = COVER if isinstance(pres, LayeredModMap) else ALGEBRA
         self.carrier = pres.source.vq if self.side == COVER else pres.source.bq
 
-    @property
-    def source(self):
-        return self.pres.source
-
-    @property
-    def target(self):
-        return self.pres.target
-
     def twist(self, k: int) -> "FpFunctor":
         if self.side != COVER:
             raise FunctorError("twist only acts on the covering side")
@@ -612,12 +604,13 @@ def kg_level0_report(subject, dim_cap: int = 12, count_cap: int = 24,
     For a plain algebra this reports the finite-type verdict from the
     enumeration closure at the caps given.  A graded cover reads its base's
     one enumeration at the cover caps (`base_enumeration`), and the caps
-    given bound nothing there.  A base whose separated quiver is not Dynkin
-    is representation-infinite, so no closure can complete: it stays
-    undecidable without enumerating.  For a graded cover it additionally
-    checks, over a functor battery: equality of lengths with the
-    pushed-down functor, twist invariance of lengths, and that nonzero
-    twists move length profiles, whose labels carry layers.
+    given bound nothing there.  A base whose separated quiver is not Dynkin,
+    or that is the path algebra of a non-Dynkin quiver, is
+    representation-infinite (`_infinite_reason`), so no closure can
+    complete: it stays undecidable without enumerating.  For a graded
+    cover it additionally checks, over a functor battery: equality of
+    lengths with the pushed-down functor, twist invariance of lengths, and
+    that nonzero twists move length profiles, whose labels carry layers.
     """
     report = Report("kg0")
     algebra = isinstance(subject, BoundQuiver)

@@ -10,6 +10,7 @@ bases are canonical and runs are reproducible.
 from __future__ import annotations
 
 import random
+import weakref
 from itertools import islice
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
@@ -61,7 +62,14 @@ class AlmostSplitError(ModuleError):
 
 
 class Module:
-    """A representation of a bound quiver satisfying its relations."""
+    """A representation of a bound quiver satisfying its relations.
+
+    It is never changed after construction, so it memoises dim Hom(M, N)
+    per partner N (`hom_space`); the memo takes no part in equality,
+    hashing, `repr` or `sort_key`.
+    """
+
+    _hom_dims: "dict | None" = None     # set on the instance by `hom_space`
 
     def __init__(self, bq: BoundQuiver, dims: dict, mats: dict, check: bool = True):
         self.bq = bq
@@ -294,24 +302,30 @@ class HomBasis:
     helpers.  From `hom_space` it holds the forward echelon form of the
     naturality system, whose size gives the dimension; the first read of
     `space`, `rows`, `maps`, `coords` or `from_coords` back-substitutes it
-    and drops it.  Every answer, pivots included, is unchanged by that."""
+    and drops it.  A repeated `hom_space` answer holds only the dimension,
+    and that first read eliminates the system again.  Every answer, pivots
+    included, is unchanged by either."""
 
     def __init__(self, source: Module, target: Module, space: Subspace):
         self.source, self.target = source, target
         self.space, self.dim = space, space.dim
 
     @classmethod
-    def _deferred(cls, source: Module, target: Module, unknowns: int, echelon: dict) -> "HomBasis":
+    def _deferred(cls, source: Module, target: Module, dim: int,
+                  echelon: tuple | None = None) -> "HomBasis":
         hom = cls.__new__(cls)
-        hom.source, hom.target, hom.dim = source, target, unknowns - len(echelon)
-        hom._echelon = (unknowns, echelon)
+        hom.source, hom.target, hom.dim = source, target, dim
+        if echelon is not None:
+            hom._echelon = echelon
         return hom
 
     @cached_property
     def space(self) -> Subspace:
-        space = _echelon_kernel(self.source.bq.field, *self._echelon)
-        del self._echelon
-        return space
+        echelon = self.__dict__.pop("_echelon", None)
+        if echelon is None:
+            # a repeated pair: the memo gave the dimension, not the system
+            echelon = _naturality_echelon(self.source, self.target)
+        return _echelon_kernel(self.source.bq.field, *echelon)
 
     @property
     def rows(self) -> Matrix:
@@ -344,14 +358,35 @@ class HomBasis:
 def hom_space(m: Module, n: Module) -> HomBasis:
     """Hom(M, N) as the solutions of all naturality squares.
 
-    Unknown u = offset(v) + i dim M(v) + k is the entry (i, k) of the
-    component f_v.  Each entry (i, j) of each square f_x M(a) = N(a) f_y
-    gives one sparse equation, with unknown u at column last - u, the
-    reversed order `linalg._echelon_kernel` reads the null space in.  They
-    are reduced here; the basis is read off when first asked for.
+    M keeps dim Hom(M, N) in `_hom_dims`, keyed by id(N) beside a weak
+    reference to N, and a repeated pair is answered from it when that
+    reference still returns N itself: then no system is solved unless the
+    basis is read.  The weak reference keeps N alive in no case, M = N
+    included, and a dead partner's id, when reused, answers for nobody.
     """
     if n.bq is not m.bq and m.bq != n.bq:
         raise ModuleError("hom between modules over different quivers")
+    memo = m._hom_dims
+    known = memo.get(id(n)) if memo is not None else None
+    if known is not None and known[0]() is n:
+        return HomBasis._deferred(m, n, known[1])
+    unknowns, echelon = _naturality_echelon(m, n)
+    dim = unknowns - len(echelon)
+    if memo is None:
+        m._hom_dims = memo = {}
+    memo[id(n)] = (weakref.ref(n), dim)
+    return HomBasis._deferred(m, n, dim, (unknowns, echelon))
+
+
+def _naturality_echelon(m: Module, n: Module) -> tuple[int, dict]:
+    """The number of unknowns of Hom(M, N) and the forward echelon form of
+    its naturality squares.
+
+    Unknown u = offset(v) + i dim M(v) + k is the entry (i, k) of the
+    component f_v.  Each entry (i, j) of each square f_x M(a) = N(a) f_y
+    gives one sparse equation, with unknown u at column last - u, the
+    reversed order `linalg._echelon_kernel` reads the null space in.
+    """
     mdims, ndims = m.dims, n.dims
     offsets = {}
     total = 0
@@ -360,7 +395,7 @@ def hom_space(m: Module, n: Module) -> HomBasis:
         total += ndims[v] * mdims[v]
     echelon = {}
     if not total:
-        return HomBasis._deferred(m, n, 0, echelon)
+        return 0, echelon
     p = m.bq.field.p
     last = total - 1
     target = n._naturality_parts[1]
@@ -387,7 +422,7 @@ def hom_space(m: Module, n: Module) -> HomBasis:
                     row[col] = c
                 if row:
                     _echelon_reduce(echelon, row, p)
-    return HomBasis._deferred(m, n, total, echelon)
+    return total, echelon
 
 
 def hom_dim(m: Module, n: Module) -> int:
@@ -1367,7 +1402,7 @@ def _is_nakayama(bq: BoundQuiver) -> bool:
 
 def _separated_quiver_is_dynkin(bq: BoundQuiver) -> bool:
     """Whether the separated quiver of the Gabriel quiver of A is a union
-    of Dynkin diagrams (types A, D, E).
+    of Dynkin diagrams (`_is_dynkin_graph`).
 
     When it is not, A/rad^2 A is representation-infinite (Gabriel 1972;
     Auslander-Reiten-Smalo ch. X, Thm 2.6), hence so is A, over any field:
@@ -1375,10 +1410,7 @@ def _separated_quiver_is_dynkin(bq: BoundQuiver) -> bool:
     quiver keeps the arrows outside the pivots of an echelon form of the
     relations' length-1 parts, whose span is (I + rad^2)/rad^2; nilbound 1
     kills every arrow.  The separated quiver has a vertex v+ and v- for
-    each vertex v and an edge s+ -- t- for each Gabriel arrow s -> t; a
-    component is Dynkin when it is a tree with at most one branch vertex,
-    of degree 3, whose arms of p, q, r vertices (the branch counted in
-    each) have 1/p + 1/q + 1/r > 1.
+    each vertex v and an edge s+ -- t- for each Gabriel arrow s -> t.
     """
     if bq.nilbound == 1:
         return True             # no Gabriel arrow: A is semisimple
@@ -1392,9 +1424,18 @@ def _separated_quiver_is_dynkin(bq: BoundQuiver) -> bool:
                 k = column[path[0]]
                 row[k] = f.add(row.get(k, f.zero), c)
         _echelon_reduce(echelon, {k: c for k, c in row.items() if c}, f.p)
+    return _is_dynkin_graph([((a.source, "+"), (a.target, "-"))
+                             for k, a in enumerate(bq.arrows) if k not in echelon])
+
+
+def _is_dynkin_graph(edges) -> bool:
+    """Whether the graph with these edges (pairs of ends, a repeated pair
+    a double edge) is a union of Dynkin diagrams of types A, D, E: each
+    component is a tree with at most one branch vertex, of degree 3, whose
+    arms of p, q, r vertices (the branch counted in each) have
+    1/p + 1/q + 1/r > 1."""
     adjacent: dict = {}
-    for a in (a for k, a in enumerate(bq.arrows) if k not in echelon):
-        s, t = (a.source, "+"), (a.target, "-")
+    for s, t in edges:
         adjacent.setdefault(s, []).append(t)
         adjacent.setdefault(t, []).append(s)
     seen = set()
@@ -1408,8 +1449,7 @@ def _separated_quiver_is_dynkin(bq: BoundQuiver) -> bool:
                 if w not in seen:
                     seen.add(w)
                     component.append(w)
-        edges = sum(len(adjacent[u]) for u in component) // 2
-        if edges != len(component) - 1:
+        if sum(len(adjacent[u]) for u in component) != 2 * (len(component) - 1):
             return False        # a cycle or a double edge
         branches = [u for u in component if len(adjacent[u]) > 2]
         if not branches:
@@ -1427,6 +1467,31 @@ def _separated_quiver_is_dynkin(bq: BoundQuiver) -> bool:
         if q * r + p * r + p * q <= p * q * r:
             return False
     return True
+
+
+def _is_path_algebra(bq: BoundQuiver) -> bool:
+    """Whether A is the path algebra KQ: no relation, and no path of
+    length nilbound, so no oriented cycle either (a loop included)."""
+    if bq.relations:
+        return False
+    ends = set(bq.vertices)     # the ends of the paths of length k, k = 0, 1, ...
+    for _ in range(bq.nilbound):
+        ends = {a.target for a in bq.arrows if a.source in ends}
+    return not ends
+
+
+def _infinite_reason(bq: BoundQuiver) -> str | None:
+    """Why A is representation-infinite over any field, when it is proved
+    without enumerating: its separated quiver is not Dynkin
+    (`_separated_quiver_is_dynkin`), or A is the path algebra KQ of a
+    quiver whose graph is not a union of Dynkin diagrams (Gabriel 1972).
+    None when neither holds."""
+    if not _separated_quiver_is_dynkin(bq):
+        return "separated quiver is not Dynkin"
+    if _is_path_algebra(bq) and not _is_dynkin_graph((a.source, a.target)
+                                                     for a in bq.arrows):
+        return "algebra is the path algebra of a non-Dynkin quiver"
+    return None
 
 
 def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int = 80,
@@ -1593,12 +1658,13 @@ def enumerate_indecomposables(bq: BoundQuiver, dim_cap: int = 40, count_cap: int
 def _enumerate_unless_infinite(bq: BoundQuiver, dim_cap: int, count_cap: int,
                                seed: int = DEFAULT_SEED) -> Enumeration:
     """The enumeration of an algebra input or a cover's base that a verb
-    reads: `enumerate_indecomposables` at the caps given, unless the
-    separated quiver proves A representation-infinite (no caps could
+    reads: `enumerate_indecomposables` at the caps given, unless A is
+    proved representation-infinite (`_infinite_reason`; no caps could
     complete it); then an empty, incomplete list, and nothing is enumerated."""
-    if _separated_quiver_is_dynkin(bq):
+    reason = _infinite_reason(bq)
+    if reason is None:
         return enumerate_indecomposables(bq, dim_cap=dim_cap, count_cap=count_cap, seed=seed)
-    return Enumeration(bq, [], False, ["separated quiver is not Dynkin: nothing enumerated"])
+    return Enumeration(bq, [], False, [f"{reason}: nothing enumerated"])
 
 
 # ---------------------------------------------------------------------------

@@ -157,8 +157,10 @@ def _suite_repetitive(report: Report, q):
     report.add("repetitive.dim-n1", 5 * base_dim, trunc1.total_dim)
     report.add("repetitive.dim-n2", 9 * base_dim, trunc2.total_dim)
 
-    # the exports for n >= 1 are lifted off the one repetitive voltage quiver
+    # the exports for n >= 1 are the windows -n..n of the one repetitive
+    # voltage quiver, which keeps its windows only while they are held
     rv = repetitive_voltage(bq)
+    windows = {n: lift_window(rv, Window(-n, n)) for n in (1, 2)}
     exported1 = trunc1.export(rv)
     report.add("repetitive.export-admissible", True, check_admissible(exported1).ok)
 
@@ -176,7 +178,7 @@ def _suite_repetitive(report: Report, q):
     for n, trunc, exported in ((1, trunc1, exported1), (2, trunc2, exported2)):
         # a window with T_n's presentation, up to names, presents T_n, whose
         # basis the export already checked against T_n's category
-        window = lift_window(rv, Window(-n, n))
+        window = windows[n]
         same = _presentation_key(window) == _presentation_key(exported)
         wdim = path_basis(exported if same else window).total_dim
         report.add(f"repetitive.window-matches-truncation[n={n}]", trunc.total_dim, wdim)

@@ -118,12 +118,21 @@ def separated_tits_form_is_positive_definite(vertices, arrows, relations, nilbou
             rank = dumb_rank(rows, p) if names and rows else 0
             gabriel[(x, y)] = 0 if nilbound == 1 else len(names) - rank
     nodes = [(v, side) for v in vertices for side in ("out", "in")]
-    form = [[Fraction(2 if a == b else 0) for b in nodes] for a in nodes]
-    for (x, y), count in gabriel.items():
-        i, j = nodes.index((x, "out")), nodes.index((y, "in"))
-        form[i][j] -= count
-        form[j][i] -= count
-    for k in range(1, len(nodes) + 1):
+    edges = [((x, "out"), (y, "in")) for (x, y), count in gabriel.items() for _ in range(count)]
+    return tits_form_is_positive_definite(nodes, edges)
+
+
+def tits_form_is_positive_definite(vertices, edges):
+    """Whether the Tits form of a graph, sum x_v^2 minus x_s x_t for each
+    edge (s, t), a repeated pair a double edge, is positive definite,
+    which holds exactly for unions of Dynkin diagrams.  Read off the
+    leading principal minors of 2 I - adjacency."""
+    form = [[Fraction(2 if a == b else 0) for b in vertices] for a in vertices]
+    for x, y in edges:
+        i, j = vertices.index(x), vertices.index(y)
+        form[i][j] -= 1
+        form[j][i] -= 1
+    for k in range(1, len(vertices) + 1):
         minor = [row[:k] for row in form[:k]]
         det = Fraction(1)
         for c in range(k):

@@ -12,10 +12,11 @@ only layer zero and the normal forms, exports T_1 and T_2 as the windows
 -1..1 and -2..2 of its one voltage quiver, and builds for that quiver
 only layers 0 and 1, where every product from layer 0 lands; kg0 and the
 simple-functor verbs enumerate no base whose separated quiver is not
-Dynkin;
+Dynkin, nor one that is the path algebra of a non-Dynkin quiver;
 the radical filtration spans only the blocks where a product can land; a
 path basis spans only the vertex pairs that hold a relation vector; a hom
-space builds its maps only when they are read; a decomposition reads
+space builds its maps only when they are read; a repeated pair of
+modules runs one elimination; a decomposition reads
 locality and its skip test off the trace form and builds the radical of
 End(P) only for the residue-field fallback; a Fitting split tries the power of phi before factoring
 and stops factoring at the first divisor that splits; a decomposition
@@ -45,6 +46,7 @@ infinite cover enumerate nothing; and an enumeration complete at smaller
 caps is the same list at the cover caps.
 """
 
+import hashlib
 import inspect
 import json
 import random
@@ -84,7 +86,7 @@ from fovea.modules import (
     projective,
     simple,
     _enumerate_unless_infinite,
-    _separated_quiver_is_dynkin,
+    _infinite_reason,
 )
 from fovea.naming import fixture_names, load_quiver
 from fovea.quiver import (
@@ -99,7 +101,13 @@ from fovea.repetitive import RepetitiveTruncation
 from fovea.suites import run_suite
 from test_quiver import dense_path_basis
 from test_covering import D4_COVER_TEXT, DEGREE_10_D4_TEXT, reference_orbit_enumeration
-from test_report_digests import KG0_DIGESTS, REP_A3_PRIME_TEXT, REP_KD4_TEXT, _workloads
+from test_report_digests import (
+    KG0_DIGESTS,
+    REP_A3_PRIME_TEXT,
+    REP_KD4_TEXT,
+    _run_suite_on_text,
+    _workloads,
+)
 from test_repetitive import dense_radical_filtration
 
 D4 = parse_quiver(
@@ -266,6 +274,34 @@ def test_kg0_enumerates_only_a_base_with_a_dynkin_separated_quiver(monkeypatch, 
     assert all(enum.complete for _args, enum in calls)
 
 
+# the cover 1 -> 2 -> 3 -> 4, 1 -> 4 of degree 1: its base is the path
+# algebra of the Euclidean square A~3, whose separated quiver is Dynkin
+ATILDE3_COVER_TEXT = ("field gf 32749\nnilbound 6\nvertex 1 2 3 4\n"
+                      "arrow a: 1 -> 2 deg 0\narrow b: 2 -> 3 deg 0\n"
+                      "arrow c: 3 -> 4 deg 0\narrow d: 1 -> 4 deg 1\n")
+# (exit code, report sha256, standard error); kg0's report is the one it
+# gave after enumerating the base to its count cap
+ATILDE3_SUITES = {
+    "kg0": (0, "d361b87ddfdf142d3dabe426f604ef2cdb3ef0532c1dc29f54fe5c09ec596d12", ""),
+    **{suite: (1, hashlib.sha256(b"").hexdigest(),
+               "fovea: the base's algebra is the path algebra of a non-Dynkin quiver, so the "
+               "cover has infinitely many orbits: no window list reaches Gabriel's count\n")
+       for suite in ("pushdown", "phi-identities")},
+}
+
+
+@pytest.mark.parametrize("suite", sorted(ATILDE3_SUITES))
+def test_a_euclidean_path_algebra_base_is_refused_before_enumerating(
+        monkeypatch, tmp_path, suite):
+    """KQ for a Euclidean Q is representation-infinite (Gabriel), so kg0
+    calls it undecidable and the orbit list is refused, with no
+    enumeration, where the count cap used to stop one after seconds."""
+    calls = _record(monkeypatch, fovea.modules, "enumerate_indecomposables")
+    got = _run_suite_on_text(monkeypatch, tmp_path, suite, "atilde3.vq", ATILDE3_COVER_TEXT)
+    assert got == ATILDE3_SUITES[suite]
+    assert calls == []
+
+
 @pytest.mark.parametrize("argv", [["simple", "kronecker.bq", "--at", "S1"],
                                   ["eval", "kronecker.bq", "--functor", "S@S1", "--at", "S1"]],
                          ids=["simple", "eval"])
@@ -386,8 +422,8 @@ def test_every_enumeration_runs_at_the_caps_of_its_input(monkeypatch, capsys, tm
         capsys.readouterr()
         assert {c[1:] for c in caps} <= {COVER_CAPS if graded else FLAG_CAPS}, verb
         seen += len(caps)
-    # only an input whose separated quiver is not Dynkin enumerates nothing
-    assert bool(seen) == _separated_quiver_is_dynkin(q.base if graded else q)
+    # only an input proved representation-infinite enumerates nothing
+    assert bool(seen) == (_infinite_reason(q.base if graded else q) is None)
 
 
 def _algebras() -> dict:
@@ -535,18 +571,28 @@ def test_repetitive_suite_extracts_only_layer_zero_and_the_normal_forms(monkeypa
 
 
 def test_repetitive_suite_exports_the_windows_of_its_voltage_quiver(monkeypatch):
-    calls = []
+    calls, lows = [], []
 
     def recording(vq, window):
         calls.append((vq, window))
         return lift_window(vq, window)
 
+    shift_template = fovea.quiver._shift_template
+
+    def shifting(template, lo):
+        lows.append(lo)
+        return shift_template(template, lo)
+
     monkeypatch.setattr(fovea.repetitive, "lift_window", recording)
+    monkeypatch.setattr(fovea.quiver, "_shift_template", shifting)
     assert run_suite("repetitive", "a3.bq").ok
     # one lift of the graded quiver: T_1 and T_2 are its windows, renamed
     assert [w for _vq, w in calls] == [Window(-1, 1), Window(-2, 2)]
     assert calls[0][0] is calls[1][0]
     assert calls[0][0] == fovea.repetitive.repetitive_voltage(load_quiver("a3.bq")[2])
+    # the suite holds the windows -1..1 and -2..2 for the exports and its
+    # own checks, so each is shifted off its template once, then 0..0
+    assert lows == [-1, -2, 0]
 
 
 @pytest.mark.parametrize("name", ["a3.bq", "kronecker.bq", "loop2.bq"])
@@ -661,6 +707,25 @@ def test_hom_dimension_builds_no_maps(monkeypatch):
     # the maps are still there for a caller that reads them
     assert len(hom_space(modules[0], modules[0]).maps) == dims[0]
     assert len(built) == dims[0]
+
+
+def test_a_repeated_hom_pair_runs_one_elimination(monkeypatch):
+    """M keeps dim Hom(M, N) per partner object, so the same pair asked
+    again, through hom_space or hom_dim, eliminates nothing; a repeated
+    answer's basis is eliminated only when read."""
+    rows = _record(monkeypatch, fovea.linalg, "_echelon_reduce")
+    m, n = projective(D4, "0"), injective(D4, "1")
+    first = hom_space(m, n).dim
+    once = len(rows)
+    assert first and once
+    assert [hom_space(m, n).dim, hom_dim(m, n), len(hom_space(m, n))] == [first] * 3
+    assert len(rows) == once
+    # an equal module that is another object is another partner
+    twin = Module(D4, dict(n.dims), dict(n.mats))
+    assert twin == n and hom_dim(m, twin) == first
+    assert len(rows) == 2 * once
+    assert len(hom_space(m, n).maps) == first
+    assert len(rows) == 3 * once
 
 
 def _scrambled_d4():

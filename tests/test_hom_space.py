@@ -7,8 +7,11 @@ reduced row echelon form, so both must give the same basis entry for
 entry, and the sparse solve must hand the subspace the pivots a fresh
 scan of its rows finds.  hom_space stops at the forward echelon form and
 reads the basis off it only when asked, so each check runs with the
-dimension read before the basis as well as after it.  The quivers are random and unbound (loops and
-parallel arrows included), since hom_space never reads the relations.
+dimension read before the basis as well as after it.  A repeated pair
+is answered from a memo on M, so each check asks twice more, reading the
+dimension first and then the basis first.  The quivers are random and
+unbound (loops and parallel arrows included), since hom_space never
+reads the relations.
 The same quivers check the thin-brick certificate `decompose` reads in
 place of End(M) against dim End(M) = 1.
 """
@@ -72,10 +75,22 @@ def _oracle_dim(m, n):
 
 
 def _assert_matches_the_reference(m, n, dim_first=False):
-    hom = hom_space(m, n)
     ref = reference_hom_space(m, n)
+    hom = hom_space(m, n)
+    _assert_equals(hom, ref, dim_first)
+    # a repeated pair is answered from M's memo, whichever is read first
+    for again_dim_first in (True, False):
+        again = hom_space(m, n)
+        assert again is not hom
+        _assert_equals(again, ref, again_dim_first)
+    return hom
+
+
+def _assert_equals(hom, ref, dim_first):
+    m, n = hom.source, hom.target
     if dim_first:
-        # read off the forward echelon form, before any basis exists
+        # read off the forward echelon form or the memo, before any basis exists
+        assert "space" not in vars(hom)
         assert hom.dim == len(hom) == ref.dim == _oracle_dim(m, n)
     assert hom.rows.entries == ref.rows.entries
     assert hom.rows.shape == ref.rows.shape
@@ -84,7 +99,6 @@ def _assert_matches_the_reference(m, n, dim_first=False):
     assert hom.dim == ref.dim == _oracle_dim(m, n)
     for g in hom.maps:
         assert g.is_natural()
-    return hom
 
 
 @st.composite

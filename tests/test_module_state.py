@@ -1,21 +1,30 @@
 """No fovea module holds shared mutable state, and no caller hands one in.
 
 Memos live on the objects whose lifetime they share (a BoundQuiver, a
-VoltageQuiver, a PathBasis, the PairCache of one almost split certificate
-or of one enumeration's final check, keyed on the modules), so nothing
-survives a caller except through the values it holds.  The one table a
+VoltageQuiver, a PathBasis, a Module's hom dimensions, the PairCache of
+one almost split certificate or of one enumeration's final check, keyed
+on the modules), so nothing survives a caller except through the values
+it holds.  A Module keeps dim Hom(M, N) beside a weak reference to N, so
+the memo keeps no partner alive and makes no cycle, not even for
+End(M): both die without the cycle collector, and an entry whose partner
+died answers for no later module.  The one table a
 process keeps is `cli._parser`'s: the command line parser of each verb,
 which holds no computed result.  A quiver owns its path basis and its
 opposite, so no public callable takes either.
 """
 
+import gc
 import importlib
 import inspect
 import pkgutil
+import weakref
 from collections.abc import MutableMapping, MutableSequence, MutableSet
 
 import fovea
 import fovea.cli
+from fovea.linalg import Field, Matrix
+from fovea.modules import Module, hom_dim, hom_space
+from fovea.quiver import BoundQuiver
 
 
 def test_no_module_level_mutable_containers():
@@ -66,3 +75,42 @@ def test_no_public_callable_takes_a_path_basis_or_an_opposite_quiver():
             if taken:
                 offenders.append(f"{info.name}.{name}({', '.join(sorted(taken))})")
     assert not offenders
+
+
+LINE = BoundQuiver(["1", "2"], [("a", "1", "2")], [], Field.gf(7), 2)
+
+
+def _line_module(top, bottom):
+    """The module k^top <- k^bottom over 1 -> 2 with M(a) the identity or 0."""
+    f = LINE.field
+    a = Matrix.identity(f, top) if top == bottom else Matrix.zeros(f, top, bottom)
+    return Module(LINE, {"1": top, "2": bottom}, {"a": a})
+
+
+def test_the_hom_memo_keeps_no_module_alive():
+    gc.disable()
+    try:
+        m, n = _line_module(1, 1), _line_module(0, 1)
+        assert hom_space(m, n).dim == 1 and hom_space(m, m).dim == 1
+        assert hom_dim(n, m) == 0
+        partner, endo = weakref.ref(n), weakref.ref(m)
+        del n
+        assert partner() is None
+        del m
+        assert endo() is None
+    finally:
+        gc.enable()
+
+
+def test_a_dead_partner_answers_for_no_later_module():
+    m = _line_module(1, 1)
+    assert hom_dim(m, _line_module(0, 1)) == 1
+    # the first partner died; a later one is solved, not read off its entry
+    later = _line_module(1, 0)
+    assert hom_dim(m, later) == 0 == len(hom_space(m, later).maps)
+    # the same when the later partner takes over the dead one's id
+    ref, dim = next(iter(m._hom_dims.values()))
+    assert ref() is None and dim == 1
+    m._hom_dims[id(later)] = (ref, dim)
+    assert hom_dim(m, later) == 0
+    assert m._hom_dims[id(later)][0]() is later

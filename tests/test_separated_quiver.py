@@ -9,17 +9,36 @@ classifier on each Dynkin and Euclidean type, its reading of linear
 relations and of nilbound 1, its agreement with the Tits form oracle in
 tests/oracles.py, and (hypothesis, over GF(p) and Q) that an algebra it
 flags never gets a complete enumeration at kg0's caps.
+
+A path algebra KQ (no relation, no path of length nilbound) is
+representation-finite exactly when Q's graph is a union of Dynkin
+diagrams (Gabriel 1972), a test the separated quiver can miss:
+`_infinite_reason` adds it, with the same classifier.  These tests check
+it on the Euclidean square of the A~3 cover, on path algebras of Dynkin
+type in every orientation, and against the graph's Tits form.
 """
+
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fovea.modules
 from fovea.linalg import Field
-from fovea.modules import _separated_quiver_is_dynkin, enumerate_indecomposables
+from fovea.modules import (
+    _enumerate_unless_infinite,
+    _infinite_reason,
+    _separated_quiver_is_dynkin,
+    enumerate_indecomposables,
+)
 from fovea.naming import load_quiver
 from fovea.quiver import BoundQuiver, parse_quiver
 
-from oracles import separated_tits_form_is_positive_definite
+from oracles import (
+    brute_paths,
+    separated_tits_form_is_positive_definite,
+    tits_form_is_positive_definite,
+)
 from test_modules import KXY
 from test_report_digests import _workloads
 from test_repetitive import _catalogued_algebras
@@ -163,5 +182,88 @@ def _oracle(bq: BoundQuiver) -> bool:
 def test_a_flagged_algebra_never_enumerates_completely(bq):
     dynkin = _separated_quiver_is_dynkin(bq)
     assert dynkin == _oracle(bq)
-    if not dynkin:
+    if _infinite_reason(bq) is not None:
         assert not enumerate_indecomposables(bq, dim_cap=12, count_cap=24).complete
+
+
+PATH_ALGEBRA = "algebra is the path algebra of a non-Dynkin quiver"
+# Euclidean graphs whose separated quiver, in this orientation, is Dynkin
+EUCLIDEAN_PATH_ALGEBRAS = {
+    "A~2": _quiver("1>2 2>3 1>3", nilbound=3),
+    "A~3 (the base of the A~3 cover)": _quiver("1>2 2>3 3>4 1>4", nilbound=6),
+    "D~4 (two arms in, two out)": _quiver("1>0 2>0 0>3 0>4", nilbound=3),
+}
+
+
+@pytest.mark.parametrize("bq", EUCLIDEAN_PATH_ALGEBRAS.values(),
+                         ids=EUCLIDEAN_PATH_ALGEBRAS.keys())
+def test_a_euclidean_path_algebra_is_refused_before_enumerating(monkeypatch, bq):
+    calls = []
+    monkeypatch.setattr(fovea.modules, "enumerate_indecomposables",
+                        lambda *args, **kwargs: calls.append(args))
+    assert _separated_quiver_is_dynkin(bq) and _oracle(bq)
+    assert _infinite_reason(bq) == PATH_ALGEBRA
+    enum = _enumerate_unless_infinite(bq, 64, 128)
+    assert (enum.modules, enum.complete) == ([], False)
+    assert enum.notes == [f"{PATH_ALGEBRA}: nothing enumerated"]
+    assert calls == []
+
+
+def test_a_relation_or_a_short_nilbound_keeps_the_euclidean_square():
+    """A square with a relation, or whose longest path reaches nilbound,
+    is no path algebra; only its separated quiver speaks for it."""
+    assert _infinite_reason(_quiver("1>2 2>3 3>4 1>4", ("a0*a1*a2",), 6)) is None
+    assert _infinite_reason(_quiver("1>2 2>3 3>4 1>4", nilbound=3)) is None
+    assert _infinite_reason(_quiver("1>2 2>3 3>4 1>4", nilbound=4)) == PATH_ALGEBRA
+
+
+def _orientations(edges):
+    for flips in product((False, True), repeat=len(edges)):
+        yield " ".join(f"{t}>{s}" if flip else f"{s}>{t}"
+                       for (s, t), flip in zip(edges, flips))
+
+
+@pytest.mark.parametrize("arrows", [*_orientations([(1, 2), (2, 3)]),
+                                    *_orientations([(1, 0), (2, 0), (3, 0)])])
+def test_a_dynkin_path_algebra_enumerates_completely_in_every_orientation(arrows):
+    bq = _quiver(arrows, nilbound=4)
+    assert _infinite_reason(bq) is None
+    enum = _enumerate_unless_infinite(bq, 40, 80)
+    # Gabriel: one indecomposable per positive root, 6 for A3 and 12 for D4
+    assert enum.complete and len(enum.modules) == {3: 6, 4: 12}[len(bq.vertices)]
+
+
+def _is_path_algebra(bq: BoundQuiver) -> bool:
+    arrows = [tuple(a) for a in bq.arrows]
+    return not bq.relations and not any(
+        len(path) == bq.nilbound for v in bq.vertices
+        for paths in brute_paths(arrows, v, bq.nilbound).values() for path in paths)
+
+
+def _infinite_oracle(bq: BoundQuiver) -> bool:
+    return not _oracle(bq) or (_is_path_algebra(bq) and not tits_form_is_positive_definite(
+        list(bq.vertices), [(a.source, a.target) for a in bq.arrows]))
+
+
+@st.composite
+def relation_free_quivers(draw):
+    """Quivers with no relation, no loop and no parallel arrows on three
+    to six vertices, over GF(32749), with about as many arrows as
+    vertices, each oriented at random, and nilbound 2 up to the number of
+    vertices: path algebras when acyclic and nilbound passes the longest
+    path, truncated ones otherwise."""
+    n = draw(st.integers(3, 6))
+    vertices = [str(v) for v in range(1, n + 1)]
+    pairs = [(s, t) for s in vertices for t in vertices if s < t]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=n - 1, max_size=n, unique=True))
+    arrows = [(f"a{k}", *(e[::-1] if draw(st.booleans()) else e)) for k, e in enumerate(edges)]
+    return BoundQuiver(vertices, arrows, [], Field.gf(32749), draw(st.integers(2, n)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(relation_free_quivers())
+def test_the_infinite_reason_equals_the_tits_form_oracles(bq):
+    reason = _infinite_reason(bq)
+    assert (reason is not None) == _infinite_oracle(bq)
+    if _oracle(bq):
+        assert reason in (None, PATH_ALGEBRA)
