@@ -1125,8 +1125,12 @@ def _is_projective_vertex(n: Module) -> str | None:
     submodule needs to be built.
     """
     vertices, basis = n.bq.vertices, path_basis(n.bq)
-    dims_of_p = {x: {z: basis.dim(z, x) for z in vertices} for x in vertices}
-    if n.dims not in dims_of_p.values():
+    dims_of_p = {x: {} for x in vertices}      # P_x's nonzero dimensions
+    for z, x in basis.paths:
+        if basis.dim(z, x):
+            dims_of_p[x][z] = basis.dim(z, x)
+    support = {v: d for v, d in n.dims.items() if d}
+    if support not in dims_of_p.values():
         return None
     top = {}
     for v in vertices:
@@ -1135,7 +1139,7 @@ def _is_projective_vertex(n: Module) -> str | None:
     if sum(top.values()) != 1:
         return None
     x = next(v for v in vertices if top[v])
-    return x if n.dims == dims_of_p[x] else None
+    return x if support == dims_of_p[x] else None
 
 
 def right_almost_split(n: Module, ind_list: list[Module], check: bool = True) -> ModMap:

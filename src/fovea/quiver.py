@@ -362,26 +362,30 @@ def format_quiver(q) -> str:
 
 
 def _paths_by_pair(bq: BoundQuiver, max_len: int, path_cap: int):
-    """All paths of length <= max_len per ordered vertex pair.
+    """All paths of length <= max_len, keyed only on the ordered vertex pairs
+    that hold one, by source and then target in vertex order.
 
-    Each list is sorted by (length, arrow index sequence) and comes with a
-    path -> position index.  Raises PathExplosionError once more than
-    path_cap paths, stationary ones included, have been walked.
+    Each list is sorted by (length, arrow index sequence), the order in
+    which the walk extends each sorted frontier by out-arrows in arrow
+    order, and comes with a path -> position index.  Also returns, per
+    vertex v, the x of the keys (x, v) and the y of the keys (v, y), in
+    vertex order.  Raises PathExplosionError once more than path_cap paths,
+    stationary ones included, have been walked.
     """
-    paths: dict[tuple[str, str], list[tuple[str, ...]]] = {
-        (x, y): [] for x in bq.vertices for y in bq.vertices
-    }
+    paths: dict[tuple[str, str], list[tuple[str, ...]]] = {}
+    into = {v: [] for v in bq.vertices}
+    out_of = {v: [] for v in bq.vertices}
     total = 0
     for x in bq.vertices:
         frontier = [((), x)]
-        paths[(x, x)].append(())
+        reached = {x: [()]}
         total += 1
         for _ in range(max_len):
             nxt = []
             for path, end in frontier:
                 for a in bq.out_arrows[end]:
                     p = path + (a.name,)
-                    paths[(x, a.target)].append(p)
+                    reached.setdefault(a.target, []).append(p)
                     nxt.append((p, a.target))
                     total += 1
                     if total > path_cap:
@@ -389,11 +393,12 @@ def _paths_by_pair(bq: BoundQuiver, max_len: int, path_cap: int):
                             f"more than {path_cap} paths of length <= {max_len}; "
                             "the bound is probably too large for this quiver")
             frontier = nxt
-    arrow_index = {a.name: i for i, a in enumerate(bq.arrows)}
-    for plist in paths.values():
-        plist.sort(key=lambda p: (len(p), tuple(arrow_index[a] for a in p)))
+        for y in sorted(reached, key=bq.vertex_index.__getitem__):
+            paths[(x, y)] = reached[y]
+            into[y].append(x)
+            out_of[x].append(y)
     index = {key: {p: i for i, p in enumerate(plist)} for key, plist in paths.items()}
-    return paths, index
+    return paths, index, into, out_of
 
 
 class PathBasis:
@@ -404,21 +409,22 @@ class PathBasis:
     sparse echelon form per pair and read off once back-substituted; the
     surviving (non-pivot) paths are the canonical basis representatives.
     A pair with no relation vector shares the one zero ideal and identity
-    quotient of its ambient dimension (both are immutable).
+    quotient of its ambient dimension (both are immutable).  `paths`,
+    `path_index`, `ideal` and `quots` key only the pairs that hold a path of
+    length < nilbound; on every other pair the hom space is zero, and `dim`,
+    `representatives`, `reduce_path` and `compose` answer 0, [], () and ().
     """
 
     def __init__(self, bq: BoundQuiver, path_cap: int = 200_000):
         f = self.field = bq.field
         m = self.nilbound = bq.nilbound
-        paths, self.path_index = _paths_by_pair(bq, m - 1, path_cap)
+        paths, self.path_index, into, out_of = _paths_by_pair(bq, m - 1, path_cap)
         self.paths = paths
 
         # the shifted relations, projected onto paths of length < m, reduced
         # as sparse rows into one echelon form per vertex pair; a shift
         # c * rel * d has a term below m only if its shortest does, the path
         # lists are sorted by length, and only pairs that hold paths are walked
-        into = {v: [x for x in bq.vertices if paths[(x, v)]] for v in bq.vertices}
-        out_of = {v: [y for y in bq.vertices if paths[(v, y)]] for v in bq.vertices}
         echelons: dict[tuple[str, str], dict] = {}
         for rel in bq.relations:
             u, v = bq.relation_endpoints(rel)
@@ -430,7 +436,7 @@ class PathBasis:
                         break
                     for y in out_of[v]:
                         key = (x, y)
-                        index = self.path_index[key]
+                        index = self.path_index.get(key)
                         for d_path in paths[(v, y)]:
                             if len(d_path) >= room:
                                 break
@@ -460,21 +466,22 @@ class PathBasis:
         self._compose_cache: dict = {}
 
     def dim(self, x: str, y: str) -> int:
-        return self.quots[(x, y)].dim
+        quot = self.quots.get((x, y))
+        return 0 if quot is None else quot.dim
 
     @property
     def total_dim(self) -> int:
         return sum(q.dim for q in self.quots.values())
 
     def representatives(self, x: str, y: str) -> list[tuple[str, ...]]:
-        plist = self.paths[(x, y)]
-        return [plist[i] for i in self.quots[(x, y)].representatives]
+        plist = self.paths.get((x, y), ())
+        return [plist[i] for i in self.quots[(x, y)].representatives] if plist else []
 
     def reduce_path(self, x: str, y: str, path: tuple[str, ...]) -> tuple:
         """Coordinates of a path's class in the representative basis."""
         f = self.field
-        plist = self.paths[(x, y)]
-        if len(path) >= self.nilbound:
+        plist = self.paths.get((x, y), ())
+        if len(path) >= self.nilbound or not plist:
             return tuple(f.zero for _ in range(self.dim(x, y)))
         vec = [f.zero] * len(plist)
         vec[self.path_index[(x, y)][path]] = f.one
@@ -537,7 +544,7 @@ def check_admissible(bq: BoundQuiver, path_cap: int = 200_000):
                                    f"relation term {'*'.join(p)} has length < 2")
     m = bq.nilbound
     cap_len = m + max_term
-    paths, index = _paths_by_pair(bq, cap_len, path_cap)
+    paths, index, into, out_of = _paths_by_pair(bq, cap_len, path_cap)
 
     # only the ideals of pairs that hold a path of length m are read; each
     # is kept as a sparse echelon form, one relation shift at a time
@@ -545,12 +552,12 @@ def check_admissible(bq: BoundQuiver, path_cap: int = 200_000):
     ideals: dict[tuple[str, str], dict] = {key: {} for key in needed}
     for rel in bq.relations:
         u, v = bq.relation_endpoints(rel)
-        for x in bq.vertices:
+        for x in into[u]:
             for c_path in paths[(x, u)]:
                 room = cap_len - max_term - len(c_path)
                 if room < 0:
                     break
-                for y in bq.vertices:
+                for y in out_of[v]:
                     key = (x, y)
                     if key not in needed:
                         continue
@@ -654,10 +661,10 @@ def is_convex(bq: BoundQuiver, subset) -> bool:
     if unknown:
         raise QuiverError(f"unknown vertices {sorted(unknown)}")
     basis = path_basis(bq)
-    edges = {
-        v: {w for w in bq.vertices if w != v and basis.dim(v, w) > 0}
-        for v in bq.vertices
-    }
+    edges = {v: set() for v in bq.vertices}
+    for v, w in basis.paths:
+        if w != v and basis.dim(v, w) > 0:
+            edges[v].add(w)
 
     def reachable(src):
         seen = set()
@@ -763,7 +770,7 @@ class StructureCategory:
 
 def structure_category(bq: BoundQuiver) -> StructureCategory:
     basis = path_basis(bq)
-    dims = {(x, y): basis.dim(x, y) for x in bq.vertices for y in bq.vertices}
+    dims = {key: basis.dim(*key) for key in basis.paths}
     identity_index = {}
     for x in bq.vertices:
         coords = basis.identity_coords(x)
@@ -925,6 +932,13 @@ def presentation_basis(cat: StructureCategory, bq: BoundQuiver) -> PathBasis:
     names them.
     """
     got = path_basis(bq)
+    # dimensions are nonnegative, so equal sums and equal dimensions on the
+    # pairs that hold paths leave only zeros elsewhere; a mismatch is named
+    # by scanning every pair
+    obj = dict(zip(bq.vertices, cat.objects))
+    if got.total_dim == cat.total_dim and all(
+            got.dim(x, y) == cat.dim(obj[x], obj[y]) for x, y in got.paths):
+        return got
     vmap = dict(zip(cat.objects, bq.vertices))
     for x in cat.objects:
         for y in cat.objects:

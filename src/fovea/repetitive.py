@@ -96,15 +96,13 @@ def _repetitive_category(bq: BoundQuiver, layers) -> StructureCategory:
     """
     basis, f = path_basis(bq), bq.field
     objs = [(m, i) for m in layers for i in bq.vertices]
+    # a block is nonzero only on pairs that hold paths; StructureCategory fills in zeros
     dims = {}
-    for (m, i) in objs:
-        for (r, j) in objs:
-            if r == m:
-                dims[((m, i), (r, j))] = basis.dim(i, j)
-            elif r == m + 1:
-                dims[((m, i), (r, j))] = basis.dim(j, i)
-            else:
-                dims[((m, i), (r, j))] = 0
+    for i, j in basis.paths:
+        for m in layers:
+            dims[((m, i), (m, j))] = basis.dim(i, j)
+            if m + 1 in layers:
+                dims[((m, j), (m + 1, i))] = basis.dim(i, j)
     identity_index = {}
     for (m, i) in objs:
         coords = basis.identity_coords(i)
@@ -129,7 +127,7 @@ def _repetitive_category(bq: BoundQuiver, layers) -> StructureCategory:
                 out.append(_pair(f, w, u))
             return tuple(out)
         # anything spanning two or more connecting layers vanishes
-        return (f.zero,) * dims[(x, z)]
+        return (f.zero,) * dims.get((x, z), 0)
 
     return StructureCategory(f, objs, dims, compose, identity_index)
 

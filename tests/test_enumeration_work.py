@@ -38,7 +38,9 @@ functor maps builds no map of functors and no lift; a path basis reads every pai
 vectors off a sparse echelon form, with no dense elimination; a hom
 dimension reads no canonical basis; window lifts of one width are
 shifts of one template, checked by BoundQuiver once; the cover suites
-build each quiver's path basis at most once; kg0, pushdown,
+build each quiver's path basis at most once, and on a cover of arrow degree
+100 kg0 keys each path basis on at most twice its vertex count in pairs;
+kg0, pushdown,
 phi-identities and phi enumerate a cover's base once, at any seed; every enumeration
 on a graded input runs at the cover caps and every one on an algebra
 input at the cap flags; length on the Kronecker algebra and phi on an
@@ -650,10 +652,10 @@ def test_path_basis_spans_only_pairs_with_relation_vectors(monkeypatch, make_bq)
         patch.setattr(Subspace, "span", staticmethod(recording))
         PathBasis(bq)
     # one span per pair with a relation vector, and at most one zero ideal
-    # per ambient dimension on top
+    # per ambient dimension of a pair that holds paths on top
     paths, ideal_vectors, _, _ = dense_path_basis(bq)
     with_vectors = sum(1 for vecs in ideal_vectors.values() if vecs)
-    bound = with_vectors + len({len(plist) for plist in paths.values()})
+    bound = with_vectors + len({len(plist) for plist in paths.values() if plist})
     assert 0 < len(spans) <= bound
 
 
@@ -690,6 +692,29 @@ def test_cover_suites_build_each_path_basis_once(monkeypatch, tmp_path):
     # bases of 31 quivers while callers passed bases along
     assert built and len({id(bq) for bq in built}) == len(built)
 
+
+
+ARROW_100_TEXT = "field gf 32749\nnilbound 2\nvertex a b\narrow x: a -> b deg 100\n"
+
+
+def test_kg0_keys_path_bases_linearly_on_a_high_degree_arrow(monkeypatch, tmp_path):
+    """A lifted window of the arrow-100 cover has 2(width + 1) vertices and
+    at most one arrow per vertex, so fewer pairs hold a path than there are
+    vertices and arrows together; keying every ordered pair would key
+    (2(width + 1))^2."""
+    keyed = []
+    init = PathBasis.__init__
+
+    def recording(self, bq, *args, **kwargs):
+        init(self, bq, *args, **kwargs)
+        keyed.append((len(bq.vertices), len(self.quots)))
+
+    monkeypatch.setattr(PathBasis, "__init__", recording)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "arrow-100.vq").write_text(ARROW_100_TEXT)
+    assert run_suite("kg0", "arrow-100.vq").ok
+    assert max(vertices for vertices, _ in keyed) > 200      # a window is lifted
+    assert all(pairs <= 2 * vertices for vertices, pairs in keyed), keyed
 
 def test_hom_dimension_builds_no_maps(monkeypatch):
     modules = [projective(D4, "0"), injective(D4, "1"), simple(D4, "0")]

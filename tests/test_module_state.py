@@ -105,12 +105,14 @@ def test_the_hom_memo_keeps_no_module_alive():
 def test_a_dead_partner_answers_for_no_later_module():
     m = _line_module(1, 1)
     assert hom_dim(m, _line_module(0, 1)) == 1
-    # the first partner died; a later one is solved, not read off its entry
+    # the first partner died; its entry is read before a later partner can
+    # take over its id and its entry with it
+    ref, dim = next(iter(m._hom_dims.values()))
+    assert ref() is None and dim == 1
+    # a later one is solved, not read off the dead entry
     later = _line_module(1, 0)
     assert hom_dim(m, later) == 0 == len(hom_space(m, later).maps)
     # the same when the later partner takes over the dead one's id
-    ref, dim = next(iter(m._hom_dims.values()))
-    assert ref() is None and dim == 1
     m._hom_dims[id(later)] = (ref, dim)
     assert hom_dim(m, later) == 0
     assert m._hom_dims[id(later)][0]() is later

@@ -22,7 +22,6 @@ from fovea.quiver import (
     normalize_presentation,
     opposite_quiver,
     parse_quiver,
-    _paths_by_pair,
     path_basis,
     sub_quiver,
 )
@@ -447,16 +446,32 @@ def test_public_import_surface():
 # the dense path-space constructions, kept as references for the sparse ones
 
 
-def dense_path_basis(bq: BoundQuiver, path_cap: int = 200_000):
+def dense_paths_by_pair(bq: BoundQuiver, max_len: int):
+    """Every ordered vertex pair's paths of length <= max_len, empty lists
+    included, walked by brute force and sorted as _paths_by_pair sorts them
+    (by length, then arrow index sequence), with a path -> position index."""
+    arrows = [(a.name, a.source, a.target) for a in bq.arrows]
+    order = {a.name: i for i, a in enumerate(bq.arrows)}
+    paths = {}
+    for x in bq.vertices:
+        reached = brute_paths(arrows, x, max_len)
+        for y in bq.vertices:
+            paths[(x, y)] = sorted(reached.get(y, []),
+                                   key=lambda p: (len(p), tuple(order[a] for a in p)))
+    return paths, {key: {p: i for i, p in enumerate(plist)} for key, plist in paths.items()}
+
+
+def dense_path_basis(bq: BoundQuiver):
     """The dense construction PathBasis replaced, as a reference.
 
     Tries every prefix c into a relation and every suffix d out of it, and
     spans and takes the quotient of every vertex pair, empty ones included.
-    Returns (paths, ideal vectors, ideal, quots), each keyed by vertex pair.
+    Returns (paths, ideal vectors, ideal, quots), each keyed by every
+    ordered vertex pair.
     """
     f = bq.field
     m = bq.nilbound
-    paths, index = _paths_by_pair(bq, m - 1, path_cap)
+    paths, index = dense_paths_by_pair(bq, m - 1)
     ideal_vectors = {key: [] for key in paths}
     for rel in bq.relations:
         u, v = bq.relation_endpoints(rel)
@@ -480,7 +495,7 @@ def dense_path_basis(bq: BoundQuiver, path_cap: int = 200_000):
     return paths, ideal_vectors, ideal, quots
 
 
-def dense_check_admissible(bq: BoundQuiver, path_cap: int = 200_000):
+def dense_check_admissible(bq: BoundQuiver):
     """The dense admissibility check check_admissible replaced, as a
     reference: spans the relation shifts of every vertex pair.  Returns
     (ok, violations)."""
@@ -494,7 +509,7 @@ def dense_check_admissible(bq: BoundQuiver, path_cap: int = 200_000):
                 violations.append(f"relation term {'*'.join(p)} has length < 2")
     m = bq.nilbound
     cap_len = m + max_term
-    paths, index = _paths_by_pair(bq, cap_len, path_cap)
+    paths, index = dense_paths_by_pair(bq, cap_len)
     spans = {key: [] for key in paths}
     for rel in bq.relations:
         u, v = bq.relation_endpoints(rel)
@@ -564,18 +579,36 @@ def _reference_inputs():
     return out
 
 
+def assert_sparse_path_basis_matches_the_dense_reference(bq):
+    """PathBasis keys exactly the pairs that hold a path of length <
+    nilbound, and on every ordered pair, keyed or not, it answers as the
+    dense reference: its paths, ideal and quotient where it keys the pair,
+    and dim, representatives and reduce_path everywhere."""
+    f = bq.field
+    pb = PathBasis(bq)
+    paths, _, ideal, quots = dense_path_basis(bq)
+    held = {key for key, plist in paths.items() if plist}
+    assert pb.paths.keys() == pb.path_index.keys() == pb.ideal.keys() == pb.quots.keys() == held
+    for key, plist in paths.items():
+        if key in held:
+            assert pb.paths[key] == plist, key
+            assert pb.ideal[key] == ideal[key], key
+            assert pb.quots[key].projection == quots[key].projection, key
+            assert pb.quots[key].representatives == quots[key].representatives, key
+        assert pb.dim(*key) == quots[key].dim, key
+        assert pb.representatives(*key) == [plist[i] for i in quots[key].representatives], key
+        for i, p in enumerate(plist):
+            unit = [f.one if j == i else f.zero for j in range(len(plist))]
+            assert pb.reduce_path(*key, p) == quots[key].apply(unit), (key, p)
+    # a path of length nilbound reduces to zero, on a keyed pair or not
+    for key, plist in dense_paths_by_pair(bq, bq.nilbound)[0].items():
+        for p in plist[len(paths[key]):]:
+            assert pb.reduce_path(*key, p) == (f.zero,) * quots[key].dim, (key, p)
+
+
 @pytest.mark.parametrize("make_bq", _reference_inputs())
 def test_sparse_path_basis_matches_the_dense_reference(make_bq):
-    bq = make_bq()
-    pb = path_basis(bq)
-    paths, _, ideal, quots = dense_path_basis(bq)
-    assert pb.paths == paths
-    assert pb.ideal.keys() == ideal.keys() == pb.quots.keys()
-    for key in paths:
-        assert pb.ideal[key] == ideal[key], key
-        assert pb.quots[key].projection == quots[key].projection, key
-        assert pb.quots[key].representatives == quots[key].representatives, key
-        assert pb.dim(*key) == quots[key].dim, key
+    assert_sparse_path_basis_matches_the_dense_reference(make_bq())
 
 
 @pytest.mark.parametrize("make_bq", _reference_inputs())

@@ -54,6 +54,12 @@ rep-a3 (`REP_A2_TEXT`, `REP_A3_TEXT`, the repetitive voltage quivers of the
 a2.bq and a3.bq fixtures).  Both lifts are locally Nakayama, so their orbit
 lists are closed-form, but every suite lifts windows of them; the records
 were taken before `lift_window` shifted one template per window width.
+
+DEGREE_10_D4_DIGESTS and ARROW_30_DIGESTS pin the four cover suites on
+degree-10 D4 (`DEGREE_10_D4_TEXT`, the D4 cover with c of degree 10) and on
+arrow-30 (`ARROW_30_TEXT`, one arrow a -> b of degree 30), whose cost grows
+with the arrow degrees; the records were taken while every path basis still
+keyed every ordered vertex pair of its quiver.
 """
 
 import contextlib
@@ -69,7 +75,7 @@ from fovea.cli import main
 from fovea.naming import fixture_names, load_quiver
 from fovea.quiver import format_quiver, parse_quiver
 from fovea.repetitive import repetitive_voltage
-from test_covering import D4_COVER_TEXT
+from test_covering import D4_COVER_TEXT, DEGREE_10_D4_TEXT
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -124,6 +130,21 @@ D4_DIGESTS = {
     "pushdown": (0, "458cc62438e626d226d333122ae20b186ef589517d18e0599df521d9653afe43"),
     "phi-identities": (0, "1a07f9fad99239498c13e0d62092d8c2f28413619e453da0c31456337b031098"),
     "kg0": (0, "98c0c0c0d3910c761fc1a150accd2fba48e0ee1496163e882cb16147ae4c1f5e"),
+}
+
+DEGREE_10_D4_DIGESTS = {
+    "cover-axioms": (0, "8c7bfffa09e3854eabc02114dfbf6f1fc29582a9dc5e8052440d7b1b9c65e806"),
+    "pushdown": (0, "edeea6433e567f47c0253936f5a37e821dba252a0ebd64b2ffdb8754b6764512"),
+    "phi-identities": (0, "aac5b3917e06ec6543fbc9e039b023163f9438908a601caff9756ea91874d31a"),
+    "kg0": (0, "84f67335a7e31df09bd729e0efdc390149b990c02da48a4a46f56368a8dced5c"),
+}
+
+ARROW_30_TEXT = "field gf 32749\nnilbound 2\nvertex a b\narrow x: a -> b deg 30\n"
+ARROW_30_DIGESTS = {
+    "cover-axioms": (0, "b644ae4e234125ab2cdf47d1ce7359553d8fcceae3728712daa77cdc7c86419a"),
+    "pushdown": (0, "4046dd3b045ed05478187ab5dc9fe88b414bd8abe67302b6d4aaac3beba85fd7"),
+    "phi-identities": (0, "1df038d98d0990ec2c9e827a6af939f6d2aefd5a67a1b3a9919d59b601d1c3f5"),
+    "kg0": (0, "fbcf514f985cce99d06512e93cc885aa88f22ead5c900cf5bfdf647ccbb033bc"),
 }
 
 A3_PRIME_TEXT = "field gf 32749\nnilbound 2\nvertex 1 2 3\narrow a: 1 -> 2\narrow b: 3 -> 2\n"
@@ -263,6 +284,18 @@ def test_repetitive_export_matches_its_recorded_digest(monkeypatch, tmp_path, co
 def test_d4_cover_report_matches_its_recorded_digest(monkeypatch, tmp_path, suite):
     rc, sha, _ = _run_suite_on_text(monkeypatch, tmp_path, suite, "d4.vq", D4_COVER_TEXT)
     assert (rc, sha) == D4_DIGESTS[suite]
+
+
+@pytest.mark.parametrize("suite", sorted(DEGREE_10_D4_DIGESTS))
+def test_degree_10_d4_report_matches_its_recorded_digest(monkeypatch, tmp_path, suite):
+    got = _run_suite_on_text(monkeypatch, tmp_path, suite, "d4-deg10.vq", DEGREE_10_D4_TEXT)
+    assert got == DEGREE_10_D4_DIGESTS[suite] + ("",)
+
+
+@pytest.mark.parametrize("suite", sorted(ARROW_30_DIGESTS))
+def test_arrow_30_report_matches_its_recorded_digest(monkeypatch, tmp_path, suite):
+    got = _run_suite_on_text(monkeypatch, tmp_path, suite, "arrow-30.vq", ARROW_30_TEXT)
+    assert got == ARROW_30_DIGESTS[suite] + ("",)
 
 
 def test_rep_a3_prime_text_is_the_repetitive_voltage_quiver():
