@@ -334,8 +334,7 @@ def _mod(args) -> int:
     _name, _digest, q = _load(args)
     if isinstance(q, VoltageQuiver):
         raise FixtureError("module files live over algebra inputs")
-    _disp, raw = read_input(args.modfile)
-    m = parse_module(q, raw.decode("utf-8"))
+    m = parse_module(q, read_input(args.modfile)[2])
     sys.stdout.write(format_module(m))
     return 0
 

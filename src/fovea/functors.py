@@ -289,17 +289,15 @@ def fp_hom_dim(t1: FpFunctor, t2: FpFunctor) -> int:
 # simple functors and lengths
 
 
-def simple_functor(bq: BoundQuiver, n: Module, enum: Enumeration,
-                   check: bool = True) -> FpFunctor:
-    """Hom(-, N) modulo its radical, presented by the almost split map."""
-    g = right_almost_split(n, enum.modules, check=check)
-    t = fp_functor(bq, g)
-    if check:
-        for x in enum.modules:
-            expected = 1 if (x.dims == n.dims and is_isomorphic_indec(x, n)) else 0
-            if evaluate_dim(t, x) != expected:
-                raise FunctorError("simple functor has a non-indicator profile; "
-                                   "the indecomposable list looks incomplete")
+def simple_functor(bq: BoundQuiver, n: Module, enum: Enumeration) -> FpFunctor:
+    """Hom(-, N) modulo its radical, presented by the almost split map and
+    certified by its indicator profile on the list of indecomposables."""
+    t = fp_functor(bq, right_almost_split(n, enum.modules))
+    for x in enum.modules:
+        expected = 1 if (x.dims == n.dims and is_isomorphic_indec(x, n)) else 0
+        if evaluate_dim(t, x) != expected:
+            raise FunctorError("simple functor has a non-indicator profile; "
+                               "the indecomposable list looks incomplete")
     return t
 
 

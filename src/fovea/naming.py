@@ -36,15 +36,27 @@ def fixture_names() -> list[str]:
     return sorted(out)
 
 
-def read_input(spec: str) -> tuple[str, bytes]:
-    """(display name, raw bytes) for a path or a packaged fixture name."""
+def read_input(spec: str) -> tuple[str, bytes, str]:
+    """(display name, raw bytes, text) for a path or a packaged fixture name."""
     p = Path(spec)
-    if p.exists():
-        return str(p), p.read_bytes()
     candidate = _fixture_root() / p.name
-    if candidate.is_file():
-        return f"fixtures/{p.name}", candidate.read_bytes()
-    raise FixtureError(f"no such input: {spec}")
+    if p.exists():
+        name, raw = str(p), p.read_bytes()
+    elif candidate.is_file():
+        name, raw = f"fixtures/{p.name}", candidate.read_bytes()
+    else:
+        raise FixtureError(f"no such input: {spec}")
+    return name, raw, _utf8(name, raw)
+
+
+def _utf8(name: str, raw: bytes) -> str:
+    """An input file's text; a byte sequence that is not UTF-8 is an input
+    error that names the file and the line of its first bad byte."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = raw.count(b"\n", 0, e.start) + 1
+        raise FixtureError(f"{name}: line {line}: not UTF-8 (byte 0x{raw[e.start]:02x})") from None
 
 
 def load_quiver(spec: str, field_override: str | None = None):
@@ -54,8 +66,7 @@ def load_quiver(spec: str, field_override: str | None = None):
     each field line in place, or is appended as the last line, so every
     other line keeps its number in a parse error.
     """
-    name, raw = read_input(spec)
-    text = raw.decode("utf-8")
+    name, raw, text = read_input(spec)
     if field_override:
         try:
             line = "field " + parse_field_spec(field_override).spec()
@@ -71,7 +82,7 @@ def resolve_module(bq: BoundQuiver, spec: str) -> Module:
     spec = spec.strip()
     if spec.startswith("@"):
         path = Path(spec[1:])
-        return parse_module(bq, path.read_text())
+        return parse_module(bq, _utf8(str(path), path.read_bytes()))
     kind, vertex = _split_kind(spec, bq.vertices)
     if kind == "S":
         return simple(bq, vertex)

@@ -734,20 +734,21 @@ class StructureCategory:
     Each End(x) basis must consist of the identity plus radical elements,
     with the identity's position recorded in identity_index; this holds
     for path-class bases and for the repetitive constructions built here.
+    `dims` keys only the object pairs with a nonzero hom space, by source
+    and then target in object order; `dim` answers 0 on every other pair.
     """
 
     def __init__(self, field: Field, objects, dims, compose_fn, identity_index):
         self.field = field
         self.objects = tuple(objects)
-        self.dims = dict(dims)
-        for x in self.objects:
-            for y in self.objects:
-                self.dims.setdefault((x, y), 0)
+        position = {o: i for i, o in enumerate(self.objects)}
+        order = sorted(dims, key=lambda key: (position[key[0]], position[key[1]]))
+        self.dims = {key: dims[key] for key in order if dims[key]}
         self._compose = compose_fn
         self.identity_index = dict(identity_index)
 
     def dim(self, x, y) -> int:
-        return self.dims[(x, y)]
+        return self.dims.get((x, y), 0)
 
     @property
     def total_dim(self) -> int:
@@ -781,48 +782,32 @@ def structure_category(bq: BoundQuiver) -> StructureCategory:
 def radical_filtration(cat: StructureCategory):
     """(rad, rad^2, nilpotency degree) of the radical of the category.
 
-    Products run only along chains x -> y -> z of nonzero radical blocks,
-    since a power of the radical vanishes wherever the radical does.  Every
-    key is kept; a block with no nonzero product shares the one zero
-    subspace of its ambient dimension (subspaces are immutable).
+    rad, rad^2 and each power are keyed only on the object pairs where they
+    are nonzero, rad in the order of `cat.dims`.  Products run only along
+    chains x -> y -> z of nonzero radical blocks, since a power of the
+    radical vanishes wherever the radical does.
     """
     f = cat.field
-    objs = cat.objects
-    zeros: dict[int, Subspace] = {}
-
-    def block(n: int, vecs) -> Subspace:
-        if vecs:
-            return Subspace.span(f, n, vecs)
-        if n not in zeros:
-            zeros[n] = Subspace.span(f, n, ())
-        return zeros[n]
-
-    rad = {}
-    for x in objs:
-        for y in objs:
-            n = cat.dim(x, y)
-            radical_dim = n - 1 if x == y else n  # End(x) drops its identity
-            rad[(x, y)] = cat.radical(x, y) if radical_dim else block(n, ())
-    nonzero = {x: [y for y in objs if rad[(x, y)].dim] for x in objs}
+    rad = {(x, y): cat.radical(x, y) for (x, y), n in cat.dims.items()
+           if n > (x == y)}  # End(x) drops its identity
+    after = {x: [] for x in cat.objects}
+    for x, y in rad:
+        after[x].append(y)
 
     def times_rad(left: dict) -> dict:
-        out = {}
-        for x in objs:
-            vecs: dict = {}
-            for y in nonzero[x]:
-                for u in left[(x, y)].rows.entries:
-                    for z in nonzero[y]:
-                        for v in rad[(y, z)].rows.entries:
-                            w = cat.compose(x, y, z, u, v)
-                            if any(w):
-                                vecs.setdefault(z, []).append(w)
-            for z in objs:
-                out[(x, z)] = block(cat.dim(x, z), vecs.get(z))
-        return out
+        vecs: dict = {}
+        for (x, y), space in left.items():
+            for u in space.rows.entries:
+                for z in after[y]:
+                    for v in rad[(y, z)].rows.entries:
+                        w = cat.compose(x, y, z, u, v)
+                        if any(w):
+                            vecs.setdefault((x, z), []).append(w)
+        return {key: Subspace.span(f, cat.dim(*key), block) for key, block in vecs.items()}
 
     rad2 = power = times_rad(rad)
-    nildeg = 1 if any(nonzero.values()) else 0
-    while any(s.dim for s in power.values()):
+    nildeg = 1 if rad else 0
+    while power:
         nildeg += 1
         power = times_rad(power)
         if nildeg > cat.total_dim + 1:
@@ -831,34 +816,32 @@ def radical_filtration(cat: StructureCategory):
 
 
 def arrow_elements(cat: StructureCategory, rad: dict, rad2: dict):
-    """Deterministic rad/rad^2 complement representatives per object pair."""
+    """Deterministic rad/rad^2 complement representatives, keyed only on the
+    object pairs where rad^2 is smaller than rad, in rad's order."""
     f = cat.field
     out = {}
-    for x in cat.objects:
-        for y in cat.objects:
-            r = rad[(x, y)]
-            if r.dim == 0:
-                continue
-            inside = []
-            for w in rad2[(x, y)].rows.entries:
-                coords = r.coords(w)
-                if coords is None:
-                    raise QuiverError("rad^2 not inside rad")
-                inside.append(coords)
-            quot = Subspace.span(f, r.dim, inside).quotient()
-            reps = [tuple(r.rows.entries[i]) for i in quot.representatives]
-            if reps:
-                out[(x, y)] = reps
+    for key, r in rad.items():
+        inside = []
+        for w in rad2[key].rows.entries if key in rad2 else ():
+            coords = r.coords(w)
+            if coords is None:
+                raise QuiverError("rad^2 not inside rad")
+            inside.append(coords)
+        quot = Subspace.span(f, r.dim, inside).quotient()
+        reps = [tuple(r.rows.entries[i]) for i in quot.representatives]
+        if reps:
+            out[key] = reps
     return out
 
 
-def extract_presentation(cat: StructureCategory, vertex_name=None,
-                         verify: bool = True) -> BoundQuiver:
-    """Turn a structure-constant category into a bound quiver presentation.
+def extract_presentation(cat: StructureCategory, vertex_name=None) -> BoundQuiver:
+    """Turn a structure-constant category into a bound quiver presentation,
+    checked against the category's dimensions.
 
     Arrows are a deterministic basis of rad/rad^2, the nilpotency bound is
     one more than the nilpotency degree of the radical, and the relations
-    are a canonical kernel basis of the path evaluation map.
+    are a canonical kernel basis of the path evaluation map, per source
+    and then reached target in object order.
     """
     f = cat.field
     objs = cat.objects
@@ -870,58 +853,41 @@ def extract_presentation(cat: StructureCategory, vertex_name=None,
     vertices = [vertex_name(o) for o in objs]
     vmap = dict(zip(objs, vertices))
     arrows = []
-    arrow_elems = {}
-    counter = 0
-    reps_by_pair = arrow_elements(cat, rad, rad2)
-    for x in objs:
-        for y in objs:
-            for elem in reps_by_pair.get((x, y), []):
-                name = f"a{counter}"
-                counter += 1
-                arrows.append((name, vmap[x], vmap[y]))
-                arrow_elems[name] = (x, y, elem)
+    out_of = {o: [] for o in objs}
+    for (x, y), reps in arrow_elements(cat, rad, rad2).items():
+        for elem in reps:
+            name = f"a{len(arrows)}"
+            arrows.append((name, vmap[x], vmap[y]))
+            out_of[x].append((name, y, elem))
 
-    # evaluate all composable arrow paths of length <= nilbound
-    out_by_vertex: dict[str, list[str]] = {vmap[o]: [] for o in objs}
-    for name, (x, y, _) in arrow_elems.items():
-        out_by_vertex[vmap[x]].append(name)
-    obj_of = {vmap[o]: o for o in objs}
-
-    path_lists: dict[tuple, list] = {(x, y): [] for x in objs for y in objs}
-    path_evals: dict[tuple, list] = {(x, y): [] for x in objs for y in objs}
+    # evaluate all composable arrow paths of length <= nilbound from each source
+    position = {o: i for i, o in enumerate(objs)}
+    relations = []
     for o in objs:
-        frontier = [((), o, cat.unit(o))]
-        path_lists[(o, o)].append(())
-        path_evals[(o, o)].append(cat.unit(o))
+        unit = cat.unit(o)
+        frontier = [((), o, unit)]
+        reached = {o: [((), unit)]}
         for _ in range(nilbound):
             nxt = []
             for path, end, val in frontier:
-                for name in out_by_vertex[vmap[end]]:
-                    ax, ay, elem = arrow_elems[name]
-                    new_val = cat.compose(o, end, ay, val, elem)
+                for name, y, elem in out_of[end]:
                     p = path + (name,)
-                    path_lists[(o, ay)].append(p)
-                    path_evals[(o, ay)].append(new_val)
-                    nxt.append((p, ay, new_val))
+                    new_val = cat.compose(o, end, y, val, elem)
+                    reached.setdefault(y, []).append((p, new_val))
+                    nxt.append((p, y, new_val))
             frontier = nxt
-
-    relations = []
-    for x in objs:
-        for y in objs:
-            plist = path_lists[(x, y)]
-            if not plist:
-                continue
-            ev = Matrix(f, path_evals[(x, y)]).transpose() if cat.dim(x, y) else \
+        for y in sorted(reached, key=position.__getitem__):
+            plist = reached[y]
+            ev = Matrix(f, [val for _p, val in plist]).transpose() if cat.dim(o, y) else \
                 Matrix.zeros(f, 0, len(plist))
             for row in kernel_basis(ev).entries:
-                terms = tuple((c, p) for c, p in zip(row, plist) if c)
+                terms = tuple((c, p) for c, (p, _v) in zip(row, plist) if c)
                 if any(len(p) < 2 for _, p in terms):
                     raise QuiverError("extraction produced a non-admissible relation")
                 relations.append(terms)
 
     out = BoundQuiver(vertices, arrows, relations, f, nilbound)
-    if verify:
-        presentation_basis(cat, out)
+    presentation_basis(cat, out)
     return out
 
 
@@ -929,24 +895,18 @@ def presentation_basis(cat: StructureCategory, bq: BoundQuiver) -> PathBasis:
     """The path basis of a presentation of cat, checked against its dimensions.
 
     bq's vertices must list cat's objects in order, as extract_presentation
-    names them.
+    names them.  A mismatch is named at its first pair in object order.
     """
     got = path_basis(bq)
-    # dimensions are nonnegative, so equal sums and equal dimensions on the
-    # pairs that hold paths leave only zeros elsewhere; a mismatch is named
-    # by scanning every pair
     obj = dict(zip(bq.vertices, cat.objects))
-    if got.total_dim == cat.total_dim and all(
-            got.dim(x, y) == cat.dim(obj[x], obj[y]) for x, y in got.paths):
+    dims = {(obj[x], obj[y]): quot.dim for (x, y), quot in got.quots.items() if quot.dim}
+    if dims == cat.dims:
         return got
-    vmap = dict(zip(cat.objects, bq.vertices))
-    for x in cat.objects:
-        for y in cat.objects:
-            if got.dim(vmap[x], vmap[y]) != cat.dim(x, y):
-                raise QuiverError(
-                    f"extracted presentation has wrong dimension at ({x}, {y}): "
-                    f"{got.dim(vmap[x], vmap[y])} != {cat.dim(x, y)}")
-    return got
+    position = {o: i for i, o in enumerate(cat.objects)}
+    wrong = [key for key in dims.keys() | cat.dims.keys() if dims.get(key) != cat.dims.get(key)]
+    x, y = min(wrong, key=lambda key: (position[key[0]], position[key[1]]))
+    raise QuiverError(f"extracted presentation has wrong dimension at ({x}, {y}): "
+                      f"{dims.get((x, y), 0)} != {cat.dim(x, y)}")
 
 
 def normalize_presentation(bq: BoundQuiver) -> BoundQuiver:

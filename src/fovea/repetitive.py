@@ -72,16 +72,15 @@ class RepetitiveTruncation:
             return f"{o[1]}@{o[0]}"
 
         if self.n == 0:
-            out = extract_presentation(self.category, verify=False, vertex_name=name)
-        else:
-            window = lift_window(rv or repetitive_voltage(self.base), Window(-self.n, self.n))
-            names = {a.name: f"a{k}" for k, a in enumerate(window.arrows)}
-            relations = sorted(window.relations, key=lambda rel: [
-                window.vertex_index[v] for v in window.relation_endpoints(rel)])
-            out = BoundQuiver._unchecked(
-                window.vertices, tuple(a._replace(name=names[a.name]) for a in window.arrows),
-                tuple(tuple((c, tuple(names[x] for x in p)) for c, p in rel) for rel in relations),
-                window.field, window.nilbound)
+            return extract_presentation(self.category, vertex_name=name)
+        window = lift_window(rv or repetitive_voltage(self.base), Window(-self.n, self.n))
+        names = {a.name: f"a{k}" for k, a in enumerate(window.arrows)}
+        relations = sorted(window.relations, key=lambda rel: [
+            window.vertex_index[v] for v in window.relation_endpoints(rel)])
+        out = BoundQuiver._unchecked(
+            window.vertices, tuple(a._replace(name=names[a.name]) for a in window.arrows),
+            tuple(tuple((c, tuple(names[x] for x in p)) for c, p in rel) for rel in relations),
+            window.field, window.nilbound)
         presentation_basis(self.category, out)
         return out
 
@@ -96,7 +95,7 @@ def _repetitive_category(bq: BoundQuiver, layers) -> StructureCategory:
     """
     basis, f = path_basis(bq), bq.field
     objs = [(m, i) for m in layers for i in bq.vertices]
-    # a block is nonzero only on pairs that hold paths; StructureCategory fills in zeros
+    # a block is nonzero only on pairs that hold paths
     dims = {}
     for i, j in basis.paths:
         for m in layers:
@@ -210,9 +209,8 @@ def repetitive_voltage(bq: BoundQuiver) -> VoltageQuiver:
                     nxt.append((p, tgt, layer + d, new_val))
             frontier = nxt
         for (j, layer), plist in sorted(paths.items()):
-            dim = cat.dim((0, i), (layer, j)) if layer <= 1 else 0
-            ev = Matrix(bq.field, [list(val) for _p, val in plist]).transpose() if dim else \
-                Matrix.zeros(bq.field, 0, len(plist))
+            ev = Matrix(bq.field, [list(val) for _p, val in plist]).transpose() \
+                if cat.dim((0, i), (layer, j)) else Matrix.zeros(bq.field, 0, len(plist))
             for row in kernel_basis(ev).entries:
                 terms = tuple((c, p) for c, (p, _v) in zip(row, plist) if c)
                 if terms:

@@ -383,6 +383,24 @@ def test_bad_relation_coefficient_is_a_located_usage_error(capsys, tmp_path):
     assert run(capsys, "suite", "kg0", str(bad)) == (2, "", "fovea: line 5: bad coefficient '1/0'\n")
 
 
+# a comment with a Latin-1 e-acute: not UTF-8
+NOT_UTF8 = b"# caf\xe9\n"
+
+
+@pytest.mark.parametrize("verb", ["suite", "mod", "module spec"])
+def test_an_input_that_is_not_utf8_is_a_located_usage_error(capsys, tmp_path, verb):
+    quiver, module = tmp_path / "q.bq", tmp_path / "m.mod"
+    quiver.write_bytes(b"field gf 32749\nnilbound 2\nvertex 1 2\narrow a: 1 -> 2\n")
+    module.write_bytes(b"dims 1=1 2=1\nmat a = [[1]]\n")
+    bad = quiver if verb == "suite" else module
+    bad.write_bytes(bad.read_bytes() + NOT_UTF8)
+    argv = {"suite": ["suite", "kg0", str(quiver)],
+            "mod": ["mod", str(quiver), str(module)],
+            "module spec": ["hom", str(quiver), "--from", f"@{module}", "--to", "S2"]}[verb]
+    line = bad.read_bytes().count(b"\n")
+    assert run(capsys, *argv) == (2, "", f"fovea: {bad}: line {line}: not UTF-8 (byte 0xe9)\n")
+
+
 def test_python_dash_m_runs_the_cli():
     done = subprocess.run([sys.executable, "-m", "fovea", "fixtures"],
                           capture_output=True, text=True, cwd="src")

@@ -97,6 +97,7 @@ from fovea.quiver import (
     Window,
     lift_window,
     parse_quiver,
+    path_basis,
     radical_filtration,
 )
 from fovea.repetitive import RepetitiveTruncation
@@ -626,13 +627,20 @@ def test_radical_filtration_spans_only_nonzero_blocks(monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(Subspace, "span", staticmethod(recording))
-        radical_filtration(cat)
-    # every nonzero block of rad, rad^2, ..., rad^nildeg is spanned once, and
-    # each ambient dimension needs at most one zero subspace on top
-    _, _, _, powers = dense_radical_filtration(cat)
-    nonzero = sum(1 for power in powers for s in power.values() if s.dim)
-    bound = nonzero + len(set(cat.dims.values()))
-    assert 0 < len(spans) <= bound
+        rad, rad2, _ = radical_filtration(cat)
+    # the category keys only its nonzero hom spaces: 78 of the 21 x 21 pairs
+    base = path_basis(load_quiver("a3.bq")[2])
+    dense = {((m, i), (r, j)): base.dim(i, j) if r == m else base.dim(j, i) if r == m + 1 else 0
+             for m, i in cat.objects for r, j in cat.objects}
+    assert cat.dims == {key: n for key, n in dense.items() if n}
+    assert len(cat.dims) == 78
+    # rad and rad^2 key only their nonzero blocks, and each nonzero block of
+    # rad^2, ..., rad^nildeg is spanned once (rad is a coordinate subspace)
+    ref_rad, ref_rad2, _, powers = dense_radical_filtration(cat)
+    assert rad.keys() == {key for key, s in ref_rad.items() if s.dim}
+    assert rad2.keys() == {key for key, s in ref_rad2.items() if s.dim}
+    nonzero = sum(1 for power in powers[1:] for s in power.values() if s.dim)
+    assert len(spans) == nonzero == 55
 
 
 @pytest.mark.parametrize("make_bq", [

@@ -23,6 +23,8 @@ from fovea.quiver import (
     opposite_quiver,
     parse_quiver,
     path_basis,
+    presentation_basis,
+    structure_category,
     sub_quiver,
 )
 from fovea.repetitive import RepetitiveTruncation
@@ -400,6 +402,15 @@ def test_normalize_presentation_is_idempotent_and_faithful():
         norm = normalize_presentation(bq)
         assert path_basis(norm).total_dim == path_basis(bq).total_dim
         assert format_quiver(normalize_presentation(norm)) == format_quiver(norm)
+
+
+def test_a_presentation_with_other_dimensions_is_named_at_its_first_wrong_pair():
+    kronecker, a2 = load_quiver("kronecker.bq")[2], load_quiver("a2.bq")[2]
+    with pytest.raises(QuiverError, match=r"wrong dimension at \(1, 2\): 1 != 2$"):
+        presentation_basis(structure_category(kronecker), a2)
+    # the reversed arrow: (1, 2) is missing from the presentation, (2, 1) is extra
+    with pytest.raises(QuiverError, match=r"wrong dimension at \(1, 2\): 0 != 1$"):
+        presentation_basis(structure_category(a2), opposite_quiver(a2))
 
 
 def test_path_explosion_guard():
