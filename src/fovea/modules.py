@@ -366,16 +366,32 @@ def hom_space(m: Module, n: Module) -> HomBasis:
     """
     if n.bq is not m.bq and m.bq != n.bq:
         raise ModuleError("hom between modules over different quivers")
+    dim = _memo_dim(m, n)
+    if dim is not None:
+        return HomBasis._deferred(m, n, dim)
+    hom = _solved_hom(m, n)
+    _remember_dim(m, n, hom.dim)
+    return hom
+
+
+def _memo_dim(m: Module, n: Module) -> int | None:
+    """dim Hom(M, N) from M's memo, or None if the memo does not know N."""
     memo = m._hom_dims
     known = memo.get(id(n)) if memo is not None else None
-    if known is not None and known[0]() is n:
-        return HomBasis._deferred(m, n, known[1])
+    return known[1] if known is not None and known[0]() is n else None
+
+
+def _remember_dim(m: Module, n: Module, dim: int) -> None:
+    """File dim Hom(M, N) in M's memo."""
+    if m._hom_dims is None:
+        m._hom_dims = {}
+    m._hom_dims[id(n)] = (weakref.ref(n), dim)
+
+
+def _solved_hom(m: Module, n: Module) -> HomBasis:
+    """Hom(M, N) from a new elimination, filed in no memo."""
     unknowns, echelon = _naturality_echelon(m, n)
-    dim = unknowns - len(echelon)
-    if memo is None:
-        m._hom_dims = memo = {}
-    memo[id(n)] = (weakref.ref(n), dim)
-    return HomBasis._deferred(m, n, dim, (unknowns, echelon))
+    return HomBasis._deferred(m, n, unknowns - len(echelon), (unknowns, echelon))
 
 
 def _naturality_echelon(m: Module, n: Module) -> tuple[int, dict]:
@@ -1022,7 +1038,9 @@ def decompose(m: Module, seed: int = DEFAULT_SEED, cache: PairCache | None = Non
     thin piece whose nonzero arrows connect its support (`_is_thin_brick`)
     needs no End(P): its endomorphisms are one scalar per vertex, equal at
     the two ends of a nonzero arrow (a loop asks nothing), so End(P) = K
-    over any field."""
+    over any field.  Any other piece's End(P) is filed, in the cache and in
+    P's memo of hom dimensions, only if the piece is kept: nothing reads
+    the End(P) of a piece that splits."""
     if m.is_zero():
         return Decomposition(m, [], [])
     cache = cache or PairCache()
@@ -1035,54 +1053,61 @@ def decompose(m: Module, seed: int = DEFAULT_SEED, cache: PairCache | None = Non
         if _is_thin_brick(p):
             done.append(piece)
             continue
-        end = cache.hom(p, p)
-        if end.dim == 1:
-            done.append(piece)
-            continue
-        # rad End(P) is the kernel of the trace form T, so phi lies in K 1 + rad
-        # exactly when T phi is a multiple of T 1, and End(P) is local with
-        # residue field K when every column of T is; row i of T is T e_i, and
-        # T is read row by row only as far as the first that is not
-        f = p.bq.field
-        rows, form, one = _trace_rows(end, end), [], _traces(end)
-        for row in rows:
-            form.append(row)
-            if not _is_multiple(row, one, f.p):
-                break
-        else:
-            done.append(piece)
-            continue
-        split = None
-        # a map in K 1 + rad End(P) has a single eigenvalue, so it cannot
-        # split: the unit attempts before the row that ended the scan are skipped
-        for attempt in range(len(form) - 1, MAX_TRIES):
-            unit = attempt < end.dim
-            form.extend(islice(rows, attempt + 1 - len(form)) if unit else rows)
-            coords = None if unit else [f.sample(rng) for _ in range(end.dim)]
-            image = form[attempt] if unit else [f.coerce(sum(map(_mul, row, coords)))
-                                                for row in form]
-            if _is_multiple(image, one, f.p):
-                continue
-            phi = (ModMap.from_vector(p, p, end.rows.entries[attempt]) if unit
-                   else end.from_coords(coords))
-            split = _try_split(piece, phi)
-            if split is not None:
-                break
+        end = cache._hom.get((p, p))
+        if end is None:
+            known = _memo_dim(p, p)
+            end = _solved_hom(p, p) if known is None else HomBasis._deferred(p, p, known)
+        split = None if end.dim == 1 else _split(piece, end, rng)
         if split is None:
-            # End(P) is local iff End(P)/rad is a field; over a residue
-            # field larger than K nothing above splits, and some element
-            # then generates End(P)/rad
-            rad = radical_hom(p, p, end, end).coords
-            if not any(_generates_a_residue_field(end, rad, rng) for _ in range(MAX_TRIES)):
-                raise DecompositionError(
-                    "could not split a module with non-local endomorphism algebra; "
-                    "the field may be too small")
+            cache._hom[(p, p)] = end
+            _remember_dim(p, p, end.dim)
             done.append(piece)
-            continue
-        stack.extend(split)
+        else:
+            stack.extend(split)
 
     done.sort(key=lambda piece: piece.module.sort_key())
     return Decomposition(m, done, cache=cache)
+
+
+def _split(piece: DecompPiece, end: HomBasis, rng: random.Random):
+    """Two summands of the piece from an endomorphism that splits it, or
+    None when End(P) is local."""
+    # rad End(P) is the kernel of the trace form T, so phi lies in K 1 + rad
+    # exactly when T phi is a multiple of T 1, and End(P) is local with
+    # residue field K when every column of T is; row i of T is T e_i, and
+    # T is read row by row only as far as the first that is not
+    p = piece.module
+    f = p.bq.field
+    rows, form, one = _trace_rows(end, end), [], _traces(end)
+    for row in rows:
+        form.append(row)
+        if not _is_multiple(row, one, f.p):
+            break
+    else:
+        return None
+    # a map in K 1 + rad End(P) has a single eigenvalue, so it cannot
+    # split: the unit attempts before the row that ended the scan are skipped
+    for attempt in range(len(form) - 1, MAX_TRIES):
+        unit = attempt < end.dim
+        form.extend(islice(rows, attempt + 1 - len(form)) if unit else rows)
+        coords = None if unit else [f.sample(rng) for _ in range(end.dim)]
+        image = form[attempt] if unit else [f.coerce(sum(map(_mul, row, coords)))
+                                            for row in form]
+        if _is_multiple(image, one, f.p):
+            continue
+        phi = (ModMap.from_vector(p, p, end.rows.entries[attempt]) if unit
+               else end.from_coords(coords))
+        split = _try_split(piece, phi)
+        if split is not None:
+            return split
+    # End(P) is local iff End(P)/rad is a field; over a residue field larger
+    # than K nothing above splits, and some element then generates End(P)/rad
+    rad = radical_hom(p, p, end, end).coords
+    if not any(_generates_a_residue_field(end, rad, rng) for _ in range(MAX_TRIES)):
+        raise DecompositionError(
+            "could not split a module with non-local endomorphism algebra; "
+            "the field may be too small")
+    return None
 
 
 def is_indecomposable(m: Module) -> bool:

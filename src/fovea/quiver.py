@@ -30,6 +30,23 @@ from .linalg import (
 Arrow = namedtuple("Arrow", ["name", "source", "target"])
 
 
+def _lookup_table(build):
+    """A BoundQuiver table, built by `build` on first read and kept in the
+    quiver's `_tables`.  The tables share that one dict, set up with the
+    quiver, and are not attributes of their own: on CPython 3.11, once some
+    instances of a class gain two or more attributes after construction
+    and others do not, plain attribute reads on every instance run about
+    three times slower."""
+    name = build.__name__
+
+    def read(self):
+        table = self._tables.get(name)
+        if table is None:
+            table = self._tables[name] = build(self)
+        return table
+    return property(read)
+
+
 class QuiverError(ValueError):
     pass
 
@@ -51,9 +68,13 @@ class BoundQuiver:
     of arrow names in traversal order, so in "a*b" the arrow a is walked
     first and t(a) = s(b).
 
-    It owns two memos, which take no part in equality or hashing: its path
-    basis (`path_basis`) and its opposite (`opposite_quiver`).  Neither
-    holds this quiver strongly, so both die with it, cycle collector or no.
+    Its four lookup tables, `arrow_map`, `vertex_index`, `out_arrows` and
+    `in_arrows`, are each built on first read and kept in `_tables`, so a
+    quiver whose tables nothing reads never builds them; like its two
+    memos, its path basis (`path_basis`) and its opposite
+    (`opposite_quiver`), they take no part in equality or hashing.  Neither
+    memo holds this quiver strongly, so both die with it, cycle collector
+    or no.
     """
 
     _basis = None
@@ -64,18 +85,18 @@ class BoundQuiver:
         self.arrows = tuple(Arrow(*a) for a in arrows)
         self.field = field
         self.nilbound = int(nilbound)
+        self._tables = {}
         if self.nilbound < 1:
             raise QuiverError("nilbound must be at least 1")
         if len(set(self.vertices)) != len(self.vertices):
             raise QuiverError("duplicate vertex names")
-        names = [a.name for a in self.arrows]
-        if len(set(names)) != len(names):
+        arrow_map = {a.name: a for a in self.arrows}
+        if len(arrow_map) != len(self.arrows):
             raise QuiverError("duplicate arrow names")
         vset = set(self.vertices)
         for a in self.arrows:
             if a.source not in vset or a.target not in vset:
                 raise QuiverError(f"arrow {a.name} has a dangling endpoint")
-        self._index()
         rels = []
         for rel in relations:
             terms = tuple((field.coerce(c), tuple(p)) for c, p in rel)
@@ -86,14 +107,14 @@ class BoundQuiver:
                 if not p:
                     raise QuiverError("relation term is a stationary path")
                 for name in p:
-                    if name not in self.arrow_map:
+                    if name not in arrow_map:
                         raise QuiverError(f"unknown arrow {name} in relation")
                 for step, nxt in zip(p, p[1:]):
-                    if self.arrow_map[step].target != self.arrow_map[nxt].source:
+                    if arrow_map[step].target != arrow_map[nxt].source:
                         raise QuiverError(
                             f"relation path {'*'.join(p)} is not composable "
                             f"(t({step}) != s({nxt}))")
-                s, t = self.arrow_map[p[0]].source, self.arrow_map[p[-1]].target
+                s, t = arrow_map[p[0]].source, arrow_map[p[-1]].target
                 if src is None:
                     src, tgt = s, t
                 elif (s, t) != (src, tgt):
@@ -108,18 +129,31 @@ class BoundQuiver:
         __init__ sets it up."""
         out = cls.__new__(cls)
         out.vertices, out.arrows, out.field, out.nilbound = vertices, arrows, field, nilbound
-        out._index()
+        out._tables = {}
         out.relations = relations
         return out
 
-    def _index(self):
-        self.arrow_map = {a.name: a for a in self.arrows}
-        self.vertex_index = {v: i for i, v in enumerate(self.vertices)}
-        self.out_arrows = {v: [] for v in self.vertices}
-        self.in_arrows = {v: [] for v in self.vertices}
+    @_lookup_table
+    def arrow_map(self) -> dict:
+        return {a.name: a for a in self.arrows}
+
+    @_lookup_table
+    def vertex_index(self) -> dict:
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    @_lookup_table
+    def out_arrows(self) -> dict:
+        out = {v: [] for v in self.vertices}
         for a in self.arrows:
-            self.out_arrows[a.source].append(a)
-            self.in_arrows[a.target].append(a)
+            out[a.source].append(a)
+        return out
+
+    @_lookup_table
+    def in_arrows(self) -> dict:
+        into = {v: [] for v in self.vertices}
+        for a in self.arrows:
+            into[a.target].append(a)
+        return into
 
     def relation_endpoints(self, rel):
         _, p = rel[0]
@@ -604,7 +638,9 @@ def lift_window(vq: VoltageQuiver, window: Window) -> BoundQuiver:
     checked by BoundQuiver and no later one is: (name, layer) -> name@layer
     is injective (a layer's digits hold no "@"), and a shift keeps arrow
     endpoints, composable relation paths and parallel relation terms.  The
-    order is that of a direct construction: by layer, then base order.
+    order is that of a direct construction: by layer, then base order.  A
+    miss builds the names, arrows and relations only: the quiver's lookup
+    tables wait for their first read.
     """
     cached = vq._lifts.get(window)
     if cached is not None:
@@ -644,10 +680,12 @@ def _lift_template(vq: VoltageQuiver, width: int):
 
 def _shift_template(template, lo: int):
     """Vertices, arrows and relations of the template's lift, every layer
-    moved up by lo."""
+    moved up by lo.  Each Arrow is made as the tuple it is, which skips
+    the namedtuple's keyword-taking constructor."""
     vparts, aparts, rparts = template
     vertices = tuple([f"{v}@{n + lo}" for v, n in vparts])
-    arrows = tuple([Arrow(f"{a}@{n + lo}", vertices[s], vertices[t]) for a, n, s, t in aparts])
+    arrows = tuple([tuple.__new__(Arrow, (f"{a}@{n + lo}", vertices[s], vertices[t]))
+                    for a, n, s, t in aparts])
     names = [a.name for a in arrows]
     relations = tuple([tuple([(c, tuple([names[j] for j in p])) for c, p in rel])
                        for rel in rparts])

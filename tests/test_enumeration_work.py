@@ -24,7 +24,8 @@ builds only the endomorphisms it tries, raises each vertex to its own
 dimension and reads both pieces of a split off one change of basis; a
 kernel takes one elimination; a hom space takes no dense elimination;
 a decomposition builds no End of a thin piece whose nonzero arrows
-connect it and composes no witness that nobody reads; an enumeration
+connect it, files End only for the pieces it keeps, and composes no
+witness that nobody reads; an enumeration
 builds each hom space once; an isomorphism test reads one trace
 pairing; a locally Nakayama cover's orbit list enumerates nothing, an
 infinite cover's is refused before enumerating, and any other enumerates
@@ -37,7 +38,8 @@ aligns nothing where the supports of X and N are disjoint; a dimension of
 functor maps builds no map of functors and no lift; a path basis reads every pair with relation
 vectors off a sparse echelon form, with no dense elimination; a hom
 dimension reads no canonical basis; window lifts of one width are
-shifts of one template, checked by BoundQuiver once; the cover suites
+shifts of one template, checked by BoundQuiver once, and a lift builds
+each of its lookup tables only when it is first read; the cover suites
 build each quiver's path basis at most once, and on a cover of arrow degree
 100 kg0 keys each path basis on at most twice its vertex count in pairs;
 kg0, pushdown,
@@ -78,6 +80,7 @@ from fovea.linalg import Matrix, Subspace, inverse
 from fovea.modules import (
     ModMap,
     Module,
+    PairCache,
     decompose,
     direct_sum,
     enumerate_indecomposables,
@@ -89,6 +92,7 @@ from fovea.modules import (
     simple,
     _enumerate_unless_infinite,
     _infinite_reason,
+    _is_thin_brick,
 )
 from fovea.naming import fixture_names, load_quiver
 from fovea.quiver import (
@@ -887,18 +891,18 @@ def test_decompose_builds_the_radical_only_for_the_residue_field_fallback(monkey
 
 def test_decompose_builds_no_end_of_a_thin_piece_and_composes_no_unread_witness(monkeypatch):
     homs, composites = [], []
-    hom_space_ = fovea.modules.hom_space
+    naturality_echelon = fovea.modules._naturality_echelon
     matmul = ModMap.__matmul__
 
     def recording_hom(m, n):
         homs.append((m, n))
-        return hom_space_(m, n)
+        return naturality_echelon(m, n)
 
     def recording_matmul(self, other):
         composites.append((other.source, self.target))
         return matmul(self, other)
 
-    monkeypatch.setattr(fovea.modules, "hom_space", recording_hom)
+    monkeypatch.setattr(fovea.modules, "_naturality_echelon", recording_hom)
     monkeypatch.setattr(ModMap, "__matmul__", recording_matmul)
     m = _scrambled_d4()
     dec = decompose(m)
@@ -913,6 +917,53 @@ def test_decompose_builds_no_end_of_a_thin_piece_and_composes_no_unread_witness(
     composites.clear()
     dec.witnesses()
     assert any(s != t for s, t in composites)
+
+
+# three lines in general position in the plane: End = K, not thin
+D4_PLANE = "dims 0=2 1=1 2=1 3=1\nmat a = [[1,0]]\nmat b = [[0,1]]\nmat c = [[1,1]]\n"
+LOOP = parse_quiver("field gf 32749\nnilbound 2\nvertex v\narrow x: v -> v\n")
+
+
+def test_decompose_files_end_only_for_the_pieces_it_keeps(monkeypatch):
+    """End(P) of a piece that splits is read by nobody, so it is filed
+    neither in the cache nor in P's memo of hom dimensions; a kept piece
+    whose End(P) was built holds both, and a thin brick builds none."""
+    library = [call.args[0] for call in _workloads().library_session(1, None)
+               if call.function == "decompose"]
+    plane = parse_module(D4, D4_PLANE)
+    dual_numbers = parse_module(LOOP, "dims v=2\nmat x = [[0,1],[0,0]]\n")
+    assert hom_dim(plane, plane) == 1 and hom_dim(dual_numbers, dual_numbers) == 2
+    inputs = library + [direct_sum([plane, parse_module(D4, D4_PLANE), simple(D4, "1")])[0],
+                        direct_sum([dual_numbers, dual_numbers])[0]]
+    split = []
+    try_split = fovea.modules._try_split
+
+    def recording_split(piece, phi):
+        out = try_split(piece, phi)
+        if out is not None:
+            split.append(piece.module)
+        return out
+
+    monkeypatch.setattr(fovea.modules, "_try_split", recording_split)
+    transient = thin = filed = 0
+    for m in inputs:
+        split.clear()
+        cache = PairCache()
+        dec = decompose(m, cache=cache)
+        transient += len(split)
+        for p in split:
+            assert (p, p) not in cache._hom
+            assert p._hom_dims is None or id(p) not in p._hom_dims
+        for piece in dec.pieces:
+            q = piece.module
+            if _is_thin_brick(q):
+                thin += 1
+                assert (q, q) not in cache._hom and q._hom_dims is None
+            else:
+                filed += 1
+                ref, dim = q._hom_dims[id(q)]
+                assert ref() is q and dim == cache._hom[(q, q)].dim
+    assert transient >= 300 and thin >= 750 and filed == 4
 
 
 def test_kernel_basis_runs_one_elimination(monkeypatch):
@@ -1137,3 +1188,22 @@ def test_lifts_of_one_width_check_one_template(monkeypatch):
     lifts = [lift_window(vq, Window(lo, lo + lo % 3)) for lo in range(-20, 20)]
     assert len(set(lifts)) == 40
     assert len(checked) <= 3
+
+
+LOOKUP_TABLES = ("arrow_map", "vertex_index", "out_arrows", "in_arrows")
+
+
+def test_a_lift_builds_each_lookup_table_on_first_read():
+    _, _, vq = load_quiver("nakayama2.vq")
+    lifts = [lift_window(vq, Window(lo, lo + lo % 3)) for lo in range(-20, 20)]
+    assert len(set(lifts)) == 40
+    assert not any(set(LOOKUP_TABLES) & set(vars(lift)) for lift in lifts)
+    assert all(lift._tables == {} for lift in lifts)
+    for i, lift in enumerate(lifts):
+        name = LOOKUP_TABLES[i % len(LOOKUP_TABLES)]
+        table = getattr(lift, name)
+        assert list(lift._tables) == [name]
+        assert getattr(lift, name) is table
+    # the tables are kept apart from the quiver's attributes, which every
+    # lift sets up alike
+    assert len({tuple(vars(lift)) for lift in lifts}) == 1
